@@ -10,8 +10,10 @@
 # `make bench-smoke` runs the tiles before/after experiment at a tiny
 # sample (plain, then through the startup autotuner) so CI catches
 # harness regressions without paying benchmark time; `make
-# bench-compare` diffs two bfast-bench JSON reports per strategy with a
-# regression gate (OLD=... NEW=... [TOL=pct]); `make serve-smoke` boots
+# bench-ledger` runs the repository's benchmark (bench/, the command
+# BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
+# two of its `-json` reports row by row against BENCHMARK.json's bounds,
+# failed counts and result digests; `make serve-smoke` boots
 # bfast-serve, hits /v1/healthz and /metrics, and verifies a clean
 # SIGTERM shutdown; `make metrics-smoke` validates both /metrics
 # expositions (JSON default, Prometheus text) against the pinned family
@@ -27,9 +29,8 @@
 
 GO ?= go
 FUZZTIME ?= 10s
-TOL ?= 10
 
-.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
 ci: lint lint-selfcheck build race test fuzz-smoke coalesce-smoke nrt-smoke diag-smoke
 
@@ -83,11 +84,14 @@ bench-smoke:
 	$(GO) run ./cmd/bfast-bench -exp tiles -sample 64 -json > /dev/null
 	$(GO) run ./cmd/bfast-bench -exp tune -sample 64 -autotune -json > /dev/null
 
+bench-ledger:
+	bash bench/run.sh
+
 bench-compare:
 	@if [ -z "$(OLD)" ] || [ -z "$(NEW)" ]; then \
-		echo "usage: make bench-compare OLD=old.json NEW=new.json [TOL=10]"; exit 2; \
+		echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; \
 	fi
-	./scripts/bench-compare.sh "$(OLD)" "$(NEW)" "$(TOL)"
+	$(GO) run ./bench -compare "$(OLD)" "$(NEW)"
 
 serve-smoke:
 	./scripts/serve-smoke.sh

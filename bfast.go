@@ -52,8 +52,11 @@ type Status = core.Status
 // Batch is a dense M×N in-memory pixel batch (NaN = missing).
 type Batch = core.Batch
 
-// Strategy selects the batched execution organization (see Fig. 8 of the
-// paper); the default StrategyOurs is right for almost all uses.
+// Strategy names a batched execution organization of Fig. 8 of the
+// paper; the default StrategyOurs is right for almost all uses. On the
+// host, StrategyOurs and StrategyRgTlEfSeq run the same fused tiled
+// loop; the three-way split matters to SimulateGPU, which models the
+// paper's three code versions.
 type Strategy = core.Strategy
 
 // Solver selects the linear-system method used for model fitting.
@@ -122,17 +125,20 @@ func (d *Detector) SeriesLen() int { return d.n }
 
 // BatchOptions configures a DetectBatch call — the consolidated knobs of
 // the old pre-context DetectBatch family. The zero value is the
-// production default: the paper's winning staged-tiled organization,
-// work-stealing across GOMAXPROCS workers, default tile width.
+// production default: the tiled path (one tile per steal unit, pixels
+// with equal history masks sharing one inverse), work-stealing across
+// GOMAXPROCS workers, default tile width.
 type BatchOptions struct {
 	// Workers is the number of goroutines (<= 0 uses GOMAXPROCS).
 	Workers int
-	// Strategy selects the batched execution organization (the kernel
-	// organizations of Fig. 8); the zero value StrategyOurs is right for
-	// almost all uses. All strategies return identical results.
+	// Strategy names the batched execution organization (Fig. 8); the
+	// zero value StrategyOurs is right for almost all uses.
+	// StrategyOurs and StrategyRgTlEfSeq run the same tiled loop,
+	// StrategyFullEfSeq a per-pixel fused pass. All return identical
+	// results.
 	Strategy Strategy
-	// TileWidth is T, the pixels per time-major tile of the staged
-	// strategies (0 = default, see core.BatchConfig).
+	// TileWidth is T, the pixels per time-major tile of the tiled path
+	// (0 = default, see core.BatchConfig).
 	TileWidth int
 	// Autotune replaces Strategy/Workers/TileWidth with this host's
 	// measured best for the batch's shape (internal/autotune): the first
@@ -163,8 +169,8 @@ func (d *Detector) Detect(ctx context.Context, y []float64) (Result, error) {
 // abandoned, in-flight ones finish, and ctx.Err() is returned.
 //
 // This is the consolidated batch entry point: the zero BatchOptions is
-// right for almost all uses; Strategy/TileWidth/UseFused expose the
-// execution organizations of the paper for benchmarking and tuning.
+// right for almost all uses; Strategy/TileWidth expose the execution
+// organizations and tile geometry for benchmarking and tuning.
 func (d *Detector) DetectBatch(ctx context.Context, b *Batch, opts BatchOptions) ([]Result, error) {
 	if b.N != d.n {
 		return nil, fmt.Errorf("bfast: batch has %d dates, detector built for %d", b.N, d.n)

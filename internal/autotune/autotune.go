@@ -1,10 +1,10 @@
 // Package autotune picks a core.BatchConfig for this host by measuring:
-// a startup micro-benchmark sweeps (TileWidth, worker count, strategy)
-// candidates over a small synthetic scene shaped like the caller's
-// workload and keeps the fastest per-pixel configuration. This is the
-// host-side analogue of the device tuning behind the paper's Fig. 4/6
-// numbers — the right register-tile/block geometry is a property of the
-// hardware, so it is measured, not hardcoded.
+// a startup micro-benchmark sweeps (TileWidth, worker count) candidates
+// over a small synthetic scene shaped like the caller's workload and
+// keeps the fastest per-pixel configuration. This is the host-side
+// analogue of the device tuning behind the paper's Fig. 4/6 numbers —
+// the right register-tile/block geometry is a property of the hardware,
+// so it is measured, not hardcoded.
 //
 // Candidate ordering is seeded by the workload-skew instrumentation from
 // internal/obs when prior batches have published it (tile.pad.waste_pct
@@ -40,8 +40,10 @@ import (
 
 // cacheVersion tags cache entries with the kernel generation that
 // produced them; bump it when the tiled kernels change shape so stale
-// sweeps are not replayed onto new code.
-const cacheVersion = "v1"
+// sweeps are not replayed onto new code. v2: one tiled loop behind both
+// tiled strategy names, with mask-class sharing (a v1 entry may have
+// chosen between two organisations that no longer differ).
+const cacheVersion = "v2"
 
 // Config parameterizes a sweep. N and Opt are required (the workload
 // shape being tuned for); everything else has measured defaults.
@@ -61,8 +63,9 @@ type Config struct {
 
 	// TileWidths, Workers and Strategies override the candidate sets.
 	// Defaults: tile widths {4, 8, 16, 32, 64} (clamped to MaxWidth),
-	// workers {1, GOMAXPROCS/2, GOMAXPROCS} deduplicated, and the two
-	// tiled strategies {Ours, RgTl-EfSeq}.
+	// workers {1, GOMAXPROCS/2, GOMAXPROCS} deduplicated, and the one
+	// strategy {Ours}: Ours and RgTl-EfSeq name the same tiled loop in
+	// core.DetectBatch, so the default sweep is tile width × workers.
 	TileWidths []int
 	Workers    []int
 	Strategies []core.Strategy
@@ -166,7 +169,7 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if len(c.Strategies) == 0 {
-		c.Strategies = []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq}
+		c.Strategies = []core.Strategy{core.StrategyOurs}
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()

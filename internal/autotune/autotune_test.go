@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"bfast/internal/core"
@@ -61,6 +62,45 @@ func TestTuneSweepTinyShape(t *testing.T) {
 	tw, _ = ch.ForStrategy(core.StrategyOurs)
 	if tw != 8 {
 		t.Fatalf("ForStrategy(ours) tile width %d, want 8", tw)
+	}
+}
+
+// TestDefaultSweepIsWidthsTimesWorkers: the two tiled strategy names run
+// one loop, so the default sweep has no strategy axis.
+func TestDefaultSweepIsWidthsTimesWorkers(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Strategies = nil
+	cfg.TileWidths = []int{4, 8}
+	cfg.Workers = []int{1, 2}
+	ch, err := Tune(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ch.Sweep) != 4 {
+		t.Fatalf("default sweep measured %d candidates, want 2 widths × 2 workers", len(ch.Sweep))
+	}
+	if len(ch.PerStrategy) != 1 || ch.Strategy != core.StrategyOurs {
+		t.Fatalf("default sweep covered %v and chose %v, want ours alone", ch.PerStrategy, ch.Strategy)
+	}
+}
+
+// TestTuneIgnoresOlderCacheGeneration: an entry written under an earlier
+// cacheVersion (when "ours" meant the staged organisation) is swept
+// again, not replayed.
+func TestTuneIgnoresOlderCacheGeneration(t *testing.T) {
+	resetMemory()
+	defer resetMemory()
+	cfg := tinyConfig()
+	cfg.NoCache = false
+	cfg.CacheFile = filepath.Join(t.TempDir(), "autotune.json")
+	old := "v1" + strings.TrimPrefix(cfg.withDefaults().key(), cacheVersion)
+	saveCache(cfg.CacheFile, old, &Choice{StrategyName: "rgtl-efseq", TileWidth: 64, Workers: 9})
+	ch, err := Tune(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.FromCache || ch.TileWidth != 8 || ch.Workers != 1 {
+		t.Fatalf("replayed an older generation's entry: %+v", ch)
 	}
 }
 

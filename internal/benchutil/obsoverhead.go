@@ -90,7 +90,7 @@ func ObsOverhead(ctx context.Context, cfg Config) ([]ObsOverheadRow, error) {
 	fmt.Fprintf(cfg.Out, "%-12s %10s %12s %12s %9s %9s %10s\n", "strategy", "plain", "instrumented", "diagnostics", "overhead", "diag ovh", "identical")
 
 	var rows []ObsOverheadRow
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq} {
+	for _, st := range tiledStrategies {
 		bcfg := core.BatchConfig{Strategy: st, Workers: cfg.Workers}
 		plainRes, plainT, err := bestOf(obsReps, func() ([]core.Result, error) {
 			return core.DetectBatch(ctx, b, opt, bcfg)

@@ -17,7 +17,7 @@ import (
 // Gauss-Jordan), on the same skewed cloud-masked scene, with
 // bit-identical results verified.
 type TilesRow struct {
-	// Strategy names the batched strategy measured ("Ours", "RgTl-EfSeq").
+	// Strategy names the batched strategy measured (see tiledStrategies).
 	Strategy string
 	// TileWidth is the tile width T of the tiled path.
 	TileWidth int
@@ -36,6 +36,11 @@ type TilesRow struct {
 
 // tilesReps is the number of timed repetitions per path (best is kept).
 const tilesReps = 3
+
+// tiledStrategies lists the strategies the tiled-path experiments
+// (tiles, tune, obsoverhead) measure: StrategyOurs and StrategyRgTlEfSeq
+// run the same tiled loop in core.DetectBatch, so one row describes it.
+var tiledStrategies = []core.Strategy{core.StrategyOurs}
 
 // Tiles measures the pixel-tiled kernels against the retained PR-1
 // masked per-pixel implementations on the 50%-NaN spatially-correlated
@@ -78,7 +83,7 @@ func Tiles(ctx context.Context, cfg Config) ([]TilesRow, error) {
 	fmt.Fprintf(cfg.Out, "%-12s %3s %10s %10s %8s %10s\n", "strategy", "T", "masked", "tiled", "speedup", "identical")
 
 	var rows []TilesRow
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq} {
+	for _, st := range tiledStrategies {
 		bcfg := core.BatchConfig{Strategy: st, Workers: cfg.Workers}
 		if tuned != nil {
 			bcfg.TileWidth, bcfg.Workers = tuned.ForStrategy(st)

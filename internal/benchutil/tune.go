@@ -16,7 +16,7 @@ import (
 // against the PR-1 masked per-pixel path on the full sample, with
 // bit-identical results checked.
 type TuneRow struct {
-	// Strategy names the batched strategy ("ours", "rgtl-efseq").
+	// Strategy names the batched strategy (see tiledStrategies).
 	Strategy string
 	// TileWidth and Workers are the autotuner's choice for this strategy.
 	TileWidth int
@@ -96,7 +96,7 @@ func Tune(ctx context.Context, cfg Config) (*TuneReport, error) {
 	fmt.Fprintf(cfg.Out, "%-12s %3s %3s %10s %10s %8s %10s %7s\n",
 		"strategy", "T", "W", "masked", "tiled", "speedup", "identical", "chosen")
 	rep := &TuneReport{Seed: ch.Seed, Sweep: ch.Sweep}
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq} {
+	for _, st := range tiledStrategies {
 		tw, wk := ch.ForStrategy(st)
 		bcfg := core.BatchConfig{Strategy: st, Workers: wk, TileWidth: tw}
 		maskRes, maskT, err := bestOf(tilesReps, func() ([]core.Result, error) {

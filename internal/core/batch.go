@@ -14,21 +14,24 @@ import (
 	"bfast/internal/tile"
 )
 
-// Strategy selects how the batch computation is organized. The strategies
-// mirror the code versions evaluated in Fig. 8 of the paper; on the host
-// they differ in traversal order and intermediate-memory footprint but
-// produce identical results.
+// Strategy names the code versions evaluated in Fig. 8 of the paper.
+// gpusim/kernels.SimulateApp model all three; on the host DetectBatch
+// runs one tiled loop for StrategyOurs and StrategyRgTlEfSeq (on a CPU
+// the fused tile loop beats sweeping M-sized stage arrays at every tile
+// width, so the staged organisation is not kept) and a per-pixel fused
+// pass for StrategyFullEfSeq. All produce identical results.
 type Strategy int
 
 const (
 	// StrategyOurs is the paper's winning strategy: the computation is
 	// decomposed into batched kernels of same inner-parallel size
-	// (ker 1–10 of Fig. 12), each sweeping all pixels before the next
-	// stage runs, with padded per-pixel buffers.
+	// (ker 1–10 of Fig. 12). DetectBatch runs it as the tiled loop of
+	// batch_tile.go.
 	StrategyOurs Strategy = iota
 	// StrategyRgTlEfSeq stages the matrix-multiplication-like kernels
-	// (normal matrix, inversion, β) across the batch but runs the rest of
-	// the per-pixel computation fused ("RgTl-EfSeq" in Fig. 8).
+	// (normal matrix, inversion, β) across a group of pixels but runs the
+	// rest of the per-pixel computation fused ("RgTl-EfSeq" in Fig. 8).
+	// DetectBatch runs the same tiled loop as for StrategyOurs.
 	StrategyRgTlEfSeq
 	// StrategyFullEfSeq fuses the entire per-pixel computation into one
 	// pass per pixel ("Full-EfSeq" in Fig. 8) — minimal intermediates,
@@ -52,12 +55,13 @@ func (s Strategy) String() string {
 
 // BatchConfig configures DetectBatch.
 type BatchConfig struct {
-	// Strategy selects the execution organization (default StrategyOurs).
+	// Strategy names the execution organization (default StrategyOurs;
+	// StrategyRgTlEfSeq runs the same tiled loop).
 	Strategy Strategy
 	// Workers is the number of goroutines (default GOMAXPROCS).
 	Workers int
 	// TileWidth is T, the number of pixels gathered into one time-major
-	// tile by the staged strategies' register-blocked kernels. 0 means
+	// tile by the tiled path's register-blocked kernels. 0 means
 	// tile.DefaultWidth (8); 1 disables cross-pixel blocking; values are
 	// clamped to tile.MaxWidth (64). Results are identical for every T.
 	TileWidth int
@@ -149,18 +153,19 @@ func (b *Batch) MaskCtx(ctx context.Context, workers int) (*series.BatchMask, er
 // DetectBatchReference, the pre-bitset seed path, and DetectBatchMasked,
 // the pre-tiling PR-1 path).
 //
-// Execution: each pixel's validity bitset is computed once (MaskCtx). The
-// staged strategies (StrategyOurs, StrategyRgTlEfSeq) then bin pixels by
-// valid-count, gather them into time-major tiles of cfg.TileWidth pixels
-// and run the register-blocked tile kernels with one tile per steal unit
-// on the shared work-stealing scheduler; StrategyFullEfSeq stays on the
-// fused per-pixel word-masked pass.
+// Execution: each pixel's validity bitset is computed once (MaskCtx).
+// StrategyOurs and StrategyRgTlEfSeq then bin pixels by valid-count,
+// gather them into time-major tiles of cfg.TileWidth pixels and run
+// every kernel stage of a tile inside one steal unit on the shared
+// work-stealing scheduler; pixels whose history masks are equal share
+// one inverted normal matrix (maskclass.go). StrategyFullEfSeq stays on
+// the fused per-pixel word-masked pass.
 //
-// Cancellation: ctx is checked before every steal unit (one tile or one
-// block-cyclic pixel block). When ctx is cancelled the remaining units
-// are abandoned, in-flight units finish, and DetectBatch returns
-// ctx.Err(); the partial results are discarded. An already-cancelled
-// context schedules no units at all.
+// Cancellation: ctx is checked before every steal unit (one tile, one
+// tile of class representatives, or one block-cyclic pixel block). When
+// ctx is cancelled the remaining units are abandoned, in-flight units
+// finish, and DetectBatch returns ctx.Err(); the partial results are
+// discarded. An already-cancelled context schedules no units at all.
 func DetectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig) ([]Result, error) {
 	if err := opt.Validate(b.N); err != nil {
 		return nil, err
@@ -197,10 +202,8 @@ func DetectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig) ([
 	switch cfg.Strategy {
 	case StrategyFullEfSeq:
 		return batchFusedMasked(ctx, b, mask, x, opt, lambda, cfg.Workers)
-	case StrategyOurs:
-		return batchTiledStaged(ctx, b, mask, x, opt, lambda, cfg)
-	default: // StrategyRgTlEfSeq
-		return batchTiledFused(ctx, b, mask, x, opt, lambda, cfg)
+	default: // StrategyOurs, StrategyRgTlEfSeq
+		return batchTiled(ctx, b, mask, x, opt, lambda, cfg)
 	}
 }
 

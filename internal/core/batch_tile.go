@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"bfast/internal/linalg"
@@ -11,17 +13,18 @@ import (
 	"bfast/internal/tile"
 )
 
-// This file implements the pixel-tiled execution of the staged strategies
-// (PR 2): pixels are binned by valid-count and gathered T at a time into
-// time-major tiles (internal/tile), the fit kernels run register-blocked
-// over whole tiles, and the K×K normal systems of a tile are inverted
-// together by the lane-interleaved batched Gauss-Jordan
-// (linalg.GJBatch) — the CPU analogues of the paper's Fig. 4 register
-// tiling and Fig. 5 shared-memory inversion. One tile is one steal unit
-// on the shared scheduler. Results are bit-identical to
-// DetectBatchReference (and to DetectBatchMasked, the PR-1
-// organization, which is retained as the before side of the `tiles`
-// benchmark).
+// This file implements the pixel-tiled execution DetectBatch runs for
+// StrategyOurs and StrategyRgTlEfSeq: pixels are binned by valid-count
+// and gathered T at a time into time-major tiles (internal/tile), the
+// fit kernels run register-blocked over whole tiles, and the K×K normal
+// systems of a tile are inverted together by the lane-interleaved
+// batched Gauss-Jordan (linalg.GJBatch) — the CPU analogues of the
+// paper's Fig. 4 register tiling and Fig. 5 shared-memory inversion.
+// One tile is one steal unit on the shared scheduler, and every stage of
+// a tile runs inside it on per-worker scratch. Pixels that share their
+// history mask share one inverse (maskclass.go). Results are
+// bit-identical to scalar Detect, DetectBatchReference and
+// DetectBatchMasked.
 
 // tileScratch is the per-worker working set of the tiled kernels: one
 // gathered tile plus the lane-interleaved fit and monitoring buffers.
@@ -61,6 +64,58 @@ func newTileScratch(k, n, t int) *tileScratch {
 	}
 }
 
+// scratchKey is the shape a tileScratch is sized for.
+type scratchKey struct{ k, n, t int }
+
+// tileScratchPools maps a scratchKey to the sync.Pool of scratches of
+// that shape, so a call — above all a 1–4-pixel serving request, whose
+// scratch is most of what it would allocate — reuses the buffers of an
+// earlier one. Stale contents are harmless: every buffer is written for
+// the active lanes before it is read, and no kernel reads masked-out or
+// inactive-lane slots (see tile.Data). One entry per distinct (K, N, T)
+// the process has run.
+var tileScratchPools sync.Map
+
+func getTileScratch(key scratchKey) *tileScratch {
+	if p, ok := tileScratchPools.Load(key); ok {
+		if s, _ := p.(*sync.Pool).Get().(*tileScratch); s != nil {
+			return s
+		}
+	}
+	return newTileScratch(key.k, key.n, key.t)
+}
+
+func putTileScratch(key scratchKey, s *tileScratch) {
+	p, ok := tileScratchPools.Load(key)
+	if !ok {
+		p, _ = tileScratchPools.LoadOrStore(key, new(sync.Pool))
+	}
+	p.(*sync.Pool).Put(s)
+}
+
+// forEachTileScratch runs body over [0, tiles), one tile per steal unit
+// on the shared scheduler, handing each worker a pooled tileScratch that
+// goes back to the pool when the loop returns.
+func forEachTileScratch(ctx context.Context, key scratchKey, tiles, workers int, body func(s *tileScratch, ti int)) error {
+	pool := sched.Shared()
+	scratch := make([]*tileScratch, pool.Workers(workers, tiles))
+	defer func() {
+		for _, s := range scratch {
+			if s != nil {
+				putTileScratch(key, s)
+			}
+		}
+	}()
+	return pool.ForEachCtx(ctx, tiles, len(scratch), 1, func(id, lo, hi int) {
+		if scratch[id] == nil {
+			scratch[id] = getTileScratch(key)
+		}
+		for ti := lo; ti < hi; ti++ {
+			body(scratch[id], ti)
+		}
+	})
+}
+
 // initTileResults fills the per-pixel counts and fittable flags for the
 // gathered tile's lanes, returning whether any lane can be fitted.
 func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool, out []Result) bool {
@@ -87,15 +142,21 @@ func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool,
 
 // solveTile turns the tile's lane-interleaved normal matrices and
 // right-hand sides into coefficients. For the paper's Gauss-Jordan
-// solver all lanes reduce together in the batched interleaved scratch;
-// the pivoting/Cholesky library solvers fall back to per-lane extraction
-// through the shared solveNormal, so singularity behaviour matches the
-// untiled paths exactly. Lanes that fail are flagged StatusSingular.
-func solveTile(s *tileScratch, k int, opt Options, idx []int, out []Result) {
+// solver all lanes reduce together in the batched interleaved scratch —
+// or, when shared is non-nil, take their class's inverse from it and
+// skip the reduction; the pivoting/Cholesky library solvers fall back to
+// per-lane extraction through the shared solveNormal, so singularity
+// behaviour matches the untiled paths exactly. Lanes that fail are
+// flagged StatusSingular.
+func solveTile(s *tileScratch, k int, opt Options, shared *maskClasses, idx []int, out []Result) {
 	t := s.data.T
 	cnt := s.data.P
 	if opt.Solver == SolverGaussJordan {
-		s.gj.Invert(s.nrm, s.inv, s.sing, cnt)
+		if shared != nil {
+			shared.fanOut(s, k, idx)
+		} else {
+			s.gj.Invert(s.nrm, s.inv, s.sing, cnt)
+		}
 		linalg.MatVecBatch(k, t, cnt, s.inv, s.rhs, s.beta)
 		for p, px := range idx {
 			if !s.fit[p] {
@@ -131,15 +192,24 @@ func solveTile(s *tileScratch, k int, opt Options, idx []int, out []Result) {
 }
 
 // publishBeta copies each fitted lane's coefficients out of the
-// interleaved buffer into the pixel's result.
+// interleaved buffer into the pixel's result, carved from one slab per
+// tile.
 func publishBeta(s *tileScratch, k int, idx []int, out []Result) {
 	t := s.data.T
+	fitted := 0
+	for p := range idx {
+		if s.fit[p] {
+			fitted++
+		}
+	}
+	slab := make([]float64, fitted*k)
 	for p, px := range idx {
 		if !s.fit[p] {
 			continue
 		}
-		bta := make([]float64, k)
-		for j := 0; j < k; j++ {
+		bta := slab[:k:k]
+		slab = slab[k:]
+		for j := range bta {
 			bta[j] = s.beta[j*t+p]
 		}
 		out[px].Beta = bta
@@ -168,12 +238,19 @@ func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx
 	}
 }
 
-// batchTiledFused is the tiled RgTl-EfSeq: per tile, the fit kernels run
+// batchTiled is the tiled execution: per tile, the fit kernels run
 // staged across the tile's lanes (cross product → batched inversion → β)
 // and the monitoring phase follows fused, all inside one steal unit with
 // per-worker scratch. Tiles never touch shared intermediates, so the
 // whole pixel's data stays in cache between stages.
-func batchTiledFused(ctx context.Context, b *Batch, mask *series.BatchMask, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
+//
+// With the Gauss-Jordan solver and more than one tile, the batch is
+// first grouped by history mask and every class of two or more pixels
+// is inverted once (newMaskClasses). A tile whose fittable lanes all
+// belong to such classes skips its own cross product and inversion; any
+// other tile runs them for all its lanes, as a batch without repeated
+// masks does throughout.
+func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
 	M, N := b.M, b.N
 	n := opt.History
 	K := opt.K()
@@ -185,189 +262,49 @@ func batchTiledFused(ctx context.Context, b *Batch, mask *series.BatchMask, x *s
 	sp.SetAttr("tiles", plan.Tiles)
 	sp.SetAttr("tile_width", T)
 	defer sp.End()
-	err := sched.ForEachScratchCtx(ctx, sched.Shared(), plan.Tiles, cfg.Workers, 1,
-		func() *tileScratch { return newTileScratch(K, N, T) },
-		func(s *tileScratch, lo, hi int) {
-			// Phase nanos are accumulated per steal unit and flushed once,
-			// so the per-tile instrumentation costs a handful of
-			// monotonic-clock reads, not atomic traffic.
-			var acc phaseAcc
-			for ti := lo; ti < hi; ti++ {
-				idx := plan.Indices(ti)
-				if !initTileResults(idx, mask, opt, s.fit, out) {
-					continue
-				}
-				t0 := time.Now()
-				s.data.Gather(b.Y, mask, idx)
-				s.sc.Build(s.data)
-				tile.CrossProduct(xh, s.data, s.sc, s.nrm)
-				tile.MatVecHistory(xh, s.data, s.sc, s.rhs)
-				t1 := time.Now()
-				solveTile(s, K, opt, idx, out)
-				publishBeta(s, K, idx, out)
-				t2 := time.Now()
-				tile.Residuals(x, s.data, s.sc, s.beta, s.rbuf, s.ix, s.nVal)
-				t3 := time.Now()
-				monitorTile(s, n, N, opt, lambda, idx, out)
-				acc.cross += int64(t1.Sub(t0))
-				acc.invert += int64(t2.Sub(t1))
-				acc.residual += int64(t3.Sub(t2))
-				acc.mosum += int64(time.Since(t3))
-			}
-			acc.flush()
-		})
-	if err != nil {
-		return nil, err
+	var classes *maskClasses
+	if plan.Tiles > 1 && opt.Solver == SolverGaussJordan {
+		var err error
+		if classes, err = newMaskClasses(ctx, mask, xh, opt, cfg); err != nil {
+			return nil, err
+		}
+		sp.SetAttr("mask_classes", classes.classes)
+		sp.SetAttr("shared_pixels", classes.pixels)
 	}
-	return out, nil
-}
-
-// batchTiledStaged is the tiled "Ours": every kernel stage sweeps all
-// tiles before the next stage runs (the paper's batched same-inner-size
-// organization), with the gathered tiles and lane-interleaved
-// intermediates persisted in padded stage arrays. One tile remains one
-// steal unit inside every sweep.
-func batchTiledStaged(ctx context.Context, b *Batch, mask *series.BatchMask, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
-	M, N := b.M, b.N
-	n := opt.History
-	K := opt.K()
-	T := cfg.tileWidth()
-	out := make([]Result, M)
-	plan := tile.NewPlan(mask, T)
-	xh := historySlice(x, n)
-	pool := sched.Shared()
-	workers := cfg.Workers
-
-	tiles := plan.Tiles
-	slots := tiles * T
-	tY := make([]float64, slots*N)   // gathered time-major series, per tile
-	cmask := make([]uint64, tiles*N) // per-tile column masks
-	nrm := make([]float64, tiles*K*K*T)
-	beta := make([]float64, tiles*K*T)
-	fit := make([]bool, slots)
-	residual := make([]float64, slots*N) // lane-major compacted residuals
-	index := make([]int32, slots*N)
-	nVal := make([]int, slots)
-
-	// view rebinds tile ti's slice of the stage arrays as a tile.Data.
-	view := func(ti int) *tile.Data {
-		d := tile.NewDataOver(T, N, tY[ti*N*T:(ti+1)*N*T], cmask[ti*N:(ti+1)*N])
+	var tilesShared atomic.Int64
+	err := forEachTileScratch(ctx, scratchKey{K, N, T}, plan.Tiles, cfg.Workers, func(s *tileScratch, ti int) {
 		idx := plan.Indices(ti)
-		d.P = len(idx)
-		d.Idx = idx
-		return d
-	}
-
-	// Stage 1 (ker 1 prologue): gather tiles, counts, fittable flags.
-	sctx, sp := obs.StartSpan(ctx, "kernel.gather")
-	sp.SetAttr("tiles", tiles)
-	sp.SetAttr("tile_width", T)
-	err := pool.ForEachCtx(sctx, tiles, workers, 1, func(_, lo, hi int) {
-		for ti := lo; ti < hi; ti++ {
-			idx := plan.Indices(ti)
-			d := tile.NewDataOver(T, N, tY[ti*N*T:(ti+1)*N*T], cmask[ti*N:(ti+1)*N])
-			d.Gather(b.Y, mask, idx)
-			initTileResults(idx, mask, opt, fit[ti*T:ti*T+len(idx)], out)
+		if !initTileResults(idx, mask, opt, s.fit, out) {
+			return
 		}
-	})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 2 (ker 1–2): register-blocked masked cross products. The
-	// per-tile date schedule is per-worker scratch, rebuilt per tile
-	// (an O(N) scan, negligible next to the K×K×N sweep it feeds).
-	sctx, sp = obs.StartSpan(ctx, "kernel.cross_product")
-	err = sched.ForEachScratchCtx(sctx, pool, tiles, workers, 1,
-		func() *tile.Schedule { return tile.NewSchedule(N) },
-		func(sc *tile.Schedule, lo, hi int) {
-			t0 := time.Now()
-			for ti := lo; ti < hi; ti++ {
-				d := view(ti)
-				sc.Build(d)
-				tile.CrossProduct(xh, d, sc, nrm[ti*K*K*T:(ti+1)*K*K*T])
-			}
-			statCrossNs.Add(sinceNs(t0))
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 3 (ker 3–5): right-hand sides + batched tile inversions + β.
-	sctx, sp = obs.StartSpan(ctx, "kernel.invert")
-	err = sched.ForEachScratchCtx(sctx, pool, tiles, workers, 1,
-		func() *tileScratch { return newTileScratch(K, N, T) },
-		func(s *tileScratch, lo, hi int) {
-			t0 := time.Now()
-			for ti := lo; ti < hi; ti++ {
-				idx := plan.Indices(ti)
-				s.data = view(ti)
-				s.sc.Build(s.data)
-				copy(s.fit, fit[ti*T:ti*T+len(idx)])
-				s.nrm = nrm[ti*K*K*T : (ti+1)*K*K*T]
-				s.beta = beta[ti*K*T : (ti+1)*K*T]
-				tile.MatVecHistory(xh, s.data, s.sc, s.rhs)
-				solveTile(s, K, opt, idx, out)
-				publishBeta(s, K, idx, out)
-				copy(fit[ti*T:ti*T+len(idx)], s.fit)
-			}
-			statInvertNs.Add(sinceNs(t0))
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 4 (ker 6–7): register-blocked residuals + compaction.
-	sctx, sp = obs.StartSpan(ctx, "kernel.residual")
-	err = sched.ForEachScratchCtx(sctx, pool, tiles, workers, 1,
-		func() *tile.Schedule { return tile.NewSchedule(N) },
-		func(sc *tile.Schedule, lo, hi int) {
-			t0 := time.Now()
-			for ti := lo; ti < hi; ti++ {
-				d := view(ti)
-				sc.Build(d)
-				tile.Residuals(x, d, sc, beta[ti*K*T:(ti+1)*K*T],
-					residual[ti*T*N:(ti+1)*T*N], index[ti*T*N:(ti+1)*T*N], nVal[ti*T:(ti+1)*T])
-			}
-			statResidualNs.Add(sinceNs(t0))
-		})
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 5 (ker 8–10): σ̂, fluctuation process, boundary test, remap.
-	sctx, sp = obs.StartSpan(ctx, "kernel.mosum")
-	err = pool.ForEachCtx(sctx, tiles, workers, 1, func(_, lo, hi int) {
+		var shared *maskClasses
+		if classes != nil && classes.covers(idx, s.fit) {
+			shared = classes
+			tilesShared.Add(1)
+		}
 		t0 := time.Now()
-		for ti := lo; ti < hi; ti++ {
-			for p, px := range plan.Indices(ti) {
-				if !fit[ti*T+p] {
-					continue
-				}
-				res := &out[px]
-				nBar := res.ValidHistory
-				w := nVal[ti*T+p]
-				base := (ti*T + p) * N
-				mo := monitorSeries(residual[base:base+w], nBar, w-nBar, opt, lambda)
-				res.Status = mo.status
-				res.Sigma = mo.sigma
-				res.MosumMean = mo.mean
-				if mo.brk >= 0 {
-					if orig := int(index[base+nBar+mo.brk]); orig >= n {
-						res.BreakIndex = orig - n
-					}
-				}
-			}
+		s.data.Gather(b.Y, mask, idx)
+		s.sc.Build(s.data)
+		if shared == nil {
+			tile.CrossProduct(xh, s.data, s.sc, s.nrm)
 		}
-		statMosumNs.Add(sinceNs(t0))
+		tile.MatVecHistory(xh, s.data, s.sc, s.rhs)
+		t1 := time.Now()
+		solveTile(s, K, opt, shared, idx, out)
+		publishBeta(s, K, idx, out)
+		t2 := time.Now()
+		tile.Residuals(x, s.data, s.sc, s.beta, s.rbuf, s.ix, s.nVal)
+		t3 := time.Now()
+		monitorTile(s, n, N, opt, lambda, idx, out)
+		// One tile is one steal unit: four atomic adds per tile.
+		statCrossNs.Add(int64(t1.Sub(t0)))
+		statInvertNs.Add(int64(t2.Sub(t1)))
+		statResidualNs.Add(int64(t3.Sub(t2)))
+		statMosumNs.Add(sinceNs(t3))
 	})
-	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	sp.SetAttr("tiles_shared", int(tilesShared.Load()))
 	return out, nil
 }

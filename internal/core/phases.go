@@ -9,11 +9,11 @@ import (
 // Kernel-phase metrics (DESIGN.md §6): cumulative nanoseconds spent in
 // each kernel group of the batched detection paths, summed across
 // workers (CPU time, not wall time), plus the number of pixels
-// processed. The staged strategies attribute time to the paper's kernel
-// groups — cross product (ker 1–2), inversion + β (ker 3–5), residuals
-// (ker 6–7), MOSUM monitoring (ker 8–10) — while the fully fused
-// strategy and the C-like baseline account their single pass under
-// kernel.fused.ns.
+// processed. The tiled and masked paths attribute time to the paper's
+// kernel groups — cross product (ker 1–2, with the tile gather),
+// inversion + β (ker 3–5), residuals (ker 6–7), MOSUM monitoring
+// (ker 8–10) — once per steal unit, while the fully fused strategy and
+// the C-like baseline account their single pass under kernel.fused.ns.
 var (
 	statKernelPixels = obs.Default().Counter("kernel.pixels")
 	statCrossNs      = obs.Default().Counter("kernel.cross_product.ns")
@@ -22,21 +22,6 @@ var (
 	statMosumNs      = obs.Default().Counter("kernel.mosum.ns")
 	statFusedNs      = obs.Default().Counter("kernel.fused.ns")
 )
-
-// phaseAcc batches phase nanoseconds in worker-local memory so the hot
-// loops pay one atomic add per steal unit and phase, not per pixel.
-type phaseAcc struct {
-	cross, invert, residual, mosum int64
-}
-
-// flush publishes and resets the accumulated nanoseconds.
-func (a *phaseAcc) flush() {
-	statCrossNs.Add(a.cross)
-	statInvertNs.Add(a.invert)
-	statResidualNs.Add(a.residual)
-	statMosumNs.Add(a.mosum)
-	*a = phaseAcc{}
-}
 
 // sinceNs returns the elapsed nanoseconds since t0 — a tiny wrapper so
 // the instrumentation reads as one line at each phase boundary.

@@ -22,7 +22,7 @@ func TestDetectBatchSpanTree(t *testing.T) {
 		strategy Strategy
 		phases   []string
 	}{
-		{StrategyOurs, []string{"kernel.mask", "kernel.gather", "kernel.cross_product", "kernel.invert", "kernel.residual", "kernel.mosum"}},
+		{StrategyOurs, []string{"kernel.mask", "kernel.tiles"}},
 		{StrategyRgTlEfSeq, []string{"kernel.mask", "kernel.tiles"}},
 		{StrategyFullEfSeq, []string{"kernel.mask", "kernel.fused"}},
 	}
@@ -51,10 +51,56 @@ func TestDetectBatchSpanTree(t *testing.T) {
 			}
 			// Every kernel phase runs its sweep on the scheduler, so it
 			// must have picked up a sched.foreach child.
-			if phase != "kernel.tiles" && ph.Find("sched.foreach") == nil {
+			if ph.Find("sched.foreach") == nil {
 				t.Fatalf("%v: %s has no sched.foreach child", tc.strategy, phase)
 			}
 		}
+	}
+}
+
+// TestTilesSpanReportsSharing: the kernel.tiles span must answer "did
+// this request share?" — distinct history masks, pixels in classes of
+// two or more, and tiles that skipped their own cross product and
+// inversion — and must say nothing about classes when no table was
+// built (a batch of one tile).
+func TestTilesSpanReportsSharing(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	const N, n = 200, 100
+	opt := defaultTestOpts(n)
+	tiles := func(b *Batch) *obs.SpanNode {
+		t.Helper()
+		root := obs.NewSpan("request")
+		ctx := obs.ContextWithSpan(context.Background(), root)
+		if _, err := DetectBatch(ctx, b, opt, BatchConfig{Workers: 2, TileWidth: 8}); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		tree := root.Node()
+		sp := tree.Find("kernel.tiles")
+		if sp == nil {
+			t.Fatal("no kernel.tiles span")
+		}
+		return sp
+	}
+	// 4 masks over 64 pixels in runs of 16: every class has 16 members
+	// and the count-binned plan keeps every tile inside shared classes.
+	shared := tiles(maskedScene(rng, 64, N, randomMasks(rng, 4, N, 0.4), func(i int) int { return i / 16 }))
+	for key, want := range map[string]any{"tiles": 8, "mask_classes": 4, "shared_pixels": 64, "tiles_shared": 8} {
+		if got := shared.Attrs[key]; got != want {
+			t.Errorf("shared scene: %s = %v (%T), want %v", key, got, got, want)
+		}
+	}
+	// Every pixel its own mask: a table, nothing in it to share.
+	own := tiles(maskedScene(rng, 24, N, randomMasks(rng, 24, N, 0.4), func(i int) int { return i }))
+	for key, want := range map[string]any{"mask_classes": 24, "shared_pixels": 0, "tiles_shared": 0} {
+		if got := own.Attrs[key]; got != want {
+			t.Errorf("distinct masks: %s = %v (%T), want %v", key, got, got, want)
+		}
+	}
+	// One tile: no table.
+	single := tiles(maskedScene(rng, 4, N, randomMasks(rng, 1, N, 0.4), func(int) int { return 0 }))
+	if _, ok := single.Attrs["mask_classes"]; ok {
+		t.Errorf("single-tile batch built a class table: %v", single.Attrs)
 	}
 }
 

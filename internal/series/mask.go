@@ -2,6 +2,7 @@ package series
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -30,18 +31,34 @@ func MaskWords(n int) int { return (n + 63) / 64 }
 // FillMask writes y's validity bits into words (which must have
 // MaskWords(len(y)) entries); trailing bits beyond len(y) are cleared.
 //
+// Each word is assembled in a register from up to 64 observations and
+// stored once, and validity is integer arithmetic on the bit pattern, so
+// the loop has no data-dependent branch to mispredict on irregular gaps:
+// a value is valid (not a NaN of any sign, payload or signalling bit)
+// exactly when its magnitude bits do not exceed +Inf's, which is when
+// subtracting Inf+1 from them wraps and sets bit 63. That bit is shifted
+// in at the top of the word, so after a full word observation t sits at
+// bit t, and a shorter last word is shifted down into place.
+//
 //bfast:kernel
 func FillMask(y []float64, words []uint64) {
 	if len(words) != MaskWords(len(y)) {
 		panic(fmt.Sprintf("series: mask has %d words for %d observations", len(words), len(y)))
 	}
-	for i := range words {
-		words[i] = 0
-	}
-	for t, v := range y {
-		if !IsMissing(v) {
-			words[t/64] |= 1 << uint(t%64)
+	const (
+		sign    = 1 << 63
+		pastInf = 0x7ff0000000000001
+	)
+	for wi := range words {
+		chunk := y[wi*64:]
+		if len(chunk) > 64 {
+			chunk = chunk[:64]
 		}
+		var w uint64
+		for _, v := range chunk {
+			w = w>>1 | (math.Float64bits(v)&^sign-pastInf)&sign
+		}
+		words[wi] = w >> uint(64-len(chunk))
 	}
 }
 

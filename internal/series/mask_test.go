@@ -184,3 +184,73 @@ func TestBatchMaskEmpty(t *testing.T) {
 		t.Fatal("empty series mask wrong")
 	}
 }
+
+// TestFillMaskMatchesIsMissing holds the branch-free FillMask to the
+// element-wise definition, bit for bit: every NaN encoding (quiet,
+// signalling, negative, arbitrary payload) is missing, everything else —
+// ±Inf, denormals, ±0 — is valid, and bits at or beyond len(y) stay clear.
+func TestFillMaskMatchesIsMissing(t *testing.T) {
+	special := []float64{
+		math.NaN(), -math.NaN(),
+		math.Float64frombits(0x7ff8000000000000), // quiet NaN
+		math.Float64frombits(0x7ff0000000000001), // signalling NaN, lowest payload bit
+		math.Float64frombits(0x7ff4000000000000), // signalling NaN
+		math.Float64frombits(0xfff8000000000001), // negative quiet NaN with payload
+		math.Float64frombits(0xfff0000000000001), // negative signalling NaN
+		math.Float64frombits(0x7fffffffffffffff), // all payload bits
+		math.Float64frombits(0xffffffffffffffff),
+		math.Inf(1), math.Inf(-1),
+		math.Float64frombits(1),                  // smallest denormal
+		math.Float64frombits(0x800fffffffffffff), // largest negative denormal
+		0, math.Copysign(0, -1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, -1,
+	}
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{0, 1, 63, 64, 65, 235, 512} {
+		for rep := 0; rep < 8; rep++ {
+			y := make([]float64, n)
+			for i := range y {
+				if rep == 0 {
+					y[i] = special[i%len(special)]
+				} else if rng.Intn(3) == 0 {
+					y[i] = rng.NormFloat64()
+				} else {
+					y[i] = special[rng.Intn(len(special))]
+				}
+			}
+			words := make([]uint64, MaskWords(n))
+			for i := range words {
+				words[i] = 0xa5a5a5a5a5a5a5a5 // FillMask must overwrite, not OR into
+			}
+			FillMask(y, words)
+			for b := 0; b < 64*len(words); b++ {
+				got := words[b/64]>>(uint(b)%64)&1 == 1
+				want := b < n && !IsMissing(y[b])
+				if got != want {
+					t.Fatalf("n=%d rep=%d bit %d: got %v, want %v (value bits %#x)", n, rep, b, got, want,
+						math.Float64bits(y[min(b, n-1)]))
+				}
+			}
+		}
+	}
+}
+
+func benchFillMask(b *testing.B, nanFrac float64) {
+	rng := rand.New(rand.NewSource(1))
+	const n, m = 512, 256
+	ys := make([][]float64, m)
+	for i := range ys {
+		ys[i] = randSeries(rng, n, nanFrac)
+	}
+	w := make([]uint64, MaskWords(n))
+	b.SetBytes(8 * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		FillMask(ys[i%m], w)
+	}
+}
+
+// i.i.d. gaps are the branch predictor's worst case, a gap-free series
+// its best; the branch-free FillMask costs the same on both.
+func BenchmarkFillMaskIID50(b *testing.B)    { benchFillMask(b, 0.5) }
+func BenchmarkFillMaskAllValid(b *testing.B) { benchFillMask(b, 0) }

@@ -100,11 +100,16 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 	}
 	for _, name := range []string{
 		"decode", "pack", "detect", "encode",
-		"core.detect_batch", "kernel.mask", "kernel.cross_product",
-		"kernel.invert", "kernel.residual", "kernel.mosum", "sched.foreach",
+		"core.detect_batch", "kernel.mask", "kernel.tiles", "sched.foreach",
 	} {
 		if tr.Spans.Find(name) == nil {
 			t.Fatalf("span tree missing %q:\n%s", name, tbody)
+		}
+	}
+	// The trace must answer "did this request share inverses?".
+	for _, attr := range []string{"tiles", "mask_classes", "shared_pixels", "tiles_shared"} {
+		if _, ok := tr.Spans.Find("kernel.tiles").Attrs[attr]; !ok {
+			t.Fatalf("kernel.tiles span missing %q:\n%s", attr, tbody)
 		}
 	}
 	// detect must dominate decode+pack for a real batch; sanity-check

@@ -159,9 +159,8 @@ func (pl *Plan) Inverse() []int {
 }
 
 // Data is one gathered tile: P (≤ T) pixel series of length N in
-// time-major layout, plus the per-date column masks. The backing slices
-// may be per-worker scratch (fused strategies) or views into a persistent
-// staged array ("Ours").
+// time-major layout, plus the per-date column masks. The buffers are
+// per-worker scratch, reused across tiles and (pooled) across calls.
 type Data struct {
 	// T is the lane stride of Y (slot capacity); P is the number of
 	// active lanes (ragged last tile has P < T).
@@ -189,19 +188,6 @@ func NewData(t, n int) *Data {
 	return &Data{T: t, N: n, Y: make([]float64, n*t), ColMask: make([]uint64, n)}
 }
 
-// NewDataOver wraps externally-owned backing slices (the staged
-// strategy's persistent tile arrays) as a tile buffer; y must have n*t
-// entries and colMask n.
-func NewDataOver(t, n int, y []float64, colMask []uint64) *Data {
-	if t <= 0 || t > MaxWidth {
-		panic(fmt.Sprintf("tile: width %d out of range (1..%d)", t, MaxWidth))
-	}
-	if len(y) != n*t || len(colMask) != n {
-		panic(fmt.Sprintf("tile: backing %d/%d for %d dates × width %d", len(y), len(colMask), n, t))
-	}
-	return &Data{T: t, N: n, Y: y, ColMask: colMask}
-}
-
 // Gather transposes the pixels idx (original batch indices, at most T of
 // them) from the row-major batch y (stride mask.N) into the tile: Y
 // becomes time-major and ColMask the per-date lane masks. Only valid
@@ -210,32 +196,11 @@ func NewDataOver(t, n int, y []float64, colMask []uint64) *Data {
 // reads them). Lanes beyond len(idx) are cleared in the mask and left
 // untouched in Y.
 func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
-	n := mask.N
-	if n != d.N {
-		panic(fmt.Sprintf("tile: gather of %d dates into a %d-date tile", n, d.N))
-	}
-	if len(idx) > d.T {
-		panic(fmt.Sprintf("tile: %d pixels into width-%d tile", len(idx), d.T))
-	}
-	d.P = len(idx)
-	d.Idx = idx
-	for t := range d.ColMask {
-		d.ColMask[t] = 0
-	}
-	// Transpose the per-pixel validity bitsets into per-date column masks.
+	d.GatherMask(mask, idx)
+	n := d.N
 	var rows [MaxWidth][]float64
 	for p, px := range idx {
 		rows[p] = y[px*n : (px+1)*n]
-		bit := uint64(1) << uint(p)
-		for wi, w := range mask.Row(px) {
-			base := wi * 64
-			for ; w != 0; w &= w - 1 {
-				t := base + bits.TrailingZeros64(w)
-				if t < n {
-					d.ColMask[t] |= bit
-				}
-			}
-		}
 	}
 	// Copy observations date-outer: the writes stream sequentially
 	// through Y (the reads walk T parallel row cursors) instead of
@@ -255,6 +220,38 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 			for ; m != 0; m &= m - 1 {
 				p := bits.TrailingZeros64(m)
 				d.Y[base+p] = rows[p][t]
+			}
+		}
+	}
+}
+
+// GatherMask is the mask half of Gather: it sets P, Idx and ColMask for
+// the pixels idx and leaves Y alone. It is all the cross product needs
+// (X_h·X_hᵀ reads the schedule, never Y), so the mask-class pass of
+// core.DetectBatch builds its tiles of class representatives with it.
+func (d *Data) GatherMask(mask *series.BatchMask, idx []int) {
+	n := mask.N
+	if n != d.N {
+		panic(fmt.Sprintf("tile: gather of %d dates into a %d-date tile", n, d.N))
+	}
+	if len(idx) > d.T {
+		panic(fmt.Sprintf("tile: %d pixels into width-%d tile", len(idx), d.T))
+	}
+	d.P = len(idx)
+	d.Idx = idx
+	for t := range d.ColMask {
+		d.ColMask[t] = 0
+	}
+	// Transpose the per-pixel validity bitsets into per-date column masks.
+	for p, px := range idx {
+		bit := uint64(1) << uint(p)
+		for wi, w := range mask.Row(px) {
+			base := wi * 64
+			for ; w != 0; w &= w - 1 {
+				t := base + bits.TrailingZeros64(w)
+				if t < n {
+					d.ColMask[t] |= bit
+				}
 			}
 		}
 	}
