@@ -193,12 +193,6 @@ func BenchmarkMaskedBatchSkewedNaN(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.M), "ns/pixel")
 }
 
-// BenchmarkMasksExperiment runs the full before/after masks experiment
-// (both batch strategies plus the C-like baseline, identity-checked).
-func BenchmarkMasksExperiment(b *testing.B) {
-	runExperiment(b, "masks", benchCfg())
-}
-
 // BenchmarkAblations runs the design-choice sweeps of DESIGN.md: the
 // register-tile size R, the model order k, the missing-value frequency,
 // and the sampled-simulation accuracy check.

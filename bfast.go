@@ -8,8 +8,9 @@
 //
 //   - Detector: fit-and-monitor for single pixel series or in-memory
 //     batches, parallelized across CPU cores (the production path).
-//   - ProcessCube: the full application pipeline — chunking, empty-slice
-//     removal, detection, break-map assembly — over a data cube.
+//   - ProcessCube: the full application pipeline over a data cube —
+//     empty-slice removal, detection, break-map assembly — in one pass of
+//     the tiled loop; the populated dates are a view, not a copy.
 //   - SimulateGPU: the instrumented GPU-execution simulation used to
 //     reproduce the paper's performance figures (see DESIGN.md and
 //     EXPERIMENTS.md).
@@ -29,10 +30,10 @@ package bfast
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"bfast/internal/autotune"
-	"bfast/internal/baseline"
 	"bfast/internal/core"
 	"bfast/internal/cube"
 	"bfast/internal/history"
@@ -256,50 +257,53 @@ func ProcessCubeStable(ctx context.Context, c *Cube, opt Options, level float64,
 	if err != nil {
 		return nil, err
 	}
-	results, err := baseline.CLike(ctx, trimmed, opt, workers)
+	results, err := core.DetectBatch(ctx, trimmed, opt, core.BatchConfig{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
-	m := cube.NewBreakMap(c.Width, c.Height, c.Dates-opt.History)
-	for i, r := range results {
-		m.Break[i] = r.BreakIndex
-		if r.Status == core.StatusOK {
-			m.Magnitude[i] = r.MosumMean
-		}
-	}
-	return m, nil
+	return breakMap(c, c.Dates-opt.History, results), nil
 }
 
 // ProcessCube runs the complete detection over a cube on the CPU
-// (parallel across cores) and assembles the break map. dropEmpty removes
-// all-NaN date slices first (History then refers to the compacted axis).
-// Cancellation of ctx abandons the remaining pixel blocks and returns
-// ctx.Err().
+// (parallel across cores, the tiled loop of DetectBatch) and assembles
+// the break map. dropEmpty skips all-NaN date slices (History then
+// refers to the compacted axis); the populated dates are a view of the
+// cube, not a copy. Cancellation of ctx abandons the remaining steal
+// units and returns ctx.Err().
 func ProcessCube(ctx context.Context, c *Cube, opt Options, dropEmpty bool, workers int) (*BreakMap, error) {
-	work := c
-	if dropEmpty {
-		compact, _, err := c.DropEmptySlices()
+	b, err := core.NewBatch(c.Pixels(), c.Dates, c.Values)
+	if err != nil {
+		return nil, err
+	}
+	cfg := core.BatchConfig{Workers: workers}
+	if !dropEmpty {
+		results, err := core.DetectBatch(ctx, b, opt, cfg)
 		if err != nil {
 			return nil, err
 		}
-		work = compact
+		return breakMap(c, c.Dates-opt.History, results), nil
 	}
-	b, err := core.NewBatch(work.Pixels(), work.Dates, work.Values)
+	results, kept, err := core.DetectPopulated(ctx, b, opt, cfg)
 	if err != nil {
 		return nil, err
 	}
-	results, err := baseline.CLike(ctx, b, opt, workers)
-	if err != nil {
-		return nil, err
+	if kept == nil {
+		return nil, errors.New("cube: every slice is empty")
 	}
-	m := cube.NewBreakMap(c.Width, c.Height, work.Dates-opt.History)
+	return breakMap(c, len(kept)-opt.History, results), nil
+}
+
+// breakMap assembles the per-pixel results into a break map with
+// monitor monitoring dates.
+func breakMap(c *Cube, monitor int, results []Result) *BreakMap {
+	m := cube.NewBreakMap(c.Width, c.Height, monitor)
 	for i, r := range results {
 		m.Break[i] = r.BreakIndex
 		if r.Status == core.StatusOK {
 			m.Magnitude[i] = r.MosumMean
 		}
 	}
-	return m, nil
+	return m
 }
 
 // StreamMonitor is the near-real-time per-pixel monitor: the history model

@@ -6,7 +6,7 @@
 // signatures as Deprecated methods; this package is where those
 // methods went when they were removed from the root API. The shims are
 // byte-for-byte equivalent to the removed methods: they delegate to
-// the same backends with context.Background(), so they offer no
+// Detector.DetectBatch with context.Background(), so they offer no
 // cancellation and no span tracing — which is exactly why internal
 // code must not call them (enforced by the nodeprecated analyzer).
 //
@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"bfast"
-	"bfast/internal/baseline"
 )
 
 // DetectBatchStrategy runs the batch under an explicit execution
@@ -36,10 +35,10 @@ func DetectBatchStrategy(d *bfast.Detector, b *bfast.Batch, strat bfast.Strategy
 	return d.DetectBatch(context.Background(), b, bfast.BatchOptions{Strategy: strat, Workers: workers})
 }
 
-// DetectBatchFused runs the batch through the fused C-like per-pixel
-// pass — the retired Detector.DetectBatchFused method (the behavior of
-// the pre-PR-3 two-argument DetectBatch(b, workers)). Results are
-// bit-identical to Detector.DetectBatch.
+// DetectBatchFused is the retired Detector.DetectBatchFused method (the
+// behavior of the pre-PR-3 two-argument DetectBatch(b, workers)). It ran
+// the C-like per-pixel baseline, whose results are bit-identical to
+// Detector.DetectBatch's, which it now calls.
 //
 // Deprecated: use Detector.DetectBatch(ctx, b,
 // bfast.BatchOptions{Workers: workers}).
@@ -47,5 +46,5 @@ func DetectBatchFused(d *bfast.Detector, b *bfast.Batch, workers int) ([]bfast.R
 	if b.N != d.SeriesLen() {
 		return nil, fmt.Errorf("compat: batch has %d dates, detector built for %d", b.N, d.SeriesLen())
 	}
-	return baseline.CLike(context.Background(), b, d.Options(), workers)
+	return d.DetectBatch(context.Background(), b, bfast.BatchOptions{Workers: workers})
 }

@@ -2,7 +2,7 @@ package baseline
 
 import (
 	"context"
-
+	"fmt"
 	"math"
 	"testing"
 
@@ -138,6 +138,33 @@ func TestCLikeDegeneratePixels(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, want, got, "degenerate")
+}
+
+func TestCLikeEmptyBatch(t *testing.T) {
+	b, err := core.NewBatch(0, 64, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := CLike(context.Background(), b, core.DefaultOptions(32), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 0 {
+		t.Fatal("empty batch must give empty results")
+	}
+}
+
+func TestCLikeWorkersExceedPixels(t *testing.T) {
+	b := genBatch(t, 2, 128, 64, 0.5, 0.5, 42)
+	opt := core.DefaultOptions(64)
+	want := referenceResults(t, b, opt)
+	for _, w := range []int{1, 3, 100} {
+		got, err := CLike(context.Background(), b, opt, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertIdentical(t, want, got, fmt.Sprintf("clike/%d-workers", w))
+	}
 }
 
 func TestCLikeInvalidOptions(t *testing.T) {

@@ -14,9 +14,9 @@ package benchutil
 
 import (
 	"context"
-
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"bfast/internal/baseline"
@@ -68,7 +68,7 @@ func (c Config) withDefaults() Config {
 
 // Experiments lists the experiment names accepted by Run, in order.
 func Experiments() []string {
-	return []string{"table1", "fig6", "fig7", "fig8", "fig10", "maps", "masks", "tiles", "tune", "obsoverhead", "coalesce", "nrt", "speedups", "sweep", "ablations", "claims"}
+	return []string{"table1", "fig6", "fig7", "fig8", "fig10", "maps", "tiles", "tune", "obsoverhead", "coalesce", "nrt", "speedups", "sweep", "ablations", "claims"}
 }
 
 // Run dispatches one experiment by name ("all" runs every one).
@@ -101,8 +101,6 @@ func runOne(ctx context.Context, name string, cfg Config) (any, error) {
 		return Fig10(ctx, cfg)
 	case "maps":
 		return Maps(ctx, cfg)
-	case "masks":
-		return Masks(ctx, cfg)
 	case "tiles":
 		return Tiles(ctx, cfg)
 	case "tune":
@@ -397,6 +395,55 @@ func shortDur(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.0fus", d.Seconds()*1e6)
 	}
+}
+
+// bestOf runs fn reps times and returns the last result with the minimum
+// wall time observed.
+func bestOf(reps int, fn func() ([]core.Result, error)) ([]core.Result, time.Duration, error) {
+	var (
+		best time.Duration = 1<<63 - 1
+		out  []core.Result
+	)
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		res, err := fn()
+		d := time.Since(start)
+		if err != nil {
+			return nil, 0, err
+		}
+		if d < best {
+			best = d
+		}
+		out = res
+	}
+	return out, best, nil
+}
+
+// resultsIdentical compares two result sets with exact float equality
+// (NaN pairs count as equal) — the bit-identical contract between the
+// seed and the masked paths.
+func resultsIdentical(a, b []core.Result) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	eq := func(x, y float64) bool {
+		return x == y || (math.IsNaN(x) && math.IsNaN(y))
+	}
+	for i := range a {
+		p, q := a[i], b[i]
+		if p.Status != q.Status || p.BreakIndex != q.BreakIndex ||
+			p.ValidHistory != q.ValidHistory || p.Valid != q.Valid ||
+			!eq(p.Sigma, q.Sigma) || !eq(p.MosumMean, q.MosumMean) ||
+			len(p.Beta) != len(q.Beta) {
+			return false
+		}
+		for j := range p.Beta {
+			if !eq(p.Beta[j], q.Beta[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Fig10Row is one scenario's phase decomposition.

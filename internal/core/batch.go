@@ -167,44 +167,155 @@ func (b *Batch) MaskCtx(ctx context.Context, workers int) (*series.BatchMask, er
 // finish, and DetectBatch returns ctx.Err(); the partial results are
 // discarded. An already-cancelled context schedules no units at all.
 func DetectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig) ([]Result, error) {
-	if err := opt.Validate(b.N); err != nil {
-		return nil, err
-	}
-	lambda, err := opt.ResolveLambda()
-	if err != nil {
-		return nil, err
-	}
-	x, err := DesignFor(opt, b.N)
-	if err != nil {
-		return nil, err
+	res, _, err := detectBatch(ctx, b, opt, cfg, false)
+	return res, err
+}
+
+// DetectPopulated is DetectBatch over the populated dates of the batch,
+// those on which at least one pixel is valid — the empty-slice removal
+// of §III-D (cube.DropEmptySlices) without its copy. The mask pass finds
+// them by OR-ing the validity words, each pixel's bits are compacted in
+// place to the kept dates, and the tiled loop gathers the values from
+// b.Y through the kept-date list, so every pixel sums the same numbers
+// in the same order as Detect on the compacted series. opt.History, the
+// results' break offsets and Valid counts all refer to the compacted
+// axis. It returns the kept dates (original indices, ascending); a batch
+// with none returns no results, a nil list and no error, for the caller
+// to report. cfg.Strategy must name the tiled loop. Cancellation is as
+// for DetectBatch, the compaction passes included.
+func DetectPopulated(ctx context.Context, b *Batch, opt Options, cfg BatchConfig) ([]Result, []int, error) {
+	return detectBatch(ctx, b, opt, cfg, true)
+}
+
+// detectBatch runs DetectBatch, or with dropEmpty DetectPopulated, which
+// can validate opt only once it knows how many dates are kept.
+func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dropEmpty bool) ([]Result, []int, error) {
+	var (
+		lambda float64
+		x      *series.DesignMatrix
+		err    error
+	)
+	if !dropEmpty {
+		if lambda, x, err = fitSetup(opt, b.N); err != nil {
+			return nil, nil, err
+		}
 	}
 	switch cfg.Strategy {
-	case StrategyFullEfSeq, StrategyRgTlEfSeq, StrategyOurs:
+	case StrategyRgTlEfSeq, StrategyOurs:
+	case StrategyFullEfSeq:
+		if dropEmpty {
+			return nil, nil, fmt.Errorf("core: %v reads whole rows and cannot skip empty dates", cfg.Strategy)
+		}
 	default:
-		return nil, fmt.Errorf("core: unknown strategy %d", int(cfg.Strategy))
+		return nil, nil, fmt.Errorf("core: unknown strategy %d", int(cfg.Strategy))
 	}
 	if b.M == 0 {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return []Result{}, nil
+		if dropEmpty {
+			return nil, nil, nil
+		}
+		return []Result{}, nil, nil
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.detect_batch")
 	sp.SetAttr("strategy", cfg.Strategy.String())
 	sp.SetAttr("pixels", b.M)
-	sp.SetAttr("dates", b.N)
+	sp.SetAttr("dates_nominal", b.N)
 	defer sp.End()
 	mask, err := b.MaskCtx(ctx, cfg.Workers)
 	if err != nil {
+		return nil, nil, err
+	}
+	var kept, dates []int // dates: the kept list when it skips any
+	if dropEmpty {
+		keep, err := populatedDates(ctx, mask, cfg.Workers)
+		if err != nil {
+			return nil, nil, err
+		}
+		if kept = series.AppendValidIndices(nil, keep, b.N); len(kept) == 0 {
+			sp.SetAttr("dates_kept", 0)
+			return nil, nil, nil
+		}
+		if lambda, x, err = fitSetup(opt, len(kept)); err != nil {
+			return nil, nil, err
+		}
+		if len(kept) < b.N {
+			if err := keepDates(ctx, mask, keep, cfg.Workers); err != nil {
+				return nil, nil, err
+			}
+			dates = kept
+		}
+	}
+	sp.SetAttr("dates_kept", mask.N)
+	statKernelPixels.Add(int64(b.M))
+	var res []Result
+	if cfg.Strategy == StrategyFullEfSeq {
+		res, err = batchFusedMasked(ctx, b, mask, x, opt, lambda, cfg.Workers)
+	} else {
+		res, err = batchTiled(ctx, b, mask, dates, x, opt, lambda, cfg)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, kept, nil
+}
+
+// fitSetup validates opt for series of n dates and returns the
+// monitoring boundary's λ and the design matrix.
+func fitSetup(opt Options, n int) (float64, *series.DesignMatrix, error) {
+	if err := opt.Validate(n); err != nil {
+		return 0, nil, err
+	}
+	lambda, err := opt.ResolveLambda()
+	if err != nil {
+		return 0, nil, err
+	}
+	x, err := DesignFor(opt, n)
+	if err != nil {
+		return 0, nil, err
+	}
+	return lambda, x, nil
+}
+
+// populatedDates returns the bitset of the dates valid in at least one
+// pixel of the mask: the OR of every row, reduced per worker and then
+// across workers.
+func populatedDates(ctx context.Context, mask *series.BatchMask, workers int) ([]uint64, error) {
+	pool := sched.Shared()
+	w := mask.WordsPerRow
+	workers = pool.Workers(workers, mask.M)
+	acc := make([]uint64, workers*w)
+	err := pool.ForEachCtx(ctx, mask.M, workers, sched.DefaultGrain, func(id, lo, hi int) {
+		or := acc[id*w : (id+1)*w]
+		for i := lo; i < hi; i++ {
+			for j, v := range mask.Row(i) {
+				or[j] |= v
+			}
+		}
+	})
+	if err != nil {
 		return nil, err
 	}
-	statKernelPixels.Add(int64(b.M))
-	switch cfg.Strategy {
-	case StrategyFullEfSeq:
-		return batchFusedMasked(ctx, b, mask, x, opt, lambda, cfg.Workers)
-	default: // StrategyOurs, StrategyRgTlEfSeq
-		return batchTiled(ctx, b, mask, x, opt, lambda, cfg)
+	for j := w; j < len(acc); j++ {
+		acc[j%w] |= acc[j]
 	}
+	return acc[:w], nil
+}
+
+// keepDates compacts every row of the mask in place to the dates set in
+// keep, which become the mask's date axis.
+func keepDates(ctx context.Context, mask *series.BatchMask, keep []uint64, workers int) error {
+	err := sched.Shared().ForEachCtx(ctx, mask.M, workers, sched.DefaultGrain, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			series.KeepBits(mask.Row(i), keep)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	mask.N = series.CountBits(keep, mask.N)
+	return nil
 }
 
 // DetectBatchMasked runs the staged strategies with the PR-1

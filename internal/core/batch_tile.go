@@ -250,8 +250,12 @@ func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx
 // belong to such classes skips its own cross product and inversion; any
 // other tile runs them for all its lanes, as a batch without repeated
 // masks does throughout.
-func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
-	M, N := b.M, b.N
+//
+// The loop detects over the mask's dates. dates, when non-nil, is the
+// column of b's rows each of them is gathered from (DetectPopulated);
+// nil means mask.N == b.N and the identity.
+func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []int, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
+	M, N := b.M, mask.N
 	n := opt.History
 	K := opt.K()
 	T := cfg.tileWidth()
@@ -283,6 +287,7 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, x *series
 			tilesShared.Add(1)
 		}
 		t0 := time.Now()
+		s.data.MapDates(dates, b.N) // every tile: the scratch is pooled across calls
 		s.data.Gather(b.Y, mask, idx)
 		s.sc.Build(s.data)
 		if shared == nil {

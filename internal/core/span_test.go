@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -38,7 +39,8 @@ func TestDetectBatchSpanTree(t *testing.T) {
 		if db == nil {
 			t.Fatalf("%v: no core.detect_batch span", tc.strategy)
 		}
-		if db.Attrs["strategy"] != tc.strategy.String() || db.Attrs["pixels"] != 40 {
+		if db.Attrs["strategy"] != tc.strategy.String() || db.Attrs["pixels"] != 40 ||
+			db.Attrs["dates_nominal"] != 200 || db.Attrs["dates_kept"] != 200 {
 			t.Fatalf("%v: detect_batch attrs %v", tc.strategy, db.Attrs)
 		}
 		for _, phase := range tc.phases {
@@ -55,6 +57,33 @@ func TestDetectBatchSpanTree(t *testing.T) {
 				t.Fatalf("%v: %s has no sched.foreach child", tc.strategy, phase)
 			}
 		}
+	}
+}
+
+// TestDetectPopulatedSpanReportsCompaction: with empty dates dropped,
+// core.detect_batch says how many dates the cube had and how many the
+// detection kept.
+func TestDetectPopulatedSpanReportsCompaction(t *testing.T) {
+	rng := rand.New(rand.NewSource(80))
+	b := randomBatch(rng, 40, 200, 0.4)
+	for i := 0; i < b.M; i++ {
+		for _, d := range []int{0, 1, 63, 64, 150} {
+			b.Row(i)[d] = math.NaN()
+		}
+	}
+	root := obs.NewSpan("request")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	if _, _, err := DetectPopulated(ctx, b, defaultTestOpts(100), BatchConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	n := root.Node()
+	db := n.Find("core.detect_batch")
+	if db == nil {
+		t.Fatal("no core.detect_batch span")
+	}
+	if db.Attrs["dates_nominal"] != 200 || db.Attrs["dates_kept"] != 195 {
+		t.Fatalf("detect_batch attrs %v, want 200 nominal and 195 kept dates", db.Attrs)
 	}
 }
 

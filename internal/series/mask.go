@@ -159,10 +159,46 @@ func NthValid(words []uint64, n, k int) int {
 	}
 }
 
+// KeepBits compacts words in place to the dates set in keep (a bitset
+// of the same length): bit j becomes the bit at the position of keep's
+// j-th set bit, and the words past the compacted bits are cleared. It
+// copies each run of consecutive kept dates with one shift and mask,
+// not bit by bit. In place is safe because a bit only ever moves down,
+// so a word is stored only after it has been read.
+//
+//bfast:kernel
+func KeepBits(words, keep []uint64) {
+	var acc uint64          // compacted bits not yet stored
+	fill, out := uint(0), 0 // bits in acc; next word to store
+	for wi, k := range keep {
+		v := words[wi]
+		for k != 0 {
+			s := uint(bits.TrailingZeros64(k))
+			n := uint(bits.TrailingZeros64(^(k >> s))) // run length, 1..64
+			run := v >> s & (1<<n - 1)
+			acc |= run << fill
+			if fill += n; fill >= 64 {
+				words[out] = acc
+				out++
+				fill -= 64
+				acc = run >> (n - fill) // Go shifts by 64 give 0
+			}
+			k &^= (1<<n - 1) << s
+		}
+	}
+	if fill > 0 {
+		words[out] = acc
+		out++
+	}
+	clear(words[out:])
+}
+
 // BatchMask holds the validity bitsets of a whole M×N batch, one row of
 // WordsPerRow words per pixel, computed once per batch and shared by
 // every kernel pass (the "compute the NaN structure once" half of the
-// paper's irregular-workload strategy).
+// paper's irregular-workload strategy). WordsPerRow is at least
+// MaskWords(N); it is larger when the rows were compacted in place to
+// fewer dates (KeepBits), and the words past MaskWords(N) are zero.
 type BatchMask struct {
 	M, N        int
 	WordsPerRow int

@@ -254,3 +254,52 @@ func benchFillMask(b *testing.B, nanFrac float64) {
 // its best; the branch-free FillMask costs the same on both.
 func BenchmarkFillMaskIID50(b *testing.B)    { benchFillMask(b, 0.5) }
 func BenchmarkFillMaskAllValid(b *testing.B) { benchFillMask(b, 0) }
+
+// TestKeepBitsMatchesBitByBit compares the run-at-a-time in-place
+// compaction with moving the kept bits one by one, over keep sets from
+// empty to full, runs crossing and filling whole words, and row lengths
+// that leave a tail word.
+func TestKeepBitsMatchesBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(330)
+		w := MaskWords(n)
+		words := MaskOf(randSeries(rng, n, rng.Float64())).Words
+		keep := make([]uint64, w)
+		switch density := rng.Float64(); trial % 4 {
+		case 0:
+			for i := range keep {
+				keep[i] = AllValidWord
+			}
+			if r := n % 64; r != 0 {
+				keep[w-1] = 1<<uint(r) - 1
+			}
+		default:
+			// Runs of random length, kept or skipped together.
+			for d := 0; d < n; {
+				run := 1 + rng.Intn(1+rng.Intn(100))
+				kept := rng.Float64() < density
+				for ; run > 0 && d < n; run, d = run-1, d+1 {
+					if kept {
+						keep[d/64] |= 1 << uint(d%64)
+					}
+				}
+			}
+		}
+		want := make([]uint64, w)
+		j := 0
+		for _, d := range AppendValidIndices(nil, keep, n) {
+			if words[d/64]&(1<<uint(d%64)) != 0 {
+				want[j/64] |= 1 << uint(j%64)
+			}
+			j++
+		}
+		got := append([]uint64(nil), words...)
+		KeepBits(got, keep)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("trial %d (n=%d, %d kept): word %d = %#x, want %#x", trial, n, j, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -178,6 +178,10 @@ type Data struct {
 	// Idx maps lanes to original pixel indices (a view into the Plan's
 	// Order, set by Gather).
 	Idx []int
+
+	// dates and stride are the date map set by MapDates (nil: identity).
+	dates  []int
+	stride int
 }
 
 // NewData allocates a tile buffer for width t and n dates.
@@ -188,19 +192,35 @@ func NewData(t, n int) *Data {
 	return &Data{T: t, N: n, Y: make([]float64, n*t), ColMask: make([]uint64, n)}
 }
 
+// MapDates sets the date map later Gathers read through: tile date t
+// comes from column dates[t] of source rows stride values long, so a
+// tile can cover a subset of a batch's dates (the populated ones of a
+// cube) without the subset being copied out first. mask, as given to
+// Gather, then describes the mapped dates. nil dates restores the
+// identity, rows of N values, which is what NewData starts with.
+func (d *Data) MapDates(dates []int, stride int) {
+	if dates != nil && len(dates) != d.N {
+		panic(fmt.Sprintf("tile: date map of %d dates for a %d-date tile", len(dates), d.N))
+	}
+	d.dates, d.stride = dates, stride
+}
+
 // Gather transposes the pixels idx (original batch indices, at most T of
-// them) from the row-major batch y (stride mask.N) into the tile: Y
-// becomes time-major and ColMask the per-date lane masks. Only valid
-// observations are written — a fully-missing date skips its Y row
-// entirely and masked-out slots keep stale buffer contents (no kernel
-// reads them). Lanes beyond len(idx) are cleared in the mask and left
-// untouched in Y.
+// them) from the row-major batch y (stride mask.N, or the MapDates
+// stride) into the tile: Y becomes time-major and ColMask the per-date
+// lane masks. Only valid observations are written — a fully-missing
+// date skips its Y row entirely and masked-out slots keep stale buffer
+// contents (no kernel reads them). Lanes beyond len(idx) are cleared in
+// the mask and left untouched in Y.
 func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	d.GatherMask(mask, idx)
-	n := d.N
+	stride := d.N
+	if d.dates != nil {
+		stride = d.stride
+	}
 	var rows [MaxWidth][]float64
 	for p, px := range idx {
-		rows[p] = y[px*n : (px+1)*n]
+		rows[p] = y[px*stride : (px+1)*stride]
 	}
 	// Copy observations date-outer: the writes stream sequentially
 	// through Y (the reads walk T parallel row cursors) instead of
@@ -208,18 +228,22 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	T := d.T
 	full := d.FullMask()
 	for t, m := range d.ColMask {
+		src := t
+		if d.dates != nil {
+			src = d.dates[t]
+		}
 		switch m {
 		case 0:
 		case full:
 			dst := d.Y[t*T : t*T+d.P]
 			for p := range dst {
-				dst[p] = rows[p][t]
+				dst[p] = rows[p][src]
 			}
 		default:
 			base := t * T
 			for ; m != 0; m &= m - 1 {
 				p := bits.TrailingZeros64(m)
-				d.Y[base+p] = rows[p][t]
+				d.Y[base+p] = rows[p][src]
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package tile
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -260,5 +261,55 @@ func TestPlanSkewMetrics(t *testing.T) {
 	}
 	if d := statBinSpread.Sum() - spreadBefore; d != 30 {
 		t.Fatalf("mixed tile spread = %v, want 30", d)
+	}
+}
+
+// TestGatherThroughDateMap: gathering a subset of the dates through
+// MapDates fills the tile exactly as gathering a compacted copy of the
+// batch does, and MapDates(nil) restores the identity on the same Data.
+func TestGatherThroughDateMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const m, n, tw = 21, 150, 8
+	y := randomScene(rng, m, n, 0.4)
+	var dates []int
+	for d := 0; d < n; d++ {
+		if rng.Intn(3) != 0 {
+			dates = append(dates, d)
+		}
+	}
+	k := len(dates)
+	compact := make([]float64, m*k)
+	for i := 0; i < m; i++ {
+		for j, d := range dates {
+			compact[i*k+j] = y[i*n+d]
+		}
+	}
+	mask := series.NewBatchMask(m, k, compact)
+	pl := NewPlan(mask, tw)
+	want, got := NewData(tw, k), NewData(tw, k)
+	for _, mapped := range []bool{true, false} {
+		src := compact
+		if mapped {
+			got.MapDates(dates, n)
+			src = y
+		} else {
+			got.MapDates(nil, 0)
+		}
+		for ti := 0; ti < pl.Tiles; ti++ {
+			idx := pl.Indices(ti)
+			want.Gather(compact, mask, idx)
+			got.Gather(src, mask, idx)
+			for d, cm := range want.ColMask {
+				if got.ColMask[d] != cm {
+					t.Fatalf("mapped=%v tile %d date %d: column mask %b, want %b", mapped, ti, d, got.ColMask[d], cm)
+				}
+				for ; cm != 0; cm &= cm - 1 {
+					p := bits.TrailingZeros64(cm)
+					if g, w := got.Y[d*tw+p], want.Y[d*tw+p]; g != w {
+						t.Fatalf("mapped=%v tile %d date %d lane %d: %v, want %v", mapped, ti, d, p, g, w)
+					}
+				}
+			}
+		}
 	}
 }
