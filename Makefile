@@ -7,10 +7,7 @@
 # and internal) under the race detector; `make fuzz-smoke` runs each
 # native fuzz target for
 # ~10s over its corpus (dates.ParseDate and the /v1/batch decode path);
-# `make bench-smoke` runs the tiles before/after experiment at a tiny
-# sample (plain, then through the startup autotuner) so CI catches
-# harness regressions without paying benchmark time; `make
-# bench-ledger` runs the repository's benchmark (bench/, the command
+# `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
 # failed counts and result digests; `make serve-smoke` boots
@@ -30,7 +27,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
 ci: lint lint-selfcheck build race test fuzz-smoke coalesce-smoke nrt-smoke diag-smoke
 
@@ -79,10 +76,6 @@ vulncheck-ci:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-bench-smoke:
-	$(GO) run ./cmd/bfast-bench -exp tiles -sample 64 -json > /dev/null
-	$(GO) run ./cmd/bfast-bench -exp tune -sample 64 -autotune -json > /dev/null
 
 bench-ledger:
 	bash bench/run.sh

@@ -9,7 +9,6 @@ package bfast
 
 import (
 	"context"
-
 	"fmt"
 	"io"
 	"os"
@@ -17,8 +16,6 @@ import (
 	"testing"
 
 	"bfast/internal/benchutil"
-	"bfast/internal/core"
-	"bfast/internal/workload"
 )
 
 // benchSampleM keeps per-iteration cost moderate; bump with
@@ -144,55 +141,6 @@ func BenchmarkDetectBatchCPU(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*spec.M), "ns/pixel")
 }
 
-// skewedNaNBatch builds the PR-1 benchmark workload: a 50%-NaN scene with
-// spatially-correlated cloud masks, the regime where per-pixel cost is
-// maximally uneven across the batch.
-func skewedNaNBatch(b *testing.B) (*core.Batch, core.Options) {
-	b.Helper()
-	ds, err := workload.Generate(workload.Spec{
-		Name: "skew50", M: 2048, N: 412, History: 206,
-		NaNFrac: 0.5, Mask: workload.MaskClouds, BreakFrac: 0.3, Seed: 7,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch, err := core.NewBatch(2048, 412, ds.Y)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return batch, core.DefaultOptions(206)
-}
-
-// BenchmarkSeedBatchSkewedNaN times the retained seed batched path
-// (per-element NaN tests, static contiguous chunks) on the skewed scene —
-// the "before" side of the PR-1 masks experiment.
-func BenchmarkSeedBatchSkewedNaN(b *testing.B) {
-	batch, opt := skewedNaNBatch(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DetectBatchReference(batch, opt, core.BatchConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.M), "ns/pixel")
-}
-
-// BenchmarkMaskedBatchSkewedNaN times the bitset-mask + work-stealing
-// batched path on the same skewed scene — the "after" side. Compare with
-// BenchmarkSeedBatchSkewedNaN; BENCH_PR1.json records the tracked ratio.
-func BenchmarkMaskedBatchSkewedNaN(b *testing.B) {
-	batch, opt := skewedNaNBatch(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.DetectBatch(context.Background(), batch, opt, core.BatchConfig{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.M), "ns/pixel")
-}
-
 // BenchmarkAblations runs the design-choice sweeps of DESIGN.md: the
 // register-tile size R, the model order k, the missing-value frequency,
 // and the sampled-simulation accuracy check.
@@ -204,11 +152,4 @@ func BenchmarkAblations(b *testing.B) {
 // evaluation programmatically and prints the PASS/FAIL scorecard.
 func BenchmarkClaimsScorecard(b *testing.B) {
 	runExperiment(b, "claims", benchCfg())
-}
-
-// BenchmarkCoalesceServing measures micro-batched serving against the
-// per-request path under concurrent 1–4-pixel /v1/batch load, asserting
-// the responses stay byte-identical (see BENCH_PR7.json).
-func BenchmarkCoalesceServing(b *testing.B) {
-	runExperiment(b, "coalesce", benchCfg())
 }

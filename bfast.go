@@ -53,11 +53,9 @@ type Status = core.Status
 // Batch is a dense M×N in-memory pixel batch (NaN = missing).
 type Batch = core.Batch
 
-// Strategy names a batched execution organization of Fig. 8 of the
-// paper; the default StrategyOurs is right for almost all uses. On the
-// host, StrategyOurs and StrategyRgTlEfSeq run the same fused tiled
-// loop; the three-way split matters to SimulateGPU, which models the
-// paper's three code versions.
+// Strategy names one of the three GPU code versions of Fig. 8 of the
+// paper. Only SimulateGPU takes one: on the host DetectBatch runs a
+// single tiled loop.
 type Strategy = core.Strategy
 
 // Solver selects the linear-system method used for model fitting.
@@ -132,16 +130,10 @@ func (d *Detector) SeriesLen() int { return d.n }
 type BatchOptions struct {
 	// Workers is the number of goroutines (<= 0 uses GOMAXPROCS).
 	Workers int
-	// Strategy names the batched execution organization (Fig. 8); the
-	// zero value StrategyOurs is right for almost all uses.
-	// StrategyOurs and StrategyRgTlEfSeq run the same tiled loop,
-	// StrategyFullEfSeq a per-pixel fused pass. All return identical
-	// results.
-	Strategy Strategy
 	// TileWidth is T, the pixels per time-major tile of the tiled path
 	// (0 = default, see core.BatchConfig).
 	TileWidth int
-	// Autotune replaces Strategy/Workers/TileWidth with this host's
+	// Autotune replaces Workers/TileWidth with this host's
 	// measured best for the batch's shape (internal/autotune): the first
 	// call per (host, K, N, history) runs a sub-second micro-benchmark
 	// sweep, later calls hit the in-process or on-disk cache
@@ -170,14 +162,13 @@ func (d *Detector) Detect(ctx context.Context, y []float64) (Result, error) {
 // abandoned, in-flight ones finish, and ctx.Err() is returned.
 //
 // This is the consolidated batch entry point: the zero BatchOptions is
-// right for almost all uses; Strategy/TileWidth expose the execution
-// organizations and tile geometry for benchmarking and tuning.
+// right for almost all uses; TileWidth exposes the tile geometry for
+// benchmarking and tuning. Results do not depend on any field.
 func (d *Detector) DetectBatch(ctx context.Context, b *Batch, opts BatchOptions) ([]Result, error) {
 	if b.N != d.n {
 		return nil, fmt.Errorf("bfast: batch has %d dates, detector built for %d", b.N, d.n)
 	}
 	cfg := core.BatchConfig{
-		Strategy:  opts.Strategy,
 		Workers:   opts.Workers,
 		TileWidth: opts.TileWidth,
 		Autotune:  opts.Autotune,

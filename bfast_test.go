@@ -91,6 +91,8 @@ func TestDetectorBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestDetectorBatchStrategyAgree: the worker count and tile width of
+// BatchOptions change how the batch is scheduled, never its results.
 func TestDetectorBatchStrategyAgree(t *testing.T) {
 	_, b := exampleScene(t, 32, 160, 80)
 	d, err := NewDetector(160, DefaultOptions(80))
@@ -101,14 +103,14 @@ func TestDetectorBatchStrategyAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := d.DetectBatch(context.Background(), b, BatchOptions{Strategy: st, Workers: 2})
+	for _, bo := range []BatchOptions{{Workers: 2}, {Workers: 2, TileWidth: 4}, {Workers: 3, TileWidth: 1}} {
+		got, err := d.DetectBatch(context.Background(), b, bo)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref {
 			if ref[i].BreakIndex != got[i].BreakIndex {
-				t.Fatalf("strategy %v pixel %d differs", st, i)
+				t.Fatalf("%+v pixel %d differs", bo, i)
 			}
 		}
 	}

@@ -8,7 +8,7 @@
 //
 //	bfast-bench -exp all
 //	bfast-bench -exp fig6 -sample 8192 -datasets D1,D6
-//	bfast-bench -exp masks -json > bench.json
+//	bfast-bench -exp claims -json > bench.json
 package main
 
 import (
@@ -35,17 +35,15 @@ func main() {
 		device   = flag.String("device", "rtx2080ti", "simulated device: rtx2080ti or titanz")
 		workers  = flag.Int("workers", 0, "host workers for measured baselines (0 = all cores)")
 		mapsDir  = flag.String("maps-dir", "", "write PPM/PGM maps here (maps experiment)")
-		tune     = flag.Bool("autotune", false, "run the startup autotuner and measure host experiments at its chosen tile/worker geometry")
 		asJSON   = flag.Bool("json", false, "emit structured rows as JSON on stdout instead of tables")
 	)
 	flag.Parse()
 
 	cfg := benchutil.Config{
-		Out:      os.Stdout,
-		SampleM:  *sample,
-		Workers:  *workers,
-		MapsDir:  *mapsDir,
-		Autotune: *tune,
+		Out:     os.Stdout,
+		SampleM: *sample,
+		Workers: *workers,
+		MapsDir: *mapsDir,
 	}
 	switch *device {
 	case "rtx2080ti":
@@ -72,7 +70,7 @@ func main() {
 		}
 		// The config section records *effective* values, not the raw flags:
 		// workers=0 means "all cores" at run time and the default tile
-		// width lives in core, so resolving both here keeps BENCH_*.json
+		// width lives in core, so resolving both here keeps the report
 		// self-describing when read on another machine.
 		effWorkers := *workers
 		if effWorkers <= 0 {
@@ -87,10 +85,9 @@ func main() {
 			Host            hostInfo       `json:"host"`
 			Workers         int            `json:"workers"`
 			TileWidth       int            `json:"tile_width"`
-			Autotune        bool           `json:"autotune"`
 			Results         map[string]any `json:"results"`
 		}{*exp, *sample, cfg.Profile.Name, collectHostInfo(), effWorkers,
-			core.BatchConfig{}.ResolvedTileWidth(), *tune, rows}
+			core.BatchConfig{}.ResolvedTileWidth(), rows}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {

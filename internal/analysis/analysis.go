@@ -83,7 +83,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // IsTestFile reports whether pos lies in a _test.go file. The suite's
 // invariants govern production code: bit-identity tests compare floats
 // with == on purpose, tests construct context.Background freely, and
-// deprecated seed paths are pinned by equivalence tests — so the
+// test-only oracles are free to be slow — so the
 // drivers drop findings (and ignore allow annotations) in test files.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")

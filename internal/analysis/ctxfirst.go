@@ -15,8 +15,8 @@ import (
 // from the caller's deadline and from the span tree (PR-4). Rule (a)
 // applies to the hot-path packages (root bfast, core, sched, pipeline,
 // baseline, history); rule (b) applies to every internal/ library.
-// Documented compatibility shims (the Deprecated wrappers that predate
-// the ctx-first API) carry //lint:allow ctxfirst.
+// Pre-ctx wrappers kept for callers with no request context carry
+// //lint:allow ctxfirst.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "hot-path entry points take context.Context first; internal libraries never call context.Background/TODO",

@@ -22,7 +22,7 @@ import (
 // its body. Arguments of panic() are exempt — precondition panics may
 // format their message, since that allocation happens only on the
 // failure path. All other scratch must be passed in by the caller (the
-// ForEachScratch per-worker pattern).
+// ForEachScratchCtx per-worker pattern).
 var KernelAlloc = &Analyzer{
 	Name: "kernelalloc",
 	Doc:  "functions marked //bfast:kernel must be allocation-free: no make/new/append, literals, closures, go/defer, or formatting",

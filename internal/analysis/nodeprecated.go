@@ -5,32 +5,29 @@ import (
 	"go/types"
 )
 
-// NoDeprecated fences off the compat package's shims, which survive
-// only for external callers of the pre-ctx API:
-// compat.DetectBatchStrategy and compat.DetectBatchFused. Internal
-// code that reaches for them silently forfeits cancellation, span
-// tracing and the tiled kernels — the exact contract PR-3/PR-4
-// established — so any internal call site is a finding. The
-// equivalence tests that pin the shims bit-for-bit live in the compat
-// package's own _test.go files (exempt).
+// NoDeprecated fences off the retired pre-ctx batch entry points,
+// DetectBatchStrategy and DetectBatchFused of a package named compat.
+// A caller of either forfeits cancellation, span tracing and the tiled
+// kernels — the ctx-first contract — so a call site anywhere outside
+// that package is a finding, should the entry points ever come back.
 var NoDeprecated = &Analyzer{
 	Name: "nodeprecated",
-	Doc:  "internal packages must not call the compat shims DetectBatchStrategy/DetectBatchFused",
+	Doc:  "no package may call the retired pre-ctx entry points DetectBatchStrategy/DetectBatchFused",
 	Run:  runNoDeprecated,
 }
 
-// deprecatedCalls maps shim name -> defining package name. Matching
-// is by (function name, package name) rather than full import path so
-// the analyzer's fixtures can model the shims without replicating the
-// module path.
+// deprecatedCalls maps entry-point name -> defining package name.
+// Matching is by (function name, package name) rather than full import
+// path so the analyzer's fixtures can model the entry points without
+// replicating the module path.
 var deprecatedCalls = map[string]string{
 	"DetectBatchStrategy": "compat",
 	"DetectBatchFused":    "compat",
 }
 
 func runNoDeprecated(pass *Pass) error {
-	// The shims may call each other and the package's tests must pin
-	// them; everything else in the module is fenced out.
+	// The defining package may call its own entry points; everything
+	// else is fenced out.
 	if pass.Pkg.Name() == "compat" {
 		return nil
 	}

@@ -1,4 +1,4 @@
-// Package compat models the repo's compat shim package for the
+// Package compat models the retired compat shim package for the
 // nodeprecated fixtures; matching is by (function name, package name),
 // so this stand-in triggers the same analyzer paths.
 package compat

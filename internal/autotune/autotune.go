@@ -41,9 +41,9 @@ import (
 // cacheVersion tags cache entries with the kernel generation that
 // produced them; bump it when the tiled kernels change shape so stale
 // sweeps are not replayed onto new code. v2: one tiled loop behind both
-// tiled strategy names, with mask-class sharing (a v1 entry may have
-// chosen between two organisations that no longer differ).
-const cacheVersion = "v2"
+// tiled strategy names, with mask-class sharing. v3: no strategy at all
+// (a v2 entry names one, which no host call takes any more).
+const cacheVersion = "v3"
 
 // Config parameterizes a sweep. N and Opt are required (the workload
 // shape being tuned for); everything else has measured defaults.
@@ -61,14 +61,11 @@ type Config struct {
 	// spatially-correlated clouds — the regime the tiling targets).
 	NaNFrac float64
 
-	// TileWidths, Workers and Strategies override the candidate sets.
-	// Defaults: tile widths {4, 8, 16, 32, 64} (clamped to MaxWidth),
-	// workers {1, GOMAXPROCS/2, GOMAXPROCS} deduplicated, and the one
-	// strategy {Ours}: Ours and RgTl-EfSeq name the same tiled loop in
-	// core.DetectBatch, so the default sweep is tile width × workers.
+	// TileWidths and Workers override the candidate sets. Defaults: tile
+	// widths {4, 8, 16, 32, 64} (clamped to MaxWidth) and workers
+	// {1, GOMAXPROCS/2, GOMAXPROCS} deduplicated.
 	TileWidths []int
 	Workers    []int
-	Strategies []core.Strategy
 
 	// CacheFile overrides the cache path ("" = default per-user file);
 	// NoCache disables both the file and the in-process cache.
@@ -81,7 +78,6 @@ type Config struct {
 
 // Candidate is one measured sweep point.
 type Candidate struct {
-	Strategy  string        `json:"strategy"`
 	TileWidth int           `json:"tile_width"`
 	Workers   int           `json:"workers"`
 	PerPixel  time.Duration `json:"per_pixel_ns"`
@@ -97,19 +93,15 @@ type Seed struct {
 	Observed     bool    `json:"observed"`
 }
 
-// Choice is the sweep's outcome: the fastest configuration, the full
-// sweep, and the per-strategy bests (for callers that pin the strategy
-// and only want the tuned geometry).
+// Choice is the sweep's outcome: the fastest configuration and the full
+// sweep.
 type Choice struct {
-	Strategy  core.Strategy `json:"-"`
 	TileWidth int           `json:"tile_width"`
 	Workers   int           `json:"workers"`
 	PerPixel  time.Duration `json:"per_pixel_ns"`
 
-	StrategyName string               `json:"strategy"`
-	Sweep        []Candidate          `json:"sweep,omitempty"`
-	PerStrategy  map[string]Candidate `json:"per_strategy"`
-	Seed         Seed                 `json:"seed"`
+	Sweep []Candidate `json:"sweep,omitempty"`
+	Seed  Seed        `json:"seed"`
 
 	// FromCache reports a cache hit; CacheFile is the file consulted
 	// and/or written ("" with NoCache).
@@ -119,17 +111,7 @@ type Choice struct {
 
 // BatchConfig returns the chosen configuration as a core.BatchConfig.
 func (c *Choice) BatchConfig() core.BatchConfig {
-	return core.BatchConfig{Strategy: c.Strategy, Workers: c.Workers, TileWidth: c.TileWidth}
-}
-
-// ForStrategy returns the best measured (tile width, workers) for a
-// pinned strategy, falling back to the overall choice if the strategy
-// was not swept.
-func (c *Choice) ForStrategy(st core.Strategy) (tileWidth, workers int) {
-	if cand, ok := c.PerStrategy[st.String()]; ok {
-		return cand.TileWidth, cand.Workers
-	}
-	return c.TileWidth, c.Workers
+	return core.BatchConfig{Workers: c.Workers, TileWidth: c.TileWidth}
 }
 
 // tolerance is the fraction within which two candidates count as tied;
@@ -167,9 +149,6 @@ func (c Config) withDefaults() Config {
 				c.Workers = append(c.Workers, w)
 			}
 		}
-	}
-	if len(c.Strategies) == 0 {
-		c.Strategies = []core.Strategy{core.StrategyOurs}
 	}
 	if c.Metrics == nil {
 		c.Metrics = obs.Default()
@@ -226,7 +205,7 @@ func Tune(ctx context.Context, cfg Config) (*Choice, error) {
 }
 
 // Resolve applies cfg.Autotune: when set, the returned config carries
-// the tuned (strategy, workers, tile width) for the given workload
+// the tuned (workers, tile width) for the given workload
 // shape and a cleared Autotune flag; otherwise cfg is returned as-is.
 func Resolve(ctx context.Context, bcfg core.BatchConfig, n int, opt core.Options) (core.BatchConfig, error) {
 	if !bcfg.Autotune {
@@ -291,55 +270,37 @@ func sweep(ctx context.Context, cfg Config) (*Choice, error) {
 	seed := readSeed(cfg.Metrics)
 	widths, workerSet := orderCandidates(cfg, seed)
 
-	ch := &Choice{
-		PerStrategy: make(map[string]Candidate, len(cfg.Strategies)),
-		Seed:        seed,
-		CacheFile:   cfg.cachePath(),
-	}
+	ch := &Choice{Seed: seed, CacheFile: cfg.cachePath()}
 	// Warm the scheduler and page in the scene before timing anything.
 	if _, err := core.DetectBatch(ctx, b, cfg.Opt, core.BatchConfig{}); err != nil {
 		return nil, err
 	}
-	bestAll := time.Duration(-1)
-	for _, st := range cfg.Strategies {
-		bestStrat := time.Duration(-1)
-		for _, wk := range workerSet {
-			for _, tw := range widths {
-				if err := ctx.Err(); err != nil {
+	for _, wk := range workerSet {
+		for _, tw := range widths {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			bcfg := core.BatchConfig{Workers: wk, TileWidth: tw}
+			best := time.Duration(-1)
+			for rep := 0; rep < cfg.Reps; rep++ {
+				t0 := time.Now()
+				if _, err := core.DetectBatch(ctx, b, cfg.Opt, bcfg); err != nil {
 					return nil, err
 				}
-				bcfg := core.BatchConfig{Strategy: st, Workers: wk, TileWidth: tw}
-				best := time.Duration(-1)
-				for rep := 0; rep < cfg.Reps; rep++ {
-					t0 := time.Now()
-					if _, err := core.DetectBatch(ctx, b, cfg.Opt, bcfg); err != nil {
-						return nil, err
-					}
-					if d := time.Since(t0); best < 0 || d < best {
-						best = d
-					}
+				if d := time.Since(t0); best < 0 || d < best {
+					best = d
 				}
-				perPixel := best / time.Duration(spec.M)
-				cand := Candidate{
-					Strategy: st.String(), TileWidth: bcfg.ResolvedTileWidth(),
-					Workers: wk, PerPixel: perPixel,
-				}
-				ch.Sweep = append(ch.Sweep, cand)
-				// Strict improvement beyond the tolerance dethrones the
-				// incumbent; anything closer is a tie and the earlier
-				// (seed-favored) candidate stands.
-				if bestStrat < 0 || float64(perPixel) < float64(bestStrat)*(1-tolerance) {
-					bestStrat = perPixel
-					ch.PerStrategy[st.String()] = cand
-				}
-				if bestAll < 0 || float64(perPixel) < float64(bestAll)*(1-tolerance) {
-					bestAll = perPixel
-					ch.Strategy = st
-					ch.StrategyName = st.String()
-					ch.TileWidth = cand.TileWidth
-					ch.Workers = wk
-					ch.PerPixel = perPixel
-				}
+			}
+			perPixel := best / time.Duration(spec.M)
+			cand := Candidate{TileWidth: bcfg.ResolvedTileWidth(), Workers: wk, PerPixel: perPixel}
+			ch.Sweep = append(ch.Sweep, cand)
+			// Strict improvement beyond the tolerance dethrones the
+			// incumbent; anything closer is a tie and the earlier
+			// (seed-favored) candidate stands.
+			if len(ch.Sweep) == 1 || float64(perPixel) < float64(ch.PerPixel)*(1-tolerance) {
+				ch.TileWidth = cand.TileWidth
+				ch.Workers = wk
+				ch.PerPixel = perPixel
 			}
 		}
 	}
@@ -395,7 +356,6 @@ func loadCache(path, key string) *Choice {
 		return nil
 	}
 	ch := e.Choice
-	ch.Strategy = strategyFromName(ch.StrategyName)
 	ch.FromCache = true
 	ch.CacheFile = path
 	return &ch
@@ -428,13 +388,4 @@ func saveCache(path, key string, ch *Choice) {
 		return
 	}
 	_ = os.Rename(tmp, path)
-}
-
-func strategyFromName(name string) core.Strategy {
-	for _, st := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
-		if st.String() == name {
-			return st
-		}
-	}
-	return core.StrategyOurs
 }

@@ -2,6 +2,7 @@ package autotune
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +20,6 @@ func tinyConfig() Config {
 		SampleM: 32, Reps: 1,
 		TileWidths: []int{8},
 		Workers:    []int{1},
-		Strategies: []core.Strategy{core.StrategyOurs},
 		NoCache:    true,
 	}
 }
@@ -35,9 +35,6 @@ func TestTuneSweepTinyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.Strategy != core.StrategyOurs || ch.StrategyName != "ours" {
-		t.Fatalf("chose %q, swept only ours", ch.StrategyName)
-	}
 	if ch.TileWidth != 8 || ch.Workers != 1 {
 		t.Fatalf("choice geometry (%d, %d), swept only (8, 1)", ch.TileWidth, ch.Workers)
 	}
@@ -51,25 +48,15 @@ func TestTuneSweepTinyShape(t *testing.T) {
 		t.Fatal("NoCache sweep must not report a cache hit")
 	}
 	bcfg := ch.BatchConfig()
-	if bcfg.Strategy != ch.Strategy || bcfg.TileWidth != ch.TileWidth || bcfg.Workers != ch.Workers {
+	if bcfg.TileWidth != ch.TileWidth || bcfg.Workers != ch.Workers {
 		t.Fatalf("BatchConfig round-trip lost fields: %+v vs %+v", bcfg, ch)
-	}
-	// A strategy that was not swept falls back to the overall choice.
-	tw, wk := ch.ForStrategy(core.StrategyFullEfSeq)
-	if tw != ch.TileWidth || wk != ch.Workers {
-		t.Fatalf("ForStrategy fallback gave (%d, %d), want overall (%d, %d)", tw, wk, ch.TileWidth, ch.Workers)
-	}
-	tw, _ = ch.ForStrategy(core.StrategyOurs)
-	if tw != 8 {
-		t.Fatalf("ForStrategy(ours) tile width %d, want 8", tw)
 	}
 }
 
-// TestDefaultSweepIsWidthsTimesWorkers: the two tiled strategy names run
-// one loop, so the default sweep has no strategy axis.
+// TestDefaultSweepIsWidthsTimesWorkers: the sweep measures every (tile
+// width, workers) pair and nothing else.
 func TestDefaultSweepIsWidthsTimesWorkers(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Strategies = nil
 	cfg.TileWidths = []int{4, 8}
 	cfg.Workers = []int{1, 2}
 	ch, err := Tune(context.Background(), cfg)
@@ -78,9 +65,6 @@ func TestDefaultSweepIsWidthsTimesWorkers(t *testing.T) {
 	}
 	if len(ch.Sweep) != 4 {
 		t.Fatalf("default sweep measured %d candidates, want 2 widths × 2 workers", len(ch.Sweep))
-	}
-	if len(ch.PerStrategy) != 1 || ch.Strategy != core.StrategyOurs {
-		t.Fatalf("default sweep covered %v and chose %v, want ours alone", ch.PerStrategy, ch.Strategy)
 	}
 }
 
@@ -94,13 +78,55 @@ func TestTuneIgnoresOlderCacheGeneration(t *testing.T) {
 	cfg.NoCache = false
 	cfg.CacheFile = filepath.Join(t.TempDir(), "autotune.json")
 	old := "v1" + strings.TrimPrefix(cfg.withDefaults().key(), cacheVersion)
-	saveCache(cfg.CacheFile, old, &Choice{StrategyName: "rgtl-efseq", TileWidth: 64, Workers: 9})
+	saveCache(cfg.CacheFile, old, &Choice{TileWidth: 64, Workers: 9})
 	ch, err := Tune(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ch.FromCache || ch.TileWidth != 8 || ch.Workers != 1 {
 		t.Fatalf("replayed an older generation's entry: %+v", ch)
+	}
+}
+
+// TestTuneIgnoresV2StrategyEntry: a cache file written by the v2 format,
+// whose choice names a strategy, is not read back; Tune sweeps afresh
+// and writes the result under the current version.
+func TestTuneIgnoresV2StrategyEntry(t *testing.T) {
+	resetMemory()
+	defer resetMemory()
+	cfg := tinyConfig()
+	cfg.NoCache = false
+	cfg.CacheFile = filepath.Join(t.TempDir(), "autotune.json")
+	v2 := "v2" + strings.TrimPrefix(cfg.withDefaults().key(), cacheVersion)
+	raw := `{"entries": {"` + v2 + `": {"choice": {"tile_width": 64, "workers": 9, "per_pixel_ns": 1,
+		"strategy": "full-efseq", "per_strategy": {"full-efseq": {"strategy": "full-efseq", "tile_width": 64, "workers": 9}}},
+		"created": "2026-01-01T00:00:00Z"}}}`
+	if err := os.WriteFile(cfg.CacheFile, []byte(raw), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := Tune(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.FromCache || ch.TileWidth != 8 || ch.Workers != 1 {
+		t.Fatalf("replayed a v2 entry: %+v", ch)
+	}
+	got, err := os.ReadFile(cfg.CacheFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		Entries map[string]struct{ Choice json.RawMessage } `json:"entries"`
+	}
+	if err := json.Unmarshal(got, &f); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := f.Entries[cfg.withDefaults().key()]
+	if cacheVersion != "v3" || !ok {
+		t.Fatalf("sweep not rewritten under v3: %s", got)
+	}
+	if strings.Contains(string(e.Choice), "strategy") {
+		t.Fatalf("v3 entry names a strategy: %s", e.Choice)
 	}
 }
 
@@ -135,7 +161,7 @@ func TestTuneCacheRoundTrip(t *testing.T) {
 	if !second.FromCache {
 		t.Fatal("second call must hit the file cache")
 	}
-	if second.Strategy != first.Strategy || second.TileWidth != first.TileWidth || second.Workers != first.Workers {
+	if second.TileWidth != first.TileWidth || second.Workers != first.Workers {
 		t.Fatalf("cache round-trip changed the choice: %+v vs %+v", second, first)
 	}
 
@@ -173,7 +199,7 @@ func TestTuneCorruptCacheSweeps(t *testing.T) {
 // TestResolveNoOp: Resolve leaves configs without the Autotune flag
 // untouched — core never pays for a sweep it was not asked for.
 func TestResolveNoOp(t *testing.T) {
-	in := core.BatchConfig{Strategy: core.StrategyRgTlEfSeq, Workers: 3, TileWidth: 16}
+	in := core.BatchConfig{Workers: 3, TileWidth: 16}
 	out, err := Resolve(context.Background(), in, 80, core.DefaultOptions(40))
 	if err != nil {
 		t.Fatal(err)

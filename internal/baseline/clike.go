@@ -33,8 +33,7 @@ import (
 )
 
 // Baseline kernel metrics: the C-like fused pass accounts its whole
-// per-pixel sweep under kernel.fused.ns (same convention as core's
-// StrategyFullEfSeq), plus the pixels it processed.
+// per-pixel sweep under kernel.fused.ns, plus the pixels it processed.
 var (
 	statFusedNs      = obs.Default().Counter("kernel.fused.ns")
 	statKernelPixels = obs.Default().Counter("kernel.pixels")

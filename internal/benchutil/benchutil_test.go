@@ -5,6 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -210,39 +214,32 @@ func TestRunDispatch(t *testing.T) {
 }
 
 func TestExperimentsListed(t *testing.T) {
-	if len(Experiments()) != 15 {
-		t.Fatalf("expected 15 experiments, got %d", len(Experiments()))
+	if len(Experiments()) != 10 {
+		t.Fatalf("expected 10 experiments, got %d", len(Experiments()))
 	}
-}
-
-func TestObsOverheadRows(t *testing.T) {
-	var buf bytes.Buffer
-	rows, err := ObsOverhead(context.Background(), Config{Out: &buf, SampleM: 256})
+	// Every -exp value the bfast-bench package doc quotes must run.
+	src, err := os.ReadFile(filepath.Join("..", "..", "cmd", "bfast-bench", "main.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("expected 1 row, got %d", len(rows))
+	doc := string(src[:bytes.Index(src, []byte("\npackage main"))])
+	quoted := regexp.MustCompile(`-exp (\w+)`).FindAllStringSubmatch(doc, -1)
+	if len(quoted) == 0 {
+		t.Fatal("bfast-bench package doc quotes no -exp value")
 	}
-	for _, r := range rows {
-		if !r.Identical {
-			t.Errorf("%s: instrumented run not bit-identical to plain", r.Strategy)
+	for _, m := range quoted {
+		if m[1] != "all" && !slices.Contains(Experiments(), m[1]) {
+			t.Errorf("bfast-bench doc quotes -exp %s, not in Experiments() %v", m[1], Experiments())
 		}
-		if r.Plain <= 0 || r.Instrumented <= 0 {
-			t.Errorf("%s: degenerate timings %+v", r.Strategy, r)
-		}
-	}
-	if !strings.Contains(buf.String(), "OBS OVERHEAD") {
-		t.Fatal("report header missing")
 	}
 }
 
 func TestRunJSONCollects(t *testing.T) {
-	out, err := RunJSON(context.Background(), "tiles", Config{SampleM: 128})
+	out, err := RunJSON(context.Background(), "table1", Config{SampleM: 128, Datasets: []string{"D4"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, ok := out["tiles"].([]TilesRow)
+	rows, ok := out["table1"].([]Table1Row)
 	if !ok || len(rows) != 1 {
 		t.Fatalf("unexpected RunJSON payload: %#v", out)
 	}

@@ -298,14 +298,13 @@ func (b *Batcher) idleCheck(seen int64) {
 
 // queueKey extends the options/length key with the batch geometry:
 // merged pixels run under one BatchConfig, so only requests resolving
-// to the same (strategy, workers, tile width) may share a queue.
+// to the same (workers, tile width) may share a queue.
 func queueKey(n int, opt core.Options, bcfg core.BatchConfig) (string, error) {
 	ok, err := opt.QueueKey(n)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s st=%d w=%d tw=%d",
-		ok, int(bcfg.Strategy), bcfg.Workers, bcfg.ResolvedTileWidth()), nil
+	return fmt.Sprintf("%s w=%d tw=%d", ok, bcfg.Workers, bcfg.ResolvedTileWidth()), nil
 }
 
 // Detect submits m pixels (flat, row-major, m*n values, NaN = missing)

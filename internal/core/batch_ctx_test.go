@@ -39,14 +39,12 @@ func TestDetectBatchPreCancelled(t *testing.T) {
 		name string
 		run  func() ([]Result, error)
 	}{
-		{"staged", func() ([]Result, error) {
-			return DetectBatch(ctx, b, opt, BatchConfig{Strategy: StrategyOurs})
+		{"batch", func() ([]Result, error) {
+			return DetectBatch(ctx, b, opt, BatchConfig{})
 		}},
-		{"fused", func() ([]Result, error) {
-			return DetectBatch(ctx, b, opt, BatchConfig{Strategy: StrategyRgTlEfSeq})
-		}},
-		{"masked", func() ([]Result, error) {
-			return DetectBatchMasked(ctx, b, opt, BatchConfig{})
+		{"populated", func() ([]Result, error) {
+			res, _, err := DetectPopulated(ctx, b, opt, BatchConfig{})
+			return res, err
 		}},
 	} {
 		ranBefore := sched.StatBlocksRun.Value()

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +11,7 @@ import (
 )
 
 // assertBitIdentical compares two result sets with exact float equality
-// — the contract between the bitset path and the seed path.
+// — the contract between DetectBatch and scalar Detect.
 func assertBitIdentical(t *testing.T, want, got []Result, label string) {
 	t.Helper()
 	if len(want) != len(got) {
@@ -40,9 +40,48 @@ func assertBitIdentical(t *testing.T, want, got []Result, label string) {
 	}
 }
 
+// scalarOracle runs scalar Detect on every pixel of the batch — the
+// oracle every batched result is pinned to.
+func scalarOracle(t *testing.T, b *Batch, opt Options) []Result {
+	t.Helper()
+	x, err := DesignFor(opt, b.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]Result, b.M)
+	for i := range want {
+		if want[i], err = Detect(b.Row(i), x, opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// edgeBatch holds the bitset edge cases: an all-NaN pixel, an all-valid
+// pixel (fast-path words), a pixel whose only NaNs sit in the tail word,
+// and a heavily missing one, with N not a multiple of 64.
+func edgeBatch(rng *rand.Rand) *Batch {
+	const M, N = 4, 230 // N % 64 = 38: tail word in play
+	y := make([]float64, M*N)
+	for t := 0; t < N; t++ {
+		y[t] = math.NaN()
+	}
+	copy(y[1*N:2*N], synthSeries(rng, N, 3, 23, 0.03, 180, -0.6, 0))
+	copy(y[2*N:3*N], synthSeries(rng, N, 3, 23, 0.03, -1, 0, 0))
+	for t := N - 10; t < N; t++ {
+		y[2*N+t] = math.NaN()
+	}
+	copy(y[3*N:4*N], synthSeries(rng, N, 3, 23, 0.03, -1, 0, 0.85))
+	b, err := NewBatch(M, N, y)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // TestDetectBatchBitIdenticalToSeedReference pins the bitset/work-stealing
-// path to the seed implementation bit for bit, on randomized high-NaN
-// batches, for every strategy and solver.
+// path bit for bit to scalar Detect, the reference every batched result
+// answers to, on randomized high-NaN batches, for every solver.
 func TestDetectBatchBitIdenticalToSeedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	for _, nanFrac := range []float64{0.5, 0.8} {
@@ -51,74 +90,75 @@ func TestDetectBatchBitIdenticalToSeedReference(t *testing.T) {
 		for _, solver := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
 			opt := defaultTestOpts(n)
 			opt.Solver = solver
-			for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-				cfg := BatchConfig{Strategy: st, Workers: 3}
-				want, err := DetectBatchReference(b, opt, cfg)
-				if err != nil {
-					t.Fatal(err)
+			want := scalarOracle(t, b, opt)
+			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertBitIdentical(t, want, got, fmt.Sprintf("nan=%v/%v", nanFrac, solver))
+		}
+	}
+}
+
+// TestDetectBatchMaskEdgePixels checks that edgeBatch holds the cases it
+// names, on the oracle and on DetectBatch: the all-NaN pixel is
+// unfittable and the all-valid pixel fits with every date counted.
+func TestDetectBatchMaskEdgePixels(t *testing.T) {
+	b := edgeBatch(rand.New(rand.NewSource(91)))
+	opt := defaultTestOpts(115)
+	want := scalarOracle(t, b, opt)
+	if want[0].Status != StatusInsufficientHistory {
+		t.Fatal("all-NaN pixel must be unfittable")
+	}
+	if want[1].Status != StatusOK || want[1].Valid != b.N {
+		t.Fatal("all-valid pixel must fit with full count")
+	}
+	got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitIdentical(t, want, got, "edge")
+}
+
+// TestDetectBatchMatchesScalarDetect pins DetectBatch to scalar Detect
+// bit for bit across solvers, missing-value rates, tile widths (T = 1
+// degenerate tiles up to the widest legal tile, ragged tails included)
+// and worker counts, plus the bitset edge cases and a batch narrower
+// than one tile.
+func TestDetectBatchMatchesScalarDetect(t *testing.T) {
+	rng := rand.New(rand.NewSource(90))
+	const N, n = 300, 150
+	batches := []struct {
+		name string
+		b    *Batch
+		n    int
+	}{
+		{"nan=0", randomBatch(rng, 70, N, 0), n}, // 70 % T != 0 for every T > 1
+		{"nan=50", randomBatch(rng, 70, N, 0.5), n},
+		{"nan=80", randomBatch(rng, 70, N, 0.8), n},
+		{"M<T", randomBatch(rng, 5, N, 0.5), n},
+		{"edge", edgeBatch(rng), 115},
+	}
+	for _, bc := range batches {
+		for _, solver := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
+			opt := defaultTestOpts(bc.n)
+			opt.Solver = solver
+			want := scalarOracle(t, bc.b, opt)
+			for _, tw := range []int{1, 4, 8, 64} {
+				for _, workers := range []int{1, 3} {
+					got, err := DetectBatch(context.Background(), bc.b, opt, BatchConfig{Workers: workers, TileWidth: tw})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, want, got, fmt.Sprintf("%s/%v/T=%d/workers=%d", bc.name, solver, tw, workers))
 				}
-				got, err := DetectBatch(context.Background(), b, opt, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, want, got, st.String()+"/"+solver.String())
 			}
 		}
 	}
 }
 
-// TestDetectBatchMaskEdgePixels covers the bitset edge cases inside the
-// batch path: an all-NaN pixel, an all-valid pixel (fast-path words), a
-// pixel whose only NaNs sit in the tail word, with N not a multiple
-// of 64.
-func TestDetectBatchMaskEdgePixels(t *testing.T) {
-	rng := rand.New(rand.NewSource(91))
-	const M, N, n = 4, 230, 115 // N % 64 = 38: tail word in play
-	y := make([]float64, M*N)
-	// Pixel 0: all NaN.
-	for t2 := 0; t2 < N; t2++ {
-		y[0*N+t2] = math.NaN()
-	}
-	// Pixel 1: all valid (every mask word fully set except the tail).
-	copy(y[1*N:2*N], synthSeries(rng, N, 3, 23, 0.03, 180, -0.6, 0))
-	// Pixel 2: valid except the last 10 dates (NaNs only in the tail word).
-	copy(y[2*N:3*N], synthSeries(rng, N, 3, 23, 0.03, -1, 0, 0))
-	for t2 := N - 10; t2 < N; t2++ {
-		y[2*N+t2] = math.NaN()
-	}
-	// Pixel 3: heavy random missing.
-	copy(y[3*N:4*N], synthSeries(rng, N, 3, 23, 0.03, -1, 0, 0.85))
-	b, err := NewBatch(M, N, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := defaultTestOpts(n)
-	x, _ := series.MakeDesign(N, opt.Harmonics, opt.Frequency)
-	want := make([]Result, M)
-	for i := 0; i < M; i++ {
-		r, err := Detect(b.Row(i), x, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
-	}
-	if want[0].Status != StatusInsufficientHistory {
-		t.Fatal("all-NaN pixel must be unfittable")
-	}
-	if want[1].Status != StatusOK || want[1].Valid != N {
-		t.Fatal("all-valid pixel must fit with full count")
-	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, want, got, "edge/"+st.String())
-	}
-}
-
 // TestDetectBatchWorkersExceedPixels: worker counts far beyond M must
-// not spawn zero-width goroutines or change results, on both paths.
+// not spawn zero-width goroutines or change results.
 func TestDetectBatchWorkersExceedPixels(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	b := randomBatch(rng, 3, 200, 0.5)
@@ -133,38 +173,19 @@ func TestDetectBatchWorkersExceedPixels(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertBitIdentical(t, want, got, "many-workers")
-		ref, err := DetectBatchReference(b, opt, BatchConfig{Workers: cfgW})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, want, ref, "many-workers-reference")
 	}
 }
 
-// TestDetectBatchReferenceEmptyAndInvalid mirrors the M == 0 and
-// validation guards on the seed path.
-func TestDetectBatchReferenceEmptyAndInvalid(t *testing.T) {
-	b, _ := NewBatch(0, 100, nil)
-	res, err := DetectBatchReference(b, defaultTestOpts(50), BatchConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 {
-		t.Fatal("empty batch must give empty results")
-	}
-	b2, _ := NewBatch(1, 40, make([]float64, 40))
-	if _, err := DetectBatchReference(b2, defaultTestOpts(20), BatchConfig{Strategy: Strategy(9)}); err == nil {
-		t.Fatal("expected unknown-strategy error")
-	}
-}
-
-// TestBatchMaskMatchesRows: Batch.Mask must agree with per-row masks for
-// any worker count.
+// TestBatchMaskMatchesRows: Batch.MaskCtx must agree with per-row masks
+// for any worker count.
 func TestBatchMaskMatchesRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	b := randomBatch(rng, 20, 130, 0.6)
 	for _, w := range []int{0, 1, 7} {
-		bm := b.Mask(w)
+		bm, err := b.MaskCtx(context.Background(), w)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < b.M; i++ {
 			want := series.MaskOf(b.Row(i))
 			row := bm.Row(i)

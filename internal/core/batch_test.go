@@ -5,6 +5,7 @@ import (
 
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -72,6 +73,9 @@ func TestNewBatchValidation(t *testing.T) {
 	}
 }
 
+// TestDetectBatchStrategiesAgreeWithReference checks DetectBatch against
+// scalar Detect per pixel within 1e-9 on the MOSUM mean, at the default
+// tile width and at the widest legal tile.
 func TestDetectBatchStrategiesAgreeWithReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	M, N, n := 64, 256, 128
@@ -88,12 +92,12 @@ func TestDetectBatchStrategiesAgreeWithReference(t *testing.T) {
 		}
 		want[i] = r
 	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 4})
+	for _, tw := range []int{0, tile.MaxWidth} {
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 4, TileWidth: tw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsEqual(t, want, got, 1e-9, st.String())
+		resultsEqual(t, want, got, 1e-9, "tile width "+strconv.Itoa(tw))
 	}
 }
 
@@ -160,14 +164,6 @@ func TestDetectBatchInvalidOptions(t *testing.T) {
 	opt := defaultTestOpts(20) // history beyond N
 	if _, err := DetectBatch(context.Background(), b, opt, BatchConfig{}); err == nil {
 		t.Fatal("expected validation error")
-	}
-}
-
-func TestDetectBatchUnknownStrategy(t *testing.T) {
-	b, _ := NewBatch(1, 40, make([]float64, 40))
-	opt := defaultTestOpts(20)
-	if _, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: Strategy(9)}); err == nil {
-		t.Fatal("expected unknown-strategy error")
 	}
 }
 

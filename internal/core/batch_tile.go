@@ -13,8 +13,8 @@ import (
 	"bfast/internal/tile"
 )
 
-// This file implements the pixel-tiled execution DetectBatch runs for
-// StrategyOurs and StrategyRgTlEfSeq: pixels are binned by valid-count
+// This file implements the pixel-tiled execution DetectBatch runs:
+// pixels are binned by valid-count
 // and gathered T at a time into time-major tiles (internal/tile), the
 // fit kernels run register-blocked over whole tiles, and the K×K normal
 // systems of a tile are inverted together by the lane-interleaved
@@ -23,8 +23,7 @@ import (
 // One tile is one steal unit on the shared scheduler, and every stage of
 // a tile runs inside it on per-worker scratch. Pixels that share their
 // history mask share one inverse (maskclass.go). Results are
-// bit-identical to scalar Detect, DetectBatchReference and
-// DetectBatchMasked.
+// bit-identical to scalar Detect.
 
 // tileScratch is the per-worker working set of the tiled kernels: one
 // gathered tile plus the lane-interleaved fit and monitoring buffers.
@@ -145,8 +144,8 @@ func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool,
 // solver all lanes reduce together in the batched interleaved scratch —
 // or, when shared is non-nil, take their class's inverse from it and
 // skip the reduction; the pivoting/Cholesky library solvers fall back to
-// per-lane extraction through the shared solveNormal, so singularity
-// behaviour matches the untiled paths exactly. Lanes that fail are
+// per-lane extraction through solveNormal, so singularity behaviour
+// matches scalar Detect exactly. Lanes that fail are
 // flagged StatusSingular.
 func solveTile(s *tileScratch, k int, opt Options, shared *maskClasses, idx []int, out []Result) {
 	t := s.data.T
@@ -217,7 +216,7 @@ func publishBeta(s *tileScratch, k int, idx []int, out []Result) {
 }
 
 // monitorTile runs the monitoring phase (ker 8–10) over the tile's
-// compacted residuals, lane by lane; bit-identical to monitorPixelMasked.
+// compacted residuals, lane by lane; bit-identical to scalar Detect.
 func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx []int, out []Result) {
 	for p, px := range idx {
 		if !s.fit[p] {

@@ -2,17 +2,16 @@ package core
 
 import (
 	"context"
-
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
 
 // TestDetectBatchTiledBitIdentical is the acceptance matrix of the tiled
-// kernels: both tiled strategies must be bit-identical to the seed
-// reference AND to the PR-1 masked per-pixel path, across NaN fractions,
-// tile widths (including T=1 degenerate tiles), and ragged tails
-// (M < T and M % T != 0).
+// kernels: DetectBatch must be bit-identical to scalar Detect across NaN
+// fractions, tile widths (including T=1 degenerate tiles), and ragged
+// tails (M < T and M % T != 0).
 func TestDetectBatchTiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
 	const N, n = 300, 150
@@ -30,44 +29,18 @@ func TestDetectBatchTiledBitIdentical(t *testing.T) {
 		} {
 			b := randomBatch(rng, tc.m, N, nanFrac)
 			opt := defaultTestOpts(n)
-			want, err := DetectBatchReference(b, opt, BatchConfig{Strategy: StrategyOurs, Workers: 2})
+			want := scalarOracle(t, b, opt)
+			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3, TileWidth: tc.tw})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq} {
-				cfg := BatchConfig{Strategy: st, Workers: 3, TileWidth: tc.tw}
-				got, err := DetectBatch(context.Background(), b, opt, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := st.String() + "/" + tc.tag + "/nan=" + itoaFrac(nanFrac)
-				assertBitIdentical(t, want, got, label+" vs reference")
-
-				masked, err := DetectBatchMasked(context.Background(), b, opt, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertBitIdentical(t, masked, got, label+" vs masked")
-			}
+			assertBitIdentical(t, want, got, fmt.Sprintf("%s/nan=%v", tc.tag, nanFrac))
 		}
 	}
 }
 
-func itoaFrac(f float64) string {
-	switch f {
-	case 0:
-		return "0"
-	case 0.25:
-		return "25"
-	case 0.5:
-		return "50"
-	default:
-		return "90"
-	}
-}
-
 // TestDetectBatchTiledSolvers pins the non-GJ solver dispatch of the
-// tiled drivers (per-lane extraction into solveNormal) to the reference.
+// tiled drivers (per-lane extraction into solveNormal) to scalar Detect.
 func TestDetectBatchTiledSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	const M, N, n = 21, 300, 150
@@ -75,18 +48,12 @@ func TestDetectBatchTiledSolvers(t *testing.T) {
 	for _, solver := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
 		opt := defaultTestOpts(n)
 		opt.Solver = solver
-		for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq} {
-			cfg := BatchConfig{Strategy: st, Workers: 2, TileWidth: 8}
-			want, err := DetectBatchReference(b, opt, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := DetectBatch(context.Background(), b, opt, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, want, got, st.String()+"/"+solver.String())
+		want := scalarOracle(t, b, opt)
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2, TileWidth: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertBitIdentical(t, want, got, solver.String())
 	}
 }
 
@@ -124,18 +91,13 @@ func TestDetectBatchTiledDegeneratePixels(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := defaultTestOpts(n)
-	want, err := DetectBatchReference(b, opt, BatchConfig{Strategy: StrategyOurs})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := scalarOracle(t, b, opt)
 	for _, tw := range []int{1, 4, 8} {
-		for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq} {
-			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 2, TileWidth: tw})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, want, got, st.String()+"/degenerate")
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2, TileWidth: tw})
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertBitIdentical(t, want, got, "degenerate")
 	}
 }
 
@@ -146,17 +108,15 @@ func TestDetectBatchTiledWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	b := randomBatch(rng, 19, 300, 0.5)
 	opt := defaultTestOpts(150)
-	base, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: StrategyOurs, Workers: 1, TileWidth: 8})
+	base, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 1, TileWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7} {
-		for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq} {
-			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: workers, TileWidth: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertBitIdentical(t, base, got, st.String()+"/workers")
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: workers, TileWidth: 8})
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertBitIdentical(t, base, got, "workers")
 	}
 }

@@ -8,13 +8,12 @@ import (
 	"bfast/internal/workload"
 )
 
-// The benchmarks below time the tiled path (DetectBatch) against the
-// retained PR-1 masked per-pixel path (DetectBatchMasked) on the `tiles`
-// experiment's scene, and on one op of each of the ledger's two batch
-// workloads: spatially-correlated clouds, where most pixels share their
-// history mask with a neighbour, and i.i.d. gaps, where none does and
-// the class pass must cost next to nothing (BenchmarkGroupIID is that
-// pass alone; compare with BenchmarkDetectBatchIID at -cpu 1).
+// The benchmarks below time DetectBatch on one op of each of the
+// ledger's two batch workloads: spatially-correlated clouds, where most
+// pixels share their history mask with a neighbour, and i.i.d. gaps,
+// where none does and the class pass must cost next to nothing
+// (BenchmarkGroupIID is that pass alone; compare with
+// BenchmarkDetectBatchIID at -cpu 1).
 
 func specBatch(b *testing.B, spec workload.Spec, m int) *Batch {
 	ds, err := workload.Generate(spec)
@@ -29,10 +28,6 @@ func specBatch(b *testing.B, spec workload.Spec, m int) *Batch {
 }
 
 var (
-	tilesSpec = workload.Spec{
-		Name: "skew50", M: 4096, N: 412, History: 206,
-		NaNFrac: 0.5, Mask: workload.MaskClouds, BreakFrac: 0.3, Seed: 7, Width: 64,
-	}
 	// One op of the ledger's batch-clouds and batch-iid workloads
 	// (bench/workloads.go): the first chunk of the generated scene.
 	cloudsSpec = workload.Spec{
@@ -45,29 +40,19 @@ var (
 	}
 )
 
-func benchDetect(b *testing.B, run func(context.Context, *Batch, Options, BatchConfig) ([]Result, error), spec workload.Spec, m int, st Strategy) {
+func benchDetect(b *testing.B, spec workload.Spec, m int) {
 	bb := specBatch(b, spec, m)
 	opt := DefaultOptions(spec.History)
-	cfg := BatchConfig{Strategy: st}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := run(context.Background(), bb, opt, cfg); err != nil {
+		if _, err := DetectBatch(context.Background(), bb, opt, BatchConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkCloudTiled(b *testing.B) { benchDetect(b, DetectBatch, tilesSpec, 4096, StrategyOurs) }
-func BenchmarkCloudMaskedStaged(b *testing.B) {
-	benchDetect(b, DetectBatchMasked, tilesSpec, 4096, StrategyOurs)
-}
-func BenchmarkCloudMaskedFused(b *testing.B) {
-	benchDetect(b, DetectBatchMasked, tilesSpec, 4096, StrategyRgTlEfSeq)
-}
-func BenchmarkDetectBatchClouds(b *testing.B) {
-	benchDetect(b, DetectBatch, cloudsSpec, 16384, StrategyOurs)
-}
-func BenchmarkDetectBatchIID(b *testing.B) { benchDetect(b, DetectBatch, iidSpec, 8192, StrategyOurs) }
+func BenchmarkDetectBatchClouds(b *testing.B) { benchDetect(b, cloudsSpec, 16384) }
+func BenchmarkDetectBatchIID(b *testing.B)    { benchDetect(b, iidSpec, 8192) }
 
 var sinkGroups maskGroups
 

@@ -85,27 +85,16 @@ func TestCUSUMResolveLambdaUsesOwnTable(t *testing.T) {
 	}
 }
 
-func TestCUSUMStrategiesAgree(t *testing.T) {
+func TestCUSUMBatchMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(85))
-	M, N, n := 48, 256, 128
-	b := randomBatch(rng, M, N, 0.5)
-	opt := cusumOpts(n)
-	x, _ := DesignFor(opt, N)
-	want := make([]Result, M)
-	for i := 0; i < M; i++ {
-		r, err := Detect(b.Row(i), x, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
+	b := randomBatch(rng, 48, 256, 0.5)
+	opt := cusumOpts(128)
+	want := scalarOracle(t, b, opt)
+	got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st, Workers: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, want, got, 0, "cusum/"+st.String())
-	}
+	resultsEqual(t, want, got, 0, "cusum")
 }
 
 func TestCUSUMSlowerThanMosumOnAbruptBreaks(t *testing.T) {

@@ -75,27 +75,17 @@ func TestDetectNoTrendModel(t *testing.T) {
 }
 
 func TestDetectNoTrendBatchAgrees(t *testing.T) {
-	// All strategies and the scalar reference agree for trend-less models.
+	// DetectBatch and scalar Detect agree for trend-less models.
 	N, n := 200, 100
 	b := randomBatch(rand.New(rand.NewSource(80)), 32, N, 0.4)
 	opt := defaultTestOpts(n)
 	opt.NoTrend = true
-	x, _ := DesignFor(opt, N)
-	want := make([]Result, b.M)
-	for i := 0; i < b.M; i++ {
-		r, err := Detect(b.Row(i), x, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = r
+	want := scalarOracle(t, b, opt)
+	got, err := DetectBatch(context.Background(), b, opt, BatchConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, st := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Strategy: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, want, got, 1e-9, "notrend/"+st.String())
-	}
+	resultsEqual(t, want, got, 1e-9, "notrend")
 }
 
 func TestMakeDesignAtIrregular(t *testing.T) {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestDetectBatchSpanTree: under a root span, DetectBatch must attach a
-// core.detect_batch span whose children cover the mask sweep and every
-// kernel phase of the chosen strategy — the tree the serving layer
+// core.detect_batch span whose children cover the mask sweep and the
+// tiled loop — the tree the serving layer
 // exposes at /debug/bfast/traces. Without a root span the context must
 // come back unwrapped (the no-overhead default).
 func TestDetectBatchSpanTree(t *testing.T) {
@@ -19,43 +19,32 @@ func TestDetectBatchSpanTree(t *testing.T) {
 	b := randomBatch(rng, 40, 200, 0.4)
 	opt := defaultTestOpts(100)
 
-	cases := []struct {
-		strategy Strategy
-		phases   []string
-	}{
-		{StrategyOurs, []string{"kernel.mask", "kernel.tiles"}},
-		{StrategyRgTlEfSeq, []string{"kernel.mask", "kernel.tiles"}},
-		{StrategyFullEfSeq, []string{"kernel.mask", "kernel.fused"}},
+	root := obs.NewSpan("request")
+	ctx := obs.ContextWithSpan(context.Background(), root)
+	if _, err := DetectBatch(ctx, b, opt, BatchConfig{}); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		root := obs.NewSpan("request")
-		ctx := obs.ContextWithSpan(context.Background(), root)
-		if _, err := DetectBatch(ctx, b, opt, BatchConfig{Strategy: tc.strategy}); err != nil {
-			t.Fatal(err)
+	root.End()
+	n := root.Node()
+	db := n.Find("core.detect_batch")
+	if db == nil {
+		t.Fatal("no core.detect_batch span")
+	}
+	if db.Attrs["pixels"] != 40 || db.Attrs["dates_nominal"] != 200 || db.Attrs["dates_kept"] != 200 {
+		t.Fatalf("detect_batch attrs %v", db.Attrs)
+	}
+	for _, phase := range []string{"kernel.mask", "kernel.tiles"} {
+		ph := db.Find(phase)
+		if ph == nil {
+			t.Fatalf("missing %s span under core.detect_batch", phase)
 		}
-		root.End()
-		n := root.Node()
-		db := n.Find("core.detect_batch")
-		if db == nil {
-			t.Fatalf("%v: no core.detect_batch span", tc.strategy)
+		if ph.DurNs < 0 {
+			t.Fatalf("%s duration %d", phase, ph.DurNs)
 		}
-		if db.Attrs["strategy"] != tc.strategy.String() || db.Attrs["pixels"] != 40 ||
-			db.Attrs["dates_nominal"] != 200 || db.Attrs["dates_kept"] != 200 {
-			t.Fatalf("%v: detect_batch attrs %v", tc.strategy, db.Attrs)
-		}
-		for _, phase := range tc.phases {
-			ph := db.Find(phase)
-			if ph == nil {
-				t.Fatalf("%v: missing %s span under core.detect_batch", tc.strategy, phase)
-			}
-			if ph.DurNs < 0 {
-				t.Fatalf("%v: %s duration %d", tc.strategy, phase, ph.DurNs)
-			}
-			// Every kernel phase runs its sweep on the scheduler, so it
-			// must have picked up a sched.foreach child.
-			if ph.Find("sched.foreach") == nil {
-				t.Fatalf("%v: %s has no sched.foreach child", tc.strategy, phase)
-			}
+		// Every kernel phase runs its sweep on the scheduler, so it
+		// must have picked up a sched.foreach child.
+		if ph.Find("sched.foreach") == nil {
+			t.Fatalf("%s has no sched.foreach child", phase)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func (p *Pool) Workers(requested, m int) int {
 // spawned only while the pool has capacity, so nested or concurrent
 // loops degrade to fewer workers instead of deadlocking.
 func (p *Pool) ForEach(m, workers, grain int, body func(worker, lo, hi int)) {
-	//lint:allow ctxfirst -- pre-ctx compat wrapper kept for the seed reference paths; new code calls ForEachCtx
+	//lint:allow ctxfirst -- pre-ctx wrapper for callers with no request context; new code calls ForEachCtx
 	_ = p.ForEachCtx(context.Background(), m, workers, grain, body)
 }
 
@@ -242,18 +242,12 @@ func recordLoopSkew(sp *obs.Span, counts []int64) {
 	}
 }
 
-// ForEachScratch is ForEach with a per-worker scratch lifecycle: mk is
-// invoked once per participating worker (lazily, on its first block) and
-// the same scratch value is passed to every body call of that worker —
-// the pattern the paper's C baseline uses per OpenMP thread (footnote
-// 10) to keep the hot loop allocation-free.
-func ForEachScratch[S any](p *Pool, m, workers, grain int, mk func() S, body func(s S, lo, hi int)) {
-	//lint:allow ctxfirst -- pre-ctx compat wrapper kept for the seed reference paths; new code calls ForEachScratchCtx
-	_ = ForEachScratchCtx(context.Background(), p, m, workers, grain, mk, body)
-}
-
-// ForEachScratchCtx is ForEachScratch over ForEachCtx: same per-worker
-// scratch lifecycle, cancellation checked before every block claim.
+// ForEachScratchCtx is ForEachCtx with a per-worker scratch lifecycle:
+// mk is invoked once per participating worker (lazily, on its first
+// block) and the same scratch value is passed to every body call of that
+// worker — the pattern the paper's C baseline uses per OpenMP thread
+// (footnote 10) to keep the hot loop allocation-free. Cancellation is
+// checked before every block claim.
 func ForEachScratchCtx[S any](ctx context.Context, p *Pool, m, workers, grain int, mk func() S, body func(s S, lo, hi int)) error {
 	if m <= 0 {
 		return ctx.Err()

@@ -99,7 +99,7 @@ func TestForEachScratchLifecycle(t *testing.T) {
 	type scratch struct{ sum int }
 	var mu sync.Mutex
 	total := 0
-	ForEachScratch(p, m, 0, 8, func() *scratch {
+	err := ForEachScratchCtx(context.Background(), p, m, 0, 8, func() *scratch {
 		atomic.AddInt32(&created, 1)
 		return &scratch{}
 	}, func(s *scratch, lo, hi int) {
@@ -110,6 +110,9 @@ func TestForEachScratchLifecycle(t *testing.T) {
 		total += hi - lo
 		mu.Unlock()
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if total != m {
 		t.Fatalf("covered %d items, want %d", total, m)
 	}

@@ -428,8 +428,8 @@ func residBlock8(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, 
 }
 
 // residLane is the generic single-lane residual path for ragged blocks:
-// the scalar j-loop per valid date, identical in order to the per-pixel
-// masked path.
+// the scalar j-loop per valid date, identical in order to scalar
+// Detect.
 //
 //bfast:kernel
 func residLane(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, r []float64, ix []int32, nVal []int, p int) {
