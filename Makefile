@@ -29,7 +29,7 @@ FUZZTIME ?= 10s
 
 .PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
-ci: lint lint-selfcheck build race test fuzz-smoke coalesce-smoke nrt-smoke diag-smoke
+ci: lint lint-selfcheck build race test fuzz-smoke serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
 lint: vet fmt-check bfast-lint
 

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 
-	"bfast/internal/autotune"
 	"bfast/internal/core"
 	"bfast/internal/cube"
 	"bfast/internal/history"
@@ -122,23 +121,13 @@ func (d *Detector) Options() Options { return d.opt }
 // SeriesLen returns the series length the detector was built for.
 func (d *Detector) SeriesLen() int { return d.n }
 
-// BatchOptions configures a DetectBatch call — the consolidated knobs of
-// the old pre-context DetectBatch family. The zero value is the
+// BatchOptions configures a DetectBatch call. The zero value is the
 // production default: the tiled path (one tile per steal unit, pixels
-// with equal history masks sharing one inverse), work-stealing across
-// GOMAXPROCS workers, default tile width.
+// with equal history masks sharing one inverse) at tile.DefaultWidth,
+// work-stealing across GOMAXPROCS workers.
 type BatchOptions struct {
 	// Workers is the number of goroutines (<= 0 uses GOMAXPROCS).
 	Workers int
-	// TileWidth is T, the pixels per time-major tile of the tiled path
-	// (0 = default, see core.BatchConfig).
-	TileWidth int
-	// Autotune replaces Workers/TileWidth with this host's
-	// measured best for the batch's shape (internal/autotune): the first
-	// call per (host, K, N, history) runs a sub-second micro-benchmark
-	// sweep, later calls hit the in-process or on-disk cache
-	// (os.UserCacheDir()/bfast/autotune.json).
-	Autotune bool
 }
 
 // Detect runs BFAST-Monitor on a single pixel series (length must match
@@ -161,23 +150,12 @@ func (d *Detector) Detect(ctx context.Context, y []float64) (Result, error) {
 // honored at steal-unit granularity: remaining pixel blocks/tiles are
 // abandoned, in-flight ones finish, and ctx.Err() is returned.
 //
-// This is the consolidated batch entry point: the zero BatchOptions is
-// right for almost all uses; TileWidth exposes the tile geometry for
-// benchmarking and tuning. Results do not depend on any field.
+// Results do not depend on the worker count.
 func (d *Detector) DetectBatch(ctx context.Context, b *Batch, opts BatchOptions) ([]Result, error) {
 	if b.N != d.n {
 		return nil, fmt.Errorf("bfast: batch has %d dates, detector built for %d", b.N, d.n)
 	}
-	cfg := core.BatchConfig{
-		Workers:   opts.Workers,
-		TileWidth: opts.TileWidth,
-		Autotune:  opts.Autotune,
-	}
-	cfg, err := autotune.Resolve(ctx, cfg, d.n, d.opt)
-	if err != nil {
-		return nil, fmt.Errorf("bfast: autotune: %w", err)
-	}
-	return core.DetectBatch(ctx, b, d.opt, cfg)
+	return core.DetectBatch(ctx, b, d.opt, core.BatchConfig{Workers: opts.Workers})
 }
 
 // MosumBoundary returns the monitoring boundary b_t for offset t given the

@@ -91,28 +91,28 @@ func TestDetectorBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestDetectorBatchStrategyAgree: the worker count and tile width of
-// BatchOptions change how the batch is scheduled, never its results.
-func TestDetectorBatchStrategyAgree(t *testing.T) {
+// TestDetectorBatchWorkersAgree: the worker count of BatchOptions changes
+// how the batch is scheduled, never its results — every field of every
+// Result matches per-pixel Detect bit for bit. Tile-width coverage lives
+// in core.TestDetectBatchMatchesScalarDetect.
+func TestDetectorBatchWorkersAgree(t *testing.T) {
 	_, b := exampleScene(t, 32, 160, 80)
 	d, err := NewDetector(160, DefaultOptions(80))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := d.DetectBatch(context.Background(), b, BatchOptions{})
-	if err != nil {
-		t.Fatal(err)
+	want := make([]Result, b.M)
+	for i := range want {
+		if want[i], err = d.Detect(context.Background(), b.Row(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, bo := range []BatchOptions{{Workers: 2}, {Workers: 2, TileWidth: 4}, {Workers: 3, TileWidth: 1}} {
-		got, err := d.DetectBatch(context.Background(), b, bo)
+	for _, workers := range []int{1, 2, 3} {
+		got, err := d.DetectBatch(context.Background(), b, BatchOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range ref {
-			if ref[i].BreakIndex != got[i].BreakIndex {
-				t.Fatalf("%+v pixel %d differs", bo, i)
-			}
-		}
+		assertSameResults(t, want, got, fmt.Sprintf("workers=%d", workers))
 	}
 	if _, err := d.DetectBatch(context.Background(), &Batch{M: 1, N: 5, Y: make([]float64, 5)}, BatchOptions{}); err == nil {
 		t.Fatal("wrong batch length must fail")

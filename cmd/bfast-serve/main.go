@@ -30,7 +30,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "detection workers per request (0 = GOMAXPROCS)")
-	autotuneFlag := flag.Bool("autotune", false, "micro-benchmark the host once per workload shape and use the measured best workers/tile width (cached in the user cache dir)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "concurrent compute requests before 429 (0 = 2x GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 0, "max pixels per /v1/batch request (0 = default 65536)")
 	maxBody := flag.Int64("max-body", 0, "max request body bytes (0 = default 256 MiB)")
@@ -62,7 +61,6 @@ func main() {
 
 	srv, err := bfast.NewServer(bfast.ServerConfig{
 		Workers:            *workers,
-		Autotune:           *autotuneFlag,
 		MaxConcurrent:      *maxConcurrent,
 		MaxBatchPixels:     *maxBatch,
 		MaxBodyBytes:       *maxBody,

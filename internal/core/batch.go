@@ -55,13 +55,6 @@ type BatchConfig struct {
 	// tile.DefaultWidth (8); 1 disables cross-pixel blocking; values are
 	// clamped to tile.MaxWidth (64). Results are identical for every T.
 	TileWidth int
-	// Autotune asks for Workers/TileWidth to be replaced by this host's
-	// measured best for the workload shape. core cannot resolve it
-	// (internal/autotune sits above this package); the public bfast API
-	// and the server resolve the flag through autotune.Resolve before
-	// calling DetectBatch, which itself ignores it and runs the explicit
-	// fields as given.
-	Autotune bool
 }
 
 // ResolvedTileWidth returns the effective tile width T after defaulting

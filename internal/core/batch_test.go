@@ -221,9 +221,8 @@ func TestSolverStrings(t *testing.T) {
 // TestResolvedTileWidthClamping pins the defaulting/clamping contract of
 // BatchConfig.ResolvedTileWidth: non-positive widths resolve to the
 // default, widths past tile.MaxWidth clamp to it, exact MaxWidth and
-// in-range widths pass through unchanged. Downstream consumers
-// (bfast-bench JSON, the autotuner sweep) rely on this being the width
-// DetectBatch actually runs with.
+// in-range widths pass through unchanged. bfast-bench's JSON relies on
+// this being the width DetectBatch actually runs with.
 func TestResolvedTileWidthClamping(t *testing.T) {
 	cases := []struct {
 		in, want int

@@ -17,7 +17,7 @@ import (
 // from a node — the metrics snapshot in both expositions, the recent
 // trace ring, the persisted tail-sampled traces, the resolved serving
 // config, process runtime state, any extra subsystem sections the
-// caller attaches (NRT session summary, autotune cache), and the latest
+// caller attaches (NRT session summary, SLO objectives), and the latest
 // anomaly-captured profiles. The bundle is assembled from live state at
 // request time and streamed, so it works mid-incident: nothing in here
 // takes the locks the hot path holds for more than a snapshot.
@@ -41,7 +41,7 @@ type FlightSources struct {
 	// summaries like the NRT session list.
 	Sections map[string]any
 	// Files contributes raw file copies, bundle path → disk path
-	// (autotune cache, captured profiles). Missing files are recorded in
+	// (captured profiles). Missing files are recorded in
 	// the manifest as skipped rather than failing the bundle.
 	Files map[string]string
 }

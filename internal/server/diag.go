@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"time"
 
-	"bfast/internal/autotune"
 	"bfast/internal/obs"
 )
 
@@ -277,22 +276,13 @@ func sortTraceEntries(entries []traceEntry) {
 // handleFlight streams the flight-recorder bundle: one tar.gz holding
 // the metrics snapshot (JSON + Prometheus), recent and persisted
 // traces, the resolved config, runtime state, the NRT session summary,
-// the SLO objectives, the autotune cache and the latest captured
-// profiles. Assembled from live state at request time — the endpoint an
-// operator hits first when paged, before deciding what to look at.
+// the SLO objectives and the latest captured profiles. Assembled from
+// live state at request time — the endpoint an operator hits first when
+// paged, before deciding what to look at.
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required"))
 		return
-	}
-	files := obs.ProfileFiles(s.prof.ProfilesDir())
-	if s.cfg.Autotune {
-		if p := (autotune.Config{}).CachePath(); p != "" {
-			if files == nil {
-				files = make(map[string]string, 1)
-			}
-			files["autotune.json"] = p
-		}
 	}
 	w.Header().Set("Content-Type", "application/gzip")
 	w.Header().Set("Content-Disposition", `attachment; filename="bfast-flight.tar.gz"`)
@@ -305,7 +295,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 			"nrt_sessions":   s.nrtMgr.List(),
 			"slo_objectives": s.slo.Objectives(),
 		},
-		Files: files,
+		Files: obs.ProfileFiles(s.prof.ProfilesDir()),
 	})
 	if err != nil {
 		// Headers (and likely part of the archive) are gone; the client
@@ -317,17 +307,21 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 // resolvedConfig is the defaults-applied configuration as bundled in
 // config.json — the plain-data view of Config (the struct itself drags
 // a logger and a registry along, which JSON cannot say anything useful
-// about).
+// about). Every other field has a key: the snake-cased field name, with
+// an _ns suffix on durations (pinned by TestResolvedConfigCoversConfig).
 func (s *Server) resolvedConfig() map[string]any {
 	c := s.cfg
 	return map[string]any{
-		"max_body_bytes":   c.MaxBodyBytes,
-		"max_batch_pixels": c.MaxBatchPixels,
-		"max_series_len":   c.MaxSeriesLen,
-		"max_concurrent":   c.MaxConcurrent,
-		"workers":          c.Workers,
-		"autotune":         c.Autotune,
-		"trace_depth":      c.TraceDepth,
+		"max_body_bytes":          c.MaxBodyBytes,
+		"max_batch_pixels":        c.MaxBatchPixels,
+		"max_series_len":          c.MaxSeriesLen,
+		"max_concurrent":          c.MaxConcurrent,
+		"workers":                 c.Workers,
+		"trace_depth":             c.TraceDepth,
+		"disable_debug":           c.DisableDebug,
+		"retry_after_seconds":     c.RetryAfterSeconds,
+		"enable_pprof":            c.EnablePprof,
+		"sample_runtime_every_ns": c.SampleRuntimeEvery,
 		"coalesce": map[string]any{
 			"enabled":      c.Coalesce.Enabled,
 			"batch_pixels": c.Coalesce.BatchPixels,
@@ -343,11 +337,16 @@ func (s *Server) resolvedConfig() map[string]any {
 			"dir":               c.Diag.Dir,
 			"slow_threshold_ns": c.Diag.SlowThreshold,
 			"head_every":        c.Diag.HeadEvery,
+			"max_file_bytes":    c.Diag.MaxFileBytes,
+			"max_files":         c.Diag.MaxFiles,
 			"disable_profiles":  c.Diag.DisableProfiles,
 		},
 		"slo": map[string]any{
-			"disabled":   c.SLO.Disabled,
-			"objectives": s.slo.Objectives(),
+			"disabled":        c.SLO.Disabled,
+			"latency_ms":      c.SLO.LatencyMs,
+			"target":          c.SLO.Target,
+			"objectives":      s.slo.Objectives(),
+			"sample_every_ns": c.SLO.SampleEvery,
 		},
 	}
 }

@@ -10,8 +10,12 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"time"
+	"unicode"
 
 	"bfast/internal/obs"
 )
@@ -279,4 +283,63 @@ func TestMetricsExemplarExposed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("exemplar trace ID does not resolve: %d", resp.StatusCode)
 	}
+}
+
+// TestResolvedConfigCoversConfig walks Config by reflection and pins the
+// flight bundle's config.json to it: every field except Logger and
+// Metrics has exactly one key (snake-cased name, _ns on durations), the
+// Coalesce/NRT/Diag/SLO groups nest, and no key outlives its field.
+func TestResolvedConfigCoversConfig(t *testing.T) {
+	s := mustServer(t, Config{Metrics: obs.NewRegistry()})
+	var want, got []string
+	var walk func(prefix string, typ reflect.Type)
+	walk = func(prefix string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if f.Name == "Logger" || f.Name == "Metrics" {
+				continue
+			}
+			key := prefix + snakeCase(f.Name)
+			if f.Type.Kind() == reflect.Struct {
+				walk(key+".", f.Type)
+				continue
+			}
+			if f.Type == reflect.TypeOf(time.Duration(0)) {
+				key += "_ns"
+			}
+			want = append(want, key)
+		}
+	}
+	walk("", reflect.TypeOf(Config{}))
+	var flatten func(prefix string, m map[string]any)
+	flatten = func(prefix string, m map[string]any) {
+		for k, v := range m {
+			if sub, ok := v.(map[string]any); ok {
+				flatten(prefix+k+".", sub)
+				continue
+			}
+			got = append(got, prefix+k)
+		}
+	}
+	flatten("", s.resolvedConfig())
+	sort.Strings(want)
+	sort.Strings(got)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("resolvedConfig keys drifted from Config fields:\n got  %v\n want %v", got, want)
+	}
+}
+
+// snakeCase maps a Go field name to its config.json key
+// (SlowThreshold → slow_threshold, NRT → nrt).
+func snakeCase(name string) string {
+	var b strings.Builder
+	r := []rune(name)
+	for i, c := range r {
+		if unicode.IsUpper(c) && i > 0 &&
+			(unicode.IsLower(r[i-1]) || i+1 < len(r) && unicode.IsLower(r[i+1])) {
+			b.WriteByte('_')
+		}
+		b.WriteRune(unicode.ToLower(c))
+	}
+	return b.String()
 }

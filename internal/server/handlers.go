@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"bfast/internal/autotune"
 	"bfast/internal/coalesce"
 	"bfast/internal/core"
 	"bfast/internal/obs"
@@ -335,24 +334,12 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		copy(flat[i*n:(i+1)*n], p)
 	}
 	sp.End()
-	// The batched strategies (paper organization, PR 2 tiling) replace
-	// the per-pixel C-like baseline here; results are bit-identical
-	// (pinned by the equivalence tests) and the kernel-phase spans light
-	// up under this request's span tree.
+	// /v1/batch runs the one tiled detector (core.DetectBatch), which is
+	// bit-identical to scalar Detect; the kernel-phase spans light up
+	// under this request's span tree.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
-	bcfg := core.BatchConfig{Workers: s.cfg.Workers, Autotune: s.cfg.Autotune}
+	bcfg := core.BatchConfig{Workers: s.cfg.Workers}
 	opt := req.options()
-	// With Config.Autotune, the first batch of a given shape pays for a
-	// sub-second sweep; later batches hit the in-process or on-disk
-	// cache. Resolution failure falls back to the explicit defaults —
-	// tuning is an optimization, never an availability risk — but the
-	// cause should reach operators chasing why a host serves untuned.
-	if resolved, rerr := autotune.Resolve(dctx, bcfg, n, opt); rerr == nil {
-		bcfg = resolved
-	} else {
-		s.cfg.Logger.Debug("autotune resolution failed; serving with explicit defaults",
-			"request_id", tr.RequestID, "endpoint", "batch", "err", rerr)
-	}
 	var results []core.Result
 	var err error
 	if s.batcher != nil {

@@ -73,13 +73,6 @@ type Config struct {
 	// Workers is the per-request detection worker count (default 0 =
 	// GOMAXPROCS; the shared scheduler bounds total helpers regardless).
 	Workers int
-	// Autotune resolves each batch request's workers/tile
-	// width through the host autotuner (internal/autotune): the first
-	// request per workload shape runs a sub-second micro-benchmark
-	// sweep, later requests hit the in-process or on-disk cache
-	// (os.UserCacheDir()/bfast/autotune.json). When resolution fails the
-	// request falls back to the explicit defaults.
-	Autotune bool
 	// TraceDepth is how many recent request traces /debug/bfast keeps
 	// (default 64; negative disables tracing).
 	TraceDepth int
