@@ -1,7 +1,7 @@
 # Tier-1 verification targets. `make ci` is the full gate; `make lint`
 # runs gofmt, go vet and the repo's own analyzer suite (bfast-lint:
-# nanguard, kernelalloc, ctxfirst, spanpair, nodeprecated, lockpair,
-# golifecycle, atomicguard, metricdoc — see DESIGN.md §8); `make
+# nanguard, kernelalloc, ctxfirst, spanpair, lockpair, golifecycle,
+# atomicguard, metricdoc — see DESIGN.md §8); `make
 # lint-selfcheck` proves the lint driver itself still finds the known
 # fixture diagnostics; `make race` exercises every package (root, cmd
 # and internal) under the race detector; `make fuzz-smoke` runs each

@@ -202,15 +202,14 @@ func runFixture(t *testing.T, path string, analyzers ...*Analyzer) {
 	}
 }
 
-func TestNanGuardFixture(t *testing.T)     { runFixture(t, "nanguard", NanGuard) }
-func TestKernelAllocFixture(t *testing.T)  { runFixture(t, "kernelalloc", KernelAlloc) }
-func TestCtxFirstFixture(t *testing.T)     { runFixture(t, "ctxfirst", CtxFirst) }
-func TestSpanPairFixture(t *testing.T)     { runFixture(t, "spanpair", SpanPair) }
-func TestNoDeprecatedFixture(t *testing.T) { runFixture(t, "nodeprecated", NoDeprecated) }
-func TestLockPairFixture(t *testing.T)     { runFixture(t, "lockpair", LockPair) }
-func TestGoLifecycleFixture(t *testing.T)  { runFixture(t, "golifecycle", GoLifecycle) }
-func TestAtomicGuardFixture(t *testing.T)  { runFixture(t, "atomicguard", AtomicGuard) }
-func TestMetricDocFixture(t *testing.T)    { runFixture(t, "metricdoc", NewMetricDoc()) }
+func TestNanGuardFixture(t *testing.T)    { runFixture(t, "nanguard", NanGuard) }
+func TestKernelAllocFixture(t *testing.T) { runFixture(t, "kernelalloc", KernelAlloc) }
+func TestCtxFirstFixture(t *testing.T)    { runFixture(t, "ctxfirst", CtxFirst) }
+func TestSpanPairFixture(t *testing.T)    { runFixture(t, "spanpair", SpanPair) }
+func TestLockPairFixture(t *testing.T)    { runFixture(t, "lockpair", LockPair) }
+func TestGoLifecycleFixture(t *testing.T) { runFixture(t, "golifecycle", GoLifecycle) }
+func TestAtomicGuardFixture(t *testing.T) { runFixture(t, "atomicguard", AtomicGuard) }
+func TestMetricDocFixture(t *testing.T)   { runFixture(t, "metricdoc", NewMetricDoc()) }
 
 // TestMetricDocFinishCrossCheck exercises the golden-to-code direction
 // that runFixture cannot: Finish must flag the one golden family the
@@ -244,7 +243,7 @@ func TestAllAnalyzersRegistered(t *testing.T) {
 		}
 		names[a.Name] = true
 	}
-	for _, want := range []string{"nanguard", "kernelalloc", "ctxfirst", "spanpair", "nodeprecated", "lockpair", "golifecycle", "atomicguard", "metricdoc"} {
+	for _, want := range []string{"nanguard", "kernelalloc", "ctxfirst", "spanpair", "lockpair", "golifecycle", "atomicguard", "metricdoc"} {
 		if !names[want] {
 			t.Errorf("analyzer %q missing from All()", want)
 		}

@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		KernelAlloc,
 		CtxFirst,
 		SpanPair,
-		NoDeprecated,
 		LockPair,
 		GoLifecycle,
 		AtomicGuard,

@@ -64,20 +64,6 @@ func BuildCFG(body *ast.BlockStmt) *CFG {
 	return b.cfg
 }
 
-// FindNode locates n among the graph's blocks, returning the block and
-// the node's index within it (-1, nil when n is not a node — e.g. it
-// sits inside a nested FuncLit or was folded into a larger node).
-func (g *CFG) FindNode(n ast.Node) (*Block, int) {
-	for _, blk := range g.Blocks {
-		for i, cand := range blk.Nodes {
-			if cand == n {
-				return blk, i
-			}
-		}
-	}
-	return nil, -1
-}
-
 // ReachesAvoiding reports whether dst is reachable from the position
 // just after node idx of blk without first crossing a node for which
 // kill returns true. This is the core query behind "is there a path

@@ -8,7 +8,7 @@ import (
 )
 
 // KernelAlloc keeps the batched hot path at hardware speed (ROADMAP
-// north star): the register-blocked tile kernels and word-masked inner
+// north star): the register-blocked tile kernels and the bitset inner
 // loops must not allocate, spawn goroutines, or format — one stray
 // append in a per-pixel loop is a hidden O(pixels) allocation storm
 // that the benchmarks only catch after the regression ships. The

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bfast/internal/core"
+	"bfast/internal/obs"
 	"bfast/internal/series"
 	"bfast/internal/workload"
 )
@@ -79,6 +80,21 @@ func TestCLikeBitIdenticalToReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertIdentical(t, want, got, "clike")
+}
+
+// TestCLikeLeavesKernelPixelsAlone: the comparator must not inflate the
+// production kernel.pixels counter of a process that also runs the
+// detector.
+func TestCLikeLeavesKernelPixelsAlone(t *testing.T) {
+	b := genBatch(t, 50, 128, 64, 0.3, 0.2, 36)
+	pixels := obs.Default().Counter("kernel.pixels")
+	before := pixels.Value()
+	if _, err := CLike(context.Background(), b, core.DefaultOptions(64), 2); err != nil {
+		t.Fatal(err)
+	}
+	if got := pixels.Value(); got != before {
+		t.Fatalf("kernel.pixels moved from %d to %d across CLike", before, got)
+	}
 }
 
 func TestCLikeSolversBitIdentical(t *testing.T) {

@@ -24,24 +24,17 @@ package baseline
 import (
 	"context"
 	"math"
-	"time"
 
 	"bfast/internal/core"
-	"bfast/internal/obs"
 	"bfast/internal/sched"
 	"bfast/internal/series"
 )
 
-// Baseline kernel metrics: the C-like fused pass accounts its whole
-// per-pixel sweep under kernel.fused.ns, plus the pixels it processed.
-var (
-	statFusedNs      = obs.Default().Counter("kernel.fused.ns")
-	statKernelPixels = obs.Default().Counter("kernel.pixels")
-)
-
 // CLike runs BFAST-Monitor over the batch with the optimized fused CPU
 // implementation using the given number of workers (0 = GOMAXPROCS).
-// Results are bit-identical to core.Detect on every pixel.
+// Results are bit-identical to core.Detect on every pixel. As a
+// comparator it writes no obs metrics, so the production kernel.*
+// families count only the detector's work.
 //
 // Execution: each pixel's validity bitset is computed once for the
 // batch; the fused per-pixel pass then walks the bitset-derived valid
@@ -76,15 +69,12 @@ func CLike(ctx context.Context, b *core.Batch, opt core.Options, workers int) ([
 	if err != nil {
 		return nil, err
 	}
-	statKernelPixels.Add(int64(b.M))
 	err = sched.ForEachScratchCtx(ctx, sched.Shared(), b.M, workers, sched.DefaultGrain,
 		func() *scratch { return newScratch(opt.K(), b.N) },
 		func(s *scratch, lo, hi int) {
-			t0 := time.Now()
 			for i := lo; i < hi; i++ {
 				detectScratchMasked(b.Row(i), mask.Row(i), x, opt, lambda, s, &out[i])
 			}
-			statFusedNs.Add(int64(time.Since(t0)))
 		})
 	if err != nil {
 		return nil, err

@@ -186,11 +186,12 @@ func TestBatchMaskMatchesRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := make([]uint64, series.MaskWords(b.N))
 		for i := 0; i < b.M; i++ {
-			want := series.MaskOf(b.Row(i))
+			series.FillMask(b.Row(i), want)
 			row := bm.Row(i)
 			for wi := range row {
-				if row[wi] != want.Words[wi] {
+				if row[wi] != want[wi] {
 					t.Fatalf("workers=%d pixel %d word %d differs", w, i, wi)
 				}
 			}

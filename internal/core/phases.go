@@ -11,16 +11,13 @@ import (
 // not wall time), plus the number of pixels processed. Time is
 // attributed to the paper's kernel groups — cross product (ker 1–2, with
 // the tile gather), inversion + β (ker 3–5), residuals (ker 6–7), MOSUM
-// monitoring (ker 8–10) — once per steal unit. kernel.fused.ns is fed
-// only by the C-like baseline's single pass; it is registered here too
-// so every process exports the same families.
+// monitoring (ker 8–10) — once per steal unit.
 var (
 	statKernelPixels = obs.Default().Counter("kernel.pixels")
 	statCrossNs      = obs.Default().Counter("kernel.cross_product.ns")
 	statInvertNs     = obs.Default().Counter("kernel.invert.ns")
 	statResidualNs   = obs.Default().Counter("kernel.residual.ns")
 	statMosumNs      = obs.Default().Counter("kernel.mosum.ns")
-	_                = obs.Default().Counter("kernel.fused.ns")
 )
 
 // sinceNs returns the elapsed nanoseconds since t0 — a tiny wrapper so

@@ -92,18 +92,6 @@ func design32From(d64 *series.DesignMatrix) *Design32 {
 	return out
 }
 
-// At returns regressor j at date t.
-func (d *Design32) At(j, t int) float32 { return d.Data[j*d.N+t] }
-
-// HistorySlice returns the K×n sub-design X[:, :n] as a new Design32.
-func (d *Design32) HistorySlice(n int) *Design32 {
-	out := &Design32{K: d.K, N: n, Data: make([]float32, d.K*n)}
-	for j := 0; j < d.K; j++ {
-		copy(out.Data[j*n:(j+1)*n], d.Data[j*d.N:j*d.N+n])
-	}
-	return out
-}
-
 // isNaN32 reports whether v is NaN without the float64 round trip.
 func isNaN32(v float32) bool { return v != v }
 

@@ -6,21 +6,12 @@ import (
 	"math/bits"
 )
 
-// ValidMask is a per-pixel validity bitset: bit t (LSB-first, bit t%64
-// of word t/64) is set iff observation t is valid (non-NaN). It is the
-// CPU analogue of the paper's missing-value handling in the masked
-// batched kernels (§III-C): the NaN pattern is discovered once and every
-// subsequent kernel pass iterates mask words instead of re-testing
-// each element with math.IsNaN. A word equal to AllValidWord means 64
-// consecutive valid observations and unlocks the dense fast path —
-// mirroring the paper's argument that padded, fully-valid groups run at
-// regular-kernel speed.
-type ValidMask struct {
-	// N is the number of observations covered (bits beyond N are zero).
-	N int
-	// Words holds the ceil(N/64) validity words.
-	Words []uint64
-}
+// A validity mask is a per-pixel bitset: bit t (LSB-first, bit t%64 of
+// word t/64) is set iff observation t is valid (non-NaN). It is the CPU
+// analogue of the paper's missing-value handling in the masked batched
+// kernels (§III-C): the NaN pattern is discovered once and every later
+// pass iterates mask words instead of re-testing each element with
+// math.IsNaN.
 
 // AllValidWord is a fully-set validity word: 64 consecutive valid dates.
 const AllValidWord = ^uint64(0)
@@ -62,34 +53,6 @@ func FillMask(y []float64, words []uint64) {
 	}
 }
 
-// MaskOf builds the validity mask for one series.
-func MaskOf(y []float64) ValidMask {
-	m := ValidMask{N: len(y), Words: make([]uint64, MaskWords(len(y)))}
-	FillMask(y, m.Words)
-	return m
-}
-
-// Valid reports whether observation t is valid.
-func (m ValidMask) Valid(t int) bool {
-	return t >= 0 && t < m.N && m.Words[t/64]&(1<<uint(t%64)) != 0
-}
-
-// CountValid returns N̄, the number of valid observations, via popcount.
-func (m ValidMask) CountValid() int { return CountBits(m.Words, m.N) }
-
-// CountValidPrefix returns n̄: the number of valid observations among
-// the first n dates (the stable history period).
-func (m ValidMask) CountValidPrefix(n int) int {
-	if n > m.N {
-		n = m.N
-	}
-	return CountBits(m.Words, n)
-}
-
-// AllValid reports whether every one of the first n observations is
-// valid — the fast-path test mirroring the paper's padding argument.
-func (m ValidMask) AllValid(n int) bool { return AllValidBits(m.Words, n) }
-
 // CountBits returns the popcount of the first n bits of words.
 //
 //bfast:kernel
@@ -106,57 +69,6 @@ func CountBits(words []uint64, n int) int {
 		c += bits.OnesCount64(words[full] & (1<<uint(tail) - 1))
 	}
 	return c
-}
-
-// AllValidBits reports whether the first n bits of words are all set.
-func AllValidBits(words []uint64, n int) bool {
-	if n <= 0 {
-		return true
-	}
-	full := n / 64
-	for _, w := range words[:full] {
-		if w != AllValidWord {
-			return false
-		}
-	}
-	if tail := n % 64; tail != 0 {
-		m := uint64(1)<<uint(tail) - 1
-		return words[full]&m == m
-	}
-	return true
-}
-
-// NthValid returns the original index of the k-th (0-based) valid
-// observation among the first n dates, or -1 if fewer than k+1 exist.
-// It skips whole words by popcount and bit-scans only the final word —
-// the remapIndices step of Fig. 12 driven by the bitset.
-//
-//bfast:kernel
-func NthValid(words []uint64, n, k int) int {
-	if k < 0 {
-		return -1
-	}
-	full := n / 64
-	tail := n % 64
-	for wi := 0; ; wi++ {
-		var w uint64
-		switch {
-		case wi < full:
-			w = words[wi]
-		case wi == full && tail != 0:
-			w = words[wi] & (1<<uint(tail) - 1)
-		default:
-			return -1
-		}
-		if c := bits.OnesCount64(w); k >= c {
-			k -= c
-			continue
-		}
-		for ; k > 0; k-- {
-			w &= w - 1 // clear lowest set bit
-		}
-		return wi*64 + bits.TrailingZeros64(w)
-	}
 }
 
 // KeepBits compacts words in place to the dates set in keep (a bitset
@@ -222,11 +134,6 @@ func NewBatchMask(m, n int, y []float64) *BatchMask {
 // Row returns pixel i's validity words (a view, not a copy).
 func (b *BatchMask) Row(i int) []uint64 {
 	return b.Words[i*b.WordsPerRow : (i+1)*b.WordsPerRow]
-}
-
-// RowMask returns pixel i's words wrapped as a ValidMask.
-func (b *BatchMask) RowMask(i int) ValidMask {
-	return ValidMask{N: b.N, Words: b.Row(i)}
 }
 
 // AppendValidIndices appends the original indices of the valid

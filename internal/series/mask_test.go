@@ -18,22 +18,29 @@ func randSeries(rng *rand.Rand, n int, nanFrac float64) []float64 {
 	return y
 }
 
+// maskOf builds the validity words of one series.
+func maskOf(y []float64) []uint64 {
+	words := make([]uint64, MaskWords(len(y)))
+	FillMask(y, words)
+	return words
+}
+
 func TestMaskAllNaNPixel(t *testing.T) {
 	y := make([]float64, 100)
 	for i := range y {
 		y[i] = math.NaN()
 	}
-	m := MaskOf(y)
-	if m.CountValid() != 0 || m.CountValidPrefix(50) != 0 {
+	words := maskOf(y)
+	if CountBits(words, 100) != 0 || CountBits(words, 50) != 0 {
 		t.Fatal("all-NaN pixel must count zero valid")
 	}
-	if m.AllValid(1) || m.AllValid(100) {
+	if CountBits(words, 1) == 1 || CountBits(words, 100) == 100 {
 		t.Fatal("all-NaN pixel cannot be all-valid")
 	}
-	if NthValid(m.Words, 100, 0) != -1 {
-		t.Fatal("NthValid on empty mask must be -1")
+	if idx := AppendValidIndices(nil, words, 100); len(idx) != 0 {
+		t.Fatalf("all-NaN pixel lists valid dates %v", idx)
 	}
-	for _, w := range m.Words {
+	for _, w := range words {
 		if w != 0 {
 			t.Fatal("all-NaN pixel must have zero words")
 		}
@@ -46,21 +53,24 @@ func TestMaskAllValidFastPathWord(t *testing.T) {
 	for i := range y {
 		y[i] = float64(i)
 	}
-	m := MaskOf(y)
-	for wi, w := range m.Words {
+	words := maskOf(y)
+	for wi, w := range words {
 		if w != AllValidWord {
 			t.Fatalf("word %d = %#x, want all-ones fast-path word", wi, w)
 		}
 	}
-	if !m.AllValid(128) || !m.AllValid(64) || !m.AllValid(1) {
-		t.Fatal("AllValid must hold on an all-valid pixel")
+	for _, n := range []int{1, 64, 70, 128} {
+		if CountBits(words, n) != n {
+			t.Fatalf("CountBits(%d) = %d on an all-valid pixel", n, CountBits(words, n))
+		}
 	}
-	if m.CountValid() != 128 || m.CountValidPrefix(70) != 70 {
-		t.Fatal("popcount counts wrong on all-valid pixel")
+	idx := AppendValidIndices(nil, words, 128)
+	if len(idx) != 128 {
+		t.Fatalf("AppendValidIndices lists %d dates, want 128", len(idx))
 	}
-	for k := 0; k < 128; k++ {
-		if NthValid(m.Words, 128, k) != k {
-			t.Fatalf("NthValid(%d) wrong on all-valid pixel", k)
+	for k, q := range idx {
+		if q != k {
+			t.Fatalf("AppendValidIndices[%d] = %d on an all-valid pixel", k, q)
 		}
 	}
 }
@@ -73,28 +83,25 @@ func TestMaskTailWordNotMultipleOf64(t *testing.T) {
 		y[i] = 1
 	}
 	y[69] = math.NaN()
-	m := MaskOf(y)
-	if len(m.Words) != 2 {
-		t.Fatalf("expected 2 words for N=70, got %d", len(m.Words))
+	words := maskOf(y)
+	if len(words) != 2 {
+		t.Fatalf("expected 2 words for N=70, got %d", len(words))
 	}
-	if m.Words[1]>>6 != 0 {
+	if words[1]>>6 != 0 {
 		t.Fatal("bits beyond N must be zero")
 	}
-	if m.CountValid() != 69 {
-		t.Fatalf("CountValid = %d, want 69", m.CountValid())
+	if c := CountBits(words, 70); c != 69 {
+		t.Fatalf("CountBits(70) = %d, want 69", c)
 	}
-	if m.AllValid(70) {
-		t.Fatal("AllValid(70) must be false with a NaN at 69")
+	if c := CountBits(words, 69); c != 69 {
+		t.Fatalf("CountBits(69) = %d, want 69", c)
 	}
-	if !m.AllValid(69) {
-		t.Fatal("AllValid(69) must be true")
-	}
-	if NthValid(m.Words, 70, 68) != 68 || NthValid(m.Words, 70, 69) != -1 {
-		t.Fatal("NthValid tail handling wrong")
+	if idx := AppendValidIndices(nil, words, 70); len(idx) != 69 || idx[68] != 68 {
+		t.Fatalf("AppendValidIndices tail handling wrong: %d dates", len(idx))
 	}
 	// CountBits with n inside the tail word.
-	if CountBits(m.Words, 66) != 66 {
-		t.Fatalf("CountBits(66) = %d, want 66", CountBits(m.Words, 66))
+	if CountBits(words, 66) != 66 {
+		t.Fatalf("CountBits(66) = %d, want 66", CountBits(words, 66))
 	}
 }
 
@@ -108,23 +115,23 @@ func TestMaskMatchesFilterMissingRandomized(t *testing.T) {
 				hist = n
 			}
 			f := FilterMissing(y, hist)
-			m := MaskOf(y)
-			if m.CountValid() != f.NValid {
-				t.Fatalf("n=%d frac=%g: CountValid %d != %d", n, frac, m.CountValid(), f.NValid)
+			words := maskOf(y)
+			if c := CountBits(words, n); c != f.NValid {
+				t.Fatalf("n=%d frac=%g: CountBits %d != %d", n, frac, c, f.NValid)
 			}
-			if m.CountValidPrefix(hist) != f.NValidHist {
-				t.Fatalf("n=%d frac=%g: prefix count %d != %d", n, frac, m.CountValidPrefix(hist), f.NValidHist)
+			if c := CountBits(words, hist); c != f.NValidHist {
+				t.Fatalf("n=%d frac=%g: prefix count %d != %d", n, frac, c, f.NValidHist)
 			}
-			if m.CountValid() != CountValid(y) {
+			if CountBits(words, n) != CountValid(y) {
 				t.Fatal("mask count disagrees with CountValid")
 			}
 			for t2 := 0; t2 < n; t2++ {
-				if m.Valid(t2) == math.IsNaN(y[t2]) {
-					t.Fatalf("Valid(%d) wrong", t2)
+				if valid := words[t2/64]&(1<<uint(t2%64)) != 0; valid == math.IsNaN(y[t2]) {
+					t.Fatalf("bit %d wrong", t2)
 				}
 			}
-			// NthValid and AppendValidIndices must reproduce Filtered.Index.
-			idx := AppendValidIndices(nil, m.Words, n)
+			// AppendValidIndices must reproduce Filtered.Index.
+			idx := AppendValidIndices(nil, words, n)
 			if len(idx) != f.NValid {
 				t.Fatalf("AppendValidIndices length %d != %d", len(idx), f.NValid)
 			}
@@ -132,12 +139,6 @@ func TestMaskMatchesFilterMissingRandomized(t *testing.T) {
 				if idx[k] != f.Index[k] {
 					t.Fatalf("index %d: %d != %d", k, idx[k], f.Index[k])
 				}
-				if NthValid(m.Words, n, k) != f.Index[k] {
-					t.Fatalf("NthValid(%d) != Filtered.Index", k)
-				}
-			}
-			if NthValid(m.Words, n, f.NValid) != -1 {
-				t.Fatal("NthValid past the last valid must be -1")
 			}
 		}
 	}
@@ -159,16 +160,12 @@ func TestBatchMaskRowsMatchPerPixelMasks(t *testing.T) {
 		t.Fatal("WordsPerRow wrong")
 	}
 	for i := 0; i < M; i++ {
-		want := MaskOf(y[i*N : (i+1)*N])
+		want := maskOf(y[i*N : (i+1)*N])
 		row := bm.Row(i)
 		for wi := range row {
-			if row[wi] != want.Words[wi] {
+			if row[wi] != want[wi] {
 				t.Fatalf("pixel %d word %d differs", i, wi)
 			}
-		}
-		rm := bm.RowMask(i)
-		if rm.N != N || rm.CountValid() != want.CountValid() {
-			t.Fatal("RowMask wrong")
 		}
 	}
 }
@@ -179,8 +176,8 @@ func TestBatchMaskEmpty(t *testing.T) {
 		t.Fatal("empty batch mask wrong")
 	}
 	// Zero-length series: zero words, counts zero.
-	m := MaskOf(nil)
-	if len(m.Words) != 0 || m.CountValid() != 0 || !m.AllValid(0) {
+	words := maskOf(nil)
+	if len(words) != 0 || CountBits(words, 0) != 0 || len(AppendValidIndices(nil, words, 0)) != 0 {
 		t.Fatal("empty series mask wrong")
 	}
 }
@@ -264,7 +261,7 @@ func TestKeepBitsMatchesBitByBit(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(330)
 		w := MaskWords(n)
-		words := MaskOf(randSeries(rng, n, rng.Float64())).Words
+		words := maskOf(randSeries(rng, n, rng.Float64()))
 		keep := make([]uint64, w)
 		switch density := rng.Float64(); trial % 4 {
 		case 0:

@@ -292,7 +292,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, key := range []string{
 		"server.batch.requests", "server.batch.ok", "server.batch.latency_ms",
 		"server.inflight", "server.rate_limited",
-		"sched.blocks.run", "sched.loops", "kernel.pixels", "kernel.fused.ns",
+		"sched.blocks.run", "sched.loops", "kernel.pixels",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("/metrics missing %q", key)

@@ -13,9 +13,8 @@ import (
 // the shared design matrix once per tile and updating per-pixel
 // accumulators (the CPU analogue of Fig. 4's register tiling). All three
 // accumulate per pixel over valid dates in increasing date order — the
-// same order as the per-pixel word-masked kernels and the seed's skip-NaN
-// loops — so every lane's floating-point sequence, and hence its result,
-// is bit-identical to the untiled paths.
+// same order as scalar core.Detect — so every lane's floating-point
+// sequence, and hence its result, is bit-identical to that oracle.
 //
 // The kernels are shaped for what gc will actually emit, not for an
 // auto-vectorizer it doesn't have:
@@ -34,10 +33,8 @@ import (
 //   - Dense and partial segments take separate straight-line paths over
 //     fixed-stride subslices rebound as s2 = s2[:len(s1)], the idiom gc's
 //     prove pass needs to drop bounds checks from the inner loops.
-//   - The hot 8-lane helpers live in kernels_lane8*.go behind GOAMD64
-//     build tags: the portable shape unrolls dates by pairs; the
-//     amd64.v3 variant unrolls deeper (gc emits no FMA contraction on
-//     amd64 at any GOAMD64 level, so the variants are bit-identical).
+//   - The hot 8-lane helpers live in kernels_lane8.go and unroll dates
+//     by pairs.
 //
 // Ragged lane counts (tiles narrower than eight, or a tail block) fall
 // back to generic segment-driven paths that keep the same per-lane

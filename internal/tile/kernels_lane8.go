@@ -1,12 +1,7 @@
-//go:build !amd64.v3
-
 package tile
 
-// Portable 8-lane kernel helpers. The amd64.v3 counterparts in
-// kernels_lane8_v3.go keep the same per-lane floating-point sequence
-// (adds in strict date order) with deeper unrolling; gc performs no FMA
-// contraction on amd64 at any GOAMD64 level, so the two variants are
-// bit-identical and differ only in schedule pressure.
+// 8-lane kernel helpers: every accumulator receives its products in
+// strict date order, the per-lane floating-point sequence of core.Detect.
 
 // crossAcc8 accumulates lane block [base, base+8)'s Σ_t r1[t]·r2[t] over
 // the schedule's segments clipped to [0, clip), overwriting acc[0:8].

@@ -148,16 +148,6 @@ func (pl *Plan) Indices(ti int) []int {
 	return pl.Order[lo : lo+pl.Width(ti)]
 }
 
-// Inverse returns the inverse permutation: Inverse()[pixel] = slot. It is
-// the scatter map from tiled slots back to batch order.
-func (pl *Plan) Inverse() []int {
-	inv := make([]int, pl.M)
-	for s, px := range pl.Order {
-		inv[px] = s
-	}
-	return inv
-}
-
 // Data is one gathered tile: P (≤ T) pixel series of length N in
 // time-major layout, plus the per-date column masks. The buffers are
 // per-worker scratch, reused across tiles and (pooled) across calls.
@@ -278,17 +268,6 @@ func (d *Data) GatherMask(mask *series.BatchMask, idx []int) {
 				}
 			}
 		}
-	}
-}
-
-// Scatter copies the lane-major per-pixel vectors src (stride per lane
-// `stride`, lane p at src[p*stride:...]) back to batch order in dst
-// (stride `stride` per pixel) — the inverse of Gather for per-pixel
-// outputs. Used by tests to check round-trips; the detection drivers
-// scatter per-pixel results directly by Idx.
-func (d *Data) Scatter(dst, src []float64, stride int) {
-	for p, px := range d.Idx {
-		copy(dst[px*stride:(px+1)*stride], src[p*stride:(p+1)*stride])
 	}
 }
 

@@ -34,8 +34,8 @@ func randomScene(rng *rand.Rand, m, n int, nanFrac float64) []float64 {
 }
 
 // TestPlanBinningPermutation: Order must be a permutation of [0, M),
-// sorted by ascending validity popcount, stable within equal counts, and
-// Inverse must invert it — for M below, equal to, and not divisible by T.
+// sorted by ascending validity popcount and stable within equal counts —
+// for M below, equal to, and not divisible by T.
 func TestPlanBinningPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ m, n, tw int }{
@@ -47,6 +47,9 @@ func TestPlanBinningPermutation(t *testing.T) {
 		pl := NewPlan(mask, tc.tw)
 		if pl.Tiles != (tc.m+tc.tw-1)/tc.tw {
 			t.Fatalf("M=%d T=%d: %d tiles", tc.m, tc.tw, pl.Tiles)
+		}
+		if len(pl.Order) != tc.m {
+			t.Fatalf("M=%d: Order has %d entries", tc.m, len(pl.Order))
 		}
 		seen := make([]bool, tc.m)
 		prevCount, prevIdx := -1, -1
@@ -63,12 +66,6 @@ func TestPlanBinningPermutation(t *testing.T) {
 				t.Fatalf("M=%d: binning not stable within count %d", tc.m, c)
 			}
 			prevCount, prevIdx = c, px
-		}
-		inv := pl.Inverse()
-		for s, px := range pl.Order {
-			if inv[px] != s {
-				t.Fatalf("M=%d: Inverse()[Order[%d]] = %d", tc.m, s, inv[px])
-			}
 		}
 		// Tile widths must cover exactly M slots.
 		total := 0
@@ -105,11 +102,11 @@ func TestGatherRoundTrip(t *testing.T) {
 				t.Fatalf("P=%d for %d pixels", d.P, len(idx))
 			}
 			for p, px := range idx {
-				vm := mask.RowMask(px)
+				row := mask.Row(px)
 				for tt := 0; tt < tc.n; tt++ {
 					bit := d.ColMask[tt]&(1<<uint(p)) != 0
-					if bit != vm.Valid(tt) {
-						t.Fatalf("pixel %d date %d: column-mask bit %v, mask %v", px, tt, bit, vm.Valid(tt))
+					if valid := row[tt/64]&(1<<uint(tt%64)) != 0; bit != valid {
+						t.Fatalf("pixel %d date %d: column-mask bit %v, mask %v", px, tt, bit, valid)
 					}
 					if bit && d.Y[tt*d.T+p] != y[px*tc.n+tt] {
 						t.Fatalf("pixel %d date %d: %v != %v", px, tt, d.Y[tt*d.T+p], y[px*tc.n+tt])
@@ -127,8 +124,9 @@ func TestGatherRoundTrip(t *testing.T) {
 }
 
 // TestScatterInvertsGather: a per-pixel vector gathered into lane-major
-// rows and scattered back by Idx must land at the original pixels —
-// through the binning permutation and ragged tiles.
+// rows and scattered back by Idx, as the detection drivers scatter their
+// results, must land at the original pixels — through the binning
+// permutation and ragged tiles.
 func TestScatterInvertsGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const m, n, tw, stride = 21, 90, 8, 3
@@ -148,7 +146,9 @@ func TestScatterInvertsGather(t *testing.T) {
 		for p, px := range idx {
 			copy(lane[p*stride:(p+1)*stride], src[px*stride:(px+1)*stride])
 		}
-		d.Scatter(dst, lane, stride)
+		for p, px := range d.Idx {
+			copy(dst[px*stride:(px+1)*stride], lane[p*stride:(p+1)*stride])
+		}
 	}
 	for i := range src {
 		if dst[i] != src[i] {

@@ -9,7 +9,7 @@
 # come out: one sentinel finding per analyzer, the exact total, a
 # clean exit on a clean package, and a well-formed -json rendering.
 #
-# The fixtures import fixture-local fake packages ("obs", "compat", …)
+# The fixtures import fixture-local fake packages ("obs", …)
 # by bare path, so they are loaded GOPATH-style: the testdata/src tree
 # is symlinked in as a GOPATH src root and the driver runs with
 # GO111MODULE=off. That is the same source the analysistest harness
@@ -23,7 +23,7 @@ set -eu
 cd "$(dirname "$0")/.."
 ROOT="$(pwd)"
 
-EXPECT_TOTAL=46
+EXPECT_TOTAL=44
 
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT INT TERM
@@ -68,7 +68,6 @@ kernels are allocation-free|kernelalloc
 the hot-path contract is ctx-first|ctxfirst
 span from obs.StartSpan is never Ended|spanpair
 span from obs.StartSpan may leak|spanpair(path)
-call to deprecated compat.DetectBatchStrategy|nodeprecated
 is not released on every path|lockpair
 self-deadlock|lockpair(held)
 fire-and-forget goroutine|golifecycle
