@@ -1,43 +1,22 @@
 // bfast-lint machine-checks the repo's correctness invariants with the
-// analyzer suite in internal/analysis. Two modes:
+// analyzer suite in internal/analysis, as a standalone multichecker:
 //
-//	bfast-lint ./...              standalone multichecker over packages
+//	bfast-lint ./...              analyze the matching packages
 //	bfast-lint -json ./...        same, findings as a JSON array for CI
-//	go vet -vettool=$(which bfast-lint) ./...
-//	                              unit-at-a-time under the go command
+//	bfast-lint -list              print the analyzers and their invariants
 //
-// Standalone exit codes: 0 clean, 1 findings, 2 operational failure.
-// Under go vet the tool follows the vettool protocol (single .cfg
-// argument, -V=full version handshake, exit 2 on findings).
+// Exit codes: 0 clean, 1 findings, 2 operational failure.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"bfast/internal/analysis"
 )
 
 func main() {
 	args := os.Args[1:]
-	for _, a := range args {
-		if a == "-V=full" || a == "--V=full" || a == "-V" {
-			printVersion()
-			return
-		}
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// go vet probes the vettool for its analyzer flags; the suite
-		// exposes none.
-		fmt.Println("[]")
-		return
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(analysis.RunUnitchecker(args[0], analysis.All(), os.Stderr))
-	}
 	if len(args) > 0 && args[0] == "-list" {
 		for _, a := range analysis.All() {
 			fmt.Printf("%-14s %s\n", a.Name, a.Doc)
@@ -54,18 +33,4 @@ func main() {
 		patterns = append(patterns, a)
 	}
 	os.Exit(analysis.RunStandalone(".", patterns, analysis.All(), os.Stdout, asJSON))
-}
-
-// printVersion answers go vet's -V=full handshake. The go command
-// stamps analysis caching with this line, so it hashes the executable:
-// rebuilding the linter invalidates cached vet results.
-func printVersion() {
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	fmt.Printf("bfast-lint version devel buildID=%x\n", h.Sum(nil)[:16])
 }

@@ -1,8 +1,7 @@
 // Package analysis is bfast-lint's static-analysis framework: a
 // stdlib-only reimplementation of the slice of golang.org/x/tools'
 // go/analysis model that the suite needs (Analyzer, Pass, Diagnostic,
-// a package loader, a standalone driver and the `go vet -vettool`
-// unit protocol).
+// a package loader and a standalone driver).
 //
 // The design deliberately mirrors x/tools so the analyzers could be
 // ported onto the real framework by swapping imports if the dependency
@@ -42,8 +41,7 @@ type Analyzer struct {
 	// whole-module standalone run has been checked, and returns
 	// run-wide findings — invariants that only make sense for the
 	// repository as a whole (metricdoc's golden-file cross-check).
-	// Drivers that see one package at a time (the vet unitchecker) and
-	// partial-pattern runs skip it, since its cross-package state would
+	// Partial-pattern runs skip it, since its cross-package state would
 	// be incomplete.
 	Finish func() []Diagnostic
 }
@@ -92,9 +90,9 @@ func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 // Check runs every analyzer over pkg and returns the surviving
 // diagnostics: test-file findings dropped, //lint:allow suppressions
 // applied, malformed and stale allow annotations reported, sorted by
-// position. This is the one funnel shared by the standalone driver,
-// the vettool protocol and the tests, so suppression semantics cannot
-// drift between entry points.
+// position. This is the one funnel shared by the standalone driver
+// and the tests, so suppression semantics cannot drift between entry
+// points.
 func Check(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var raw []Diagnostic
 	for _, a := range analyzers {

@@ -33,10 +33,11 @@ func statesEqual(a, b State) bool {
 		a.BreakOffset == b.BreakOffset
 }
 
-// TestMonitorSnapshotResumeBitIdentical: snapshotting mid-stream and
-// resuming must continue bit-identically to the uninterrupted monitor,
-// across NaN fractions including heavily-gapped series, for both MOSUM
-// and CUSUM processes, and at every split point.
+// TestMonitorSnapshotResumeBitIdentical: a monitor continued mid-stream
+// from a deep copy of its record, with a freshly built design matrix (as
+// an NRT restore does), must continue bit-identically to the
+// uninterrupted monitor, across NaN fractions including heavily-gapped
+// series, for both MOSUM and CUSUM processes, and at every split point.
 func TestMonitorSnapshotResumeBitIdentical(t *testing.T) {
 	N, n := 320, 160
 	for _, nanFrac := range []float64{0, 0.5, 0.9} {
@@ -66,10 +67,17 @@ func TestMonitorSnapshotResumeBitIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				pushAll(t, mon, y, n, split)
-				resumed, err := ResumeMonitor(mon.Snapshot())
-				if err != nil {
-					t.Fatalf("nan=%g cusum=%v trial=%d: resume: %v", nanFrac, cusum, trial, err)
+				if err := mon.st.Check(opt, mon.t); err != nil {
+					t.Fatalf("nan=%g cusum=%v trial=%d: live record fails its check: %v", nanFrac, cusum, trial, err)
 				}
+				x, err := DesignFor(opt, N)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed := &Monitor{opt: opt, lambda: mon.lambda, x: x, t: mon.t, st: mon.st.Clone()}
+				// The original keeps going first: a copy that aliased its
+				// window would diverge below.
+				pushAll(t, mon, y, split, N)
 				got := pushAll(t, resumed, y, split, N)
 				for i, st := range got {
 					if want := refStates[split-n+i]; !statesEqual(st, want) {
@@ -85,17 +93,17 @@ func TestMonitorSnapshotResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMonitorSnapshotIsDeepCopy: mutating a snapshot must not affect the
-// monitor it was taken from.
-func TestMonitorSnapshotIsDeepCopy(t *testing.T) {
+// TestMonitorStateCloneIsDeepCopy: mutating a cloned record must not
+// affect the monitor it was taken from.
+func TestMonitorStateCloneIsDeepCopy(t *testing.T) {
 	N, n := 200, 100
 	rng := rand.New(rand.NewSource(9100))
 	y := synthSeries(rng, N, 3, 23, 0.05, -1, 0, 0)
-	mon, err := NewMonitor(y[:n], N, opt9100(n))
+	mon, err := NewMonitor(y[:n], N, defaultTestOpts(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := mon.Snapshot()
+	st := mon.st.Clone()
 	for i := range st.Beta {
 		st.Beta[i] = math.NaN()
 	}
@@ -107,48 +115,7 @@ func TestMonitorSnapshotIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.IsNaN(got.Process) {
-		t.Fatal("snapshot mutation reached the live monitor")
-	}
-}
-
-func opt9100(n int) Options { return defaultTestOpts(n) }
-
-// TestResumeMonitorRejectsInvalid: a snapshot that violates internal
-// invariants (whatever checksum it arrived under) must be rejected.
-func TestResumeMonitorRejectsInvalid(t *testing.T) {
-	N, n := 200, 100
-	rng := rand.New(rand.NewSource(9200))
-	y := synthSeries(rng, N, 3, 23, 0.05, -1, 0, 0)
-	mon, err := NewMonitor(y[:n], N, defaultTestOpts(n))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := mon.Snapshot()
-	mutate := []func(*MonitorState){
-		func(s *MonitorState) { s.Beta = s.Beta[:3] },
-		func(s *MonitorState) { s.Sigma = 0 },
-		func(s *MonitorState) { s.Sigma = math.NaN() },
-		func(s *MonitorState) { s.Lambda = -1 },
-		func(s *MonitorState) { s.T = N + 1 },
-		func(s *MonitorState) { s.T = n - 1 },
-		func(s *MonitorState) { s.ValidMon = N },
-		func(s *MonitorState) { s.Break = N },
-		func(s *MonitorState) { s.Window = s.Window[:1] },
-		func(s *MonitorState) { s.WPos = len(s.Window) },
-		func(s *MonitorState) { s.NBar = 2 },
-		func(s *MonitorState) { s.Options.History = 0 },
-	}
-	for i, f := range mutate {
-		st := base
-		st.Beta = append([]float64(nil), base.Beta...)
-		st.Window = append([]float64(nil), base.Window...)
-		f(&st)
-		if _, err := ResumeMonitor(st); err == nil {
-			t.Fatalf("mutation %d: invalid snapshot accepted", i)
-		}
-	}
-	if _, err := ResumeMonitor(base); err != nil {
-		t.Fatalf("pristine snapshot rejected: %v", err)
+		t.Fatal("clone mutation reached the live monitor")
 	}
 }
 
@@ -164,7 +131,7 @@ func TestFitMonitorStatuses(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(9300))
 	good := synthSeries(rng, N, 3, 23, 0.05, -1, 0, 0)
-	if m, st, err := FitMonitor(good[:n], x, opt); err != nil || st != StatusOK || m == nil {
+	if m, st, err := FitMonitor(good[:n], x, opt); err != nil || st != StatusOK || m.Beta == nil {
 		t.Fatalf("good pixel: m=%v status=%v err=%v", m, st, err)
 	}
 
@@ -172,7 +139,7 @@ func TestFitMonitorStatuses(t *testing.T) {
 	for i := range allNaN {
 		allNaN[i] = math.NaN()
 	}
-	if m, st, err := FitMonitor(allNaN, x, opt); err != nil || st != StatusInsufficientHistory || m != nil {
+	if m, st, err := FitMonitor(allNaN, x, opt); err != nil || st != StatusInsufficientHistory || m.Beta != nil {
 		t.Fatalf("all-NaN history: m=%v status=%v err=%v", m, st, err)
 	}
 

@@ -1,16 +1,20 @@
 // Package nrt is the stateful near-real-time serving subsystem: fit a
-// scene's per-pixel monitors once, then fold each new acquisition date
-// across the whole scene in one batched scheduler-driven pass.
+// scene's per-pixel monitor records once, then fold each new acquisition
+// date across the whole scene in one batched scheduler-driven pass.
 //
 // The offline path (core.DetectBatch) reprocesses the full series every
 // time a new date arrives — O(n·K²) per pixel per date, almost all of it
 // redundant recomputation of an unchanged history fit. The streaming
-// monitor (core.Monitor) makes each update O(K), but serving it requires
-// the fitted state to live somewhere between requests. The Manager here
-// owns that state: a session per scene, a monitor per pixel, advanced in
-// lockstep (one session-level next-date cursor), persisted through a
-// state.Store so a restarted server resumes bit-identically to one that
-// never stopped (internal/state's codec round-trips every float64 bit).
+// update (core.MonitorState.Push) is O(K), but serving it requires the
+// fitted state to live somewhere between requests. The Manager here owns
+// that state: a session per scene keeps its state.SessionSnapshot
+// resident — one core.MonitorState record per pixel, advanced in
+// lockstep under one session-level next-date cursor — plus one design
+// matrix. The resident records are the snapshot: persisting encodes them
+// as they are, and restoring adopts the decoded records after a
+// consistency check, so a restarted server resumes bit-identically to
+// one that never stopped (internal/state's codec round-trips every
+// float64 bit).
 //
 // Sessions are deliberately dumb about time: a "date" is the next index
 // in the designed series, exactly as in the offline API. Feeding dates
@@ -37,6 +41,7 @@ import (
 	"bfast/internal/core"
 	"bfast/internal/obs"
 	"bfast/internal/sched"
+	"bfast/internal/series"
 	"bfast/internal/state"
 )
 
@@ -53,12 +58,11 @@ var (
 const DefaultCacheSize = 1 << 16
 
 // Config configures a Manager. The zero value works: in-memory store,
-// shared pool, default registry, snapshot after every observe.
+// default registry, snapshot after every observe. The per-pixel
+// fan-outs run on sched.Shared().
 type Config struct {
 	// Store persists session snapshots; nil = in-memory only.
 	Store state.Store
-	// Pool runs the per-pixel fan-outs; nil = sched.Shared().
-	Pool *sched.Pool
 	// Metrics receives nrt.* metrics; nil = obs.Default().
 	Metrics *obs.Registry
 	// SnapshotEvery persists a session after every k-th observe call
@@ -70,24 +74,14 @@ type Config struct {
 	CacheSize int
 }
 
-// pixel is one scene pixel: a live monitor, or its terminal fit status.
-type pixel struct {
-	status core.Status
-	mon    *core.Monitor // nil unless status == StatusOK
-	last   core.State    // standing after the latest observed date
-}
-
-// session is one fitted scene. Its mutex serializes observes and
-// snapshots; distinct sessions proceed concurrently.
+// session is one fitted scene: its durable state kept resident (one
+// record per pixel; Options canonical, Lambda resolved) and the design
+// matrix every record is pushed against. Its mutex serializes observes
+// and snapshots; distinct sessions proceed concurrently.
 type session struct {
-	mu        sync.Mutex
-	id        string
-	opt       core.Options // canonical
-	lambda    float64
-	history   int
-	capacity  int
-	nextDate  int
-	pixels    []pixel
+	mu sync.Mutex
+	state.SessionSnapshot
+	x         *series.DesignMatrix
 	sinceSnap int // observe calls since the last persisted snapshot
 	// lastObserve and lastSnap timestamp the session's most recent
 	// observe pass (fit counts) and persisted snapshot — the raw
@@ -100,13 +94,12 @@ type session struct {
 type Manager struct {
 	cfg   Config
 	store state.Store
-	pool  *sched.Pool
 
 	mu       sync.Mutex
 	sessions map[string]*session
 
 	cacheMu  sync.Mutex
-	cache    map[uint64]cachedFit
+	cache    map[uint64]state.PixelSnapshot
 	cacheSeq []uint64 // FIFO eviction order
 	cacheCap int
 
@@ -125,21 +118,11 @@ type Manager struct {
 	snapAgeMax  *obs.Gauge
 }
 
-// cachedFit is one pixel's reusable fit: its terminal status, or the
-// post-fit monitor state (T = history, nothing observed yet).
-type cachedFit struct {
-	status core.Status
-	st     core.MonitorState
-}
-
 // NewManager builds a Manager from cfg, filling zero fields with the
 // defaults documented on Config.
 func NewManager(cfg Config) *Manager {
 	if cfg.Store == nil {
 		cfg.Store = state.NewMemStore()
-	}
-	if cfg.Pool == nil {
-		cfg.Pool = sched.Shared()
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
@@ -155,9 +138,8 @@ func NewManager(cfg Config) *Manager {
 	return &Manager{
 		cfg:      cfg,
 		store:    cfg.Store,
-		pool:     cfg.Pool,
 		sessions: make(map[string]*session),
-		cache:    make(map[uint64]cachedFit),
+		cache:    make(map[uint64]state.PixelSnapshot),
 		cacheCap: cacheCap,
 
 		active:      reg.Gauge("nrt.sessions.active"),
@@ -205,10 +187,10 @@ type FitSummary struct {
 	CacheHits int    `json:"cache_hits"`
 }
 
-// Fit fits a scene's per-pixel monitors and registers a new session.
-// Per-pixel fit failures are not errors: they become terminal pixel
-// statuses in every verdict, mirroring the offline per-pixel Status
-// semantics. Errors are reserved for invalid requests and store
+// Fit fits a scene's per-pixel monitor records and registers a new
+// session. Per-pixel fit failures are not errors: they become terminal
+// pixel statuses in every verdict, mirroring the offline per-pixel
+// Status semantics. Errors are reserved for invalid requests and store
 // failures.
 func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) {
 	ctx, span := obs.StartSpan(ctx, "nrt.fit")
@@ -242,50 +224,39 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 	}
 
 	s := &session{
-		opt: opt, lambda: opt.Lambda,
-		history: opt.History, capacity: req.Capacity, nextDate: opt.History,
-		pixels: make([]pixel, m),
+		SessionSnapshot: state.SessionSnapshot{
+			History: opt.History, Capacity: req.Capacity, NextDate: opt.History,
+			Options: opt, Lambda: opt.Lambda,
+			Pixels: make([]state.PixelSnapshot, m),
+		},
+		x: x,
 		// A fresh session's observe lag is measured from its fit.
 		lastObserve: time.Now(),
 	}
 	var hits, fitErrs int64
 	var hitsMu sync.Mutex
-	err = mg.pool.ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
+	err = sched.Shared().ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
 		localHits := int64(0)
 		for i := lo; i < hi; i++ {
 			hist := req.History[i*opt.History : (i+1)*opt.History]
 			key := fitKey(queueKey, hist)
-			if cf, ok := mg.cacheGet(key); ok {
-				if cf.status != core.StatusOK {
-					s.pixels[i] = pixel{status: cf.status}
-					localHits++
-					continue
-				}
-				mon, rerr := core.ResumeMonitor(cf.st)
-				if rerr == nil {
-					s.pixels[i] = pixel{status: core.StatusOK, mon: mon}
-					localHits++
-					continue
-				}
-				// A cache entry that fails to resume is a bug upstream;
-				// fall through to a fresh fit rather than failing the scene.
+			if p, ok := mg.cacheGet(key); ok {
+				s.Pixels[i] = p
+				localHits++
+				continue
 			}
-			mon, st, ferr := core.FitMonitor(hist, x, opt)
+			rec, st, ferr := core.FitMonitor(hist, x, opt)
 			if ferr != nil {
 				// Caller-bug class errors are pre-validated above; record
 				// and keep going so one pixel cannot wedge the loop.
 				hitsMu.Lock()
 				fitErrs++
 				hitsMu.Unlock()
-				s.pixels[i] = pixel{status: core.StatusSingular}
+				s.Pixels[i] = state.PixelSnapshot{Status: core.StatusSingular}
 				continue
 			}
-			s.pixels[i] = pixel{status: st, mon: mon}
-			if st == core.StatusOK {
-				mg.cachePut(key, cachedFit{status: st, st: mon.Snapshot()})
-			} else {
-				mg.cachePut(key, cachedFit{status: st})
-			}
+			s.Pixels[i] = state.PixelSnapshot{Status: st, MonitorState: rec}
+			mg.cachePut(key, s.Pixels[i])
 		}
 		hitsMu.Lock()
 		hits += localHits
@@ -326,14 +297,14 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 
 func (mg *Manager) summary(id string, s *session, hits int) FitSummary {
 	ok := 0
-	for i := range s.pixels {
-		if s.pixels[i].status == core.StatusOK {
+	for i := range s.Pixels {
+		if s.Pixels[i].Status == core.StatusOK {
 			ok++
 		}
 	}
 	return FitSummary{
-		ID: id, Pixels: len(s.pixels), OK: ok, Failed: len(s.pixels) - ok,
-		History: s.history, Capacity: s.capacity, NextDate: s.nextDate,
+		ID: id, Pixels: len(s.Pixels), OK: ok, Failed: len(s.Pixels) - ok,
+		History: s.History, Capacity: s.Capacity, NextDate: s.NextDate,
 		CacheHits: hits,
 	}
 }
@@ -350,7 +321,7 @@ func (mg *Manager) register(s *session) (string, error) {
 		if _, taken := mg.sessions[id]; taken {
 			continue
 		}
-		s.id = id
+		s.ID = id
 		mg.sessions[id] = s
 		mg.active.Set(int64(len(mg.sessions)))
 		return id, nil
@@ -388,20 +359,28 @@ func fitKey(queueKey string, hist []float64) uint64 {
 	return h.Sum64()
 }
 
-func (mg *Manager) cacheGet(key uint64) (cachedFit, bool) {
+// cacheGet returns a deep copy of the cached fit for key: the session
+// that adopts it pushes the window in place.
+func (mg *Manager) cacheGet(key uint64) (state.PixelSnapshot, bool) {
 	if mg.cacheCap <= 0 {
-		return cachedFit{}, false
+		return state.PixelSnapshot{}, false
 	}
 	mg.cacheMu.Lock()
-	cf, ok := mg.cache[key]
+	p, ok := mg.cache[key]
 	mg.cacheMu.Unlock()
-	return cf, ok
+	if ok {
+		p.MonitorState = p.Clone()
+	}
+	return p, ok
 }
 
-func (mg *Manager) cachePut(key uint64, cf cachedFit) {
+// cachePut stores a deep copy of a freshly fitted pixel (nothing
+// observed yet), so the fitting session's pushes cannot reach the cache.
+func (mg *Manager) cachePut(key uint64, p state.PixelSnapshot) {
 	if mg.cacheCap <= 0 {
 		return
 	}
+	p.MonitorState = p.Clone()
 	mg.cacheMu.Lock()
 	if _, exists := mg.cache[key]; !exists {
 		for len(mg.cache) >= mg.cacheCap && len(mg.cacheSeq) > 0 {
@@ -411,7 +390,7 @@ func (mg *Manager) cachePut(key uint64, cf cachedFit) {
 		}
 		mg.cacheSeq = append(mg.cacheSeq, key)
 	}
-	mg.cache[key] = cf
+	mg.cache[key] = p
 	mg.cacheMu.Unlock()
 }
 
@@ -450,7 +429,8 @@ type ObserveResult struct {
 // scheduler-driven pass. values is date-major: values[d*M+i] is pixel
 // i's observation on the d-th new date (NaN = missing). Observes on one
 // session are serialized; the per-pixel work inside each call fans out
-// over the pool.
+// over the pool, pushing each resident record in place and writing its
+// verdict in the same pass.
 func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dates int) (ObserveResult, error) {
 	ctx, span := obs.StartSpan(ctx, "nrt.observe")
 	defer span.End()
@@ -460,7 +440,7 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 		return ObserveResult{}, err
 	}
 	span.SetAttr("session", id)
-	m := len(s.pixels)
+	m := len(s.Pixels)
 	if dates <= 0 {
 		return ObserveResult{}, fmt.Errorf("nrt: dates %d must be positive", dates)
 	}
@@ -471,44 +451,37 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.nextDate+dates > s.capacity {
+	if s.NextDate+dates > s.Capacity {
 		return ObserveResult{}, fmt.Errorf("%w: %d dates requested, %d of %d remaining",
-			ErrExhausted, dates, s.capacity-s.nextDate, s.capacity-s.history)
+			ErrExhausted, dates, s.Capacity-s.NextDate, s.Capacity-s.History)
 	}
-	var pushErr error
-	var pushMu sync.Mutex
-	err = mg.pool.ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
+	verdicts := make([]Verdict, m)
+	err = sched.Shared().ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p := &s.pixels[i]
-			if p.status != core.StatusOK {
+			p := &s.Pixels[i]
+			if p.Status != core.StatusOK {
+				verdicts[i] = Verdict{Status: p.Status, BreakOffset: -1, Process: math.NaN()}
 				continue
 			}
+			var proc float64
 			for d := 0; d < dates; d++ {
-				st, err := p.mon.Push(values[d*m+i])
-				if err != nil {
-					pushMu.Lock()
-					if pushErr == nil {
-						pushErr = err
-					}
-					pushMu.Unlock()
-					return
-				}
-				p.last = st
+				proc, _ = p.Push(s.x, s.NextDate+d, values[d*m+i], s.Options, s.Lambda)
+			}
+			verdicts[i] = Verdict{
+				Status: core.StatusOK, Break: p.Break >= 0, BreakOffset: p.Break,
+				Process: proc, Mean: p.Mean(), ValidMon: p.ValidMon,
 			}
 		}
 	})
-	if err == nil {
-		err = pushErr
-	}
 	if err != nil {
-		// A cancelled or failed pass leaves monitors at mixed dates; the
-		// session is no longer internally consistent, so drop it rather
-		// than serve skewed verdicts. The snapshot in the store (from
-		// before this pass) still allows recovery via Restore.
-		mg.drop(s.id)
-		return ObserveResult{}, fmt.Errorf("nrt: observe pass aborted, session %s dropped (recoverable from its last snapshot): %w", s.id, err)
+		// A cancelled pass leaves records at mixed dates; the session is
+		// no longer internally consistent, so drop it rather than serve
+		// skewed verdicts. The snapshot in the store (from before this
+		// pass) still allows recovery via Restore.
+		mg.drop(s.ID)
+		return ObserveResult{}, fmt.Errorf("nrt: observe pass aborted, session %s dropped (recoverable from its last snapshot): %w", s.ID, err)
 	}
-	s.nextDate += dates
+	s.NextDate += dates
 	s.sinceSnap++
 	s.lastObserve = time.Now()
 	if mg.cfg.SnapshotEvery > 0 && s.sinceSnap >= mg.cfg.SnapshotEvery {
@@ -524,31 +497,16 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 	span.SetAttr("pixels", m)
 
 	res := ObserveResult{
-		ID: s.id, Dates: dates, NextDate: s.nextDate,
-		Remaining: s.capacity - s.nextDate,
-		Verdicts:  make([]Verdict, m),
+		ID: s.ID, Dates: dates, NextDate: s.NextDate,
+		Remaining: s.Capacity - s.NextDate,
+		Verdicts:  verdicts,
 	}
-	for i := range s.pixels {
-		res.Verdicts[i] = verdictOf(&s.pixels[i])
-		if res.Verdicts[i].Break {
+	for i := range verdicts {
+		if verdicts[i].Break {
 			res.Breaks++
 		}
 	}
 	return res, nil
-}
-
-func verdictOf(p *pixel) Verdict {
-	if p.status != core.StatusOK {
-		return Verdict{Status: p.status, BreakOffset: -1, Process: math.NaN()}
-	}
-	return Verdict{
-		Status:      core.StatusOK,
-		Break:       p.mon.BreakOffset() >= 0,
-		BreakOffset: p.mon.BreakOffset(),
-		Process:     p.last.Process,
-		Mean:        p.mon.Mean(),
-		ValidMon:    p.mon.ValidMonitoring(),
-	}
 }
 
 // --- introspection and lifecycle ------------------------------------------
@@ -594,18 +552,18 @@ func (mg *Manager) Get(id string) (Info, error) {
 
 func infoLocked(s *session) Info {
 	in := Info{
-		ID: s.id, Pixels: len(s.pixels),
-		History: s.history, Capacity: s.capacity,
-		NextDate: s.nextDate, Remaining: s.capacity - s.nextDate,
+		ID: s.ID, Pixels: len(s.Pixels),
+		History: s.History, Capacity: s.Capacity,
+		NextDate: s.NextDate, Remaining: s.Capacity - s.NextDate,
 		ObserveAgeMs: ageMs(s.lastObserve), SnapshotAgeMs: ageMs(s.lastSnap),
 	}
-	for i := range s.pixels {
-		p := &s.pixels[i]
-		if p.status != core.StatusOK {
+	for i := range s.Pixels {
+		p := &s.Pixels[i]
+		if p.Status != core.StatusOK {
 			continue
 		}
 		in.OK++
-		if p.mon.BreakOffset() >= 0 {
+		if p.Break >= 0 {
 			in.Breaks++
 		}
 	}
@@ -647,6 +605,14 @@ func (mg *Manager) SampleAges() {
 	}
 	mg.obsAgeMax.Set(obsMax)
 	mg.snapAgeMax.Set(snapMax)
+}
+
+// Len returns the number of live sessions. It takes only the manager's
+// lock, so it never waits behind an in-flight observe or snapshot.
+func (mg *Manager) Len() int {
+	mg.mu.Lock()
+	defer mg.mu.Unlock()
+	return len(mg.sessions)
 }
 
 // List returns every live session's descriptor, ordered by ID.
@@ -717,30 +683,12 @@ func (mg *Manager) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// persistLocked encodes and saves s; the caller holds s.mu.
+// persistLocked encodes the resident records of s as they are and saves
+// the blob; the caller holds s.mu.
 func (mg *Manager) persistLocked(ctx context.Context, s *session) error {
 	_, span := obs.StartSpan(ctx, "nrt.snapshot")
 	defer span.End()
-	snap := &state.SessionSnapshot{
-		ID: s.id, History: s.history, Capacity: s.capacity, NextDate: s.nextDate,
-		Options: s.opt, Lambda: s.lambda,
-		Pixels: make([]state.PixelSnapshot, len(s.pixels)),
-	}
-	for i := range s.pixels {
-		p := &s.pixels[i]
-		if p.status != core.StatusOK {
-			snap.Pixels[i] = state.PixelSnapshot{Status: p.status}
-			continue
-		}
-		ms := p.mon.Snapshot()
-		snap.Pixels[i] = state.PixelSnapshot{
-			Status: core.StatusOK,
-			Beta:   ms.Beta, NBar: ms.NBar, Sigma: ms.Sigma,
-			Window: ms.Window, WPos: ms.WPos, Acc: ms.Acc,
-			ValidMon: ms.ValidMon, Sum: ms.Sum, Break: ms.Break,
-		}
-	}
-	if err := mg.store.Save(ctx, s.id, state.EncodeSession(snap)); err != nil {
+	if err := mg.store.Save(ctx, s.ID, state.EncodeSession(&s.SessionSnapshot)); err != nil {
 		return err
 	}
 	s.sinceSnap = 0
@@ -750,10 +698,10 @@ func (mg *Manager) persistLocked(ctx context.Context, s *session) error {
 }
 
 // Restore loads every stored snapshot and resumes its session — the
-// boot path. Nothing is replayed: the snapshot is the state. A snapshot
-// that fails to decode or resume is skipped (counted in
-// nrt.snapshots.failed) so one corrupt file cannot block boot.
-// Returns the number of sessions restored.
+// boot path. Nothing is replayed: the decoded records are the state. A
+// snapshot that fails to decode or to pass resume's checks is skipped
+// (counted in nrt.snapshots.failed) so one corrupt file cannot block
+// boot. Returns the number of sessions restored.
 func (mg *Manager) Restore(ctx context.Context) (int, error) {
 	ctx, span := obs.StartSpan(ctx, "nrt.restore")
 	defer span.End()
@@ -773,7 +721,7 @@ func (mg *Manager) Restore(ctx context.Context) (int, error) {
 			mg.snapsFailed.Inc()
 			continue
 		}
-		s, err := mg.resume(ctx, snap)
+		s, err := resume(snap)
 		if err != nil {
 			mg.snapsFailed.Inc()
 			continue
@@ -793,42 +741,36 @@ func (mg *Manager) Restore(ctx context.Context) (int, error) {
 	return restored, nil
 }
 
-// resume rebuilds a session from a decoded snapshot, resuming every
-// pixel's monitor in parallel.
-func (mg *Manager) resume(ctx context.Context, snap *state.SessionSnapshot) (*session, error) {
-	s := &session{
-		id: snap.ID, opt: snap.Options, lambda: snap.Lambda,
-		history: snap.History, capacity: snap.Capacity, nextDate: snap.NextDate,
-		pixels: make([]pixel, len(snap.Pixels)),
-		// A resumed session is as fresh as its snapshot: restart time.
-		lastObserve: time.Now(), lastSnap: time.Now(),
+// resume adopts a decoded snapshot as a session. The session-shared
+// state is checked once — options valid for the capacity and agreeing
+// with the stored history length, λ positive — then every live record
+// against it (core.MonitorState.Check); one design matrix serves the
+// whole scene.
+func resume(snap *state.SessionSnapshot) (*session, error) {
+	opt := snap.Options
+	if opt.History != snap.History {
+		return nil, fmt.Errorf("nrt: snapshot options have history %d, session %d", opt.History, snap.History)
 	}
-	var firstErr error
-	var errMu sync.Mutex
-	perr := mg.pool.ForEachCtx(ctx, len(snap.Pixels), 0, sched.DefaultGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ps := snap.Pixels[i]
-			if ps.Status != core.StatusOK {
-				s.pixels[i] = pixel{status: ps.Status}
-				continue
-			}
-			mon, err := core.ResumeMonitor(snap.MonitorState(i))
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("nrt: pixel %d: %w", i, err)
-				}
-				errMu.Unlock()
-				return
-			}
-			s.pixels[i] = pixel{status: core.StatusOK, mon: mon}
+	if err := opt.Validate(snap.Capacity); err != nil {
+		return nil, fmt.Errorf("nrt: snapshot options: %w", err)
+	}
+	if !(snap.Lambda > 0) {
+		return nil, fmt.Errorf("nrt: snapshot has non-positive λ %v", snap.Lambda)
+	}
+	for i := range snap.Pixels {
+		p := &snap.Pixels[i]
+		if p.Status != core.StatusOK {
+			continue
 		}
-	})
-	if perr != nil {
-		return nil, perr
+		if err := p.Check(opt, snap.NextDate); err != nil {
+			return nil, fmt.Errorf("nrt: pixel %d: %w", i, err)
+		}
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	x, err := core.DesignFor(opt, snap.Capacity)
+	if err != nil {
+		return nil, fmt.Errorf("nrt: %w", err)
 	}
-	return s, nil
+	// A resumed session is as fresh as its snapshot: restart time.
+	now := time.Now()
+	return &session{SessionSnapshot: *snap, x: x, lastObserve: now, lastSnap: now}, nil
 }

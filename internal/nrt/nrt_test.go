@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"bfast/internal/core"
 	"bfast/internal/leakcheck"
@@ -206,7 +207,9 @@ func TestRestartFromSnapshotBitIdentical(t *testing.T) {
 }
 
 // TestFitCacheReuse: refitting an identical scene must hit the fit
-// cache for every pixel and behave identically afterwards.
+// cache for every pixel and behave identically afterwards — also after
+// the first two sessions have pushed their records, which must not
+// write through into the cache.
 func TestFitCacheReuse(t *testing.T) {
 	leakcheck.Check(t)
 	ds, opt := testScene(t)
@@ -239,6 +242,169 @@ func TestFitCacheReuse(t *testing.T) {
 			math.Float64bits(a.Process) != math.Float64bits(b.Process) {
 			t.Fatalf("pixel %d: cached fit diverged: %+v vs %+v", i, a, b)
 		}
+	}
+
+	third := fitScene(t, mg, ds, opt)
+	if third.CacheHits != ds.Spec.M {
+		t.Fatalf("fit after observes hit %d of %d pixels", third.CacheHits, ds.Spec.M)
+	}
+	r3, err := mg.Observe(ctx, third.ID, day, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range r1.Verdicts {
+		a, c := r1.Verdicts[i], r3.Verdicts[i]
+		if a.Status != c.Status || a.BreakOffset != c.BreakOffset || a.ValidMon != c.ValidMon ||
+			math.Float64bits(a.Mean) != math.Float64bits(c.Mean) ||
+			math.Float64bits(a.Process) != math.Float64bits(c.Process) {
+			t.Fatalf("pixel %d: a live session wrote through into the cache: %+v vs %+v", i, a, c)
+		}
+	}
+}
+
+// TestRestoreRejectsInvalid: a snapshot that passes the checksum but
+// violates the monitor invariants (a hand-edited file, a foreign
+// encoder) must be skipped by Restore and counted in
+// nrt.snapshots.failed, while the unmutated snapshot restores. The last
+// two cases carry no live pixel: their session-shared state alone is
+// inconsistent.
+func TestRestoreRejectsInvalid(t *testing.T) {
+	leakcheck.Check(t)
+	ds, opt := testScene(t)
+	n := ds.Spec.History
+	ctx := context.Background()
+	src := state.NewMemStore()
+	mg := NewManager(Config{Store: src, Metrics: obs.NewRegistry()})
+	sum := fitScene(t, mg, ds, opt)
+	if _, err := mg.Observe(ctx, sum.ID, sceneDates(ds, n, n+20), 20); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := src.Load(ctx, sum.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := state.DecodeSession(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := -1
+	for i := range base.Pixels {
+		if base.Pixels[i].Status == core.StatusOK && base.Pixels[i].ValidMon > 0 {
+			live = i
+			break
+		}
+	}
+	if live < 0 {
+		t.Fatal("scene has no observed live pixel")
+	}
+	N := base.Capacity
+	noLive := func(s *state.SessionSnapshot) {
+		for i := range s.Pixels {
+			s.Pixels[i] = state.PixelSnapshot{Status: core.StatusSingular}
+		}
+	}
+	mutate := []func(s *state.SessionSnapshot, p *state.PixelSnapshot){
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.Beta = p.Beta[:3] },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.Sigma = 0 },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.Sigma = math.NaN() },
+		func(s *state.SessionSnapshot, _ *state.PixelSnapshot) { s.Lambda = -1 },
+		func(s *state.SessionSnapshot, _ *state.PixelSnapshot) { s.NextDate = N + 1 },
+		func(s *state.SessionSnapshot, _ *state.PixelSnapshot) { s.NextDate = n - 1 },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.ValidMon = N },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.Break = N },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.Window = p.Window[:1] },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.WPos = len(p.Window) },
+		func(_ *state.SessionSnapshot, p *state.PixelSnapshot) { p.NBar = 2 },
+		func(s *state.SessionSnapshot, _ *state.PixelSnapshot) { s.Options.History = 0 },
+		func(s *state.SessionSnapshot, _ *state.PixelSnapshot) { noLive(s); s.Options.HFrac = 2 },
+		func(s *state.SessionSnapshot, _ *state.PixelSnapshot) { noLive(s); s.Options.History = n + 1 },
+	}
+	restore := func(s *state.SessionSnapshot) (restored int, failed int64) {
+		t.Helper()
+		store := state.NewMemStore()
+		if err := store.Save(ctx, s.ID, state.EncodeSession(s)); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		got, err := NewManager(Config{Store: store, Metrics: reg}).Restore(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return got, reg.Counter("nrt.snapshots.failed").Value()
+	}
+	for i, f := range mutate {
+		s, err := state.DecodeSession(blob) // a fresh deep copy of base
+		if err != nil {
+			t.Fatal(err)
+		}
+		f(s, &s.Pixels[live])
+		if got, failed := restore(s); got != 0 || failed != 1 {
+			t.Fatalf("mutation %d: restored %d, %d failed; want 0 and 1", i, got, failed)
+		}
+	}
+	if got, failed := restore(base); got != 1 || failed != 0 {
+		t.Fatalf("pristine snapshot: restored %d, %d failed; want 1 and 0", got, failed)
+	}
+}
+
+// gateStore blocks every Save once armed, until the gate closes.
+type gateStore struct {
+	state.Store
+	mu      sync.Mutex
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (g *gateStore) Save(ctx context.Context, id string, data []byte) error {
+	g.mu.Lock()
+	gate := g.gate
+	g.mu.Unlock()
+	if gate != nil {
+		g.entered <- struct{}{}
+		<-gate
+	}
+	return g.Store.Save(ctx, id, data)
+}
+
+// TestLenDoesNotWaitOnObserve: counting sessions (the /v1/fit session
+// limit) must not wait behind an observe that is inside its snapshot
+// write, holding its session's lock.
+func TestLenDoesNotWaitOnObserve(t *testing.T) {
+	leakcheck.Check(t)
+	ds, opt := testScene(t)
+	n := ds.Spec.History
+	gs := &gateStore{Store: state.NewMemStore(), entered: make(chan struct{})}
+	mg := NewManager(Config{Store: gs, Metrics: obs.NewRegistry()})
+	sum := fitScene(t, mg, ds, opt)
+
+	gate := make(chan struct{})
+	gs.mu.Lock()
+	gs.gate = gate
+	gs.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := mg.Observe(context.Background(), sum.ID, sceneDates(ds, n, n+1), 1)
+		done <- err
+	}()
+	<-gs.entered // the observe now holds the session lock inside Save
+
+	counted := make(chan int, 1)
+	go func() { counted <- mg.Len() }()
+	var got int
+	select {
+	case got = <-counted:
+	case <-time.After(5 * time.Second):
+		close(gate)
+		<-done
+		<-counted
+		t.Fatal("Len waited on an in-flight observe")
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got != 1 {
+		t.Fatalf("Len = %d, want 1", got)
 	}
 }
 

@@ -139,7 +139,7 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
 			"capacity %d exceeds the limit %d", req.Capacity, s.cfg.NRT.MaxCapacity)
 	}
-	if len(s.nrtMgr.List()) >= s.cfg.NRT.MaxSessions {
+	if s.nrtMgr.Len() >= s.cfg.NRT.MaxSessions {
 		return nil, errf(http.StatusTooManyRequests, CodeRateLimited,
 			"session limit %d reached; delete a session first", s.cfg.NRT.MaxSessions)
 	}

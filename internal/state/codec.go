@@ -6,17 +6,19 @@ package state
 //
 //	magic   "BFSS"                     4 bytes
 //	version uint16 little-endian       (currently 1)
-//	flags   uint16 little-endian       (reserved, 0)
+//	flags   uint16 little-endian       (reserved, must be 0)
 //	body    version-defined fields
 //	crc     uint32 little-endian       CRC-32C over everything before it
 //
 // All integers are 64-bit little-endian (signed values two's-complement);
 // all floats are IEEE-754 bit patterns via math.Float64bits, which is
 // what makes the round trip bit-exact — NaN payloads included. Decoding
-// rejects, in order: blobs too short for the frame, bad magic, versions
-// newer than this build, checksum mismatches (covers truncation and
-// corruption anywhere in the body), and then any body field that
-// violates its documented range. The version field exists so a future
+// rejects, in order: blobs too short for the frame, checksum mismatches
+// (covers truncation and corruption anywhere in the body), bad magic,
+// versions other than this build's, non-zero flags, and then any body
+// field that violates its documented range or has a non-canonical
+// encoding (a bool byte other than 0 or 1), so every accepted blob
+// re-encodes to the same bytes. The version field exists so a future
 // format change can keep reading old snapshots; version 1 readers
 // refuse newer snapshots loudly instead of misparsing them.
 
@@ -39,22 +41,16 @@ var (
 	frameMinLen = len(magic) + 2 + 2 + 4 // header + trailing checksum
 )
 
-// PixelSnapshot is one pixel's durable monitor state. A pixel whose fit
-// failed carries only its terminal Status; a live pixel (StatusOK)
-// carries the fields of core.MonitorState that vary per pixel — the
-// session-shared fields (Options, Lambda, Capacity, NextDate) live once
-// on the SessionSnapshot.
+// PixelSnapshot is one pixel's durable monitor state: its fit Status
+// and, for a live pixel (StatusOK), its core.MonitorState record. A
+// pixel whose fit failed carries only its terminal Status and a zero
+// record. The session-shared state (Options, Lambda, Capacity,
+// NextDate) lives once on the SessionSnapshot. An NRT session keeps
+// these records resident and pushes them in place, so the codec writes
+// and reads the very structs the session advances.
 type PixelSnapshot struct {
-	Status   core.Status
-	Beta     []float64
-	NBar     int
-	Sigma    float64
-	Window   []float64
-	WPos     int
-	Acc      float64
-	ValidMon int
-	Sum      float64
-	Break    int
+	Status core.Status
+	core.MonitorState
 }
 
 // SessionSnapshot is the complete durable state of one NRT session.
@@ -75,27 +71,6 @@ type SessionSnapshot struct {
 	Lambda float64
 	// Pixels holds one entry per scene pixel, in scene order.
 	Pixels []PixelSnapshot
-}
-
-// MonitorState assembles the full core.MonitorState of pixel i,
-// recombining the per-pixel fields with the session-shared ones.
-func (s *SessionSnapshot) MonitorState(i int) core.MonitorState {
-	p := s.Pixels[i]
-	return core.MonitorState{
-		Options:   s.Options,
-		Lambda:    s.Lambda,
-		SeriesLen: s.Capacity,
-		Beta:      p.Beta,
-		NBar:      p.NBar,
-		Sigma:     p.Sigma,
-		Window:    p.Window,
-		WPos:      p.WPos,
-		Acc:       p.Acc,
-		T:         s.NextDate,
-		ValidMon:  p.ValidMon,
-		Sum:       p.Sum,
-		Break:     p.Break,
-	}
 }
 
 // --- encoding -------------------------------------------------------------
@@ -245,6 +220,9 @@ func (r *reader) str(maxLen int64) string {
 
 func (r *reader) floats(what string, maxLen int64) []float64 {
 	n := r.intv(what, maxLen)
+	if r.err == nil && n > (len(r.b)-r.off)/8 {
+		r.fail("truncated: %s=%d exceeds the remaining %d bytes", what, n, len(r.b)-r.off)
+	}
 	if r.err != nil {
 		return nil
 	}
@@ -255,14 +233,9 @@ func (r *reader) floats(what string, maxLen int64) []float64 {
 	return out
 }
 
-// maxSnapshotPixels bounds the decoded pixel count — a corrupted length
-// field must not turn into a multi-gigabyte allocation before the
-// per-pixel reads run off the end of the blob.
-const maxSnapshotPixels = 1 << 24
-
 // DecodeSession parses and verifies a snapshot blob. Every defense runs
-// before any body field is trusted: frame size, magic, version,
-// checksum; body fields are then range-checked as they are read.
+// before any body field is trusted: frame size, checksum, magic,
+// version, flags; body fields are then range-checked as they are read.
 func DecodeSession(data []byte) (*SessionSnapshot, error) {
 	if len(data) < frameMinLen {
 		return nil, fmt.Errorf("state: snapshot truncated: %d bytes, frame needs at least %d", len(data), frameMinLen)
@@ -276,6 +249,9 @@ func DecodeSession(data []byte) (*SessionSnapshot, error) {
 	}
 	if v := binary.LittleEndian.Uint16(body[4:6]); v != Version {
 		return nil, fmt.Errorf("state: snapshot version %d; this build reads version %d", v, Version)
+	}
+	if f := binary.LittleEndian.Uint16(body[6:8]); f != 0 {
+		return nil, fmt.Errorf("state: snapshot flags %#04x; version %d reserves them as 0", f, Version)
 	}
 	r := &reader{b: body, off: 8}
 
@@ -291,7 +267,13 @@ func DecodeSession(data []byte) (*SessionSnapshot, error) {
 	s.NextDate = r.intv("next_date", math.MaxInt32)
 	s.Options = decodeOptions(r)
 	s.Lambda = r.f64()
-	m := r.intv("pixels", maxSnapshotPixels)
+	// Every pixel takes at least its status byte (every float at least
+	// 8), so a corrupted length field fails here instead of turning into
+	// a multi-gigabyte allocation.
+	m := r.intv("pixels", math.MaxInt32)
+	if r.err == nil && m > len(r.b)-r.off {
+		r.fail("truncated: %d pixels exceed the remaining %d bytes", m, len(r.b)-r.off)
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -347,6 +329,11 @@ func decodeOptions(r *reader) core.Options {
 	o.Sigma = stats.SigmaKind(r.intv("opt.sigma", 16))
 	o.Solver = core.Solver(r.intv("opt.solver", 16))
 	o.MinValidHistory = r.intv("opt.min_valid_history", math.MaxInt32)
-	o.NoTrend = r.u8() != 0
+	switch b := r.u8(); b {
+	case 0, 1:
+		o.NoTrend = b == 1
+	default:
+		r.fail("field opt.no_trend=%d is not a bool", b)
+	}
 	return o
 }

@@ -3,15 +3,17 @@
 // binary encoding of per-pixel monitor state.
 //
 // The serving model (DESIGN.md "Stateful near-real-time serving") is
-// fit-once/monitor-forever: a scene's per-pixel monitors are fitted once
-// and then advanced one acquisition date at a time, each update O(K).
+// fit-once/monitor-forever: a scene's per-pixel monitor records are
+// fitted once and then advanced one acquisition date at a time, each
+// update O(K).
 // That only works as a *service* if the fitted state survives restarts —
 // refitting a continental scene because a pod rolled would forfeit the
 // whole point. A Store holds one opaque snapshot blob per session; the
-// codec in codec.go turns a session's monitors into that blob and back
-// with bit-exact float64 round-tripping, so a monitor resumed from a
-// snapshot continues bit-identically to one that never stopped (pinned
-// by the nrt restart tests).
+// codec in codec.go turns a SessionSnapshot — the form an nrt session
+// keeps resident, one core.MonitorState record per pixel — into that
+// blob and back with bit-exact float64 round-tripping, so records
+// restored from a snapshot continue bit-identically to ones that never
+// stopped (pinned by the nrt restart tests).
 //
 // Two backends ship: MemStore (tests, cacheless deployments) and
 // FileStore (one file per session, atomic temp+rename writes). Object

@@ -30,8 +30,7 @@ func testSnapshot(m int) *SessionSnapshot {
 	for i := range s.Pixels {
 		switch i % 4 {
 		case 0:
-			s.Pixels[i] = PixelSnapshot{
-				Status:   core.StatusOK,
+			s.Pixels[i] = PixelSnapshot{Status: core.StatusOK, MonitorState: core.MonitorState{
 				Beta:     []float64{1.5, -0.25, 0.125, 3e-300, math.Inf(1), -0, 42, 1e17},
 				NBar:     90 + i%7,
 				Sigma:    0.0125 + float64(i),
@@ -41,7 +40,7 @@ func testSnapshot(m int) *SessionSnapshot {
 				ValidMon: 17,
 				Sum:      2.25,
 				Break:    i%8 - 1,
-			}
+			}}
 		case 1:
 			s.Pixels[i] = PixelSnapshot{Status: core.StatusInsufficientHistory}
 		case 2:
@@ -98,6 +97,26 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecPinnedV1 pins the BFSS v1 bytes: a state directory written by
+// an earlier build must restore, so the encoding of a fixed snapshot
+// must not move. The CRC-32C is over everything before the trailer.
+func TestCodecPinnedV1(t *testing.T) {
+	data := EncodeSession(testSnapshot(9))
+	if got, want := len(data), 668; got != want {
+		t.Fatalf("encoded length %d, pinned %d", got, want)
+	}
+	if got, want := crc32.Checksum(data[:len(data)-4], crcTable), uint32(0x78d0a17c); got != want {
+		t.Fatalf("encoded CRC-32C %08x, pinned %08x", got, want)
+	}
+}
+
+// reseal replaces data's trailing checksum with the correct one, so a
+// test (or the fuzzer) reaches the body checks past the CRC gate.
+func reseal(data []byte) []byte {
+	body := data[:len(data)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
+}
+
 func TestCodecRejectsCorruption(t *testing.T) {
 	data := EncodeSession(testSnapshot(5))
 	// Every single-byte flip anywhere must be rejected (checksum), and
@@ -119,9 +138,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 func TestCodecRejectsFutureVersion(t *testing.T) {
 	data := EncodeSession(testSnapshot(1))
 	data[4] = 0x7F // bump version; then re-checksum so only the version differs
-	body := data[:len(data)-4]
-	fixed := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
-	_, err := DecodeSession(fixed)
+	_, err := DecodeSession(reseal(data))
 	if err == nil || !contains(err.Error(), "version") {
 		t.Fatalf("future version accepted: %v", err)
 	}
@@ -145,6 +162,54 @@ func TestCodecRejectsBadBody(t *testing.T) {
 	if _, err := DecodeSession(EncodeSession(s)); err == nil {
 		t.Fatal("out-of-range break accepted")
 	}
+}
+
+// TestCodecRejectsNonCanonical: blobs that would decode but re-encode to
+// different bytes — set reserved flags, a NoTrend byte other than 0/1 —
+// are rejected.
+func TestCodecRejectsNonCanonical(t *testing.T) {
+	data := EncodeSession(testSnapshot(1))
+	flagged := append([]byte(nil), data...)
+	flagged[6] = 1
+	if _, err := DecodeSession(reseal(flagged)); err == nil || !contains(err.Error(), "flags") {
+		t.Fatalf("non-zero flags accepted: %v", err)
+	}
+	// NoTrend is the last options byte, just before the 8-byte λ and the
+	// 8-byte pixel count.
+	s := testSnapshot(0)
+	data = EncodeSession(s)
+	at := len(data) - 4 - 8 - 8 - 1
+	if data[at] != 0 {
+		t.Fatalf("offset %d is not the NoTrend byte", at)
+	}
+	data[at] = 2
+	if _, err := DecodeSession(reseal(data)); err == nil || !contains(err.Error(), "no_trend") {
+		t.Fatalf("NoTrend byte 2 accepted: %v", err)
+	}
+}
+
+// FuzzDecodeSession: decoding never panics, and every accepted blob
+// re-encodes to exactly its own bytes. Each input is also tried with
+// its checksum repaired, so mutations reach the body parser.
+func FuzzDecodeSession(f *testing.F) {
+	for _, n := range []int{1, 9} {
+		f.Add(EncodeSession(testSnapshot(n)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		blobs := [][]byte{data}
+		if len(data) >= frameMinLen {
+			blobs = append(blobs, reseal(data))
+		}
+		for _, b := range blobs {
+			s, err := DecodeSession(b)
+			if err != nil {
+				continue
+			}
+			if again := EncodeSession(s); string(again) != string(b) {
+				t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", b, again)
+			}
+		}
+	})
 }
 
 func contains(s, sub string) bool {
