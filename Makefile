@@ -22,14 +22,16 @@
 # `make diag-smoke` boots bfast-serve with a diagnostics directory,
 # drives slow + error traffic, and asserts tail-sampled traces survive a
 # restart, exemplars land on the latency buckets, the slo.* gauges are
-# exported, and /debug/bfast/flight streams a complete bundle.
+# exported, and /debug/bfast/flight streams a complete bundle;
+# `make bench-smoke` runs every benchmark body of the kernel packages
+# once (`go test ./...` compiles benchmarks but never runs them).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
-ci: lint lint-selfcheck build race test fuzz-smoke serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+ci: lint lint-selfcheck build race test bench-smoke fuzz-smoke serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
 
 lint: vet fmt-check bfast-lint
 
@@ -77,6 +79,9 @@ vulncheck-ci:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/tile ./internal/linalg ./internal/series
 
 bench-ledger:
 	bash bench/run.sh

@@ -16,10 +16,12 @@ import (
 // This file implements the pixel-tiled execution DetectBatch runs:
 // pixels are binned by valid-count
 // and gathered T at a time into time-major tiles (internal/tile), the
-// fit kernels run register-blocked over whole tiles, and the K×K normal
-// systems of a tile are inverted together by the lane-interleaved
-// batched Gauss-Jordan (linalg.GJBatch) — the CPU analogues of the
-// paper's Fig. 4 register tiling and Fig. 5 shared-memory inversion.
+// fit kernels run register-blocked over whole tiles, each lane's normal
+// matrix is summed from the batch's table of design products over its
+// own valid dates (tile.Pairs), and the K×K normal systems of a tile are
+// inverted together by the lane-interleaved batched Gauss-Jordan
+// (linalg.GJBatch) — the CPU analogues of the paper's Fig. 4 register
+// tiling and Fig. 5 shared-memory inversion.
 // One tile is one steal unit on the shared scheduler, and every stage of
 // a tile runs inside it on per-worker scratch. Pixels that share their
 // history mask share one inverse (maskclass.go). Results are
@@ -30,6 +32,7 @@ import (
 type tileScratch struct {
 	data *tile.Data
 	sc   *tile.Schedule // per-tile date segments, rebuilt per gather
+	hist [][]int        // per-lane valid history dates
 	nrm  []float64      // K×K×T lane-interleaved normal matrices
 	rhs  []float64      // K×T right-hand sides
 	inv  []float64      // K×K×T inverses
@@ -48,6 +51,7 @@ func newTileScratch(k, n, t int) *tileScratch {
 	return &tileScratch{
 		data: tile.NewData(t, n),
 		sc:   tile.NewSchedule(n),
+		hist: make([][]int, t),
 		nrm:  make([]float64, k*k*t),
 		rhs:  make([]float64, k*t),
 		inv:  make([]float64, k*k*t),
@@ -70,9 +74,10 @@ type scratchKey struct{ k, n, t int }
 // that shape, so a call — above all a 1–4-pixel serving request, whose
 // scratch is most of what it would allocate — reuses the buffers of an
 // earlier one. Stale contents are harmless: every buffer is written for
-// the active lanes before it is read, and no kernel reads masked-out or
-// inactive-lane slots (see tile.Data). One entry per distinct (K, N, T)
-// the process has run.
+// the active lanes before it is read — Gather writes +0 into the masked
+// slots of every date it copies — and no kernel reads inactive lanes or
+// the rows of dates no lane is valid on (see tile.Data). One entry per
+// distinct (K, N, T) the process has run.
 var tileScratchPools sync.Map
 
 func getTileScratch(key scratchKey) *tileScratch {
@@ -113,6 +118,17 @@ func forEachTileScratch(ctx context.Context, key scratchKey, tiles, workers int,
 			body(scratch[id], ti)
 		}
 	})
+}
+
+// laneNormals writes the normal matrix of every lane of idx into s.nrm:
+// each pixel's valid history dates, read off its mask row, select the
+// rows of pp it sums.
+func laneNormals(s *tileScratch, pp *tile.Pairs, mask *series.BatchMask, n int, idx []int) {
+	hist := s.hist[:len(idx)]
+	for p, px := range idx {
+		hist[p] = series.AppendValidIndices(hist[p][:0], mask.Row(px), n)
+	}
+	pp.Normals(hist, s.data.T, s.nrm)
 }
 
 // initTileResults fills the per-pixel counts and fittable flags for the
@@ -265,10 +281,12 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 	sp.SetAttr("tiles", plan.Tiles)
 	sp.SetAttr("tile_width", T)
 	defer sp.End()
+	pp := tile.GetPairs(xh)
+	defer pp.Release()
 	var classes *maskClasses
 	if plan.Tiles > 1 && opt.Solver == SolverGaussJordan {
 		var err error
-		if classes, err = newMaskClasses(ctx, mask, xh, opt, cfg); err != nil {
+		if classes, err = newMaskClasses(ctx, mask, pp, opt, cfg); err != nil {
 			return nil, err
 		}
 		sp.SetAttr("mask_classes", classes.classes)
@@ -289,8 +307,9 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 		s.data.MapDates(dates, b.N) // every tile: the scratch is pooled across calls
 		s.data.Gather(b.Y, mask, idx)
 		s.sc.Build(s.data)
+		s.sc.PublishWaste(len(idx))
 		if shared == nil {
-			tile.CrossProduct(xh, s.data, s.sc, s.nrm)
+			laneNormals(s, pp, mask, n, idx)
 		}
 		tile.MatVecHistory(xh, s.data, s.sc, s.rhs)
 		t1 := time.Now()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"bfast/internal/series"
@@ -13,7 +14,13 @@ import (
 // pixels share their history mask with a neighbour, and i.i.d. gaps,
 // where none does and the class pass must cost next to nothing
 // (BenchmarkGroupIID is that pass alone; compare with
-// BenchmarkDetectBatchIID at -cpu 1).
+// BenchmarkDetectBatchIID/nan=0.5 at -cpu 1).
+//
+// BenchmarkDetectBatchIID also sweeps the i.i.d. scene's NaN fraction
+// around the ledger's 0.5. A lane's normal matrix costs one table row of
+// K(K+1)/2 additions per valid history date, while the lane kernels
+// sweep every date some tile-mate is valid on, so the low-NaN end is
+// where summing per lane gains least over a tile-wide sweep.
 
 func specBatch(b *testing.B, spec workload.Spec, m int) *Batch {
 	ds, err := workload.Generate(spec)
@@ -52,7 +59,13 @@ func benchDetect(b *testing.B, spec workload.Spec, m int) {
 }
 
 func BenchmarkDetectBatchClouds(b *testing.B) { benchDetect(b, cloudsSpec, 16384) }
-func BenchmarkDetectBatchIID(b *testing.B)    { benchDetect(b, iidSpec, 8192) }
+func BenchmarkDetectBatchIID(b *testing.B) {
+	for _, f := range []float64{0.05, 0.5, 0.8} {
+		spec := iidSpec
+		spec.NaNFrac = f
+		b.Run(fmt.Sprintf("nan=%v", f), func(b *testing.B) { benchDetect(b, spec, 8192) })
+	}
+}
 
 var sinkGroups maskGroups
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"bfast/internal/linalg"
 	"bfast/internal/series"
 	"bfast/internal/tile"
 )
@@ -121,10 +120,12 @@ type maskClasses struct {
 }
 
 // newMaskClasses groups the batch and inverts one normal matrix per
-// shared class: the class representatives are gathered T at a time into
-// mask-only tiles and run through tile.CrossProduct and GJBatch.Invert,
-// one tile per steal unit on the shared scheduler under ctx.
-func newMaskClasses(ctx context.Context, mask *series.BatchMask, xh *linalg.Matrix, opt Options, cfg BatchConfig) (*maskClasses, error) {
+// shared class: the class representatives are taken T at a time, their
+// normal matrices summed from pp by the per-lane kernel the tile loop
+// runs (laneNormals) and inverted by GJBatch.Invert, one group per steal
+// unit on the shared scheduler under ctx. No Y is gathered: the normal
+// matrix reads only the mask.
+func newMaskClasses(ctx context.Context, mask *series.BatchMask, pp *tile.Pairs, opt Options, cfg BatchConfig) (*maskClasses, error) {
 	K, T := opt.K(), cfg.tileWidth()
 	g := groupByHistoryMask(mask, opt.History, opt.minHist(), hashWords)
 	mc := &maskClasses{shared: g.of, classes: len(g.rep)}
@@ -151,9 +152,7 @@ func newMaskClasses(ctx context.Context, mask *series.BatchMask, xh *linalg.Matr
 		lo := ti * T
 		idx := reps[lo:min(lo+T, len(reps))]
 		t0 := time.Now()
-		s.data.GatherMask(mask, idx)
-		s.sc.Build(s.data)
-		tile.CrossProduct(xh, s.data, s.sc, s.nrm)
+		laneNormals(s, pp, mask, opt.History, idx)
 		t1 := time.Now()
 		s.gj.Invert(s.nrm, s.inv, s.sing, len(idx))
 		for p := range idx {

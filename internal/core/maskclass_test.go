@@ -462,3 +462,51 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	}
 	t.Fatal("the pool never handed the planted scratch to both calls")
 }
+
+// TestPooledScratchZeroFillsMaskedSlots runs a batch that fills the
+// pooled tile buffer with ±Inf and −0 at every date, then a batch of
+// i.i.d. masks whose tiles are partial at nearly every date, through one
+// planted scratch. The mat-vec sums every lane of a partial date, so a
+// masked slot still holding the first batch's ±Inf would poison the
+// second batch's coefficients; both calls must equal scalar Detect.
+func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(147))
+	const M, N, n = 24, 120, 60
+	opt := defaultTestOpts(n)
+	cfg := BatchConfig{Workers: 1, TileWidth: 8}
+	key := scratchKey{opt.K(), N, 8}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	y := make([]float64, M*N)
+	for i := range y {
+		y[i] = specials[i%len(specials)]
+	}
+	first, err := NewBatch(M, N, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := randomBatch(rng, M, N, 0.5)
+	for attempt := 0; attempt < 50; attempt++ {
+		tileScratchPools.Delete(key)
+		s := newTileScratch(key.k, key.n, key.t)
+		putTileScratch(key, s)
+		got1, err := DetectBatch(context.Background(), first, opt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.data.Idx == nil {
+			continue
+		}
+		s.data.Idx = nil
+		got2, err := DetectBatch(context.Background(), second, opt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.data.Idx == nil {
+			continue
+		}
+		assertBitIdentical(t, scalarResults(t, first, opt), got1, "±Inf batch vs scalar")
+		assertBitIdentical(t, scalarResults(t, second, opt), got2, "i.i.d. batch on the ±Inf scratch vs scalar")
+		return
+	}
+	t.Fatal("the pool never handed the planted scratch to both calls")
+}

@@ -2,39 +2,40 @@ package tile
 
 import (
 	"fmt"
-	"math/bits"
 
 	"bfast/internal/linalg"
 	"bfast/internal/series"
 )
 
-// This file holds the register-blocked tile kernels: the masked cross
-// product, history matrix-vector product and residual pass, each loading
-// the shared design matrix once per tile and updating per-pixel
-// accumulators (the CPU analogue of Fig. 4's register tiling). All three
-// accumulate per pixel over valid dates in increasing date order — the
-// same order as scalar core.Detect — so every lane's floating-point
-// sequence, and hence its result, is bit-identical to that oracle.
+// This file holds the tile kernels: the history matrix-vector product
+// and the residual pass, which sweep the gathered tile register-blocked,
+// and the per-lane normal matrix (pairs.go), which sums a table of design
+// products over one lane's valid dates. Every lane accumulates over its
+// valid dates in increasing date order — the same order as scalar
+// core.Detect — so every lane's floating-point sequence, and hence its
+// result, is bit-identical to that oracle.
 //
 // The kernels are shaped for what gc will actually emit, not for an
 // auto-vectorizer it doesn't have:
 //
-//   - Mask classification is hoisted fully out of the lane loops: the
-//     per-date column masks are run-length encoded once per tile into a
-//     Schedule of equal-mask date segments, so a kernel sweep branches
-//     once per segment, not once per date per matrix entry.
+//   - No lane branches. Gather zero-fills the masked slots of a partial
+//     date, so the mat-vec runs one dense loop over every non-empty
+//     segment of the Schedule: a masked lane adds x·(+0) = ±0 to an
+//     accumulator that starts at +0 and is therefore never −0, and
+//     a ± 0 == a bit for bit. The residual pass stores every lane's
+//     residual and date unconditionally and advances the lane's count by
+//     its mask bit, so a masked date is overwritten by the next valid one.
 //   - The lane dimension is walked in blocks of eight. A block's
 //     accumulators live in eight named float64 locals — gc register-
-//     allocates scalars but never arrays — so the dense date loop is
+//     allocates scalars but never arrays — so the date loop is
 //     load/FLOP-only with no accumulator store traffic, and the live
 //     working set per sweep is bounded (lane-blocking is the cache
 //     blocking: a block's accumulators and the design rows it streams
 //     stay L1-resident across the whole date sweep).
-//   - Dense and partial segments take separate straight-line paths over
-//     fixed-stride subslices rebound as s2 = s2[:len(s1)], the idiom gc's
+//   - Fixed-stride subslices rebound as s2 = s2[:len(s1)], the idiom gc's
 //     prove pass needs to drop bounds checks from the inner loops.
-//   - The hot 8-lane helpers live in kernels_lane8.go and unroll dates
-//     by pairs.
+//   - The hot 8-lane mat-vec helper lives in kernels_lane8.go and unrolls
+//     dates by pairs.
 //
 // Ragged lane counts (tiles narrower than eight, or a tail block) fall
 // back to generic segment-driven paths that keep the same per-lane
@@ -45,110 +46,31 @@ import (
 // out[(j1*K+j2)*T + p] is lane p's element (j1, j2). xh is K×n with
 // n <= d.N; sc must be built from d; out must have K*K*d.T entries.
 //
-// The product r1[t]*r2[t] is shared by all lanes (X is pixel-independent),
-// so each date costs one multiplication per matrix element for the whole
-// tile. Each (j1, j2) entry sweeps the schedule once with its lane block's
-// accumulators in registers.
-//
-//bfast:kernel
+// It reads each lane's valid dates off the schedule and runs
+// Pairs.Normals over a table filled for this call; the detector calls
+// Pairs.Normals directly, with one table per batch.
 func CrossProduct(xh *linalg.Matrix, d *Data, sc *Schedule, out []float64) {
-	k := xh.Rows
-	n := xh.Cols
-	T := d.T
+	k, n, T := xh.Rows, xh.Cols, d.T
 	if n > d.N {
 		panic(fmt.Sprintf("tile: cross product over %d dates on a %d-date tile", n, d.N))
 	}
 	if len(out) != k*k*T {
 		panic(fmt.Sprintf("tile: cross product out length %d != %d", len(out), k*k*T))
 	}
-	if k > MaxK {
-		panic(fmt.Sprintf("tile: cross product with %d design rows exceeds MaxK=%d", k, MaxK))
-	}
-	P := d.P
-	base := 0
-	for ; base+8 <= P; base += 8 {
-		for j1 := 0; j1 < k; j1++ {
-			r1 := xh.Data[j1*n : (j1+1)*n]
-			j2 := j1
-			// Pair the K×K accumulator updates: two j2 entries share the
-			// schedule walk and the r1 loads.
-			for ; j2+1 < k; j2 += 2 {
-				ra := xh.Data[j2*n : (j2+1)*n]
-				rb := xh.Data[(j2+1)*n : (j2+2)*n]
-				crossAccPair8(r1, ra, rb, sc, n, uint(base),
-					out[(j1*k+j2)*T+base:(j1*k+j2)*T+base+8],
-					out[(j1*k+j2+1)*T+base:(j1*k+j2+1)*T+base+8])
+	pp := GetPairs(xh)
+	defer pp.Release()
+	dates := make([][]int, d.P)
+	for p := range dates {
+		for si := 0; si < sc.N; si++ {
+			if sc.Mask[si]>>uint(p)&1 == 0 {
+				continue
 			}
-			for ; j2 < k; j2++ {
-				r2 := xh.Data[j2*n : (j2+1)*n]
-				crossAcc8(r1, r2, sc, n, uint(base),
-					out[(j1*k+j2)*T+base:(j1*k+j2)*T+base+8])
+			for t := int(sc.Lo[si]); t < min(int(sc.Hi[si]), n); t++ {
+				dates[p] = append(dates[p], t)
 			}
 		}
 	}
-	if base < P {
-		crossTail(xh, sc, n, T, base, P-base, out)
-	}
-	for j1 := 0; j1 < k; j1++ {
-		for j2 := j1 + 1; j2 < k; j2++ {
-			copy(out[(j2*k+j1)*T:(j2*k+j1)*T+T], out[(j1*k+j2)*T:(j1*k+j2)*T+T])
-		}
-	}
-}
-
-// crossTail is the generic lane path for ragged blocks: lanes
-// [base, base+s) with s < 8, memory accumulators on the stack.
-//
-//bfast:kernel
-func crossTail(xh *linalg.Matrix, sc *Schedule, n, T, base, s int, out []float64) {
-	k := xh.Rows
-	bf := sc.Full >> uint(base)
-	for j1 := 0; j1 < k; j1++ {
-		rr1 := xh.Data[j1*n : (j1+1)*n]
-		for j2 := j1; j2 < k; j2++ {
-			rr2 := xh.Data[j2*n : (j2+1)*n]
-			var a [8]float64
-			for l := 0; l < s; l++ {
-				a[l] = 0
-			}
-			for si := 0; si < sc.N; si++ {
-				lo := int(sc.Lo[si])
-				if lo >= n {
-					break
-				}
-				hi := int(sc.Hi[si])
-				if hi > n {
-					hi = n
-				}
-				m := sc.Mask[si] >> uint(base)
-				if m == 0 {
-					continue
-				}
-				s1 := rr1[lo:hi]
-				s2 := rr2[lo:hi]
-				s2 = s2[:len(s1)]
-				if m == bf {
-					for i, v := range s1 {
-						prod := v * s2[i]
-						for l := 0; l < s; l++ {
-							a[l] += prod
-						}
-					}
-					continue
-				}
-				for i, v := range s1 {
-					prod := v * s2[i]
-					for mm := m; mm != 0; mm &= mm - 1 {
-						a[bits.TrailingZeros64(mm)] += prod
-					}
-				}
-			}
-			o := out[(j1*k+j2)*T+base : (j1*k+j2)*T+base+s]
-			for l := range o {
-				o[l] = a[l]
-			}
-		}
-	}
+	pp.Normals(dates, T, out)
 }
 
 // matvecDateBlock is the date-sweep blocking factor of MatVecHistory:
@@ -211,42 +133,23 @@ func MatVecHistory(xh *linalg.Matrix, d *Data, sc *Schedule, out []float64) {
 func matvecTail(xh *linalg.Matrix, d *Data, sc *Schedule, n, base, s int, out []float64) {
 	k := xh.Rows
 	T := d.T
-	bf := sc.Full >> uint(base)
 	for j := 0; j < k; j++ {
 		row := xh.Data[j*n : (j+1)*n]
 		var a [8]float64
-		for l := 0; l < s; l++ {
-			a[l] = 0
-		}
 		for si := 0; si < sc.N; si++ {
 			lo := int(sc.Lo[si])
 			if lo >= n {
 				break
 			}
-			hi := int(sc.Hi[si])
-			if hi > n {
-				hi = n
-			}
-			m := sc.Mask[si] >> uint(base)
-			if m == 0 {
+			if sc.Mask[si]>>uint(base) == 0 {
 				continue
 			}
-			if m == bf {
-				for t := lo; t < hi; t++ {
-					xv := row[t]
-					yt := d.Y[t*T+base : t*T+base+s]
-					for l, yv := range yt {
-						a[l] += xv * yv
-					}
-				}
-				continue
-			}
+			hi := min(int(sc.Hi[si]), n)
 			for t := lo; t < hi; t++ {
 				xv := row[t]
 				yt := d.Y[t*T+base : t*T+base+s]
-				for mm := m; mm != 0; mm &= mm - 1 {
-					l := bits.TrailingZeros64(mm)
-					a[l] += xv * yt[l]
+				for l, yv := range yt {
+					a[l] += xv * yv
 				}
 			}
 		}
@@ -266,9 +169,10 @@ func matvecTail(xh *linalg.Matrix, d *Data, sc *Schedule, n, base, s int, out []
 // the caller.
 //
 // Each lane block sweeps the schedule once, predictions held in eight
-// registers per date; a dense segment emits all eight lanes branch-free,
-// a partial segment emits only its valid lanes. Predictions of invalid
-// lanes are computed (reads only X and β) and discarded.
+// registers per date, and emits all eight lanes at every date; a lane's
+// count advances only where it is valid, so its masked dates are
+// overwritten by the next valid one. Predictions of invalid lanes are
+// computed (reads only X and β) and discarded.
 //
 //bfast:kernel
 func Residuals(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, r []float64, ix []int32, nVal []int) {
@@ -292,8 +196,7 @@ func Residuals(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, r 
 // residBlock8 runs the residual pass for the full lane block
 // [base, base+8): per date a j-ascending loop builds eight predictions in
 // registers (the same per-lane multiply-add sequence as the scalar path),
-// then the block either emits all lanes (dense segment) or its valid
-// subset.
+// then every lane stores its residual and advances by its mask bit.
 //
 //bfast:kernel
 func residBlock8(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, r []float64, ix []int32, nVal []int, base int) {
@@ -320,15 +223,13 @@ func residBlock8(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, 
 	ix6 := ix[(b+6)*N : (b+7)*N]
 	ix7 := ix[(b+7)*N : (b+8)*N]
 	var w0, w1, w2, w3, w4, w5, w6, w7 int
-	bf := (sc.Full >> uint(b)) & 0xff
 	for si := 0; si < sc.N; si++ {
-		m := (sc.Mask[si] >> uint(b)) & 0xff
+		m := int(sc.Mask[si]>>uint(b)) & 0xff
 		if m == 0 {
 			continue
 		}
 		lo := int(sc.Lo[si])
 		hi := int(sc.Hi[si])
-		dense := m == bf
 		for t := lo; t < hi; t++ {
 			var p0, p1, p2, p3, p4, p5, p6, p7 float64
 			for j := 0; j < k; j++ {
@@ -345,73 +246,30 @@ func residBlock8(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, 
 			}
 			yt := y[t*T+b : t*T+b+8]
 			tt := int32(t)
-			if dense {
-				r0[w0] = yt[0] - p0
-				ix0[w0] = tt
-				w0++
-				r1[w1] = yt[1] - p1
-				ix1[w1] = tt
-				w1++
-				r2[w2] = yt[2] - p2
-				ix2[w2] = tt
-				w2++
-				r3[w3] = yt[3] - p3
-				ix3[w3] = tt
-				w3++
-				r4[w4] = yt[4] - p4
-				ix4[w4] = tt
-				w4++
-				r5[w5] = yt[5] - p5
-				ix5[w5] = tt
-				w5++
-				r6[w6] = yt[6] - p6
-				ix6[w6] = tt
-				w6++
-				r7[w7] = yt[7] - p7
-				ix7[w7] = tt
-				w7++
-				continue
-			}
-			if m&(1<<0) != 0 {
-				r0[w0] = yt[0] - p0
-				ix0[w0] = tt
-				w0++
-			}
-			if m&(1<<1) != 0 {
-				r1[w1] = yt[1] - p1
-				ix1[w1] = tt
-				w1++
-			}
-			if m&(1<<2) != 0 {
-				r2[w2] = yt[2] - p2
-				ix2[w2] = tt
-				w2++
-			}
-			if m&(1<<3) != 0 {
-				r3[w3] = yt[3] - p3
-				ix3[w3] = tt
-				w3++
-			}
-			if m&(1<<4) != 0 {
-				r4[w4] = yt[4] - p4
-				ix4[w4] = tt
-				w4++
-			}
-			if m&(1<<5) != 0 {
-				r5[w5] = yt[5] - p5
-				ix5[w5] = tt
-				w5++
-			}
-			if m&(1<<6) != 0 {
-				r6[w6] = yt[6] - p6
-				ix6[w6] = tt
-				w6++
-			}
-			if m&(1<<7) != 0 {
-				r7[w7] = yt[7] - p7
-				ix7[w7] = tt
-				w7++
-			}
+			r0[w0] = yt[0] - p0
+			ix0[w0] = tt
+			w0 += m & 1
+			r1[w1] = yt[1] - p1
+			ix1[w1] = tt
+			w1 += m >> 1 & 1
+			r2[w2] = yt[2] - p2
+			ix2[w2] = tt
+			w2 += m >> 2 & 1
+			r3[w3] = yt[3] - p3
+			ix3[w3] = tt
+			w3 += m >> 3 & 1
+			r4[w4] = yt[4] - p4
+			ix4[w4] = tt
+			w4 += m >> 4 & 1
+			r5[w5] = yt[5] - p5
+			ix5[w5] = tt
+			w5 += m >> 5 & 1
+			r6[w6] = yt[6] - p6
+			ix6[w6] = tt
+			w6 += m >> 6 & 1
+			r7[w7] = yt[7] - p7
+			ix7[w7] = tt
+			w7 += m >> 7 & 1
 		}
 	}
 	nVal[b+0] = w0

@@ -1,6 +1,9 @@
 package tile
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Schedule is a tile's date classification, computed once per tile and
 // shared by every kernel pass over it: the N column-mask words are
@@ -11,7 +14,9 @@ import "fmt"
 // matrix entry, and under spatially-correlated cloud masks (where
 // neighbouring dates share their NaN pattern and binning aligns the
 // tile's lanes) segments are long: a handful of dense runs plus a few
-// partial edges.
+// partial edges. Under masks that differ pixel by pixel nearly every
+// date is its own segment; the kernels then run the same branch-free
+// lane loops over one date at a time.
 //
 // The layout is struct-of-arrays so the kernels' segment scans are
 // three parallel slice walks with no pointer chasing.
@@ -24,9 +29,6 @@ type Schedule struct {
 	// Mask[s] is the column-mask word shared by every date of segment s
 	// (never zero: empty dates are not represented).
 	Mask []uint64
-	// Full is the gathered tile's full-lane mask (d.FullMask() at Build
-	// time): a segment with Mask == Full is dense over the active lanes.
-	Full uint64
 }
 
 // NewSchedule allocates a schedule for tiles of up to n dates (the
@@ -44,7 +46,6 @@ func (sc *Schedule) Build(d *Data) {
 	if len(sc.Lo) < d.N {
 		panic(fmt.Sprintf("tile: schedule sized for %d dates, tile has %d", len(sc.Lo), d.N))
 	}
-	sc.Full = d.FullMask()
 	cm := d.ColMask
 	n := len(cm)
 	ns := 0
@@ -63,4 +64,25 @@ func (sc *Schedule) Build(d *Data) {
 		ns++
 	}
 	sc.N = ns
+}
+
+// PublishWaste records the tile's padding waste in tile.pad.waste_pct:
+// the lane kernels sweep all lanes of every date on which any lane is
+// valid, so the waste is 100·(1 − Σc_p/(P·u)), Σc_p the valid
+// observations of the tile's P lanes and u its non-empty dates (the
+// schedule's segment lengths summed).
+//
+//bfast:kernel
+func (sc *Schedule) PublishWaste(lanes int) {
+	valid, u := 0, 0
+	for s := 0; s < sc.N; s++ {
+		l := int(sc.Hi[s] - sc.Lo[s])
+		u += l
+		valid += l * bits.OnesCount64(sc.Mask[s])
+	}
+	if u == 0 {
+		statPadWaste.Observe(0)
+		return
+	}
+	statPadWaste.Observe(100 * (1 - float64(valid)/float64(lanes*u)))
 }

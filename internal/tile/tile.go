@@ -4,35 +4,42 @@
 // kernel pass loads the shared design matrix X once per tile instead of
 // once per pixel. This is the CPU analogue of the paper's register tiling
 // of the masked batched X_h·X_hᵀ (Fig. 4): one load of X's row updates T
-// accumulators held in registers, and the per-date validity of the T
-// pixels is a single column-mask word, so whole-tile valid dates take a
-// branch-free dense path.
+// accumulators held in registers. The per-date validity of the T pixels
+// is a single column-mask word; Gather zero-fills the masked slots, so
+// the lane loops never branch on it.
+//
+// The normal matrices are the exception: each lane sums a table of design
+// products (Pairs) over its own valid history dates, so its work follows
+// its own mask and not the union of its tile-mates'.
 //
 // Tiles are formed after valid-count binning (Plan): pixel indices are
 // sorted by the popcount of their validity bitset, so the pixels sharing a
-// tile have near-uniform NaN loads and the dense fast path fires for whole
-// tiles — the same-inner-size grouping the paper pads its GPU batches
-// into, applied to the irregular missing-value structure.
+// tile have near-uniform NaN loads — the same-inner-size grouping the
+// paper pads its GPU batches into, applied to the irregular
+// missing-value structure.
 package tile
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"bfast/internal/obs"
 	"bfast/internal/series"
 )
 
-// Workload-skew introspection (DESIGN.md §7), published at plan time —
-// planning already popcounts every pixel, so the histograms cost one
-// extra pass over the bin structure, not over the data.
+// Workload-skew introspection (DESIGN.md §7). The pixel and spread
+// histograms are published at plan time — planning already popcounts
+// every pixel, so they cost one extra pass over the bin structure, not
+// over the data; the waste histogram per gathered tile, from its
+// schedule (Schedule.PublishWaste).
 //
 //   - tile.pixel.valid: valid-observation count per pixel — the raw
 //     irregularity the binning has to absorb.
-//   - tile.pad.waste_pct: per tile, the fraction of padded kernel work
-//     wasted on invalid slots, 100·(1 − Σc_p/(P·c_max)). Near 0 means
-//     binning found near-uniform tiles; large values mean the scene's
-//     valid counts are too spread for the tile width.
+//   - tile.pad.waste_pct: per tile, the share of the lane-dates the lane
+//     kernels sweep that are masked out, 100·(1 − Σc_p/(P·u)) with u the
+//     tile's non-empty dates. Near 0 means the tile's masks align;
+//     masks that differ pixel by pixel push it towards their NaN share.
 //   - tile.bin.spread: per tile, c_max − c_min of its pixels' valid
 //     counts — the residual non-uniformity inside one tile.
 var (
@@ -50,11 +57,6 @@ const DefaultWidth = 8
 // MaxWidth bounds T so a tile's per-date validity fits one uint64
 // column-mask word.
 const MaxWidth = 64
-
-// MaxK bounds the design-matrix rows the tile kernels handle with
-// stack scratch. K = 2k+2 regressors, so 32 covers every harmonic
-// order k ≤ 15 — the paper sweeps k ≤ 10.
-const MaxK = 32
 
 // Plan is the binned assignment of batch pixels to tiles: Order is a
 // permutation of [0, M) sorted by ascending validity popcount (stable, so
@@ -113,23 +115,12 @@ func (pl *Plan) publishSkew(counts []int) {
 	}
 	for ti := 0; ti < pl.Tiles; ti++ {
 		idx := pl.Indices(ti)
-		cmin, cmax, sum := counts[idx[0]], counts[idx[0]], 0
+		cmin, cmax := counts[idx[0]], counts[idx[0]]
 		for _, px := range idx {
-			c := counts[px]
-			sum += c
-			if c < cmin {
-				cmin = c
-			}
-			if c > cmax {
-				cmax = c
-			}
+			cmin = min(cmin, counts[px])
+			cmax = max(cmax, counts[px])
 		}
 		statBinSpread.Observe(float64(cmax - cmin))
-		if cmax > 0 {
-			statPadWaste.Observe(100 * (1 - float64(sum)/float64(len(idx)*cmax)))
-		} else {
-			statPadWaste.Observe(0)
-		}
 	}
 }
 
@@ -158,9 +149,11 @@ type Data struct {
 	// N is the number of dates.
 	N int
 	// Y holds the gathered series, time-major: Y[t*T+p] is pixel
-	// Idx[p]'s observation at date t, written only where the pixel is
-	// valid — masked-out slots (and lanes p >= P) keep whatever the
-	// buffer held, and no kernel reads them.
+	// Idx[p]'s observation at date t. On a date where some lane is valid
+	// every active lane's slot is written, +0 where the lane is masked
+	// out, so the kernels' lane loops read only gathered values; rows of
+	// fully-missing dates and lanes p >= P keep whatever the buffer held,
+	// and no kernel reads them.
 	Y []float64
 	// ColMask holds one word per date: bit p set iff lane p is valid at
 	// that date — the transpose of the per-pixel validity bitsets.
@@ -198,12 +191,35 @@ func (d *Data) MapDates(dates []int, stride int) {
 // Gather transposes the pixels idx (original batch indices, at most T of
 // them) from the row-major batch y (stride mask.N, or the MapDates
 // stride) into the tile: Y becomes time-major and ColMask the per-date
-// lane masks. Only valid observations are written — a fully-missing
-// date skips its Y row entirely and masked-out slots keep stale buffer
-// contents (no kernel reads them). Lanes beyond len(idx) are cleared in
-// the mask and left untouched in Y.
+// lane masks, and P and Idx describe the pixels. A fully-missing date
+// skips its Y row entirely; on every other date each active lane's slot
+// gets its observation or, masked out, +0 — the select keeps the value's
+// bits under an all-ones word and clears them under zero, so the copy
+// has no lane branch. Lanes beyond len(idx) are cleared in the mask and
+// left untouched in Y.
 func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
-	d.GatherMask(mask, idx)
+	n := mask.N
+	if n != d.N {
+		panic(fmt.Sprintf("tile: gather of %d dates into a %d-date tile", n, d.N))
+	}
+	if len(idx) > d.T {
+		panic(fmt.Sprintf("tile: %d pixels into width-%d tile", len(idx), d.T))
+	}
+	d.P = len(idx)
+	d.Idx = idx
+	clear(d.ColMask)
+	// Transpose the per-pixel validity bitsets into per-date column masks.
+	for p, px := range idx {
+		bit := uint64(1) << uint(p)
+		for wi, w := range mask.Row(px) {
+			base := wi * 64
+			for ; w != 0; w &= w - 1 {
+				if t := base + bits.TrailingZeros64(w); t < n {
+					d.ColMask[t] |= bit
+				}
+			}
+		}
+	}
 	stride := d.N
 	if d.dates != nil {
 		stride = d.stride
@@ -216,65 +232,25 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	// through Y (the reads walk T parallel row cursors) instead of
 	// striding T words apart per pixel.
 	T := d.T
-	full := d.FullMask()
+	full := uint64(1)<<uint(d.P) - 1 // all ones at P = 64: the shift yields 0
 	for t, m := range d.ColMask {
+		if m == 0 {
+			continue
+		}
 		src := t
 		if d.dates != nil {
 			src = d.dates[t]
 		}
-		switch m {
-		case 0:
-		case full:
-			dst := d.Y[t*T : t*T+d.P]
+		dst := d.Y[t*T : t*T+d.P]
+		if m == full {
 			for p := range dst {
 				dst[p] = rows[p][src]
 			}
-		default:
-			base := t * T
-			for ; m != 0; m &= m - 1 {
-				p := bits.TrailingZeros64(m)
-				d.Y[base+p] = rows[p][src]
-			}
+			continue
+		}
+		for p := range dst {
+			keep := -(m >> uint(p) & 1)
+			dst[p] = math.Float64frombits(math.Float64bits(rows[p][src]) & keep)
 		}
 	}
-}
-
-// GatherMask is the mask half of Gather: it sets P, Idx and ColMask for
-// the pixels idx and leaves Y alone. It is all the cross product needs
-// (X_h·X_hᵀ reads the schedule, never Y), so the mask-class pass of
-// core.DetectBatch builds its tiles of class representatives with it.
-func (d *Data) GatherMask(mask *series.BatchMask, idx []int) {
-	n := mask.N
-	if n != d.N {
-		panic(fmt.Sprintf("tile: gather of %d dates into a %d-date tile", n, d.N))
-	}
-	if len(idx) > d.T {
-		panic(fmt.Sprintf("tile: %d pixels into width-%d tile", len(idx), d.T))
-	}
-	d.P = len(idx)
-	d.Idx = idx
-	for t := range d.ColMask {
-		d.ColMask[t] = 0
-	}
-	// Transpose the per-pixel validity bitsets into per-date column masks.
-	for p, px := range idx {
-		bit := uint64(1) << uint(p)
-		for wi, w := range mask.Row(px) {
-			base := wi * 64
-			for ; w != 0; w &= w - 1 {
-				t := base + bits.TrailingZeros64(w)
-				if t < n {
-					d.ColMask[t] |= bit
-				}
-			}
-		}
-	}
-}
-
-// FullMask returns the column-mask word with all P active lanes set.
-func (d *Data) FullMask() uint64 {
-	if d.P == MaxWidth {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(d.P) - 1
 }

@@ -115,7 +115,7 @@ func TestGatherRoundTrip(t *testing.T) {
 			}
 			// Lanes beyond P must be masked out everywhere.
 			for tt := 0; tt < tc.n; tt++ {
-				if d.ColMask[tt]&^d.FullMask() != 0 {
+				if d.ColMask[tt]>>uint(d.P) != 0 {
 					t.Fatalf("tile %d: ghost lanes in column mask", ti)
 				}
 			}
@@ -208,32 +208,23 @@ func TestPlanWidthClamping(t *testing.T) {
 }
 
 // TestPlanSkewMetrics: planning must publish the workload-skew
-// histograms — one pixel sample per pixel, one waste/spread sample per
-// tile — and a uniform scene must show zero padding waste while a
-// two-population scene binned into separate tiles must too.
+// histograms — one pixel sample per pixel, one spread sample per tile —
+// and a two-population scene binned into separate tiles must show zero
+// spread.
 func TestPlanSkewMetrics(t *testing.T) {
 	pixBefore := statPixelValid.Count()
-	tilesBefore := statPadWaste.Count()
+	tilesBefore := statBinSpread.Count()
 	spreadBefore := statBinSpread.Sum()
-	wasteBefore := statPadWaste.Sum()
 
 	// 8 pixels with 30 valid dates, 8 with 60: binned by valid count,
-	// each tile is internally uniform -> zero waste, zero spread.
+	// each tile is internally uniform -> zero spread.
 	const m, n, tw = 16, 70, 8
-	y := make([]float64, m*n)
-	for i := 0; i < m; i++ {
-		valid := 30
+	y := prefixScene(m, n, func(i int) int {
 		if i >= 8 {
-			valid = 60
+			return 60
 		}
-		for t0 := 0; t0 < n; t0++ {
-			if t0 < valid {
-				y[i*n+t0] = 1
-			} else {
-				y[i*n+t0] = math.NaN()
-			}
-		}
-	}
+		return 30
+	})
 	pl := NewPlan(series.NewBatchMask(m, n, y), tw)
 	if pl.Tiles != 2 {
 		t.Fatalf("tiles = %d, want 2", pl.Tiles)
@@ -241,26 +232,76 @@ func TestPlanSkewMetrics(t *testing.T) {
 	if got := statPixelValid.Count() - pixBefore; got != m {
 		t.Fatalf("pixel samples = %d, want %d", got, m)
 	}
-	if got := statPadWaste.Count() - tilesBefore; got != 2 {
+	if got := statBinSpread.Count() - tilesBefore; got != 2 {
 		t.Fatalf("tile samples = %d, want 2", got)
-	}
-	if d := statPadWaste.Sum() - wasteBefore; d != 0 {
-		t.Fatalf("uniform bins recorded %v%% padding waste, want 0", d)
 	}
 	if d := statBinSpread.Sum() - spreadBefore; d != 0 {
 		t.Fatalf("uniform bins recorded spread %v, want 0", d)
 	}
 
-	// A single tile mixing one 30-valid and one 60-valid pixel must show
-	// both waste (100·(1 − 90/120) = 25%) and spread (30).
-	wasteBefore = statPadWaste.Sum()
+	// A single tile mixing one 30-valid and one 60-valid pixel has
+	// spread 30.
 	spreadBefore = statBinSpread.Sum()
 	NewPlan(series.NewBatchMask(2, n, y[7*n:9*n]), tw)
-	if d := statPadWaste.Sum() - wasteBefore; d != 25 {
-		t.Fatalf("mixed tile padding waste = %v%%, want 25", d)
-	}
 	if d := statBinSpread.Sum() - spreadBefore; d != 30 {
 		t.Fatalf("mixed tile spread = %v, want 30", d)
+	}
+}
+
+// prefixScene builds an m×n batch whose pixel i is valid on its first
+// valid(i) dates and missing after.
+func prefixScene(m, n int, valid func(i int) int) []float64 {
+	y := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for t := 0; t < n; t++ {
+			y[i*n+t] = 1
+			if t >= valid(i) {
+				y[i*n+t] = math.NaN()
+			}
+		}
+	}
+	return y
+}
+
+// TestPublishWaste: a gathered tile's padding waste is the masked share
+// of the lane-dates on its non-empty dates — zero when the lanes share
+// their mask, 100·(1 − 90/120) = 25% for lanes valid on the first 30 and
+// 60 dates, and 50% for two lanes valid on alternate dates, which the
+// valid counts alone (equal) cannot see.
+func TestPublishWaste(t *testing.T) {
+	const n = 70
+	alternate := make([]float64, 2*n)
+	for i := range alternate {
+		if (i%n+i/n)%2 == 0 {
+			alternate[i] = math.NaN()
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		y    []float64
+		want float64
+	}{
+		{"shared", prefixScene(4, n, func(int) int { return 30 }), 0},
+		{"prefixes", prefixScene(2, n, func(i int) int { return 30 * (i + 1) }), 25},
+		{"alternate", alternate, 50},
+		{"empty", prefixScene(3, n, func(int) int { return 0 }), 0},
+	} {
+		m := len(tc.y) / n
+		idx := make([]int, m)
+		for i := range idx {
+			idx[i] = i
+		}
+		d, sc := NewData(8, n), NewSchedule(n)
+		d.Gather(tc.y, series.NewBatchMask(m, n, tc.y), idx)
+		sc.Build(d)
+		count, sum := statPadWaste.Count(), statPadWaste.Sum()
+		sc.PublishWaste(d.P)
+		if statPadWaste.Count() != count+1 {
+			t.Fatalf("%s: %d waste samples, want 1", tc.name, statPadWaste.Count()-count)
+		}
+		if got := statPadWaste.Sum() - sum; got != tc.want {
+			t.Fatalf("%s: waste %v%%, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
