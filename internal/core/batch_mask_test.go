@@ -33,7 +33,7 @@ func assertBitIdentical(t *testing.T, want, got []Result, label string) {
 			t.Fatalf("%s pixel %d: β length %d vs %d", label, i, len(w.Beta), len(g.Beta))
 		}
 		for j := range w.Beta {
-			if w.Beta[j] != g.Beta[j] && !(math.IsNaN(w.Beta[j]) && math.IsNaN(g.Beta[j])) {
+			if w.Beta[j] != g.Beta[j] {
 				t.Fatalf("%s pixel %d: β[%d] %v vs %v", label, i, j, w.Beta[j], g.Beta[j])
 			}
 		}

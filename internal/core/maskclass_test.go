@@ -504,9 +504,33 @@ func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 		if s.data.Idx == nil {
 			continue
 		}
-		assertBitIdentical(t, scalarResults(t, first, opt), got1, "±Inf batch vs scalar")
-		assertBitIdentical(t, scalarResults(t, second, opt), got2, "i.i.d. batch on the ±Inf scratch vs scalar")
+		assertSameBits(t, scalarResults(t, first, opt), got1, "±Inf batch vs scalar")
+		assertSameBits(t, scalarResults(t, second, opt), got2, "i.i.d. batch on the ±Inf scratch vs scalar")
 		return
 	}
 	t.Fatal("the pool never handed the planted scratch to both calls")
+}
+
+// assertSameBits compares two result sets field by field, every float by
+// its bit pattern, so NaN coefficients from non-finite inputs must match
+// payload and sign as well.
+func assertSameBits(t *testing.T, want, got []Result, label string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d vs %d", label, len(want), len(got))
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := range want {
+		w, g := want[i], got[i]
+		ok := w.Status == g.Status && w.BreakIndex == g.BreakIndex &&
+			w.ValidHistory == g.ValidHistory && w.Valid == g.Valid &&
+			same(w.Sigma, g.Sigma) && same(w.MosumMean, g.MosumMean) &&
+			len(w.Beta) == len(g.Beta)
+		for j := 0; ok && j < len(w.Beta); j++ {
+			ok = same(w.Beta[j], g.Beta[j])
+		}
+		if !ok {
+			t.Fatalf("%s pixel %d: %+v vs %+v", label, i, w, g)
+		}
+	}
 }

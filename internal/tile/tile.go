@@ -232,7 +232,6 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	// through Y (the reads walk T parallel row cursors) instead of
 	// striding T words apart per pixel.
 	T := d.T
-	full := uint64(1)<<uint(d.P) - 1 // all ones at P = 64: the shift yields 0
 	for t, m := range d.ColMask {
 		if m == 0 {
 			continue
@@ -242,12 +241,6 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 			src = d.dates[t]
 		}
 		dst := d.Y[t*T : t*T+d.P]
-		if m == full {
-			for p := range dst {
-				dst[p] = rows[p][src]
-			}
-			continue
-		}
 		for p := range dst {
 			keep := -(m >> uint(p) & 1)
 			dst[p] = math.Float64frombits(math.Float64bits(rows[p][src]) & keep)
