@@ -361,8 +361,8 @@ func dateRange(lo, hi int) []int {
 
 // TestProcessCubeDropEmptyMatchesOracle holds the copy-free empty-date
 // removal to scalar Detect on the DropEmptySlices output, bit for bit,
-// at every tile width and worker count: the kept values are the same
-// numbers summed in the same order.
+// for a lone short tile, short and whole last tiles and every worker
+// count: the kept values are the same numbers summed in the same order.
 func TestProcessCubeDropEmptyMatchesOracle(t *testing.T) {
 	odd := []int{0, 128} // 130 dates → 63: the kept dates cross two word boundaries
 	for d := 1; d < 130; d += 2 {
@@ -409,21 +409,27 @@ func TestProcessCubeDropEmptyMatchesOracle(t *testing.T) {
 		if tc.name == "word-crossing-130-to-63" && len(wantKept) != 63 {
 			t.Fatalf("%s: %d dates kept", tc.name, len(wantKept))
 		}
-		b, err := NewBatch(c.Pixels(), c.Dates, c.Values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tw := range []int{1, 8, 64} {
+		// The cube's first m pixels: one short tile, 8k + 5 and 8k.
+		for _, m := range []int{5, c.Pixels() - 3, c.Pixels()} {
+			head, err := CubeFromFlat(m, 1, tc.n, c.Values[:m*tc.n])
+			if err != nil {
+				t.Fatal(err)
+			}
+			headWant, headKept := cubeOracle(t, head, opt)
+			hb, err := NewBatch(m, tc.n, head.Values)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{1, 3} {
-				label := fmt.Sprintf("%s/T=%d/w=%d", tc.name, tw, workers)
-				got, kept, err := core.DetectPopulated(context.Background(), b, opt, core.BatchConfig{TileWidth: tw, Workers: workers})
+				label := fmt.Sprintf("%s/M=%d/w=%d", tc.name, m, workers)
+				got, kept, err := core.DetectPopulated(context.Background(), hb, opt, core.BatchConfig{Workers: workers})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if !slices.Equal(kept, wantKept) {
-					t.Fatalf("%s: kept %v, want %v", label, kept, wantKept)
+				if !slices.Equal(kept, headKept) {
+					t.Fatalf("%s: kept %v, want %v", label, kept, headKept)
 				}
-				assertSameResults(t, want, got, label)
+				assertSameResults(t, headWant, got, label)
 			}
 		}
 		m, err := ProcessCube(context.Background(), c, opt, true, 3)

@@ -23,8 +23,8 @@ import (
 	"syscall"
 
 	"bfast/internal/benchutil"
-	"bfast/internal/core"
 	"bfast/internal/gpusim"
+	"bfast/internal/tile"
 )
 
 func main() {
@@ -87,7 +87,7 @@ func main() {
 			TileWidth       int            `json:"tile_width"`
 			Results         map[string]any `json:"results"`
 		}{*exp, *sample, cfg.Profile.Name, collectHostInfo(), effWorkers,
-			core.BatchConfig{}.ResolvedTileWidth(), rows}
+			tile.DefaultWidth, rows}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {

@@ -20,7 +20,7 @@
 //
 // Correctness contract: per-pixel results are independent of batch
 // composition (the repo's bit-identity invariant across strategies,
-// tile widths and batch splits), so a coalesced response is
+// tile padding and batch splits), so a coalesced response is
 // bit-identical to the per-request response. Cancellation is
 // per-caller: a cancelled waiter abandons only its own slice, the
 // merged run keeps going for the others, and is itself cancelled only
@@ -296,15 +296,15 @@ func (b *Batcher) idleCheck(seen int64) {
 	})
 }
 
-// queueKey extends the options/length key with the batch geometry:
-// merged pixels run under one BatchConfig, so only requests resolving
-// to the same (workers, tile width) may share a queue.
+// queueKey extends the options/length key with the worker count:
+// merged pixels run under one BatchConfig, so only requests with the
+// same Workers may share a queue.
 func queueKey(n int, opt core.Options, bcfg core.BatchConfig) (string, error) {
 	ok, err := opt.QueueKey(n)
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s w=%d tw=%d", ok, bcfg.Workers, bcfg.ResolvedTileWidth()), nil
+	return fmt.Sprintf("%s w=%d", ok, bcfg.Workers), nil
 }
 
 // Detect submits m pixels (flat, row-major, m*n values, NaN = missing)

@@ -8,7 +8,6 @@ import (
 	"bfast/internal/obs"
 	"bfast/internal/sched"
 	"bfast/internal/series"
-	"bfast/internal/tile"
 )
 
 // Strategy names the code versions evaluated in Fig. 8 of the paper:
@@ -50,25 +49,6 @@ func (s Strategy) String() string {
 type BatchConfig struct {
 	// Workers is the number of goroutines (default GOMAXPROCS).
 	Workers int
-	// TileWidth is T, the number of pixels gathered into one time-major
-	// tile by the tiled path's register-blocked kernels. 0 means
-	// tile.DefaultWidth (8); 1 disables cross-pixel blocking; values are
-	// clamped to tile.MaxWidth (64). Results are identical for every T.
-	TileWidth int
-}
-
-// ResolvedTileWidth returns the effective tile width T after defaulting
-// and clamping (the width DetectBatch will actually use).
-func (c BatchConfig) ResolvedTileWidth() int { return c.tileWidth() }
-
-func (c BatchConfig) tileWidth() int {
-	switch {
-	case c.TileWidth <= 0:
-		return tile.DefaultWidth
-	case c.TileWidth > tile.MaxWidth:
-		return tile.MaxWidth
-	}
-	return c.TileWidth
 }
 
 // Batch is a dense M×N pixel batch: M series of length N, row-major,
@@ -117,11 +97,12 @@ func (b *Batch) MaskCtx(ctx context.Context, workers int) (*series.BatchMask, er
 // DetectBatch runs BFAST-Monitor over every pixel of the batch using the
 // shared design matrix implied by opt (built internally). Its results
 // are bit-identical to the scalar Detect oracle, pixel by pixel, for
-// every worker count and tile width.
+// every worker count.
 //
 // Execution: each pixel's validity bitset is computed once (MaskCtx).
 // Pixels are then binned by valid-count and gathered into time-major
-// tiles of cfg.TileWidth pixels, and every kernel stage of a tile runs
+// tiles of tile.DefaultWidth pixels, a short last tile padded to the
+// full width, and every kernel stage of a tile runs
 // inside one steal unit on the shared work-stealing scheduler; pixels
 // whose history masks are equal share one inverted normal matrix
 // (maskclass.go).

@@ -121,10 +121,9 @@ func TestDetectBatchMaskEdgePixels(t *testing.T) {
 }
 
 // TestDetectBatchMatchesScalarDetect pins DetectBatch to scalar Detect
-// bit for bit across solvers, missing-value rates, tile widths (T = 1
-// degenerate tiles up to the widest legal tile, ragged tails included)
-// and worker counts, plus the bitset edge cases and a batch narrower
-// than one tile.
+// bit for bit across solvers, missing-value rates, pixel counts (a lone
+// short tile, M = 8k + r and M = 8k) and worker counts, plus the bitset
+// edge cases.
 func TestDetectBatchMatchesScalarDetect(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))
 	const N, n = 300, 150
@@ -133,25 +132,24 @@ func TestDetectBatchMatchesScalarDetect(t *testing.T) {
 		b    *Batch
 		n    int
 	}{
-		{"nan=0", randomBatch(rng, 70, N, 0), n}, // 70 % T != 0 for every T > 1
+		{"nan=0", randomBatch(rng, 70, N, 0), n}, // 70 = 8·8 + 6
 		{"nan=50", randomBatch(rng, 70, N, 0.5), n},
 		{"nan=80", randomBatch(rng, 70, N, 0.8), n},
-		{"M<T", randomBatch(rng, 5, N, 0.5), n},
+		{"M<8", randomBatch(rng, 5, N, 0.5), n},
 		{"edge", edgeBatch(rng), 115},
+		{"M=8k", randomBatch(rng, 64, N, 0.5), n},
 	}
 	for _, bc := range batches {
 		for _, solver := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
 			opt := defaultTestOpts(bc.n)
 			opt.Solver = solver
 			want := scalarOracle(t, bc.b, opt)
-			for _, tw := range []int{1, 4, 8, 64} {
-				for _, workers := range []int{1, 3} {
-					got, err := DetectBatch(context.Background(), bc.b, opt, BatchConfig{Workers: workers, TileWidth: tw})
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertBitIdentical(t, want, got, fmt.Sprintf("%s/%v/T=%d/workers=%d", bc.name, solver, tw, workers))
+			for _, workers := range []int{1, 3} {
+				got, err := DetectBatch(context.Background(), bc.b, opt, BatchConfig{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
 				}
+				assertBitIdentical(t, want, got, fmt.Sprintf("%s/%v/workers=%d", bc.name, solver, workers))
 			}
 		}
 	}

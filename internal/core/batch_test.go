@@ -5,12 +5,10 @@ import (
 
 	"math"
 	"math/rand"
-	"strconv"
 	"testing"
 	"testing/quick"
 
 	"bfast/internal/series"
-	"bfast/internal/tile"
 )
 
 // randomBatch builds an M×N batch with a mix of stable pixels, breaking
@@ -74,8 +72,7 @@ func TestNewBatchValidation(t *testing.T) {
 }
 
 // TestDetectBatchStrategiesAgreeWithReference checks DetectBatch against
-// scalar Detect per pixel within 1e-9 on the MOSUM mean, at the default
-// tile width and at the widest legal tile.
+// scalar Detect per pixel within 1e-9 on the MOSUM mean.
 func TestDetectBatchStrategiesAgreeWithReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	M, N, n := 64, 256, 128
@@ -92,13 +89,11 @@ func TestDetectBatchStrategiesAgreeWithReference(t *testing.T) {
 		}
 		want[i] = r
 	}
-	for _, tw := range []int{0, tile.MaxWidth} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 4, TileWidth: tw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsEqual(t, want, got, 1e-9, "tile width "+strconv.Itoa(tw))
+	got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
+	resultsEqual(t, want, got, 1e-9, "batch")
 }
 
 func TestDetectBatchWorkerCountsAgree(t *testing.T) {
@@ -215,31 +210,6 @@ func TestSolverStrings(t *testing.T) {
 		SolverPivot.String() != "pivot" ||
 		SolverCholesky.String() != "cholesky" {
 		t.Fatal("Solver.String broken")
-	}
-}
-
-// TestResolvedTileWidthClamping pins the defaulting/clamping contract of
-// BatchConfig.ResolvedTileWidth: non-positive widths resolve to the
-// default, widths past tile.MaxWidth clamp to it, exact MaxWidth and
-// in-range widths pass through unchanged. bfast-bench's JSON relies on
-// this being the width DetectBatch actually runs with.
-func TestResolvedTileWidthClamping(t *testing.T) {
-	cases := []struct {
-		in, want int
-	}{
-		{0, tile.DefaultWidth},             // zero value → default
-		{-1, tile.DefaultWidth},            // negative → default
-		{-1000, tile.DefaultWidth},         // very negative → default
-		{1, 1},                             // minimum legal width
-		{tile.MaxWidth, tile.MaxWidth},     // exact upper bound passes
-		{tile.MaxWidth + 1, tile.MaxWidth}, // one past → clamp
-		{1 << 20, tile.MaxWidth},           // absurd → clamp
-	}
-	for _, tc := range cases {
-		got := BatchConfig{TileWidth: tc.in}.ResolvedTileWidth()
-		if got != tc.want {
-			t.Errorf("ResolvedTileWidth(TileWidth=%d) = %d, want %d", tc.in, got, tc.want)
-		}
 	}
 }
 

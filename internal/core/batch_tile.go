@@ -47,7 +47,8 @@ type tileScratch struct {
 	nVal []int     // per-lane residual counts
 }
 
-func newTileScratch(k, n, t int) *tileScratch {
+func newTileScratch(k, n int) *tileScratch {
+	t := tile.DefaultWidth
 	return &tileScratch{
 		data: tile.NewData(t, n),
 		sc:   tile.NewSchedule(n),
@@ -68,16 +69,16 @@ func newTileScratch(k, n, t int) *tileScratch {
 }
 
 // scratchKey is the shape a tileScratch is sized for.
-type scratchKey struct{ k, n, t int }
+type scratchKey struct{ k, n int }
 
 // tileScratchPools maps a scratchKey to the sync.Pool of scratches of
 // that shape, so a call — above all a 1–4-pixel serving request, whose
 // scratch is most of what it would allocate — reuses the buffers of an
 // earlier one. Stale contents are harmless: every buffer is written for
 // the active lanes before it is read — Gather writes +0 into the masked
-// slots of every date it copies — and no kernel reads inactive lanes or
-// the rows of dates no lane is valid on (see tile.Data). One entry per
-// distinct (K, N, T) the process has run.
+// and padding slots of every date it copies — no result is read from a
+// padding lane, and no kernel reads the rows of dates no lane is valid
+// on (see tile.Data). One entry per distinct (K, N) the process has run.
 var tileScratchPools sync.Map
 
 func getTileScratch(key scratchKey) *tileScratch {
@@ -86,7 +87,7 @@ func getTileScratch(key scratchKey) *tileScratch {
 			return s
 		}
 	}
-	return newTileScratch(key.k, key.n, key.t)
+	return newTileScratch(key.k, key.n)
 }
 
 func putTileScratch(key scratchKey, s *tileScratch) {
@@ -273,7 +274,7 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 	M, N := b.M, mask.N
 	n := opt.History
 	K := opt.K()
-	T := cfg.tileWidth()
+	T := tile.DefaultWidth
 	out := make([]Result, M)
 	plan := tile.NewPlan(mask, T)
 	xh := historySlice(x, n)
@@ -293,7 +294,7 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 		sp.SetAttr("shared_pixels", classes.pixels)
 	}
 	var tilesShared atomic.Int64
-	err := forEachTileScratch(ctx, scratchKey{K, N, T}, plan.Tiles, cfg.Workers, func(s *tileScratch, ti int) {
+	err := forEachTileScratch(ctx, scratchKey{K, N}, plan.Tiles, cfg.Workers, func(s *tileScratch, ti int) {
 		idx := plan.Indices(ti)
 		if !initTileResults(idx, mask, opt, s.fit, out) {
 			return

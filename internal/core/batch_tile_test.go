@@ -10,31 +10,22 @@ import (
 
 // TestDetectBatchTiledBitIdentical is the acceptance matrix of the tiled
 // kernels: DetectBatch must be bit-identical to scalar Detect across NaN
-// fractions, tile widths (including T=1 degenerate tiles), and ragged
-// tails (M < T and M % T != 0).
+// fractions and pixel counts: a lone short tile (M < 8), whole tiles
+// (M = 8k) and a short last tile (M = 8k + r), whose padding lanes the
+// kernels sweep with the real ones.
 func TestDetectBatchTiledBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
 	const N, n = 300, 150
 	for _, nanFrac := range []float64{0, 0.25, 0.5, 0.9} {
-		for _, tc := range []struct {
-			m, tw int
-			tag   string
-		}{
-			{5, 8, "M<T"},        // single ragged tile
-			{21, 8, "ragged"},    // 2 full tiles + width-5 tail
-			{24, 8, "aligned"},   // exact multiple
-			{13, 4, "T4-ragged"}, // narrow tiles, ragged
-			{7, 1, "T1"},         // degenerate: every tile one pixel
-			{70, 64, "Tmax"},     // widest legal tile + ragged tail
-		} {
-			b := randomBatch(rng, tc.m, N, nanFrac)
+		for _, m := range []int{5, 21, 24, 13, 7, 70} {
+			b := randomBatch(rng, m, N, nanFrac)
 			opt := defaultTestOpts(n)
 			want := scalarOracle(t, b, opt)
-			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3, TileWidth: tc.tw})
+			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, want, got, fmt.Sprintf("%s/nan=%v", tc.tag, nanFrac))
+			assertBitIdentical(t, want, got, fmt.Sprintf("M=%d/nan=%v", m, nanFrac))
 		}
 	}
 }
@@ -49,7 +40,7 @@ func TestDetectBatchTiledSolvers(t *testing.T) {
 		opt := defaultTestOpts(n)
 		opt.Solver = solver
 		want := scalarOracle(t, b, opt)
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2, TileWidth: 8})
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,13 +83,11 @@ func TestDetectBatchTiledDegeneratePixels(t *testing.T) {
 	}
 	opt := defaultTestOpts(n)
 	want := scalarOracle(t, b, opt)
-	for _, tw := range []int{1, 4, 8} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2, TileWidth: tw})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertBitIdentical(t, want, got, "degenerate")
+	got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertBitIdentical(t, want, got, "degenerate")
 }
 
 // TestDetectBatchTiledWorkerInvariance: the tile decomposition must make
@@ -108,12 +97,12 @@ func TestDetectBatchTiledWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(123))
 	b := randomBatch(rng, 19, 300, 0.5)
 	opt := defaultTestOpts(150)
-	base, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 1, TileWidth: 8})
+	base, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 7} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: workers, TileWidth: 8})
+		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ type maskClasses struct {
 // unit on the shared scheduler under ctx. No Y is gathered: the normal
 // matrix reads only the mask.
 func newMaskClasses(ctx context.Context, mask *series.BatchMask, pp *tile.Pairs, opt Options, cfg BatchConfig) (*maskClasses, error) {
-	K, T := opt.K(), cfg.tileWidth()
+	K, T := opt.K(), tile.DefaultWidth
 	g := groupByHistoryMask(mask, opt.History, opt.minHist(), hashWords)
 	mc := &maskClasses{shared: g.of, classes: len(g.rep)}
 	var reps []int // representative pixel per shared class
@@ -146,7 +146,7 @@ func newMaskClasses(ctx context.Context, mask *series.BatchMask, pp *tile.Pairs,
 	}
 	mc.inv = make([]float64, len(reps)*K*K)
 	mc.sing = make([]bool, len(reps))
-	key := scratchKey{K, mask.N, T}
+	key := scratchKey{K, mask.N}
 	tiles := (len(reps) + T - 1) / T
 	err := forEachTileScratch(ctx, key, tiles, cfg.Workers, func(s *tileScratch, ti int) {
 		lo := ti * T

@@ -11,6 +11,7 @@ import (
 
 	"bfast/internal/leakcheck"
 	"bfast/internal/series"
+	"bfast/internal/tile"
 )
 
 // Mask-class sharing must be invisible except in speed: every test here
@@ -89,6 +90,27 @@ func distinctHistoryMasks(b *Batch, opt Options) int {
 	return len(seen)
 }
 
+// pixelCounts are the batch sizes a class test runs its m-pixel scene
+// at, as the batch's first pixels: a lone short tile (no class pass),
+// whole tiles only, and all m, whose last tile is short unless m is a
+// multiple of 8.
+func pixelCounts(m int) []int {
+	counts := []int{5, m &^ 7}
+	if m%8 != 0 {
+		counts = append(counts, m)
+	}
+	return counts
+}
+
+// head returns the batch of b's first m pixels.
+func head(b *Batch, m int) *Batch {
+	h, err := NewBatch(m, b.N, b.Y[:m*b.N])
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 func classCount(b *Batch, opt Options) int {
 	mask := series.NewBatchMask(b.M, b.N, b.Y)
 	return len(groupByHistoryMask(mask, opt.History, opt.minHist(), hashWords).rep)
@@ -96,8 +118,7 @@ func classCount(b *Batch, opt Options) int {
 
 // TestClassSharingMatchesScalar: duplicated masks under different values,
 // drawn at random so classes straddle tile and steal-unit boundaries,
-// with singleton classes mixed in; every tile width and worker count,
-// ragged last tiles included.
+// with singleton classes mixed in; every pixel count and worker count.
 func TestClassSharingMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(140))
 	const N, n = 230, 115 // N % 64 != 0 and n % 64 != 0: tail words in play
@@ -128,13 +149,13 @@ func TestClassSharingMatchesScalar(t *testing.T) {
 	} {
 		b := maskedScene(rng, sc.m, N, randomMasks(rng, sc.masks, N, 0.4), sc.pick(rng, sc.masks))
 		want := scalarResults(t, b, opt)
-		for _, tw := range []int{1, 4, 8, 64} {
+		for _, m := range pixelCounts(sc.m) {
 			for _, workers := range []int{1, 2, 5} {
-				got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: workers, TileWidth: tw})
+				got, err := DetectBatch(context.Background(), head(b, m), opt, BatchConfig{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, want, got, fmt.Sprintf("%s/T=%d/w=%d", sc.name, tw, workers))
+				assertBitIdentical(t, want[:m], got, fmt.Sprintf("%s/M=%d/w=%d", sc.name, m, workers))
 			}
 		}
 		if got, want := classCount(b, opt), distinctHistoryMasks(b, opt); got != want {
@@ -152,7 +173,7 @@ func TestClassSharingMetamorphic(t *testing.T) {
 	const M, N, n = 150, 300, 150
 	opt := defaultTestOpts(n)
 	b := maskedScene(rng, M, N, randomMasks(rng, 12, N, 0.5), func(int) int { return rng.Intn(12) })
-	cfg := BatchConfig{Workers: 2, TileWidth: 8}
+	cfg := BatchConfig{Workers: 2}
 	base, err := DetectBatch(context.Background(), b, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -307,13 +328,13 @@ func TestClassStatusIsShared(t *testing.T) {
 		t.Fatalf("sparse class: scalar status %v, want StatusInsufficientHistory", statuses[2])
 	}
 	t.Logf("near-singular class: scalar status %v", statuses[1])
-	for _, tw := range []int{1, 4, 8, 64} {
+	for _, m := range pixelCounts(b.M) {
 		for _, workers := range []int{1, 3} {
-			got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: workers, TileWidth: tw})
+			got, err := DetectBatch(context.Background(), head(b, m), opt, BatchConfig{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertBitIdentical(t, want, got, fmt.Sprintf("T=%d/w=%d", tw, workers))
+			assertBitIdentical(t, want[:m], got, fmt.Sprintf("M=%d/w=%d", m, workers))
 		}
 	}
 }
@@ -353,12 +374,12 @@ func TestClassKeyIsTheHistoryPeriod(t *testing.T) {
 		}
 	}
 	want := scalarResults(t, b, opt)
-	for _, tw := range []int{4, 8} {
-		got, err := DetectBatch(context.Background(), b, opt, BatchConfig{Workers: 2, TileWidth: tw})
+	for _, m := range pixelCounts(b.M) {
+		got, err := DetectBatch(context.Background(), head(b, m), opt, BatchConfig{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertBitIdentical(t, want, got, fmt.Sprintf("T=%d", tw))
+		assertBitIdentical(t, want[:m], got, fmt.Sprintf("M=%d", m))
 	}
 }
 
@@ -388,7 +409,7 @@ func TestClassSharingCancellation(t *testing.T) {
 	const M, N, n = 400, 160, 80
 	opt := defaultTestOpts(n)
 	b := maskedScene(rng, M, N, randomMasks(rng, 30, N, 0.4), func(int) int { return rng.Intn(30) })
-	cfg := BatchConfig{Workers: 3, TileWidth: 8}
+	cfg := BatchConfig{Workers: 3}
 	want, err := DetectBatch(context.Background(), b, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -426,8 +447,8 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	opt := defaultTestOpts(n)
 	first := randomBatch(rng, M, N, 0.2)
 	second := maskedScene(rng, M, N, randomMasks(rng, 6, N, 0.6), func(i int) int { return i % 6 })
-	cfg := BatchConfig{Workers: 1, TileWidth: 8}
-	key := scratchKey{opt.K(), N, 8}
+	cfg := BatchConfig{Workers: 1}
+	key := scratchKey{opt.K(), N}
 
 	tileScratchPools.Delete(key)
 	fresh, err := DetectBatch(context.Background(), second, opt, cfg)
@@ -441,7 +462,7 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	// the scratch planted here: Gather leaves its lane map in data.Idx.
 	for attempt := 0; attempt < 50; attempt++ {
 		tileScratchPools.Delete(key)
-		s := newTileScratch(key.k, key.n, key.t)
+		s := newTileScratch(key.k, key.n)
 		putTileScratch(key, s)
 		if _, err := DetectBatch(context.Background(), first, opt, cfg); err != nil {
 			t.Fatal(err)
@@ -464,17 +485,20 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 }
 
 // TestPooledScratchZeroFillsMaskedSlots runs a batch that fills the
-// pooled tile buffer with ±Inf and −0 at every date, then a batch of
-// i.i.d. masks whose tiles are partial at nearly every date, through one
-// planted scratch. The mat-vec sums every lane of a partial date, so a
-// masked slot still holding the first batch's ±Inf would poison the
-// second batch's coefficients; both calls must equal scalar Detect.
+// pooled tile buffer with ±Inf and −0 at every date, and so leaves ±Inf
+// in Y and NaN in β on every lane, then through the same planted scratch
+// a batch of i.i.d. masks whose tiles are partial at nearly every date:
+// with whole tiles, and with a last tile of 1 and of 5 pixels whose
+// padding lanes the kernels sweep. The mat-vec sums every lane of a
+// partial date, so a masked or padding slot still holding the first
+// batch's ±Inf would poison the second batch's coefficients; both calls
+// must equal scalar Detect.
 func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(147))
 	const M, N, n = 24, 120, 60
 	opt := defaultTestOpts(n)
-	cfg := BatchConfig{Workers: 1, TileWidth: 8}
-	key := scratchKey{opt.K(), N, 8}
+	cfg := BatchConfig{Workers: 1}
+	key := scratchKey{opt.K(), N}
 	specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	y := make([]float64, M*N)
 	for i := range y {
@@ -484,31 +508,43 @@ func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := randomBatch(rng, M, N, 0.5)
-	for attempt := 0; attempt < 50; attempt++ {
-		tileScratchPools.Delete(key)
-		s := newTileScratch(key.k, key.n, key.t)
-		putTileScratch(key, s)
-		got1, err := DetectBatch(context.Background(), first, opt, cfg)
-		if err != nil {
-			t.Fatal(err)
+	wantFirst := scalarResults(t, first, opt)
+	for _, m := range []int{M, M + 1, M + 5} {
+		second := randomBatch(rng, m, N, 0.5)
+		label := fmt.Sprintf("M=%d i.i.d. batch on the ±Inf scratch vs scalar", m)
+		ran := false
+		for attempt := 0; attempt < 50 && !ran; attempt++ {
+			tileScratchPools.Delete(key)
+			s := newTileScratch(key.k, key.n)
+			putTileScratch(key, s)
+			got1, err := DetectBatch(context.Background(), first, opt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.data.Idx == nil {
+				continue
+			}
+			for p := 1; p < tile.DefaultWidth; p++ {
+				if !math.IsInf(s.data.Y[p], 0) || !math.IsNaN(s.beta[p]) {
+					t.Fatalf("lane %d: the ±Inf batch left Y %v and β %v", p, s.data.Y[p], s.beta[p])
+				}
+			}
+			s.data.Idx = nil
+			got2, err := DetectBatch(context.Background(), second, opt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.data.Idx == nil {
+				continue
+			}
+			assertSameBits(t, wantFirst, got1, "±Inf batch vs scalar")
+			assertSameBits(t, scalarResults(t, second, opt), got2, label)
+			ran = true
 		}
-		if s.data.Idx == nil {
-			continue
+		if !ran {
+			t.Fatalf("M=%d: the pool never handed the planted scratch to both calls", m)
 		}
-		s.data.Idx = nil
-		got2, err := DetectBatch(context.Background(), second, opt, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.data.Idx == nil {
-			continue
-		}
-		assertSameBits(t, scalarResults(t, first, opt), got1, "±Inf batch vs scalar")
-		assertSameBits(t, scalarResults(t, second, opt), got2, "i.i.d. batch on the ±Inf scratch vs scalar")
-		return
 	}
-	t.Fatal("the pool never handed the planted scratch to both calls")
 }
 
 // assertSameBits compares two result sets field by field, every float by

@@ -89,7 +89,7 @@ func TestTilesSpanReportsSharing(t *testing.T) {
 		t.Helper()
 		root := obs.NewSpan("request")
 		ctx := obs.ContextWithSpan(context.Background(), root)
-		if _, err := DetectBatch(ctx, b, opt, BatchConfig{Workers: 2, TileWidth: 8}); err != nil {
+		if _, err := DetectBatch(ctx, b, opt, BatchConfig{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		root.End()

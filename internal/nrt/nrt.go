@@ -187,6 +187,15 @@ type FitSummary struct {
 	CacheHits int    `json:"cache_hits"`
 }
 
+// CheckCapacity reports whether a session designed for capacity dates
+// leaves a monitoring period after a history of history dates.
+func CheckCapacity(capacity, history int) error {
+	if capacity <= history {
+		return fmt.Errorf("nrt: capacity %d must exceed history %d", capacity, history)
+	}
+	return nil
+}
+
 // Fit fits a scene's per-pixel monitor records and registers a new
 // session. Per-pixel fit failures are not errors: they become terminal
 // pixel statuses in every verdict, mirroring the offline per-pixel
@@ -200,8 +209,8 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 	if err != nil {
 		return FitSummary{}, fmt.Errorf("nrt: %w", err)
 	}
-	if req.Capacity <= opt.History {
-		return FitSummary{}, fmt.Errorf("nrt: capacity %d must exceed history %d", req.Capacity, opt.History)
+	if err := CheckCapacity(req.Capacity, opt.History); err != nil {
+		return FitSummary{}, err
 	}
 	if err := opt.Validate(req.Capacity); err != nil {
 		return FitSummary{}, fmt.Errorf("nrt: %w", err)

@@ -21,6 +21,7 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`{"pixels":[],"history":4}`))
 	f.Add([]byte(`{"series":[1,2,3],"history":2}`))
 	f.Add([]byte(`{"pixels":[[1,2,3]],"history":2,"n":99}`))
+	f.Add([]byte(`{"pixels":[[1,2,3]],"history":2,"n":-1}`))
 	f.Add([]byte(`{"pixels":[[1e309]],"history":1}`))
 	f.Add([]byte(`{"pixels":[[null,null,null,null]],"history":2,"harmonics":0}`))
 	f.Add([]byte(`{"unknown":true}`))
@@ -28,15 +29,45 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`[]`))
 
-	srv := mustServer(f, Config{
+	fuzzServe(f, "/v1/batch", Config{
 		MaxBodyBytes:   1 << 16,
 		MaxBatchPixels: 4,
 		MaxSeriesLen:   64,
 		TraceDepth:     -1,
 		Workers:        1,
 	})
+}
+
+// FuzzFitDecode is FuzzBatchDecode for /v1/fit, the session-creating
+// path: JSON decode, the history and capacity bounds, packing and the
+// per-pixel fit. Sessions that fit accumulate up to the session limit,
+// after which the handler answers 429; neither may panic or 5xx.
+func FuzzFitDecode(f *testing.F) {
+	f.Add([]byte(`{"pixels":[[1,2,null,4,5,6,7,8,9,10,11,12]],"history":12,"capacity":24}`))
+	f.Add([]byte(`{"pixels":[[1,2,3,4]],"history":4}`))
+	f.Add([]byte(`{"pixels":[[1]],"history":4611686018427387904,"capacity":100}`))
+	f.Add([]byte(`{"pixels":[[1]],"history":16000,"capacity":100}`))
+	f.Add([]byte(`{"pixels":[[1,2]],"history":2,"capacity":-5}`))
+	f.Add([]byte(`{"pixels":[[1,2],[3]],"history":2}`))
+	f.Add([]byte(`{"pixels":[],"history":4}`))
+	f.Add([]byte(`{`))
+	f.Add([]byte(``))
+	fuzzServe(f, "/v1/fit", Config{
+		MaxBodyBytes:   1 << 16,
+		MaxBatchPixels: 4,
+		MaxSeriesLen:   64,
+		TraceDepth:     -1,
+		Workers:        1,
+		NRT:            NRTConfig{MaxSessions: 4},
+	})
+}
+
+// fuzzServe drives each fuzz input through ServeHTTP as a JSON POST to
+// path and requires no panic, no 5xx and a JSON body.
+func fuzzServe(f *testing.F, path string, cfg Config) {
+	srv := mustServer(f, cfg)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body))
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)

@@ -316,9 +316,9 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if req.N != nil {
 		n = *req.N
 	}
-	if n > s.cfg.MaxSeriesLen {
+	if n < 1 || n > s.cfg.MaxSeriesLen {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
-			"series has %d dates, limit is %d", n, s.cfg.MaxSeriesLen)
+			"series has %d dates, want 1 to %d", n, s.cfg.MaxSeriesLen)
 	}
 	m := len(req.Pixels)
 	tr.Pixels = m

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"bfast/internal/nrt"
 	"bfast/internal/sched"
 )
 
@@ -64,6 +65,36 @@ func TestDeclaredLengthMismatch(t *testing.T) {
 	}
 	if e := errEnvelope(t, body); e.Code != CodeLengthMismatch {
 		t.Fatalf("batch code %q, want %q", e.Code, CodeLengthMismatch)
+	}
+
+	// A negative declared n is rejected before it sizes the pack buffer.
+	resp, body = post(t, ts, "/v1/batch", json.RawMessage(`{"pixels":[[1,2,3]],"history":2,"n":-1}`))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("negative n: status %d, want 400: %s", resp.StatusCode, body)
+	}
+	if e := errEnvelope(t, body); e.Code != CodeInvalidArgument {
+		t.Fatalf("negative n: code %q, want %q", e.Code, CodeInvalidArgument)
+	}
+}
+
+// TestFitBoundsHistoryBeforePacking: /v1/fit sizes its pack buffer by
+// pixels × history, so a history past MaxSeriesLen, or one the capacity
+// leaves no monitoring period after, is rejected with 400 before that —
+// the latter with the session manager's own message.
+func TestFitBoundsHistoryBeforePacking(t *testing.T) {
+	ts := httptest.NewServer(mustServer(t, Config{}))
+	defer ts.Close()
+	for _, tc := range []struct{ body, msg string }{
+		{`{"pixels":[[1]],"history":4611686018427387904,"capacity":100}`, "history has 4611686018427387904 dates, limit is 16384"},
+		{`{"pixels":[[1]],"history":16000,"capacity":100}`, nrt.CheckCapacity(100, 16000).Error()},
+	} {
+		resp, body := post(t, ts, "/v1/fit", json.RawMessage(tc.body))
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.body, resp.StatusCode, body)
+		}
+		if e := errEnvelope(t, body); e.Code != CodeInvalidArgument || e.Message != tc.msg {
+			t.Fatalf("%s: %s %q, want %s %q", tc.body, e.Code, e.Message, CodeInvalidArgument, tc.msg)
+		}
 	}
 }
 

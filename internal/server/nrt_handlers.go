@@ -132,12 +132,20 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if req.History <= 0 {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "history must be positive")
 	}
+	if req.History > s.cfg.MaxSeriesLen {
+		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
+			"history has %d dates, limit is %d", req.History, s.cfg.MaxSeriesLen)
+	}
 	if req.Capacity == 0 {
 		req.Capacity = 2 * req.History
 	}
 	if req.Capacity > s.cfg.NRT.MaxCapacity {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
 			"capacity %d exceeds the limit %d", req.Capacity, s.cfg.NRT.MaxCapacity)
+	}
+	// Both bounds hold before the pack buffer is sized by history.
+	if err := nrt.CheckCapacity(req.Capacity, req.History); err != nil {
+		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
 	if s.nrtMgr.Len() >= s.cfg.NRT.MaxSessions {
 		return nil, errf(http.StatusTooManyRequests, CodeRateLimited,

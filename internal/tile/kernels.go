@@ -36,10 +36,10 @@ import (
 //     prove pass needs to drop bounds checks from the inner loops.
 //   - The hot 8-lane mat-vec helper lives in kernels_lane8.go and unrolls
 //     dates by pairs.
-//
-// Ragged lane counts (tiles narrower than eight, or a tail block) fall
-// back to generic segment-driven paths that keep the same per-lane
-// floating-point order.
+//   - Every block is a full eight lanes: Gather pads a tile of P pixels
+//     to ⌈P/8⌉·8 lanes with +0 slots under a zero mask bit, as the paper
+//     pads each batch to its maximal size. A padding lane's outputs are
+//     never read, and the real lanes keep their own accumulators.
 
 // CrossProduct computes the K×K normal matrix X_h·X_hᵀ of every lane over
 // the first xh.Cols dates, writing lane-interleaved output:
@@ -101,9 +101,7 @@ func MatVecHistory(xh *linalg.Matrix, d *Data, sc *Schedule, out []float64) {
 	if len(out) != k*T {
 		panic(fmt.Sprintf("tile: matvec out length %d != %d", len(out), k*T))
 	}
-	P := d.P
-	base := 0
-	for ; base+8 <= P; base += 8 {
+	for base := 0; base < d.P; base += 8 {
 		for j := 0; j < k; j++ {
 			o := out[j*T+base : j*T+base+8]
 			for l := range o {
@@ -121,52 +119,16 @@ func MatVecHistory(xh *linalg.Matrix, d *Data, sc *Schedule, out []float64) {
 			}
 		}
 	}
-	if base < P {
-		matvecTail(xh, d, sc, n, base, P-base, out)
-	}
-}
-
-// matvecTail is the generic lane path for ragged blocks: date-outer over
-// the schedule, memory accumulators on the stack.
-//
-//bfast:kernel
-func matvecTail(xh *linalg.Matrix, d *Data, sc *Schedule, n, base, s int, out []float64) {
-	k := xh.Rows
-	T := d.T
-	for j := 0; j < k; j++ {
-		row := xh.Data[j*n : (j+1)*n]
-		var a [8]float64
-		for si := 0; si < sc.N; si++ {
-			lo := int(sc.Lo[si])
-			if lo >= n {
-				break
-			}
-			if sc.Mask[si]>>uint(base) == 0 {
-				continue
-			}
-			hi := min(int(sc.Hi[si]), n)
-			for t := lo; t < hi; t++ {
-				xv := row[t]
-				yt := d.Y[t*T+base : t*T+base+s]
-				for l, yv := range yt {
-					a[l] += xv * yv
-				}
-			}
-		}
-		o := out[j*T+base : j*T+base+s]
-		for l := range o {
-			o[l] = a[l]
-		}
-	}
 }
 
 // Residuals computes every lane's compacted residuals r̄ = y − Xᵀβ over
 // all d.N dates. beta is lane-interleaved (beta[j*T+p]); the outputs are
 // lane-major rows of length d.N: lane p's residuals land in
 // r[p*d.N : p*d.N+nVal[p]] with their original date indices in ix, and
-// nVal[p] receives the count. sc must be built from d. Lanes whose β is
-// unusable (unfitted pixels) still run but their outputs are ignored by
-// the caller.
+// nVal[p] receives the count. r and ix need d.Lanes() rows and nVal as
+// many entries: the padding lanes are written too. sc must be built from
+// d. Lanes whose β is unusable (unfitted pixels, padding) still run but
+// their outputs are ignored by the caller.
 //
 // Each lane block sweeps the schedule once, predictions held in eight
 // registers per date, and emits all eight lanes at every date; a lane's
@@ -180,16 +142,12 @@ func Residuals(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, r 
 	if x.N != N {
 		panic(fmt.Sprintf("tile: residuals design has %d dates, tile %d", x.N, N))
 	}
-	if len(r) < d.P*N || len(ix) < d.P*N || len(nVal) < d.P {
+	lanes := d.Lanes()
+	if len(r) < lanes*N || len(ix) < lanes*N || len(nVal) < lanes {
 		panic("tile: residual buffers too small")
 	}
-	P := d.P
-	base := 0
-	for ; base+8 <= P; base += 8 {
+	for base := 0; base < d.P; base += 8 {
 		residBlock8(x, d, sc, beta, r, ix, nVal, base)
-	}
-	for ; base < P; base++ {
-		residLane(x, d, sc, beta, r, ix, nVal, base)
 	}
 }
 
@@ -280,35 +238,4 @@ func residBlock8(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, 
 	nVal[b+5] = w5
 	nVal[b+6] = w6
 	nVal[b+7] = w7
-}
-
-// residLane is the generic single-lane residual path for ragged blocks:
-// the scalar j-loop per valid date, identical in order to scalar
-// Detect.
-//
-//bfast:kernel
-func residLane(x *series.DesignMatrix, d *Data, sc *Schedule, beta []float64, r []float64, ix []int32, nVal []int, p int) {
-	k := x.K
-	N := d.N
-	T := d.T
-	xd := x.Data
-	bit := uint64(1) << uint(p)
-	rp := r[p*N : (p+1)*N]
-	ixp := ix[p*N : (p+1)*N]
-	w := 0
-	for si := 0; si < sc.N; si++ {
-		if sc.Mask[si]&bit == 0 {
-			continue
-		}
-		for t := int(sc.Lo[si]); t < int(sc.Hi[si]); t++ {
-			pr := 0.0
-			for j := 0; j < k; j++ {
-				pr += xd[j*N+t] * beta[j*T+p]
-			}
-			rp[w] = d.Y[t*T+p] - pr
-			ixp[w] = int32(t)
-			w++
-		}
-	}
-	nVal[p] = w
 }

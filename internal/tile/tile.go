@@ -49,14 +49,23 @@ var (
 	statBinSpread  = obs.Default().Histogram("tile.bin.spread", []float64{0, 1, 2, 4, 8, 16, 32, 64})
 )
 
-// DefaultWidth is the default tile width T. Eight float64 accumulators
-// fit the architectural register budget of amd64/arm64, and eight mask
-// bits per date keep the column mask in a single byte of the word.
+// DefaultWidth is the tile width T the detector runs. Eight float64
+// accumulators fit the architectural register budget of amd64/arm64,
+// and eight mask bits per date keep the column mask in a single byte of
+// the word.
 const DefaultWidth = 8
 
 // MaxWidth bounds T so a tile's per-date validity fits one uint64
 // column-mask word.
 const MaxWidth = 64
+
+// checkWidth panics unless t is a width the kernels run: whole blocks of
+// eight lanes, one column-mask word.
+func checkWidth(t int) {
+	if t <= 0 || t > MaxWidth || t%8 != 0 {
+		panic(fmt.Sprintf("tile: width %d is not a multiple of 8 in 8..%d", t, MaxWidth))
+	}
+}
 
 // Plan is the binned assignment of batch pixels to tiles: Order is a
 // permutation of [0, M) sorted by ascending validity popcount (stable, so
@@ -72,20 +81,16 @@ type Plan struct {
 	N int
 	// Order is the binned pixel permutation: Order[slot] = original pixel.
 	Order []int
-	// Tiles is the number of tiles, ceil(M/T); the last may be ragged.
+	// Tiles is the number of tiles, ceil(M/T); the last may be short.
 	Tiles int
 }
 
 // NewPlan bins the batch's pixels by validity popcount into tiles of
-// width t (<= 0 means DefaultWidth). The sort is a counting sort over
-// the popcount range [0, N] — deterministic and stable.
+// width t, a positive multiple of 8 up to MaxWidth. The sort is a
+// counting sort over the popcount range [0, N] — deterministic and
+// stable.
 func NewPlan(mask *series.BatchMask, t int) *Plan {
-	if t <= 0 {
-		t = DefaultWidth
-	}
-	if t > MaxWidth {
-		t = MaxWidth
-	}
+	checkWidth(t)
 	m, n := mask.M, mask.N
 	pl := &Plan{T: t, M: m, N: n, Order: make([]int, m), Tiles: (m + t - 1) / t}
 	counts := make([]int, m)
@@ -124,7 +129,7 @@ func (pl *Plan) publishSkew(counts []int) {
 	}
 }
 
-// Width returns the number of pixels in tile ti (T, or the ragged tail).
+// Width returns the number of pixels in tile ti (T, or fewer in the last).
 func (pl *Plan) Width(ti int) int {
 	if w := pl.M - ti*pl.T; w < pl.T {
 		return w
@@ -144,16 +149,17 @@ func (pl *Plan) Indices(ti int) []int {
 // per-worker scratch, reused across tiles and (pooled) across calls.
 type Data struct {
 	// T is the lane stride of Y (slot capacity); P is the number of
-	// active lanes (ragged last tile has P < T).
+	// active lanes (a short last tile has P < T).
 	T, P int
 	// N is the number of dates.
 	N int
 	// Y holds the gathered series, time-major: Y[t*T+p] is pixel
 	// Idx[p]'s observation at date t. On a date where some lane is valid
-	// every active lane's slot is written, +0 where the lane is masked
-	// out, so the kernels' lane loops read only gathered values; rows of
-	// fully-missing dates and lanes p >= P keep whatever the buffer held,
-	// and no kernel reads them.
+	// every slot of the Lanes() the kernels sweep is written, +0 where
+	// the lane is masked out or padding, so the kernels' lane loops read
+	// only gathered values; rows of fully-missing dates and lanes
+	// p >= Lanes() keep whatever the buffer held, and no kernel reads
+	// them.
 	Y []float64
 	// ColMask holds one word per date: bit p set iff lane p is valid at
 	// that date — the transpose of the per-pixel validity bitsets.
@@ -167,13 +173,16 @@ type Data struct {
 	stride int
 }
 
-// NewData allocates a tile buffer for width t and n dates.
+// NewData allocates a tile buffer for width t, a positive multiple of 8
+// up to MaxWidth, and n dates.
 func NewData(t, n int) *Data {
-	if t <= 0 || t > MaxWidth {
-		panic(fmt.Sprintf("tile: width %d out of range (1..%d)", t, MaxWidth))
-	}
+	checkWidth(t)
 	return &Data{T: t, N: n, Y: make([]float64, n*t), ColMask: make([]uint64, n)}
 }
+
+// Lanes returns the lanes the kernels sweep: P padded up to whole
+// blocks of eight, ⌈P/8⌉·8.
+func (d *Data) Lanes() int { return (d.P + 7) &^ 7 }
 
 // MapDates sets the date map later Gathers read through: tile date t
 // comes from column dates[t] of source rows stride values long, so a
@@ -195,8 +204,9 @@ func (d *Data) MapDates(dates []int, stride int) {
 // skips its Y row entirely; on every other date each active lane's slot
 // gets its observation or, masked out, +0 — the select keeps the value's
 // bits under an all-ones word and clears them under zero, so the copy
-// has no lane branch. Lanes beyond len(idx) are cleared in the mask and
-// left untouched in Y.
+// has no lane branch. The padding lanes [P, Lanes()) are cleared in the
+// mask and so get +0 on the same dates, which makes every lane block a
+// full eight.
 func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	n := mask.N
 	if n != d.N {
@@ -228,6 +238,10 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	for p, px := range idx {
 		rows[p] = y[px*stride : (px+1)*stride]
 	}
+	lanes := d.Lanes()
+	for p := d.P; p < lanes; p++ {
+		rows[p] = rows[0] // read, then cleared by the zero mask bit
+	}
 	// Copy observations date-outer: the writes stream sequentially
 	// through Y (the reads walk T parallel row cursors) instead of
 	// striding T words apart per pixel.
@@ -240,7 +254,7 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 		if d.dates != nil {
 			src = d.dates[t]
 		}
-		dst := d.Y[t*T : t*T+d.P]
+		dst := d.Y[t*T : t*T+lanes]
 		for p := range dst {
 			keep := -(m >> uint(p) & 1)
 			dst[p] = math.Float64frombits(math.Float64bits(rows[p][src]) & keep)

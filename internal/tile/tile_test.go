@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -40,7 +41,7 @@ func TestPlanBinningPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, tc := range []struct{ m, n, tw int }{
 		{1, 70, 8}, {5, 70, 8}, {8, 70, 8}, {9, 70, 8},
-		{33, 130, 8}, {64, 130, 4}, {17, 130, 1}, {100, 70, 64},
+		{33, 130, 8}, {64, 130, 16}, {17, 130, 16}, {100, 70, 64},
 	} {
 		y := randomScene(rng, tc.m, tc.n, 0.5)
 		mask := series.NewBatchMask(tc.m, tc.n, y)
@@ -84,22 +85,26 @@ func TestPlanBinningPermutation(t *testing.T) {
 
 // TestGatherRoundTrip: gathering then reading back through the
 // time-major layout must reproduce each pixel's valid observations
-// exactly (masked-out slots are unwritten by contract), and the column
-// masks must transpose the per-pixel bitsets.
+// exactly, the column masks must transpose the per-pixel bitsets, and
+// on every non-empty date the padding slots up to Lanes() must hold +0.
+// Y starts poisoned, so a padding slot Gather skipped would show.
 func TestGatherRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, tc := range []struct{ m, n, tw int }{
-		{3, 100, 8}, {8, 100, 8}, {21, 200, 8}, {6, 65, 4}, {2, 64, 1},
+		{3, 100, 8}, {8, 100, 8}, {21, 200, 8}, {6, 65, 16}, {13, 64, 16}, {2, 64, 64},
 	} {
 		y := randomScene(rng, tc.m, tc.n, 0.4)
 		mask := series.NewBatchMask(tc.m, tc.n, y)
 		pl := NewPlan(mask, tc.tw)
 		d := NewData(tc.tw, tc.n)
+		for i := range d.Y {
+			d.Y[i] = math.Inf(-1)
+		}
 		for ti := 0; ti < pl.Tiles; ti++ {
 			idx := pl.Indices(ti)
 			d.Gather(y, mask, idx)
-			if d.P != len(idx) {
-				t.Fatalf("P=%d for %d pixels", d.P, len(idx))
+			if d.P != len(idx) || d.Lanes() != (len(idx)+7)/8*8 {
+				t.Fatalf("P=%d, %d lanes for %d pixels", d.P, d.Lanes(), len(idx))
 			}
 			for p, px := range idx {
 				row := mask.Row(px)
@@ -113,10 +118,16 @@ func TestGatherRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			// Lanes beyond P must be masked out everywhere.
+			// Lanes beyond P must be masked out everywhere, and the
+			// padding lanes +0 wherever the tile has a valid lane.
 			for tt := 0; tt < tc.n; tt++ {
 				if d.ColMask[tt]>>uint(d.P) != 0 {
 					t.Fatalf("tile %d: ghost lanes in column mask", ti)
+				}
+				for p := d.P; d.ColMask[tt] != 0 && p < d.Lanes(); p++ {
+					if v := d.Y[tt*d.T+p]; math.Float64bits(v) != 0 {
+						t.Fatalf("tile %d date %d padding lane %d holds %v, want +0", ti, tt, p, v)
+					}
 				}
 			}
 		}
@@ -176,7 +187,9 @@ func TestGatherAllNaNPixels(t *testing.T) {
 	}
 }
 
-// TestNewDataBounds covers the width and backing guards.
+// TestNewDataBounds covers the width guards of NewData and NewPlan —
+// the kernels run whole blocks of eight lanes of one mask word, so any
+// other width panics — and the backing guard of Gather.
 func TestNewDataBounds(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		defer func() {
@@ -186,25 +199,15 @@ func TestNewDataBounds(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanics("zero width", func() { NewData(0, 10) })
-	assertPanics("over max", func() { NewData(65, 10) })
-	d := NewData(4, 10)
+	mask := series.NewBatchMask(9, 10, make([]float64, 90))
+	for _, w := range []int{-8, 0, 1, 4, 12, 72} {
+		assertPanics(fmt.Sprintf("NewData width %d", w), func() { NewData(w, 10) })
+		assertPanics(fmt.Sprintf("NewPlan width %d", w), func() { NewPlan(mask, w) })
+	}
+	d := NewData(8, 10)
 	assertPanics("too many pixels", func() {
-		d.Gather(make([]float64, 50), series.NewBatchMask(5, 10, make([]float64, 50)), []int{0, 1, 2, 3, 4})
+		d.Gather(make([]float64, 90), mask, []int{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	})
-}
-
-// TestPlanWidthClamping: T <= 0 falls back to DefaultWidth and T > 64 is
-// clamped to MaxWidth.
-func TestPlanWidthClamping(t *testing.T) {
-	y := make([]float64, 10*16)
-	mask := series.NewBatchMask(10, 16, y)
-	if pl := NewPlan(mask, 0); pl.T != DefaultWidth {
-		t.Fatalf("T=0 → %d", pl.T)
-	}
-	if pl := NewPlan(mask, 1000); pl.T != MaxWidth {
-		t.Fatalf("T=1000 → %d", pl.T)
-	}
 }
 
 // TestPlanSkewMetrics: planning must publish the workload-skew
