@@ -25,7 +25,8 @@
 # restart, exemplars land on the latency buckets, the slo.* gauges are
 # exported, and /debug/bfast/flight streams a complete bundle;
 # `make bench-smoke` runs every benchmark body of the kernel packages
-# once (`go test ./...` compiles benchmarks but never runs them).
+# and of the comparators in internal/baseline once (`go test ./...`
+# compiles benchmarks but never runs them).
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -83,7 +84,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/tile ./internal/linalg ./internal/series
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/tile ./internal/linalg ./internal/series ./internal/baseline
 
 bench-ledger:
 	bash bench/run.sh

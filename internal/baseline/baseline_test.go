@@ -109,6 +109,99 @@ func TestCLikeSolversBitIdentical(t *testing.T) {
 		}
 		assertIdentical(t, want, got, "clike/"+solver.String())
 	}
+
+	// Degenerate pixels, where the three solvers part ways: every host
+	// path must reach the same verdict as scalar Detect under each of
+	// them, with the same bits in every float.
+	d := degenerateBatch(t)
+	for _, solver := range []core.Solver{core.SolverGaussJordan, core.SolverPivot, core.SolverCholesky} {
+		opt := core.DefaultOptions(degHist)
+		opt.Solver = solver
+		want := referenceResults(t, d, opt)
+		cl, err := CLike(context.Background(), d, opt, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl, err := RLike(d, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := core.DetectBatch(context.Background(), d, opt, core.BatchConfig{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameBits(t, want, cl, "degenerate/clike/"+solver.String())
+		assertSameBits(t, want, rl, "degenerate/rlike/"+solver.String())
+		assertSameBits(t, want, db, "degenerate/detect-batch/"+solver.String())
+	}
+}
+
+const degN, degHist = 200, 100
+
+// degenerateBatch builds pixels whose history fit is degenerate, each
+// pattern repeated with different values so that its pixels share one
+// history mask (and, under Gauss-Jordan, one class inverse):
+//
+//   - history valid only on three seasonal phases: on those dates the
+//     K = 8 regressors span at most four dimensions (intercept and
+//     harmonics are functions of the phase, plus the trend), so the
+//     normal matrix is singular in exact arithmetic;
+//   - history valid on twelve consecutive dates of one season: the
+//     harmonic columns are nearly collinear;
+//   - exactly K valid history dates, the effective MinValidHistory:
+//     the fit interpolates and σ̂ has no degrees of freedom left.
+//
+// Every monitoring date is valid.
+func degenerateBatch(t *testing.T) *core.Batch {
+	t.Helper()
+	const f = 23
+	validHist := []func(int) bool{
+		func(d int) bool { p := d % f; return p == 0 || p == 7 || p == 15 },
+		func(d int) bool { return d >= 46 && d < 58 },
+		func(d int) bool { return d%12 == 3 && d < 3+12*8 },
+	}
+	const reps = 4
+	m := len(validHist) * reps
+	y := make([]float64, m*degN)
+	for i := 0; i < m; i++ {
+		valid := validHist[i/reps]
+		amp := 0.2 + 0.05*float64(i%reps)
+		for d := 0; d < degN; d++ {
+			v := math.NaN()
+			if d >= degHist || valid(d) {
+				v = 0.5 + amp*math.Sin(2*math.Pi*float64(d)/f) + 0.01*math.Cos(float64(7*d+i))
+			}
+			y[i*degN+d] = v
+		}
+	}
+	b, err := core.NewBatch(m, degN, y)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assertSameBits is assertIdentical with every float compared by its
+// bits, so NaN, ±0 and ±Inf must match exactly.
+func assertSameBits(t *testing.T, want, got []core.Result, label string) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if len(want) != len(got) {
+		t.Fatalf("%s: length mismatch", label)
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.Status != g.Status || w.BreakIndex != g.BreakIndex ||
+			w.ValidHistory != g.ValidHistory || w.Valid != g.Valid ||
+			!same(w.MosumMean, g.MosumMean) || !same(w.Sigma, g.Sigma) || len(w.Beta) != len(g.Beta) {
+			t.Fatalf("%s pixel %d: %+v vs %+v", label, i, w, g)
+		}
+		for j := range w.Beta {
+			if !same(w.Beta[j], g.Beta[j]) {
+				t.Fatalf("%s pixel %d: β[%d] %v vs %v", label, i, j, w.Beta[j], g.Beta[j])
+			}
+		}
+	}
 }
 
 func TestCLikeWorkerInvariance(t *testing.T) {

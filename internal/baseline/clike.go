@@ -19,13 +19,15 @@
 //     EXPERIMENTS.md).
 //
 // Both produce results identical to internal/core's reference Detect.
+// Both fit β through the detector's own core.Solver.Solve: what sets
+// them apart is how the data moves, not a private copy of the solve.
 package baseline
 
 import (
 	"context"
-	"math"
 
 	"bfast/internal/core"
+	"bfast/internal/linalg"
 	"bfast/internal/sched"
 	"bfast/internal/series"
 )
@@ -84,32 +86,21 @@ func CLike(ctx context.Context, b *core.Batch, opt core.Options, workers int) ([
 
 // scratch holds all per-pixel working memory for one worker.
 type scratch struct {
-	k       int
-	normal  []float64 // K×K normal matrix
-	sh      []float64 // K×2K Gauss-Jordan buffer
-	tmp     []float64 // K×2K elimination double buffer
-	inv     []float64 // K×K inverse
-	rhs     []float64 // K right-hand side
-	beta    []float64 // K coefficients
-	rBar    []float64 // compacted residuals (length N)
-	iBar    []int     // original indices (length N)
-	cholL   []float64 // K×K Cholesky factor
-	cholTmp []float64 // K intermediate
+	normal []float64 // K×K normal matrix
+	rhs    []float64 // K right-hand side
+	beta   []float64 // K coefficients
+	ws     linalg.Workspace
+	rBar   []float64 // compacted residuals (length N)
+	iBar   []int     // original indices (length N)
 }
 
 func newScratch(k, n int) *scratch {
 	return &scratch{
-		k:       k,
-		normal:  make([]float64, k*k),
-		sh:      make([]float64, k*2*k),
-		tmp:     make([]float64, k*2*k),
-		inv:     make([]float64, k*k),
-		rhs:     make([]float64, k),
-		beta:    make([]float64, k),
-		rBar:    make([]float64, n),
-		iBar:    make([]int, n),
-		cholL:   make([]float64, k*k),
-		cholTmp: make([]float64, k),
+		normal: make([]float64, k*k),
+		rhs:    make([]float64, k),
+		beta:   make([]float64, k),
+		rBar:   make([]float64, n),
+		iBar:   make([]int, n),
 	}
 }
 
@@ -166,7 +157,7 @@ func detectScratchMasked(y []float64, words []uint64, x *series.DesignMatrix, op
 		s.rhs[j] = acc
 	}
 
-	if !s.solve(opt) {
+	if !opt.Solver.Solve(&s.ws, s.normal, s.rhs, s.beta) {
 		res.Status = core.StatusSingular
 		return
 	}
@@ -191,196 +182,4 @@ func detectScratchMasked(y []float64, words []uint64, x *series.DesignMatrix, op
 			res.BreakIndex = orig - n
 		}
 	}
-}
-
-// solve computes β from the scratch normal matrix and rhs with the
-// configured solver, allocation-free. Returns false on singularity.
-func (s *scratch) solve(opt core.Options) bool {
-	switch opt.Solver {
-	case core.SolverCholesky:
-		return s.solveCholesky()
-	case core.SolverPivot:
-		if !s.invertPivot() {
-			return false
-		}
-	default:
-		if !s.invertGaussJordan() {
-			return false
-		}
-	}
-	K := s.k
-	for j := 0; j < K; j++ {
-		var acc float64
-		for p := 0; p < K; p++ {
-			acc += s.inv[j*K+p] * s.rhs[p]
-		}
-		s.beta[j] = acc
-	}
-	return true
-}
-
-// invertGaussJordan mirrors linalg.InvertGaussJordan on scratch buffers.
-func (s *scratch) invertGaussJordan() bool {
-	k := s.k
-	w := 2 * k
-	sh, tmp := s.sh, s.tmp
-	for i := 0; i < k; i++ {
-		for j := 0; j < w; j++ {
-			switch {
-			case j < k:
-				sh[i*w+j] = s.normal[i*k+j]
-			case j == k+i:
-				sh[i*w+j] = 1
-			default:
-				sh[i*w+j] = 0
-			}
-		}
-	}
-	for q := 0; q < k; q++ {
-		vq := sh[q]
-		for k1 := 0; k1 < k; k1++ {
-			for k2 := 0; k2 < w; k2++ {
-				var t float64
-				// Exact-zero pivot sentinel, same contract as
-				// linalg.InvertGaussJordan: NaN pivots divide through
-				// and are rejected by the singularity check.
-				//lint:allow nanguard -- exact-zero pivot sentinel; NaN pivots propagate to the singularity check
-				if vq == 0 {
-					t = sh[k1*w+k2]
-				} else {
-					x := sh[k2] / vq
-					if k1 == k-1 {
-						t = x
-					} else {
-						t = sh[(k1+1)*w+k2] - sh[(k1+1)*w+q]*x
-					}
-				}
-				tmp[k1*w+k2] = t
-			}
-		}
-		sh, tmp = tmp, sh
-	}
-	ok := true
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			want := 0.0
-			if i == j {
-				want = 1.0
-			}
-			v := sh[i*w+j]
-			if math.IsNaN(v) || math.Abs(v-want) > 1e-6 {
-				ok = false
-			}
-			s.inv[i*k+j] = sh[i*w+k+j]
-		}
-	}
-	if !ok {
-		return false
-	}
-	for _, v := range s.inv {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// invertPivot mirrors linalg.InvertPivot on scratch buffers.
-func (s *scratch) invertPivot() bool {
-	k := s.k
-	w := 2 * k
-	sh := s.sh
-	for i := 0; i < k; i++ {
-		for j := 0; j < w; j++ {
-			switch {
-			case j < k:
-				sh[i*w+j] = s.normal[i*k+j]
-			case j == k+i:
-				sh[i*w+j] = 1
-			default:
-				sh[i*w+j] = 0
-			}
-		}
-	}
-	for col := 0; col < k; col++ {
-		piv, best := -1, 0.0
-		for r := col; r < k; r++ {
-			if v := math.Abs(sh[r*w+col]); v > best {
-				best, piv = v, r
-			}
-		}
-		//lint:allow nanguard -- best is math.Abs-folded and NaN is rejected explicitly in the same condition
-		if piv < 0 || best == 0 || math.IsNaN(best) {
-			return false
-		}
-		if piv != col {
-			for j := 0; j < w; j++ {
-				sh[col*w+j], sh[piv*w+j] = sh[piv*w+j], sh[col*w+j]
-			}
-		}
-		inv := 1 / sh[col*w+col]
-		for j := 0; j < w; j++ {
-			sh[col*w+j] *= inv
-		}
-		for r := 0; r < k; r++ {
-			if r == col {
-				continue
-			}
-			f := sh[r*w+col]
-			//lint:allow nanguard -- exact-zero elimination skip; NaN factors take the eliminate path
-			if f == 0 {
-				continue
-			}
-			for j := 0; j < w; j++ {
-				sh[r*w+j] -= f * sh[col*w+j]
-			}
-		}
-	}
-	for i := 0; i < k; i++ {
-		copy(s.inv[i*k:(i+1)*k], sh[i*w+k:i*w+w])
-	}
-	for _, v := range s.inv {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// solveCholesky mirrors linalg.SolveSPD on scratch buffers, writing β.
-func (s *scratch) solveCholesky() bool {
-	k := s.k
-	l := s.cholL
-	for i := 0; i < k; i++ {
-		for j := 0; j <= i; j++ {
-			sum := s.normal[i*k+j]
-			for p := 0; p < j; p++ {
-				sum -= l[i*k+p] * l[j*k+p]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return false
-				}
-				l[i*k+i] = math.Sqrt(sum)
-			} else {
-				l[i*k+j] = sum / l[j*k+j]
-			}
-		}
-	}
-	yv := s.cholTmp
-	for i := 0; i < k; i++ {
-		sum := s.rhs[i]
-		for p := 0; p < i; p++ {
-			sum -= l[i*k+p] * yv[p]
-		}
-		yv[i] = sum / l[i*k+i]
-	}
-	for i := k - 1; i >= 0; i-- {
-		sum := yv[i]
-		for p := i + 1; p < k; p++ {
-			sum -= l[p*k+i] * s.beta[p]
-		}
-		s.beta[i] = sum / l[i*k+i]
-	}
-	return true
 }

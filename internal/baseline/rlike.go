@@ -71,29 +71,10 @@ func rlikePixel(y []float64, x *series.DesignMatrix, opt core.Options, lambda fl
 	// lm.fit: normal equations on the materialized history.
 	normal := linalg.MatMul(xBarHist, xBarHist.Transpose())
 	rhs := linalg.MatVec(xBarHist, yBarHist)
-	var beta []float64
-	switch opt.Solver {
-	case core.SolverCholesky:
-		v, err := linalg.SolveSPD(normal, rhs)
-		if err != nil {
-			res.Status = core.StatusSingular
-			return res
-		}
-		beta = v
-	case core.SolverPivot:
-		inv, err := linalg.InvertPivot(normal)
-		if err != nil {
-			res.Status = core.StatusSingular
-			return res
-		}
-		beta = linalg.MatVec(inv, rhs)
-	default:
-		inv, err := linalg.InvertGaussJordan(normal)
-		if err != nil {
-			res.Status = core.StatusSingular
-			return res
-		}
-		beta = linalg.MatVec(inv, rhs)
+	beta := make([]float64, K)
+	if !opt.Solver.Solve(new(linalg.Workspace), normal.Data, rhs, beta) {
+		res.Status = core.StatusSingular
+		return res
 	}
 	res.Beta = beta
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"bfast/internal/linalg"
 	"bfast/internal/obs"
 	"bfast/internal/sched"
 	"bfast/internal/series"
@@ -247,27 +246,4 @@ func keepDates(ctx context.Context, mask *series.BatchMask, keep []uint64, worke
 	}
 	mask.N = series.CountBits(keep, mask.N)
 	return nil
-}
-
-// solveNormal computes β from the K×K normal matrix and right-hand side
-// with the configured solver, for the lanes of a tile the batched
-// Gauss-Jordan kernel does not serve.
-func solveNormal(m *linalg.Matrix, rhs []float64, opt Options) ([]float64, bool) {
-	switch opt.Solver {
-	case SolverCholesky:
-		v, err := linalg.SolveSPD(m, rhs)
-		return v, err == nil
-	case SolverPivot:
-		inv, err := linalg.InvertPivot(m)
-		if err != nil {
-			return nil, false
-		}
-		return linalg.MatVec(inv, rhs), true
-	default:
-		inv, err := linalg.InvertGaussJordan(m)
-		if err != nil {
-			return nil, false
-		}
-		return linalg.MatVec(inv, rhs), true
-	}
 }

@@ -40,11 +40,13 @@ type tileScratch struct {
 	sing []bool         // per-lane singularity flags
 	fit  []bool         // per-lane fittable flags
 	gj   *linalg.GJBatch
-	fm   []float64 // K×K single-lane extraction (non-GJ solvers)
-	fr   []float64 // K single-lane right-hand side
-	rbuf []float64 // T×N lane-major compacted residuals
-	ix   []int32   // T×N original date indices
-	nVal []int     // per-lane residual counts
+	ws   linalg.Workspace // single-lane solves (non-GJ solvers)
+	fm   []float64        // K×K single-lane normal matrix
+	fr   []float64        // K single-lane right-hand side
+	fb   []float64        // K single-lane coefficients
+	rbuf []float64        // T×N lane-major compacted residuals
+	ix   []int32          // T×N original date indices
+	nVal []int            // per-lane residual counts
 }
 
 func newTileScratch(k, n int) *tileScratch {
@@ -62,6 +64,7 @@ func newTileScratch(k, n int) *tileScratch {
 		gj:   linalg.NewGJBatch(k, t),
 		fm:   make([]float64, k*k),
 		fr:   make([]float64, k),
+		fb:   make([]float64, k),
 		rbuf: make([]float64, t*n),
 		ix:   make([]int32, t*n),
 		nVal: make([]int, t),
@@ -160,9 +163,9 @@ func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool,
 // right-hand sides into coefficients. For the paper's Gauss-Jordan
 // solver all lanes reduce together in the batched interleaved scratch —
 // or, when shared is non-nil, take their class's inverse from it and
-// skip the reduction; the pivoting/Cholesky library solvers fall back to
-// per-lane extraction through solveNormal, so singularity behaviour
-// matches scalar Detect exactly. Lanes that fail are
+// skip the reduction; the pivoting/Cholesky library solvers extract each
+// lane and solve it through Solver.Solve, the solve scalar Detect runs,
+// so singularity behaviour matches it exactly. Lanes that fail are
 // flagged StatusSingular.
 func solveTile(s *tileScratch, k int, opt Options, shared *maskClasses, idx []int, out []Result) {
 	t := s.data.T
@@ -195,14 +198,13 @@ func solveTile(s *tileScratch, k int, opt Options, shared *maskClasses, idx []in
 		for j := 0; j < k; j++ {
 			s.fr[j] = s.rhs[j*t+p]
 		}
-		bta, ok := solveNormal(linalg.NewMatrixFrom(k, k, s.fm), s.fr, opt)
-		if !ok {
+		if !opt.Solver.Solve(&s.ws, s.fm, s.fr, s.fb) {
 			out[px].Status = StatusSingular
 			s.fit[p] = false
 			continue
 		}
-		for j := 0; j < k; j++ {
-			s.beta[j*t+p] = bta[j]
+		for j, v := range s.fb {
+			s.beta[j*t+p] = v
 		}
 	}
 }

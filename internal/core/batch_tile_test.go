@@ -31,7 +31,7 @@ func TestDetectBatchTiledBitIdentical(t *testing.T) {
 }
 
 // TestDetectBatchTiledSolvers pins the non-GJ solver dispatch of the
-// tiled drivers (per-lane extraction into solveNormal) to scalar Detect.
+// tiled drivers (per-lane extraction into Solver.Solve) to scalar Detect.
 func TestDetectBatchTiledSolvers(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
 	const M, N, n = 21, 300, 150

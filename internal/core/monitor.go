@@ -26,8 +26,7 @@ func Detect(y []float64, x *series.DesignMatrix, opt Options) (Result, error) {
 	return detectResolved(y, x, opt, lambda), nil
 }
 
-// detectResolved is Detect with options pre-validated and λ resolved; it is
-// the hot path shared by the batched drivers.
+// detectResolved is Detect with options pre-validated and λ resolved.
 func detectResolved(y []float64, x *series.DesignMatrix, opt Options, lambda float64) Result {
 	n := opt.History
 	K := opt.K()
@@ -97,26 +96,8 @@ func historySlice(x *series.DesignMatrix, n int) *linalg.Matrix {
 // fitModel computes β from the masked history regression with the
 // configured solver. It returns ok=false if the normal matrix is singular.
 func fitModel(xh *linalg.Matrix, yh []float64, opt Options) ([]float64, bool) {
-	m := linalg.MaskedCrossProduct(xh, yh)
-	rhs := linalg.MaskedMatVec(xh, yh)
-	switch opt.Solver {
-	case SolverCholesky:
-		beta, err := linalg.SolveSPD(m, rhs)
-		if err != nil {
-			return nil, false
-		}
-		return beta, true
-	case SolverPivot:
-		inv, err := linalg.InvertPivot(m)
-		if err != nil {
-			return nil, false
-		}
-		return linalg.MatVec(inv, rhs), true
-	default: // SolverGaussJordan — the paper's kernel semantics.
-		inv, err := linalg.InvertGaussJordan(m)
-		if err != nil {
-			return nil, false
-		}
-		return linalg.MatVec(inv, rhs), true
-	}
+	var ws linalg.Workspace
+	beta := make([]float64, xh.Rows)
+	ok := opt.Solver.Solve(&ws, linalg.MaskedCrossProduct(xh, yh).Data, linalg.MaskedMatVec(xh, yh), beta)
+	return beta, ok
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"bfast/internal/series"
@@ -22,9 +21,10 @@ type monitorOutcome struct {
 // test and the process mean. nBar is n̄ (history residual count), nMon the
 // number of monitoring residuals; rBar must hold nBar+nMon values.
 //
-// Every host implementation (scalar reference, batched strategies, CLike)
+// Every offline host path (scalar Detect, the tiled DetectBatch, CLike)
 // shares this single function, which is what guarantees their bit-for-bit
-// agreement.
+// agreement; the streaming MonitorState.Push runs the same recurrence one
+// observation at a time.
 func monitorSeries(rBar []float64, nBar, nMon int, opt Options, lambda float64) monitorOutcome {
 	out := monitorOutcome{status: StatusOK, brk: -1}
 	if nMon <= 0 {
@@ -115,67 +115,42 @@ type ProcessTrace struct {
 }
 
 // Trace computes the full monitoring-process trajectory for one pixel —
-// the per-pixel diagnostic plot of Fig. 2. It shares the model-fitting
-// path with Detect, then replays the monitoring loop recording every
-// process value instead of just the first crossing.
+// the per-pixel diagnostic plot of Fig. 2. Detect decides the status.
+// For a processed pixel, FitMonitor's streaming record is then pushed
+// every valid monitoring observation, and each Push's process value and
+// boundary are recorded: the recurrence Detect monitors, bit for bit.
 func Trace(y []float64, x *series.DesignMatrix, opt Options) (ProcessTrace, error) {
-	if err := opt.Validate(len(y)); err != nil {
+	res, err := Detect(y, x, opt)
+	if err != nil {
 		return ProcessTrace{}, err
 	}
-	if x.N != len(y) {
-		return ProcessTrace{}, fmt.Errorf("core: design matrix has %d dates but series has %d", x.N, len(y))
+	tr := ProcessTrace{Status: res.Status, BreakAt: -1}
+	if res.Status != StatusOK {
+		return tr, nil
+	}
+	st, _, err := FitMonitor(y, x, opt)
+	if err != nil {
+		return ProcessTrace{}, err
 	}
 	lambda, err := opt.ResolveLambda()
 	if err != nil {
 		return ProcessTrace{}, err
 	}
-	res := detectResolved(y, x, opt, lambda)
-	tr := ProcessTrace{Status: res.Status, BreakAt: -1}
-	if res.Status != StatusOK {
-		return tr, nil
-	}
-
-	// Recompute the compacted residuals (as detectResolved does) and
-	// replay the monitoring loop, recording the trajectory.
-	n := opt.History
-	K := opt.K()
-	f := series.FilterMissing(y, n)
-	rBar := make([]float64, f.NValid)
-	for i := 0; i < f.NValid; i++ {
-		t := f.Index[i]
-		var pred float64
-		for j := 0; j < K; j++ {
-			pred += x.Data[j*x.N+t] * res.Beta[j]
+	nMon := res.Valid - res.ValidHistory
+	tr.Dates = make([]int, 0, nMon)
+	tr.Process = make([]float64, 0, nMon)
+	tr.Boundary = make([]float64, 0, nMon)
+	for t := opt.History; t < len(y); t++ {
+		if math.IsNaN(y[t]) {
+			continue
 		}
-		rBar[i] = f.Values[i] - pred
-	}
-	nBar := f.NValidHist
-	nMon := f.NValid - nBar
-	sigma := res.Sigma
-	cusum := opt.Process == stats.ProcessCUSUM
-	h := int(float64(nBar) * opt.HFrac)
-	var acc float64
-	if !cusum {
-		for i := 0; i < h; i++ {
-			acc += rBar[i+nBar-h+1]
+		proc, bound := st.Push(x, t, y[t], opt, lambda)
+		if tr.BreakAt < 0 && st.Break >= 0 {
+			tr.BreakAt = len(tr.Process)
 		}
-	}
-	norm := 1 / (sigma * math.Sqrt(float64(nBar)))
-	tr.Dates = make([]int, nMon)
-	tr.Process = make([]float64, nMon)
-	tr.Boundary = make([]float64, nMon)
-	for t := 0; t < nMon; t++ {
-		if cusum {
-			acc += rBar[nBar+t]
-		} else if t > 0 {
-			acc += rBar[nBar+t] - rBar[nBar-h+t]
-		}
-		tr.Dates[t] = f.Index[nBar+t]
-		tr.Process[t] = acc * norm
-		tr.Boundary[t] = stats.BoundaryFor(opt.Process, opt.Boundary, lambda, t, nBar)
-		if tr.BreakAt < 0 && math.Abs(tr.Process[t]) > tr.Boundary[t] {
-			tr.BreakAt = t
-		}
+		tr.Dates = append(tr.Dates, t)
+		tr.Process = append(tr.Process, proc)
+		tr.Boundary = append(tr.Boundary, bound)
 	}
 	return tr, nil
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"bfast/internal/linalg"
 	"bfast/internal/series"
 	"bfast/internal/stats"
 )
@@ -48,6 +49,21 @@ func (s Solver) String() string {
 		return "cholesky"
 	default:
 		return fmt.Sprintf("Solver(%d)", int(s))
+	}
+}
+
+// Solve computes β from the K×K normal matrix a and the right-hand side
+// rhs with the solver s, on the caller's workspace, and reports false
+// when a is singular under s's contract (DESIGN.md §5). It is the only
+// place the host chooses between the solvers; beta must not alias rhs.
+func (s Solver) Solve(ws *linalg.Workspace, a, rhs, beta []float64) bool {
+	switch s {
+	case SolverCholesky:
+		return ws.SolveSPD(a, rhs, beta)
+	case SolverPivot:
+		return ws.SolvePivot(a, rhs, beta)
+	default: // SolverGaussJordan — the paper's kernel semantics.
+		return ws.SolveGaussJordan(a, rhs, beta)
 	}
 }
 

@@ -181,3 +181,85 @@ func TestMonitorConstructionErrors(t *testing.T) {
 		t.Fatal("invalid options must fail")
 	}
 }
+
+// TestTraceMatchesDetect: the trajectory Trace records is the one Detect
+// monitors — the same status, the break at the same date, and a process
+// whose mean is Detect's MosumMean bit for bit — over MOSUM and CUSUM,
+// window fractions across (0, 1] and NaN shares from none to all.
+func TestTraceMatchesDetect(t *testing.T) {
+	N, n := 200, 100
+	x, _ := series.MakeDesign(N, 3, 23)
+	ok := 0
+	for trial := 0; trial < 400; trial++ {
+		rng := rand.New(rand.NewSource(int64(7000 + trial)))
+		opt := defaultTestOpts(n)
+		opt.HFrac = 0.05 + 0.95*rng.Float64()
+		opt.Lambda = 0.5 + rng.Float64()
+		if trial%2 == 1 {
+			opt.Process = stats.ProcessCUSUM
+		}
+		at := -1
+		if trial%3 == 0 {
+			at = n + rng.Intn(N-n)
+		}
+		y := synthSeries(rng, N, 3, 23, 0.05, at, -1+2*rng.Float64(), rng.Float64())
+		want, err := Detect(y, x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := Trace(y, x, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Status != want.Status {
+			t.Fatalf("trial %d: Trace status %v, Detect %v", trial, tr.Status, want.Status)
+		}
+		if want.Status != StatusOK {
+			continue
+		}
+		ok++
+		brk := -1
+		if tr.BreakAt >= 0 {
+			brk = tr.Dates[tr.BreakAt] - n
+		}
+		if brk != want.BreakIndex {
+			t.Fatalf("trial %d: Trace breaks at offset %d (BreakAt %d), Detect at %d", trial, brk, tr.BreakAt, want.BreakIndex)
+		}
+		if len(tr.Process) != want.Valid-want.ValidHistory || len(tr.Boundary) != len(tr.Process) || len(tr.Dates) != len(tr.Process) {
+			t.Fatalf("trial %d: trace lengths %d/%d/%d for %d monitoring observations",
+				trial, len(tr.Dates), len(tr.Process), len(tr.Boundary), want.Valid-want.ValidHistory)
+		}
+		var sum float64
+		for _, v := range tr.Process {
+			sum += v
+		}
+		if mean := sum / float64(len(tr.Process)); math.Float64bits(mean) != math.Float64bits(want.MosumMean) {
+			t.Fatalf("trial %d: trace mean %v, Detect MosumMean %v", trial, mean, want.MosumMean)
+		}
+	}
+	if ok < 100 {
+		t.Fatalf("only %d of the trials were processed; the test needs more OK pixels", ok)
+	}
+}
+
+// BenchmarkFitMonitor times the scalar history fit of one pixel under
+// each solver — the per-pixel work of an NRT session's fit — and
+// reports its allocations.
+func BenchmarkFitMonitor(b *testing.B) {
+	rng := rand.New(rand.NewSource(70))
+	N, n := 512, 256
+	y := synthSeries(rng, N, 3, 23, 0.05, -1, 0, 0.5)
+	x, _ := series.MakeDesign(N, 3, 23)
+	for _, s := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
+		b.Run(s.String(), func(b *testing.B) {
+			opt := defaultTestOpts(n)
+			opt.Solver = s
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, st, err := FitMonitor(y[:n], x, opt); err != nil || st != StatusOK {
+					b.Fatal(st, err)
+				}
+			}
+		})
+	}
+}

@@ -96,3 +96,88 @@ func TestInvertNonSquareErrors(t *testing.T) {
 		t.Fatalf("InvertPivot non-square err = %v, want shape error", err)
 	}
 }
+
+// TestWorkspaceSolvesMatchWrappers pins each allocation-free workspace
+// solve to its allocating counterpart on the edge matrices above: the
+// same verdict and, where the solve succeeds, the same bits of x. The
+// workspace is shared across all cases and poisoned with NaN before
+// every solve, so a solve that leaves any scratch word unwritten before
+// reading it shows up as a NaN or a verdict change. A warm workspace
+// must not allocate.
+func TestWorkspaceSolvesMatchWrappers(t *testing.T) {
+	hilbert := NewMatrix(6, 6)
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			hilbert.Set(i, j, 1/float64(i+j+1))
+		}
+	}
+	cases := map[string]*Matrix{
+		"identity":          NewMatrixFrom(3, 3, []float64{1, 0, 0, 0, 1, 0, 0, 0, 1}),
+		"spd":               NewMatrixFrom(3, 3, []float64{4, 1, 2, 1, 3, 0.5, 2, 0.5, 5}),
+		"singular-rank1":    NewMatrixFrom(3, 3, []float64{1, 2, 4, 2, 4, 8, 4, 8, 16}),
+		"zero":              NewMatrix(3, 3),
+		"zero-first-pivot":  NewMatrixFrom(2, 2, []float64{0, 1, 1, 0}),
+		"zero-first-pivot3": NewMatrixFrom(3, 3, []float64{0, 2, 1, 2, 3, 0, 1, 0, 4}),
+		"nan":               NewMatrixFrom(2, 2, []float64{4, math.NaN(), 1, 3}),
+		"+inf":              NewMatrixFrom(2, 2, []float64{math.Inf(1), 1, 1, 3}),
+		"-inf":              NewMatrixFrom(2, 2, []float64{4, 1, 1, math.Inf(-1)}),
+		"near-singular":     NewMatrixFrom(2, 2, []float64{1, 1, 1, 1 + 1e-12}),
+		"hilbert6":          hilbert,
+		"k1":                NewMatrixFrom(1, 1, []float64{4}),
+	}
+	var ws Workspace
+	for name, a := range cases {
+		k := a.Rows
+		b := make([]float64, k)
+		for i := range b {
+			b[i] = float64(i) - 0.5
+		}
+		solvers := []struct {
+			name string
+			ws   func(a, b, x []float64) bool
+			ref  func() ([]float64, error)
+		}{
+			{"gauss-jordan", ws.SolveGaussJordan, func() ([]float64, error) {
+				inv, err := InvertGaussJordan(a)
+				if err != nil {
+					return nil, err
+				}
+				return MatVec(inv, b), nil
+			}},
+			{"pivot", ws.SolvePivot, func() ([]float64, error) {
+				inv, err := InvertPivot(a)
+				if err != nil {
+					return nil, err
+				}
+				return MatVec(inv, b), nil
+			}},
+			{"cholesky", ws.SolveSPD, func() ([]float64, error) { return SolveSPD(a, b) }},
+		}
+		for _, s := range solvers {
+			want, err := s.ref()
+			if err != nil && err != ErrSingular {
+				t.Fatalf("%s/%s: %v", name, s.name, err)
+			}
+			poison := ws.buf[:cap(ws.buf)]
+			for i := range poison {
+				poison[i] = math.NaN()
+			}
+			x := make([]float64, k)
+			ok := s.ws(a.Data, b, x)
+			if ok != (err == nil) {
+				t.Fatalf("%s/%s: workspace verdict %v, wrapper error %v", name, s.name, ok, err)
+			}
+			if !ok {
+				want = make([]float64, k) // a failed solve leaves x unwritten
+			}
+			for i := range want {
+				if math.Float64bits(x[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%s/%s: x[%d] = %v, wrapper %v", name, s.name, i, x[i], want[i])
+				}
+			}
+			if n := testing.AllocsPerRun(10, func() { s.ws(a.Data, b, x) }); n != 0 {
+				t.Fatalf("%s/%s: warm workspace solve allocates %v times", name, s.name, n)
+			}
+		}
+	}
+}

@@ -1,7 +1,8 @@
 // Package linalg provides the dense linear-algebra kernels that underpin
-// BFAST-Monitor: ordinary and NaN-masked matrix products, Gauss-Jordan
-// inversion (with and without pivoting), and batched wrappers that operate
-// on one small matrix per pixel.
+// BFAST-Monitor: ordinary and NaN-masked matrix products, the three
+// normal-equation solvers (Gauss-Jordan inversion with and without
+// pivoting, Cholesky), allocation-free on a reusable Workspace, and
+// batched wrappers that operate on one small matrix per pixel.
 //
 // All matrices are dense, row-major, and stored in flat slices. Two element
 // types are supported: float64 for the reference/library path and float32

@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+
+	"bfast/internal/linalg"
 )
 
 // SimConfig configures the Monte Carlo computation of MOSUM monitoring
@@ -100,8 +103,8 @@ func SimulateCriticalValues(kind BoundaryKind, hFrac float64, levels []float64, 
 		}
 	}
 
-	// Precompute the history normal matrix and its Cholesky factor once:
-	// the design is shared across replications.
+	// Precompute the history normal matrix once: the design is shared
+	// across replications.
 	normal := make([]float64, K*K)
 	for a := 0; a < K; a++ {
 		for b := a; b < K; b++ {
@@ -113,10 +116,6 @@ func SimulateCriticalValues(kind BoundaryKind, hFrac float64, levels []float64, 
 			normal[b*K+a] = s
 		}
 	}
-	chol, err := cholesky(normal, K)
-	if err != nil {
-		return nil, fmt.Errorf("stats: design normal matrix not SPD: %w", err)
-	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	maxima := make([]float64, cfg.Reps)
@@ -124,6 +123,7 @@ func SimulateCriticalValues(kind BoundaryKind, hFrac float64, levels []float64, 
 	rhs := make([]float64, K)
 	beta := make([]float64, K)
 	r := make([]float64, total)
+	var ws linalg.Workspace
 	for rep := 0; rep < cfg.Reps; rep++ {
 		for i := range y {
 			y[i] = rng.NormFloat64()
@@ -137,7 +137,9 @@ func SimulateCriticalValues(kind BoundaryKind, hFrac float64, levels []float64, 
 			}
 			rhs[a] = s
 		}
-		cholSolve(chol, K, rhs, beta)
+		if !ws.SolveSPD(normal, rhs, beta) {
+			return nil, errors.New("stats: design normal matrix not SPD")
+		}
 		// Residuals over the full span, σ̂ from history.
 		var ss float64
 		for t := 0; t < total; t++ {
@@ -207,48 +209,5 @@ func boundaryShape(kind BoundaryKind, t, n int) float64 {
 		return math.Sqrt(LogPlus(float64(n+t) / float64(n)))
 	default:
 		return math.Sqrt(LogPlus(float64(t) / float64(n)))
-	}
-}
-
-// cholesky factors the SPD matrix a (k×k, row-major) into a lower
-// triangular factor, returned row-major.
-func cholesky(a []float64, k int) ([]float64, error) {
-	l := make([]float64, k*k)
-	for i := 0; i < k; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a[i*k+j]
-			for p := 0; p < j; p++ {
-				sum -= l[i*k+p] * l[j*k+p]
-			}
-			if i == j {
-				if sum <= 0 || math.IsNaN(sum) {
-					return nil, fmt.Errorf("stats: not positive definite at %d", i)
-				}
-				l[i*k+i] = math.Sqrt(sum)
-			} else {
-				l[i*k+j] = sum / l[j*k+j]
-			}
-		}
-	}
-	return l, nil
-}
-
-// cholSolve solves L·Lᵀ·x = b given the Cholesky factor l.
-func cholSolve(l []float64, k int, b, x []float64) {
-	// Forward: L·y = b (y stored in x).
-	for i := 0; i < k; i++ {
-		sum := b[i]
-		for p := 0; p < i; p++ {
-			sum -= l[i*k+p] * x[p]
-		}
-		x[i] = sum / l[i*k+i]
-	}
-	// Backward: Lᵀ·x = y.
-	for i := k - 1; i >= 0; i-- {
-		sum := x[i]
-		for p := i + 1; p < k; p++ {
-			sum -= l[p*k+i] * x[p]
-		}
-		x[i] = sum / l[i*k+i]
 	}
 }
