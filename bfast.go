@@ -36,6 +36,7 @@ import (
 	"bfast/internal/core"
 	"bfast/internal/cube"
 	"bfast/internal/history"
+	"bfast/internal/kernels"
 	"bfast/internal/series"
 	"bfast/internal/stats"
 )
@@ -55,7 +56,7 @@ type Batch = core.Batch
 // Strategy names one of the three GPU code versions of Fig. 8 of the
 // paper. Only SimulateGPU takes one: on the host DetectBatch runs a
 // single tiled loop.
-type Strategy = core.Strategy
+type Strategy = kernels.Strategy
 
 // Solver selects the linear-system method used for model fitting.
 type Solver = core.Solver
@@ -68,9 +69,9 @@ const (
 	StatusNoMonitoringData    = core.StatusNoMonitoringData
 	StatusNoVariance          = core.StatusNoVariance
 
-	StrategyOurs      = core.StrategyOurs
-	StrategyRgTlEfSeq = core.StrategyRgTlEfSeq
-	StrategyFullEfSeq = core.StrategyFullEfSeq
+	StrategyOurs      = kernels.StrategyOurs
+	StrategyRgTlEfSeq = kernels.StrategyRgTlEfSeq
+	StrategyFullEfSeq = kernels.StrategyFullEfSeq
 
 	SolverGaussJordan = core.SolverGaussJordan
 	SolverPivot       = core.SolverPivot

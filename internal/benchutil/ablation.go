@@ -78,7 +78,7 @@ func Ablations(ctx context.Context, cfg Config) ([]AblationRow, error) {
 		opt := core.DefaultOptions(sampled.History)
 		opt.Harmonics = k
 		dev := gpusim.NewDevice(cfg.Profile)
-		res, err := kernels.SimulateApp(dev, b32, opt, core.StrategyOurs, 0)
+		res, err := kernels.SimulateApp(dev, b32, opt, kernels.StrategyOurs, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +105,7 @@ func Ablations(ctx context.Context, cfg Config) ([]AblationRow, error) {
 		}
 		opt := core.DefaultOptions(spec.History)
 		dev := gpusim.NewDevice(cfg.Profile)
-		res, err := kernels.SimulateApp(dev, bf, opt, core.StrategyOurs, 0)
+		res, err := kernels.SimulateApp(dev, bf, opt, kernels.StrategyOurs, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -152,13 +152,13 @@ func Ablations(ctx context.Context, cfg Config) ([]AblationRow, error) {
 	fmt.Fprintf(cfg.Out, "\nABLATION sample-accuracy — sampled-counter extrapolation vs full execution\n")
 	opt := core.DefaultOptions(sampled.History)
 	devFull := gpusim.NewDevice(cfg.Profile)
-	full, err := kernels.SimulateApp(devFull, b32, opt, core.StrategyOurs, 0)
+	full, err := kernels.SimulateApp(devFull, b32, opt, kernels.StrategyOurs, 0)
 	if err != nil {
 		return nil, err
 	}
 	for _, frac := range []int{2, 4, 8} {
 		devS := gpusim.NewDevice(cfg.Profile)
-		res, err := kernels.SimulateApp(devS, b32, opt, core.StrategyOurs, sampled.M/frac)
+		res, err := kernels.SimulateApp(devS, b32, opt, kernels.StrategyOurs, sampled.M/frac)
 		if err != nil {
 			return nil, err
 		}

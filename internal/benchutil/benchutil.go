@@ -330,7 +330,7 @@ func Fig8(ctx context.Context, cfg Config) ([]FigRow, error) {
 		opt := core.DefaultOptions(spec.History)
 		fzFull := flops.Sizes{M: spec.M, N: spec.N, History: spec.History, K: 8, HFrac: 0.25}
 		var cells []string
-		for _, s := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+		for _, s := range []kernels.Strategy{kernels.StrategyOurs, kernels.StrategyRgTlEfSeq, kernels.StrategyFullEfSeq} {
 			dev := gpusim.NewDevice(cfg.Profile)
 			res, err := kernels.SimulateApp(dev, b32, opt, s, 0)
 			if err != nil {

@@ -137,9 +137,9 @@ func Claims(ctx context.Context, cfg Config) ([]Claim, error) {
 
 	// --- Fig. 8 ---------------------------------------------------------
 	opt := core.DefaultOptions(sampled.History)
-	strat := map[core.Strategy]time.Duration{}
+	strat := map[kernels.Strategy]time.Duration{}
 	var monitorShare float64
-	for _, s := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+	for _, s := range []kernels.Strategy{kernels.StrategyOurs, kernels.StrategyRgTlEfSeq, kernels.StrategyFullEfSeq} {
 		devS := gpusim.NewDevice(cfg.Profile)
 		res, err := kernels.SimulateApp(devS, b32, opt, s, 0)
 		if err != nil {
@@ -159,12 +159,12 @@ func Claims(ctx context.Context, cfg Config) ([]Claim, error) {
 			}
 		}
 		strat[s] = total
-		if s == core.StrategyOurs {
+		if s == kernels.StrategyOurs {
 			monitorShare = mon.Seconds() / total.Seconds()
 		}
 	}
-	r1 := strat[core.StrategyRgTlEfSeq].Seconds() / strat[core.StrategyOurs].Seconds()
-	r2 := strat[core.StrategyFullEfSeq].Seconds() / strat[core.StrategyRgTlEfSeq].Seconds()
+	r1 := strat[kernels.StrategyRgTlEfSeq].Seconds() / strat[kernels.StrategyOurs].Seconds()
+	r2 := strat[kernels.StrategyFullEfSeq].Seconds() / strat[kernels.StrategyRgTlEfSeq].Seconds()
 	add("fig8.inner-parallelism", "using inner parallelism in fast memory gives 2-3x (Ours vs RgTl-EfSeq)",
 		fmt.Sprintf("%.1fx", r1), r1 >= 1.5 && r1 <= 4)
 	add("fig8.tiling", "tiling the matmul-like kernels gives 1.5-2x at application level",
@@ -183,7 +183,7 @@ func Claims(ctx context.Context, cfg Config) ([]Claim, error) {
 		return nil, err
 	}
 	devC := gpusim.NewDevice(cfg.Profile)
-	sim, err := kernels.SimulateApp(devC, b32, opt, core.StrategyOurs, 0)
+	sim, err := kernels.SimulateApp(devC, b32, opt, kernels.StrategyOurs, 0)
 	if err != nil {
 		return nil, err
 	}

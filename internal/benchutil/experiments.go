@@ -135,7 +135,7 @@ func Speedups(ctx context.Context, cfg Config) (*SpeedupsResult, error) {
 		return nil, err
 	}
 	dev := gpusim.NewDevice(cfg.Profile)
-	app, err := kernels.SimulateApp(dev, b32, opt, core.StrategyOurs, 0)
+	app, err := kernels.SimulateApp(dev, b32, opt, kernels.StrategyOurs, 0)
 	if err != nil {
 		return nil, err
 	}

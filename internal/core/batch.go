@@ -9,41 +9,6 @@ import (
 	"bfast/internal/series"
 )
 
-// Strategy names the code versions evaluated in Fig. 8 of the paper:
-// ways to organise the computation on a GPU. gpusim/kernels.SimulateApp
-// model all three. The host has one batch detector (DetectBatch, the
-// tiled loop of batch_tile.go), so no host call takes a Strategy.
-type Strategy int
-
-const (
-	// StrategyOurs is the paper's winning strategy: the computation is
-	// decomposed into batched kernels of same inner-parallel size
-	// (ker 1–10 of Fig. 12).
-	StrategyOurs Strategy = iota
-	// StrategyRgTlEfSeq stages the matrix-multiplication-like kernels
-	// (normal matrix, inversion, β) across a group of pixels but runs the
-	// rest of the per-pixel computation fused ("RgTl-EfSeq" in Fig. 8).
-	StrategyRgTlEfSeq
-	// StrategyFullEfSeq fuses the entire per-pixel computation into one
-	// pass per pixel ("Full-EfSeq" in Fig. 8) — minimal intermediates,
-	// no cross-pixel staging.
-	StrategyFullEfSeq
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case StrategyOurs:
-		return "ours"
-	case StrategyRgTlEfSeq:
-		return "rgtl-efseq"
-	case StrategyFullEfSeq:
-		return "full-efseq"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // BatchConfig configures DetectBatch.
 type BatchConfig struct {
 	// Workers is the number of goroutines (default GOMAXPROCS).
@@ -184,7 +149,7 @@ func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dr
 	}
 	sp.SetAttr("dates_kept", mask.N)
 	statKernelPixels.Add(int64(b.M))
-	res, err := batchTiled(ctx, b, mask, dates, x, opt, lambda, cfg)
+	res, err := batchTiled(ctx, b, mask, dates, x, opt, lambda, cfg, monitorTile)
 	if err != nil {
 		return nil, nil, err
 	}

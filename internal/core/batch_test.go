@@ -194,17 +194,6 @@ func TestDetectBatchPropertyNaNPaddingTailInvariance(t *testing.T) {
 	}
 }
 
-func TestStrategyStrings(t *testing.T) {
-	if StrategyOurs.String() != "ours" ||
-		StrategyRgTlEfSeq.String() != "rgtl-efseq" ||
-		StrategyFullEfSeq.String() != "full-efseq" {
-		t.Fatal("Strategy.String broken")
-	}
-	if Strategy(42).String() == "" {
-		t.Fatal("unknown strategy must render")
-	}
-}
-
 func TestSolverStrings(t *testing.T) {
 	if SolverGaussJordan.String() != "gauss-jordan" ||
 		SolverPivot.String() != "pivot" ||

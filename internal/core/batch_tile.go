@@ -236,7 +236,8 @@ func publishBeta(s *tileScratch, k int, idx []int, out []Result) {
 
 // monitorTile runs the monitoring phase (ker 8–10) over the tile's
 // compacted residuals, lane by lane; bit-identical to scalar Detect.
-func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx []int, out []Result) {
+func monitorTile(s *tileScratch, opt Options, lambda float64, idx []int, out []Result) {
+	n, nDates := opt.History, s.data.N
 	for p, px := range idx {
 		if !s.fit[p] {
 			continue
@@ -244,23 +245,57 @@ func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx
 		res := &out[px]
 		nBar := res.ValidHistory
 		w := s.nVal[p]
-		mo := monitorSeries(s.rbuf[p*nDates:p*nDates+w], nBar, w-nBar, opt, lambda)
-		res.Status = mo.status
-		res.Sigma = mo.sigma
-		res.MosumMean = mo.mean
-		if mo.brk >= 0 {
-			if orig := int(s.ix[p*nDates+nBar+mo.brk]); orig >= n {
+		mo := MonitorSeries(s.rbuf[p*nDates:p*nDates+w], nBar, w-nBar, opt, lambda)
+		res.Status = mo.Status
+		res.Sigma = mo.Sigma
+		res.MosumMean = mo.Mean
+		if mo.Break >= 0 {
+			if orig := int(s.ix[p*nDates+nBar+mo.Break]); orig >= n {
 				res.BreakIndex = orig - n
 			}
 		}
 	}
 }
 
+// tileFinish is batchTiled's last stage of a tile: monitorTile, or a
+// closure over seedTile.
+type tileFinish func(s *tileScratch, opt Options, lambda float64, idx []int, out []Result)
+
+// seedTile seeds the monitor record of every fitted lane of a tile of
+// history dates only, whose residuals are all history residuals: β from
+// out, the MOSUM window carved from one slab per tile. A lane whose
+// seeding fails keeps a zero record and takes the failing status.
+func seedTile(s *tileScratch, opt Options, idx []int, out []Result, recs []MonitorState) {
+	n := s.data.N
+	total := 0
+	for p := range idx {
+		if s.fit[p] {
+			total += opt.window(s.nVal[p])
+		}
+	}
+	win := make([]float64, total)
+	for p, px := range idx {
+		if !s.fit[p] {
+			continue
+		}
+		h := opt.window(s.nVal[p])
+		rec := MonitorState{Beta: out[px].Beta}
+		if st := rec.seed(s.rbuf[p*n:p*n+s.nVal[p]], win[:h:h], opt); st != StatusOK {
+			out[px].Status = st
+		} else {
+			recs[px] = rec
+		}
+		win = win[h:]
+	}
+}
+
 // batchTiled is the tiled execution: per tile, the fit kernels run
 // staged across the tile's lanes (cross product → batched inversion → β)
-// and the monitoring phase follows fused, all inside one steal unit with
-// per-worker scratch. Tiles never touch shared intermediates, so the
-// whole pixel's data stays in cache between stages.
+// and the residual pass follows; finish then consumes the residuals —
+// the monitoring phase (monitorTile) or the seeding of monitor records
+// (seedTile) — all inside one steal unit with per-worker scratch. Tiles
+// never touch shared intermediates, so the whole pixel's data stays in
+// cache between stages.
 //
 // With the Gauss-Jordan solver and more than one tile, the batch is
 // first grouped by history mask and every class of two or more pixels
@@ -272,7 +307,7 @@ func monitorTile(s *tileScratch, n, nDates int, opt Options, lambda float64, idx
 // The loop detects over the mask's dates. dates, when non-nil, is the
 // column of b's rows each of them is gathered from (DetectPopulated);
 // nil means mask.N == b.N and the identity.
-func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []int, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig) ([]Result, error) {
+func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []int, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig, finish tileFinish) ([]Result, error) {
 	M, N := b.M, mask.N
 	n := opt.History
 	K := opt.K()
@@ -321,7 +356,7 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 		t2 := time.Now()
 		tile.Residuals(x, s.data, s.sc, s.beta, s.rbuf, s.ix, s.nVal)
 		t3 := time.Now()
-		monitorTile(s, n, N, opt, lambda, idx, out)
+		finish(s, opt, lambda, idx, out)
 		// One tile is one steal unit: four atomic adds per tile.
 		statCrossNs.Add(int64(t1.Sub(t0)))
 		statInvertNs.Add(int64(t2.Sub(t1)))

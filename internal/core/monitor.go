@@ -49,9 +49,9 @@ func detectResolved(y []float64, x *series.DesignMatrix, opt Options, lambda flo
 	// the *unfiltered* X and y, skipping NaN dates (the paper's mmMulFilt /
 	// mvMulFilt trick that avoids materializing X̄ per pixel).
 	xh := historySlice(x, n)
-	yh := y[:n]
-	beta, ok := fitModel(xh, yh, opt)
-	if !ok {
+	var ws linalg.Workspace
+	beta := make([]float64, K)
+	if !opt.Solver.Solve(&ws, linalg.MaskedCrossProduct(xh, y[:n]).Data, linalg.MaskedMatVec(xh, y[:n]), beta) {
 		res.Status = StatusSingular
 		return res
 	}
@@ -73,12 +73,12 @@ func detectResolved(y []float64, x *series.DesignMatrix, opt Options, lambda flo
 	nMon := f.NValid - nBar
 
 	// Fig. 12 ker 8-10: σ̂, the fluctuation process and the boundary test.
-	mo := monitorSeries(rBar, nBar, nMon, opt, lambda)
-	res.Status = mo.status
-	res.Sigma = mo.sigma
-	res.MosumMean = mo.mean
-	if mo.brk >= 0 {
-		res.BreakIndex = series.RemapIndex(f, mo.brk, n)
+	mo := MonitorSeries(rBar, nBar, nMon, opt, lambda)
+	res.Status = mo.Status
+	res.Sigma = mo.Sigma
+	res.MosumMean = mo.Mean
+	if mo.Break >= 0 {
+		res.BreakIndex = series.RemapIndex(f, mo.Break, n)
 	}
 	return res
 }
@@ -91,13 +91,4 @@ func historySlice(x *series.DesignMatrix, n int) *linalg.Matrix {
 		copy(xh.Data[j*n:(j+1)*n], x.Data[j*x.N:j*x.N+n])
 	}
 	return xh
-}
-
-// fitModel computes β from the masked history regression with the
-// configured solver. It returns ok=false if the normal matrix is singular.
-func fitModel(xh *linalg.Matrix, yh []float64, opt Options) ([]float64, bool) {
-	var ws linalg.Workspace
-	beta := make([]float64, xh.Rows)
-	ok := opt.Solver.Solve(&ws, linalg.MaskedCrossProduct(xh, yh).Data, linalg.MaskedMatVec(xh, yh), beta)
-	return beta, ok
 }

@@ -7,76 +7,7 @@ import (
 	"bfast/internal/stats"
 )
 
-// monitorOutcome is the result of the monitoring phase for one pixel.
-type monitorOutcome struct {
-	status Status
-	sigma  float64
-	mean   float64
-	brk    int // 0-based offset within the *filtered* monitoring period, -1 = none
-}
-
-// monitorSeries runs the monitoring phase (ker 8–10 of Fig. 12) on the
-// compacted residuals rBar: σ̂ estimation, the configured fluctuation
-// process (MOSUM with window ⌊hf·n̄⌋, or cumulative sums), the boundary
-// test and the process mean. nBar is n̄ (history residual count), nMon the
-// number of monitoring residuals; rBar must hold nBar+nMon values.
-//
-// Every offline host path (scalar Detect, the tiled DetectBatch, CLike)
-// shares this single function, which is what guarantees their bit-for-bit
-// agreement; the streaming MonitorState.Push runs the same recurrence one
-// observation at a time.
-func monitorSeries(rBar []float64, nBar, nMon int, opt Options, lambda float64) monitorOutcome {
-	out := monitorOutcome{status: StatusOK, brk: -1}
-	if nMon <= 0 {
-		out.status = StatusNoMonitoringData
-		return out
-	}
-	K := opt.K()
-	sigma := stats.Sigma(opt.Sigma, rBar[:nBar], K, opt.Harmonics)
-	out.sigma = sigma
-	if sigma <= 0 {
-		out.status = StatusNoVariance
-		return out
-	}
-	cusum := opt.Process == stats.ProcessCUSUM
-	h := 0
-	var acc float64
-	if !cusum {
-		h = int(float64(nBar) * opt.HFrac)
-		if h < 1 || h > nBar {
-			out.status = StatusNoVariance
-			return out
-		}
-		// First MOSUM window: the h residuals ending at the first
-		// monitoring observation (Fig. 12 ker 9).
-		for i := 0; i < h; i++ {
-			acc += rBar[i+nBar-h+1]
-		}
-	}
-	norm := 1 / (sigma * math.Sqrt(float64(nBar)))
-	var sum float64
-	brk := -1
-	for t := 0; t < nMon; t++ {
-		if cusum {
-			acc += rBar[nBar+t]
-		} else if t > 0 {
-			acc += rBar[nBar+t] - rBar[nBar-h+t]
-		}
-		m := acc * norm
-		sum += m
-		if brk < 0 {
-			b := stats.BoundaryFor(opt.Process, opt.Boundary, lambda, t, nBar)
-			if math.Abs(m) > b {
-				brk = t
-			}
-		}
-	}
-	out.mean = sum / float64(nMon)
-	out.brk = brk
-	return out
-}
-
-// MonitorOutcome is the exported result of the shared monitoring loop.
+// MonitorOutcome is the result of the monitoring phase for one pixel.
 type MonitorOutcome struct {
 	// Status reports whether monitoring succeeded.
 	Status Status
@@ -89,12 +20,41 @@ type MonitorOutcome struct {
 	Break int
 }
 
-// MonitorSeries exposes the shared monitoring loop (ker 8–10 of Fig. 12)
-// to sibling packages so every implementation runs the exact same
-// floating-point sequence. See monitorSeries for semantics.
+// MonitorSeries runs the monitoring phase (ker 8–10 of Fig. 12) on the
+// compacted residuals rBar: σ̂ estimation, the configured fluctuation
+// process (MOSUM with window ⌊hf·n̄⌋, or cumulative sums), the boundary
+// test and the process mean. nBar is n̄ (history residual count), nMon the
+// number of monitoring residuals; rBar must hold nBar+nMon values.
+//
+// Every offline path (scalar Detect, the tiled DetectBatch, CLike) calls
+// it, and it runs the recurrence of MonitorState: seed from the history
+// residuals, then one step per monitoring residual — the step Push takes
+// a date at a time. The residual leaving the MOSUM window is read back
+// from rBar, so no window ring is kept.
 func MonitorSeries(rBar []float64, nBar, nMon int, opt Options, lambda float64) MonitorOutcome {
-	mo := monitorSeries(rBar, nBar, nMon, opt, lambda)
-	return MonitorOutcome{Status: mo.status, Sigma: mo.sigma, Mean: mo.mean, Break: mo.brk}
+	if nMon <= 0 {
+		return MonitorOutcome{Status: StatusNoMonitoringData, Break: -1}
+	}
+	var s MonitorState
+	if st := s.seed(rBar[:nBar], nil, opt); st != StatusOK {
+		return MonitorOutcome{Status: st, Sigma: s.Sigma, Break: -1}
+	}
+	var outs []float64 // outs[t] leaves the MOSUM window on monitoring date t > 0
+	if h := opt.window(nBar); h > 0 {
+		outs = rBar[nBar-h : nBar-h+nMon]
+	}
+	norm := s.norm()
+	for t, r := range rBar[nBar : nBar+nMon] {
+		var out, bound float64
+		if t > 0 && outs != nil {
+			out = outs[t]
+		}
+		if s.Break < 0 { // the verdict needs no boundary after the first break
+			bound = stats.BoundaryFor(opt.Process, opt.Boundary, lambda, t, nBar)
+		}
+		s.step(r, out, norm, bound, t)
+	}
+	return MonitorOutcome{Status: StatusOK, Sigma: s.Sigma, Mean: s.Mean(), Break: s.Break}
 }
 
 // ProcessTrace holds the full fluctuation-process trajectory of one pixel
@@ -116,9 +76,10 @@ type ProcessTrace struct {
 
 // Trace computes the full monitoring-process trajectory for one pixel —
 // the per-pixel diagnostic plot of Fig. 2. Detect decides the status.
-// For a processed pixel, FitMonitor's streaming record is then pushed
-// every valid monitoring observation, and each Push's process value and
-// boundary are recorded: the recurrence Detect monitors, bit for bit.
+// For a processed pixel, the history fit's record (FitMonitors) is then
+// pushed every valid monitoring observation, and each Push's process
+// value and boundary are recorded: the recurrence Detect monitors, bit
+// for bit.
 func Trace(y []float64, x *series.DesignMatrix, opt Options) (ProcessTrace, error) {
 	res, err := Detect(y, x, opt)
 	if err != nil {
@@ -128,7 +89,7 @@ func Trace(y []float64, x *series.DesignMatrix, opt Options) (ProcessTrace, erro
 	if res.Status != StatusOK {
 		return tr, nil
 	}
-	st, _, err := FitMonitor(y, x, opt)
+	st, _, err := fitOne(y, x, opt)
 	if err != nil {
 		return ProcessTrace{}, err
 	}

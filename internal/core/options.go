@@ -196,6 +196,15 @@ func (o Options) minHist() int {
 	return m
 }
 
+// window returns the MOSUM window length h = ⌊hf·n̄⌋ for n̄ valid history
+// observations, or 0 for CUSUM, which keeps no window.
+func (o Options) window(nBar int) int {
+	if o.Process == stats.ProcessCUSUM {
+		return 0
+	}
+	return int(float64(nBar) * o.HFrac)
+}
+
 // DesignFor builds the design matrix implied by the options for a series
 // of length n — Eq. (3) with or without the trend row.
 func DesignFor(o Options, n int) (*series.DesignMatrix, error) {

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"bfast/internal/series"
 	"bfast/internal/stats"
 )
 
@@ -116,69 +115,5 @@ func TestMonitorStateCloneIsDeepCopy(t *testing.T) {
 	}
 	if math.IsNaN(got.Process) {
 		t.Fatal("clone mutation reached the live monitor")
-	}
-}
-
-// TestFitMonitorStatuses: FitMonitor must classify data-dependent fit
-// failures with the same Status the offline Detect reports, and reserve
-// errors for caller bugs.
-func TestFitMonitorStatuses(t *testing.T) {
-	N, n := 200, 100
-	opt := defaultTestOpts(n)
-	x, err := DesignFor(opt, N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9300))
-	good := synthSeries(rng, N, 3, 23, 0.05, -1, 0, 0)
-	if m, st, err := FitMonitor(good[:n], x, opt); err != nil || st != StatusOK || m.Beta == nil {
-		t.Fatalf("good pixel: m=%v status=%v err=%v", m, st, err)
-	}
-
-	allNaN := make([]float64, n)
-	for i := range allNaN {
-		allNaN[i] = math.NaN()
-	}
-	if m, st, err := FitMonitor(allNaN, x, opt); err != nil || st != StatusInsufficientHistory || m.Beta != nil {
-		t.Fatalf("all-NaN history: m=%v status=%v err=%v", m, st, err)
-	}
-
-	// A history with exactly K valid observations interpolates exactly:
-	// σ̂ degenerates and the fit must classify like the offline Detect.
-	sparse := make([]float64, N)
-	for i := range sparse {
-		sparse[i] = math.NaN()
-	}
-	for i := 0; i < opt.K(); i++ {
-		sparse[i*11] = good[i*11]
-	}
-	sparse[n+2] = good[n+2] // one monitoring observation for Detect
-	want, err := Detect(sparse, x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, st, err := FitMonitor(sparse[:n], x, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != want.Status {
-		t.Fatalf("sparse history: FitMonitor status %v, Detect status %v", st, want.Status)
-	}
-	if st == StatusOK {
-		t.Fatal("K-point interpolating fit unexpectedly reported OK")
-	}
-
-	// Caller bugs: short history, mismatched design, invalid options.
-	if _, _, err := FitMonitor(good[:10], x, opt); err == nil {
-		t.Fatal("short history must error")
-	}
-	xr, _ := series.MakeDesignTrendless(N, opt.Harmonics, opt.Frequency)
-	if _, _, err := FitMonitor(good[:n], xr, opt); err == nil {
-		t.Fatal("K-mismatched design must error")
-	}
-	bad := opt
-	bad.History = N
-	if _, _, err := FitMonitor(good[:n], x, bad); err == nil {
-		t.Fatal("invalid options must error")
 	}
 }

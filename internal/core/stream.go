@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -8,12 +9,15 @@ import (
 	"bfast/internal/stats"
 )
 
-// MonitorState is one pixel's streaming monitor record: the fitted
-// history model and the fluctuation-process accumulators, and nothing
-// the pixels of a scene share. The options, the resolved λ, the design
-// matrix (hence the capacity N) and the date cursor belong to whoever
-// drives the record — a Monitor for one pixel, an NRT session for a
-// scene — and are passed to Push.
+// MonitorState is one pixel's monitor record from fit to verdict: the
+// fitted history model and the fluctuation-process accumulators, and
+// nothing the pixels of a scene share. Every path runs one recurrence on
+// it — seed from the history residuals, then one step per valid
+// monitoring residual: FitMonitors seeds records in the tiled loop, Push
+// steps them a date at a time, MonitorSeries runs both over one pixel's
+// residual array. The options, the resolved λ, the design matrix (hence
+// the capacity N) and the date cursor belong to whoever drives the
+// record — a Monitor, an NRT session — and are passed to Push.
 //
 // The record is also the durable form: internal/state encodes these
 // fields as they are, so a record decoded from a snapshot continues
@@ -67,22 +71,72 @@ func (s *MonitorState) Push(x *series.DesignMatrix, t int, v float64, opt Option
 		pred += x.Data[j*x.N+t] * s.Beta[j]
 	}
 	r := v - pred
-	if opt.Process == stats.ProcessCUSUM {
-		s.Acc += r
-	} else {
-		// Slide the window: drop the oldest residual, add the newest.
-		s.Acc += r - s.Window[s.WPos]
+	var out float64
+	if opt.Process != stats.ProcessCUSUM {
+		// Slide the window: the oldest residual leaves, the newest takes
+		// its slot.
+		out = s.Window[s.WPos]
 		s.Window[s.WPos] = r
 		s.WPos = (s.WPos + 1) % len(s.Window)
 	}
-	proc = s.Acc * (1 / (s.Sigma * math.Sqrt(float64(s.NBar))))
+	bound = stats.BoundaryFor(opt.Process, opt.Boundary, lambda, s.ValidMon, s.NBar)
+	return s.step(r, out, s.norm(), bound, t-opt.History), bound
+}
+
+// seed starts the record from its n̄ compacted history residuals: σ̂ and
+// the accumulator over the last h−1 of them, so that the first
+// monitoring residual completes the first MOSUM window (Fig. 12 ker 9:
+// indices n̄−h+1 .. n̄). win, when non-nil, has length h and becomes the
+// window ring: those h−1 residuals, then the zero slot the first step
+// replaces. It returns StatusNoVariance, σ̂ set, for a zero σ̂ or an
+// empty window. Beta is the caller's.
+func (s *MonitorState) seed(rHist, win []float64, opt Options) Status {
+	s.NBar = len(rHist)
+	s.Break = -1
+	s.Sigma = stats.Sigma(opt.Sigma, rHist, opt.K(), opt.Harmonics)
+	if s.Sigma <= 0 {
+		return StatusNoVariance
+	}
+	if opt.Process == stats.ProcessCUSUM {
+		return StatusOK
+	}
+	h := opt.window(s.NBar)
+	if h < 1 || h > s.NBar {
+		return StatusNoVariance
+	}
+	tail := rHist[s.NBar-h+1:]
+	for _, r := range tail {
+		s.Acc += r
+	}
+	if win != nil {
+		copy(win, tail)
+		win[h-1] = 0
+		s.Window = win
+		s.WPos = h - 1
+	}
+	return StatusOK
+}
+
+// norm is the process normalization 1/(σ̂·√n̄).
+func (s *MonitorState) norm() float64 {
+	return 1 / (s.Sigma * math.Sqrt(float64(s.NBar)))
+}
+
+// step folds one valid monitoring residual r into the record — the one
+// update of ker 8–10 every path runs. The accumulator gains r and loses
+// out, the residual leaving the MOSUM window (0 for CUSUM and on the
+// first monitoring date); the process value Acc·norm joins the running
+// sum; the first value beyond bound, the boundary on this date, records
+// at as the break. It returns the process value.
+func (s *MonitorState) step(r, out, norm, bound float64, at int) float64 {
+	s.Acc += r - out
+	proc := s.Acc * norm
 	s.Sum += proc
 	s.ValidMon++
-	bound = stats.BoundaryFor(opt.Process, opt.Boundary, lambda, s.ValidMon-1, s.NBar)
 	if s.Break < 0 && math.Abs(proc) > bound {
-		s.Break = t - opt.History
+		s.Break = at
 	}
-	return proc, bound
+	return proc
 }
 
 // Mean returns the running mean of the normalized process over the valid
@@ -125,7 +179,7 @@ func (s *MonitorState) Check(opt Options, next int) error {
 		}
 		return nil
 	}
-	if h := int(float64(s.NBar) * opt.HFrac); len(s.Window) != h {
+	if h := opt.window(s.NBar); len(s.Window) != h {
 		return fmt.Errorf("core: MOSUM window has %d entries, ⌊%g·%d⌋=%d expected", len(s.Window), opt.HFrac, s.NBar, h)
 	}
 	if s.WPos < 0 || s.WPos >= len(s.Window) {
@@ -166,7 +220,7 @@ func NewMonitor(history []float64, seriesLen int, opt Options) (*Monitor, error)
 	if err != nil {
 		return nil, err
 	}
-	st, status, err := FitMonitor(history, x, opt)
+	st, status, err := fitOne(history, x, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -186,76 +240,62 @@ func NewMonitor(history []float64, seriesLen int, opt Options) (*Monitor, error)
 	return &Monitor{opt: opt, lambda: lambda, x: x, t: opt.History, st: st}, nil
 }
 
-// FitMonitor fits the history model against a caller-supplied design
-// matrix and classifies the outcome instead of collapsing every fit
-// failure into an error. This is the scene-scale entry point: a session
-// fitting M pixels shares one K×N design matrix across all records
-// (NewMonitor would rebuild it per pixel) and records per-pixel fit
-// failures as terminal statuses rather than aborting the scene.
+// FitMonitors fits every pixel of hist, an M×History batch (NaN =
+// missing), and returns one record per pixel, positioned at the first
+// monitoring date, with its Status. It is DetectBatch's tiled loop
+// stopped after the residual pass, followed by the seeding MonitorSeries
+// runs, so a record pushed through the monitoring dates reaches Detect's
+// verdict bit for bit. x is the caller's design over the full series;
+// only its first History columns are read, so designs DesignFor cannot
+// rebuild (NewDetectorForAxis) work too.
 //
-// The returned error reports caller bugs only (invalid options, a design
-// matrix that does not cover opt's requirements, a short history slice).
-// Data-dependent failures return a zero record and the Status the offline
-// Detect would report for the same pixel: StatusInsufficientHistory,
-// StatusSingular, or StatusNoVariance (zero σ̂ or an invalid MOSUM
-// window). On StatusOK the record is positioned at the first monitoring
-// date (opt.History) and is bit-identical in behavior to the offline
-// refit path.
-func FitMonitor(history []float64, x *series.DesignMatrix, opt Options) (MonitorState, Status, error) {
+// A pixel Detect cannot fit gets a zero record and Detect's status
+// (insufficient history, singular, no variance). The error reports
+// invalid options, a design or batch that does not match them, and
+// cancellation, as for DetectBatch.
+func FitMonitors(ctx context.Context, hist *Batch, x *series.DesignMatrix, opt Options, cfg BatchConfig) ([]MonitorState, []Status, error) {
 	if err := opt.Validate(x.N); err != nil {
-		return MonitorState{}, StatusOK, err
+		return nil, nil, err
 	}
+	if x.K != opt.K() {
+		return nil, nil, fmt.Errorf("core: design matrix has K=%d rows, options need %d", x.K, opt.K())
+	}
+	n := opt.History
+	if hist.N != n {
+		return nil, nil, fmt.Errorf("core: history batch has %d dates, options need %d", hist.N, n)
+	}
+	mask, err := hist.MaskCtx(ctx, cfg.Workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	xh := &series.DesignMatrix{K: x.K, N: n, Data: historySlice(x, n).Data}
+	recs := make([]MonitorState, hist.M)
+	out, err := batchTiled(ctx, hist, mask, nil, xh, opt, 0, cfg, func(s *tileScratch, opt Options, _ float64, idx []int, out []Result) {
+		seedTile(s, opt, idx, out, recs)
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	status := make([]Status, hist.M)
+	for i := range out {
+		status[i] = out[i].Status
+	}
+	return recs, status, nil
+}
+
+// fitOne is FitMonitors for the one pixel whose history is
+// history[:opt.History].
+func fitOne(history []float64, x *series.DesignMatrix, opt Options) (MonitorState, Status, error) {
 	if len(history) < opt.History {
 		return MonitorState{}, StatusOK, fmt.Errorf("core: history has %d entries, need %d", len(history), opt.History)
 	}
-	if x.K != opt.K() {
-		return MonitorState{}, StatusOK, fmt.Errorf("core: design matrix has K=%d rows, options need %d", x.K, opt.K())
+	hist := &Batch{M: 1, N: opt.History, Y: history[:opt.History]}
+	//lint:allow ctxfirst -- NewMonitor and Trace keep their signatures, which carry no context
+	recs, status, err := FitMonitors(context.TODO(), hist, x, opt, BatchConfig{Workers: 1})
+	if err != nil {
+		return MonitorState{}, StatusOK, err
 	}
-	n := opt.History
-	K := opt.K()
-
-	f := series.FilterMissing(history[:n], n)
-	if f.NValidHist < opt.minHist() {
-		return MonitorState{}, StatusInsufficientHistory, nil
-	}
-	xh := historySlice(x, n)
-	beta, ok := fitModel(xh, history[:n], opt)
-	if !ok {
-		return MonitorState{}, StatusSingular, nil
-	}
-
-	// History residuals (compacted) for σ̂ and the initial MOSUM window.
-	rHist := make([]float64, 0, f.NValidHist)
-	for p := 0; p < f.NValidHist; p++ {
-		t := f.Index[p]
-		var pred float64
-		for j := 0; j < K; j++ {
-			pred += x.Data[j*x.N+t] * beta[j]
-		}
-		rHist = append(rHist, history[t]-pred)
-	}
-	sigma := stats.Sigma(opt.Sigma, rHist, K, opt.Harmonics)
-	if sigma <= 0 {
-		return MonitorState{}, StatusNoVariance, nil
-	}
-	st := MonitorState{Beta: beta, NBar: f.NValidHist, Sigma: sigma, Break: -1}
-	if opt.Process != stats.ProcessCUSUM {
-		h := int(float64(st.NBar) * opt.HFrac)
-		if h < 1 || h > st.NBar {
-			return MonitorState{}, StatusNoVariance, nil
-		}
-		// Seed the window with the last h−1 history residuals: the first
-		// monitoring observation completes the first window (Fig. 12
-		// ker 9 semantics: indices n̄−h+1 .. n̄).
-		st.Window = make([]float64, h)
-		for i := 0; i < h-1; i++ {
-			r := rHist[len(rHist)-(h-1)+i]
-			st.Window[i] = r
-			st.Acc += r
-		}
-		st.WPos = h - 1
-	}
-	return st, StatusOK, nil
+	return recs[0], status[0], nil
 }
 
 // State is the monitor's standing after the latest Push.

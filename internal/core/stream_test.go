@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -242,24 +244,214 @@ func TestTraceMatchesDetect(t *testing.T) {
 	}
 }
 
-// BenchmarkFitMonitor times the scalar history fit of one pixel under
-// each solver — the per-pixel work of an NRT session's fit — and
-// reports its allocations.
-func BenchmarkFitMonitor(b *testing.B) {
-	rng := rand.New(rand.NewSource(70))
-	N, n := 512, 256
-	y := synthSeries(rng, N, 3, 23, 0.05, -1, 0, 0.5)
-	x, _ := series.MakeDesign(N, 3, 23)
-	for _, s := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
-		b.Run(s.String(), func(b *testing.B) {
-			opt := defaultTestOpts(n)
-			opt.Solver = s
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, st, err := FitMonitor(y[:n], x, opt); err != nil || st != StatusOK {
-					b.Fatal(st, err)
+// fitScene builds an m-pixel, n-date scene whose first rows have
+// degenerate histories — all-NaN, fewer than K valid dates, a constant
+// series, valid only on three seasonal phases (singular in exact
+// arithmetic; each pattern twice, so the pixels share a history mask),
+// exactly K valid dates (σ̂ has no degrees of freedom) — and whose other
+// rows are synthetic series with 0–85 % NaN, a third of them breaking.
+// Every degenerate row is valid on every monitoring date.
+func fitScene(m, n, hist, k int) []float64 {
+	rng := rand.New(rand.NewSource(9400))
+	const f = 23
+	degenerate := []func(d int) bool{
+		func(int) bool { return false },
+		func(int) bool { return false },
+		func(d int) bool { return d%9 == 0 && d < 9*(k-1) },
+		func(d int) bool { return d%9 == 0 && d < 9*(k-1) },
+		func(int) bool { return true },
+		func(int) bool { return true },
+		func(d int) bool { p := d % f; return p == 0 || p == 7 || p == 15 },
+		func(d int) bool { p := d % f; return p == 0 || p == 7 || p == 15 },
+		func(d int) bool { return d%12 == 3 && d < 3+12*k },
+		func(d int) bool { return d%12 == 3 && d < 3+12*k },
+	}
+	y := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		row := y[i*n : (i+1)*n]
+		if i < len(degenerate) {
+			for d := range row {
+				row[d] = math.NaN()
+				if d >= hist || degenerate[i](d) {
+					row[d] = 0.5
+					if i < 4 || i >= 6 {
+						row[d] += 0.2*math.Sin(2*math.Pi*float64(d)/f) + 0.01*math.Cos(float64(7*d+i))
+					}
 				}
 			}
-		})
+			continue
+		}
+		at := -1
+		if i%3 == 0 {
+			at = hist + rng.Intn(n-hist)
+		}
+		copy(row, synthSeries(rng, n, 3, f, 0.05, at, -0.8, []float64{0, 0.3, 0.6, 0.85}[i%4]))
+	}
+	return y
+}
+
+// TestFitMonitorsMatchDetect: the records FitMonitors builds in the tiled
+// loop carry the β, σ̂ and n̄ of scalar Detect bit for bit, a pixel Detect
+// cannot fit gets Detect's status and a zero record, and every record
+// pushed through the monitoring dates reaches Detect's break, mean and
+// status. It runs every solver with MOSUM and CUSUM, one and four
+// workers, on a scene of M = 61 pixels (eight tiles, the last one short)
+// with degenerate histories, over the regular design and over an
+// irregular time axis that DesignFor cannot rebuild. The windows of all
+// records are built before any is pushed, so records sharing storage
+// would diverge.
+func TestFitMonitorsMatchDetect(t *testing.T) {
+	const M, N, n = 61, 200, 100
+	base := defaultTestOpts(n)
+	y := fitScene(M, N, n, base.K())
+	hist := make([]float64, M*n)
+	for i := 0; i < M; i++ {
+		copy(hist[i*n:(i+1)*n], y[i*N:i*N+n])
+	}
+	hb, err := NewBatch(M, n, hist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regular, err := DesignFor(base, N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9401))
+	times := make([]float64, N)
+	for d := range times {
+		times[d] = 2000 + (float64(16*d)+rng.Float64()*12)/365.25
+	}
+	axis, err := series.MakeDesignAt(times, base.Harmonics, 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := map[Status]int{}
+	for _, design := range []struct {
+		name string
+		x    *series.DesignMatrix
+		freq float64
+	}{{"regular", regular, base.Frequency}, {"axis", axis, 1}} {
+		for _, solver := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
+			for _, process := range []stats.ProcessKind{stats.ProcessMOSUM, stats.ProcessCUSUM} {
+				opt := base
+				opt.Frequency = design.freq
+				opt.Solver = solver
+				opt.Process = process
+				lambda, err := opt.ResolveLambda()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("%s/%v/%v/w%d", design.name, solver, process, workers)
+					recs, status, err := FitMonitors(context.Background(), hb, design.x, opt, BatchConfig{Workers: workers})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(recs) != M || len(status) != M {
+						t.Fatalf("%s: %d records, %d statuses for %d pixels", label, len(recs), len(status), M)
+					}
+					for i := 0; i < M; i++ {
+						row := y[i*N : (i+1)*N]
+						want, err := Detect(row, design.x, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						statuses[want.Status]++
+						if want.Status == StatusNoMonitoringData {
+							t.Fatalf("%s pixel %d: the scene needs monitoring data", label, i)
+						}
+						rec := &recs[i]
+						if status[i] != StatusOK {
+							if status[i] != want.Status || rec.Beta != nil || rec.Window != nil || rec.NBar != 0 {
+								t.Fatalf("%s pixel %d: fit status %v record %+v, Detect status %v", label, i, status[i], *rec, want.Status)
+							}
+							continue
+						}
+						if rec.NBar != want.ValidHistory || len(rec.Beta) != len(want.Beta) ||
+							math.Float64bits(rec.Sigma) != math.Float64bits(want.Sigma) {
+							t.Fatalf("%s pixel %d: record n̄=%d σ̂=%v, Detect n̄=%d σ̂=%v", label, i, rec.NBar, rec.Sigma, want.ValidHistory, want.Sigma)
+						}
+						for j := range rec.Beta {
+							if math.Float64bits(rec.Beta[j]) != math.Float64bits(want.Beta[j]) {
+								t.Fatalf("%s pixel %d: β[%d] %v, Detect %v", label, i, j, rec.Beta[j], want.Beta[j])
+							}
+						}
+						if err := rec.Check(opt, n); err != nil {
+							t.Fatalf("%s pixel %d: %v", label, i, err)
+						}
+					}
+					for i := 0; i < M; i++ {
+						if status[i] != StatusOK {
+							continue
+						}
+						row := y[i*N : (i+1)*N]
+						want, _ := Detect(row, design.x, opt)
+						rec := &recs[i]
+						for d := n; d < N; d++ {
+							rec.Push(design.x, d, row[d], opt, lambda)
+						}
+						if want.Status != StatusOK || rec.Break != want.BreakIndex ||
+							math.Float64bits(rec.Mean()) != math.Float64bits(want.MosumMean) {
+							t.Fatalf("%s pixel %d: pushed record break %d mean %v, Detect %v break %d mean %v",
+								label, i, rec.Break, rec.Mean(), want.Status, want.BreakIndex, want.MosumMean)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, st := range []Status{StatusOK, StatusInsufficientHistory, StatusSingular, StatusNoVariance} {
+		if statuses[st] == 0 {
+			t.Errorf("no pixel of the scene reached %v; the test lost a case", st)
+		}
+	}
+
+	// Caller bugs are errors, not statuses: a batch not History dates
+	// wide, a design whose K differs from the options', invalid options.
+	ctx := context.Background()
+	short, _ := NewBatch(M, n-1, hist[:M*(n-1)])
+	if _, _, err := FitMonitors(ctx, short, regular, base, BatchConfig{}); err == nil {
+		t.Error("a batch shorter than the history must error")
+	}
+	if _, err := NewMonitor(y[:n-1], N, base); err == nil {
+		t.Error("NewMonitor on a short history must error")
+	}
+	trendless, _ := series.MakeDesignTrendless(N, base.Harmonics, base.Frequency)
+	if _, _, err := FitMonitors(ctx, hb, trendless, base, BatchConfig{}); err == nil {
+		t.Error("a K-mismatched design must error")
+	}
+	bad := base
+	bad.History = N
+	if _, _, err := FitMonitors(ctx, hb, regular, bad, BatchConfig{}); err == nil {
+		t.Error("invalid options must error")
+	}
+}
+
+// BenchmarkFitMonitors times the batched history fit under each solver
+// at one pixel (NewMonitor, Trace) and at the scene an NRT session fits
+// (8 192 pixels, n = 114 of N = 228 dates, half the dates cloudy), and
+// reports its allocations.
+func BenchmarkFitMonitors(b *testing.B) {
+	const N, n = 228, 114
+	rng := rand.New(rand.NewSource(70))
+	for _, m := range []int{1, 8192} {
+		hist := make([]float64, m*n)
+		for i := 0; i < m; i++ {
+			copy(hist[i*n:(i+1)*n], synthSeries(rng, n, 3, 23, 0.05, -1, 0, 0.5))
+		}
+		hb, _ := NewBatch(m, n, hist)
+		x, _ := series.MakeDesign(N, 3, 23)
+		for _, s := range []Solver{SolverGaussJordan, SolverPivot, SolverCholesky} {
+			b.Run(fmt.Sprintf("px=%d/%v", m, s), func(b *testing.B) {
+				opt := defaultTestOpts(n)
+				opt.Solver = s
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := FitMonitors(context.Background(), hb, x, opt, BatchConfig{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

@@ -10,6 +10,41 @@ import (
 	"bfast/internal/stats"
 )
 
+// Strategy names the code versions evaluated in Fig. 8 of the paper:
+// ways to organise the computation on a GPU. SimulateApp models all
+// three. The host has one batch detector (core.DetectBatch, the tiled
+// loop), so no host call takes a Strategy.
+type Strategy int
+
+const (
+	// StrategyOurs is the paper's winning strategy: the computation is
+	// decomposed into batched kernels of same inner-parallel size
+	// (ker 1–10 of Fig. 12).
+	StrategyOurs Strategy = iota
+	// StrategyRgTlEfSeq stages the matrix-multiplication-like kernels
+	// (normal matrix, inversion, β) across a group of pixels but runs the
+	// rest of the per-pixel computation fused ("RgTl-EfSeq" in Fig. 8).
+	StrategyRgTlEfSeq
+	// StrategyFullEfSeq fuses the entire per-pixel computation into one
+	// pass per pixel ("Full-EfSeq" in Fig. 8) — minimal intermediates,
+	// no cross-pixel staging.
+	StrategyFullEfSeq
+)
+
+// String implements fmt.Stringer.
+func (s Strategy) String() string {
+	switch s {
+	case StrategyOurs:
+		return "ours"
+	case StrategyRgTlEfSeq:
+		return "rgtl-efseq"
+	case StrategyFullEfSeq:
+		return "full-efseq"
+	default:
+		return fmt.Sprintf("Strategy(%d)", int(s))
+	}
+}
+
 // AppResult is the output of one simulated whole-application execution
 // (the bfast entry point of Fig. 12) over a pixel batch.
 type AppResult struct {
@@ -31,22 +66,22 @@ type AppResult struct {
 // profile. The three strategies (§III-B, Fig. 8) compute identical results
 // but generate very different device traffic:
 //
-//   - core.StrategyOurs: transpose + register-tiled mmMulFilt +
+//   - StrategyOurs: transpose + register-tiled mmMulFilt +
 //     shared-memory inversion + one padded batched kernel per group
 //     (ker 4–10 of Fig. 12), intermediates staged in shared memory.
-//   - core.StrategyRgTlEfSeq: the matrix-multiplication-like kernels are
+//   - StrategyRgTlEfSeq: the matrix-multiplication-like kernels are
 //     tiled as above, but inversion and monitoring are fused into one
 //     thread per pixel ("efficient sequentialization"): per-thread arrays
 //     spill to device memory and divergent loop counts pad to the warp
 //     maximum.
-//   - core.StrategyFullEfSeq: everything fused into one kernel, including
+//   - StrategyFullEfSeq: everything fused into one kernel, including
 //     the normal-matrix accumulation, whose K×K accumulator no longer fits
 //     in registers and spills.
 //
 // sampleM, when positive and smaller than b.M, executes the simulation on
 // a strided sub-batch of ≈sampleM pixels and scales the counters to the
 // full batch — the returned Breaks/Means then cover only the sub-batch.
-func SimulateApp(dev *gpusim.Device, b *Batch32, opt core.Options, strategy core.Strategy, sampleM int) (*AppResult, error) {
+func SimulateApp(dev *gpusim.Device, b *Batch32, opt core.Options, strategy Strategy, sampleM int) (*AppResult, error) {
 	if err := opt.Validate(b.N); err != nil {
 		return nil, err
 	}
@@ -62,7 +97,7 @@ func SimulateApp(dev *gpusim.Device, b *Batch32, opt core.Options, strategy core
 	sample, scale := b.Sample(sampleM)
 
 	switch strategy {
-	case core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq:
+	case StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq:
 	default:
 		return nil, fmt.Errorf("kernels: unknown strategy %d", int(strategy))
 	}
@@ -79,9 +114,9 @@ func SimulateApp(dev *gpusim.Device, b *Batch32, opt core.Options, strategy core
 	K := opt.K()
 	var normal []float32
 	switch strategy {
-	case core.StrategyOurs, core.StrategyRgTlEfSeq:
+	case StrategyOurs, StrategyRgTlEfSeq:
 		normal, _, err = BatchNormalMatrices(dev, MMRegisterTiled, x, sample, n, scale)
-	case core.StrategyFullEfSeq:
+	case StrategyFullEfSeq:
 		// Fused execution computes the same matrices; the traffic is
 		// charged inside the fused-kernel model below.
 		normal = make([]float32, sample.M*K*K)
@@ -92,7 +127,7 @@ func SimulateApp(dev *gpusim.Device, b *Batch32, opt core.Options, strategy core
 	}
 
 	var inverses []float32
-	if strategy == core.StrategyOurs {
+	if strategy == StrategyOurs {
 		inverses, _, err = BatchInvert(dev, InvShared, normal, K, scale)
 		if err != nil {
 			return nil, err
@@ -114,17 +149,17 @@ func SimulateApp(dev *gpusim.Device, b *Batch32, opt core.Options, strategy core
 	// --- Charge the remaining kernels per strategy ---------------------
 	hf := opt.HFrac
 	switch strategy {
-	case core.StrategyOurs:
+	case StrategyOurs:
 		for _, ch := range chargeOursMonitoring(sample.M, sample.N, n, K, hf) {
 			c := ch.c
 			c.Scale(scale)
 			dev.Record(ch.name, c)
 		}
-	case core.StrategyRgTlEfSeq:
+	case StrategyRgTlEfSeq:
 		c := chargeFusedMonitoring(sample, K, n, false)
 		c.Scale(scale)
 		dev.RecordEff("fused/inv+monitor", c, seqBWPenalty)
-	case core.StrategyFullEfSeq:
+	case StrategyFullEfSeq:
 		c := chargeFusedMonitoring(sample, K, n, true)
 		c.Scale(scale)
 		dev.RecordEff("fused/full", c, seqBWPenalty)

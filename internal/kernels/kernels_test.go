@@ -229,7 +229,7 @@ func TestSimulateAppMatchesCoreReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+	for _, strat := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
 		dev := gpusim.NewDevice(gpusim.RTX2080Ti())
 		got, err := SimulateApp(dev, b, opt, strat, 0)
 		if err != nil {
@@ -263,7 +263,7 @@ func TestSimulateAppStrategiesIdenticalResults(t *testing.T) {
 	b, _ := testBatch(t, M, N, n, 0.6, 0.5, 17)
 	opt := core.DefaultOptions(n)
 	var ref *AppResult
-	for _, strat := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+	for _, strat := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
 		dev := gpusim.NewDevice(gpusim.RTX2080Ti())
 		got, err := SimulateApp(dev, b, opt, strat, 0)
 		if err != nil {
@@ -290,12 +290,12 @@ func TestSimulateAppSampling(t *testing.T) {
 	b, _ := testBatch(t, M, N, n, 0.5, 0, 18)
 	opt := core.DefaultOptions(n)
 	devFull := gpusim.NewDevice(gpusim.RTX2080Ti())
-	full, err := SimulateApp(devFull, b, opt, core.StrategyOurs, 0)
+	full, err := SimulateApp(devFull, b, opt, StrategyOurs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	devSamp := gpusim.NewDevice(gpusim.RTX2080Ti())
-	samp, err := SimulateApp(devSamp, b, opt, core.StrategyOurs, 64)
+	samp, err := SimulateApp(devSamp, b, opt, StrategyOurs, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +315,10 @@ func TestSimulateAppErrors(t *testing.T) {
 	b, _ := testBatch(t, 8, 64, 32, 0.2, 0, 19)
 	dev := gpusim.NewDevice(gpusim.RTX2080Ti())
 	bad := core.DefaultOptions(64) // history == N
-	if _, err := SimulateApp(dev, b, bad, core.StrategyOurs, 0); err == nil {
+	if _, err := SimulateApp(dev, b, bad, StrategyOurs, 0); err == nil {
 		t.Fatal("expected validation error")
 	}
-	if _, err := SimulateApp(dev, b, core.DefaultOptions(32), core.Strategy(9), 0); err == nil {
+	if _, err := SimulateApp(dev, b, core.DefaultOptions(32), Strategy(9), 0); err == nil {
 		t.Fatal("expected strategy error")
 	}
 }
@@ -387,8 +387,8 @@ func TestFig7Ordering(t *testing.T) {
 func TestFig8Ordering(t *testing.T) {
 	b, _ := testBatch(t, 2048, 1024, 512, 0.5, 0, 22)
 	opt := core.DefaultOptions(512)
-	times := map[core.Strategy]float64{}
-	for _, s := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+	times := map[Strategy]float64{}
+	for _, s := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
 		dev := gpusim.NewDevice(gpusim.RTX2080Ti())
 		res, err := SimulateApp(dev, b, opt, s, 0)
 		if err != nil {
@@ -396,12 +396,23 @@ func TestFig8Ordering(t *testing.T) {
 		}
 		times[s] = res.KernelTime.Seconds()
 	}
-	r1 := times[core.StrategyRgTlEfSeq] / times[core.StrategyOurs]
-	r2 := times[core.StrategyFullEfSeq] / times[core.StrategyRgTlEfSeq]
+	r1 := times[StrategyRgTlEfSeq] / times[StrategyOurs]
+	r2 := times[StrategyFullEfSeq] / times[StrategyRgTlEfSeq]
 	if r1 < 1.5 || r1 > 4 {
 		t.Fatalf("Ours over RgTl-EfSeq = %.2f, outside the paper's 2-3× neighbourhood", r1)
 	}
 	if r2 < 1.2 || r2 > 3 {
 		t.Fatalf("RgTl over Full-EfSeq = %.2f, outside the paper's 1.5-2× neighbourhood", r2)
+	}
+}
+
+func TestStrategyStrings(t *testing.T) {
+	if StrategyOurs.String() != "ours" ||
+		StrategyRgTlEfSeq.String() != "rgtl-efseq" ||
+		StrategyFullEfSeq.String() != "full-efseq" {
+		t.Fatal("Strategy.String broken")
+	}
+	if Strategy(42).String() == "" {
+		t.Fatal("unknown strategy must render")
 	}
 }

@@ -123,7 +123,7 @@ func TestSimulateAppNoTrend(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := gpusim.NewDevice(gpusim.RTX2080Ti())
-	got, err := SimulateApp(dev, b, opt, core.StrategyOurs, 0)
+	got, err := SimulateApp(dev, b, opt, StrategyOurs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestSimulateAppCUSUM(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := gpusim.NewDevice(gpusim.RTX2080Ti())
-	got, err := SimulateApp(dev, b, opt, core.StrategyOurs, 0)
+	got, err := SimulateApp(dev, b, opt, StrategyOurs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,7 @@ func TestShapeProbe(t *testing.T) {
 	}
 
 	opt := core.DefaultOptions(spec.History)
-	for _, s := range []core.Strategy{core.StrategyOurs, core.StrategyRgTlEfSeq, core.StrategyFullEfSeq} {
+	for _, s := range []Strategy{StrategyOurs, StrategyRgTlEfSeq, StrategyFullEfSeq} {
 		dev := gpusim.NewDevice(gpusim.RTX2080Ti())
 		res, err := SimulateApp(dev, b, opt, s, 0)
 		if err != nil {

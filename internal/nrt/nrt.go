@@ -242,40 +242,9 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 		// A fresh session's observe lag is measured from its fit.
 		lastObserve: time.Now(),
 	}
-	var hits, fitErrs int64
-	var hitsMu sync.Mutex
-	err = sched.Shared().ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
-		localHits := int64(0)
-		for i := lo; i < hi; i++ {
-			hist := req.History[i*opt.History : (i+1)*opt.History]
-			key := fitKey(queueKey, hist)
-			if p, ok := mg.cacheGet(key); ok {
-				s.Pixels[i] = p
-				localHits++
-				continue
-			}
-			rec, st, ferr := core.FitMonitor(hist, x, opt)
-			if ferr != nil {
-				// Caller-bug class errors are pre-validated above; record
-				// and keep going so one pixel cannot wedge the loop.
-				hitsMu.Lock()
-				fitErrs++
-				hitsMu.Unlock()
-				s.Pixels[i] = state.PixelSnapshot{Status: core.StatusSingular}
-				continue
-			}
-			s.Pixels[i] = state.PixelSnapshot{Status: st, MonitorState: rec}
-			mg.cachePut(key, s.Pixels[i])
-		}
-		hitsMu.Lock()
-		hits += localHits
-		hitsMu.Unlock()
-	})
+	hits, err := mg.fitRecords(ctx, s.Pixels, req.History, x, opt, queueKey)
 	if err != nil {
 		return FitSummary{}, err
-	}
-	if fitErrs > 0 {
-		return FitSummary{}, fmt.Errorf("nrt: %d pixels failed to fit with pre-validated options", fitErrs)
 	}
 
 	id, err := mg.register(s)
@@ -294,14 +263,56 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 
 	mg.fits.Inc()
 	mg.fitPixels.Add(int64(m))
-	mg.cacheHits.Add(hits)
-	mg.cacheMisses.Add(int64(m) - hits)
+	mg.cacheHits.Add(int64(hits))
+	mg.cacheMisses.Add(int64(m - hits))
 	span.SetAttr("pixels", m)
-	span.SetAttr("cache_hits", int(hits))
+	span.SetAttr("cache_hits", hits)
 	// The session ID on the fit span is what lets a trace reader stitch
 	// this request to the /v1/observe requests that follow it.
 	span.SetAttr("session", id)
-	return mg.summary(id, s, int(hits)), nil
+	return mg.summary(id, s, hits), nil
+}
+
+// fitRecords fills px, one record per pixel of the row-per-pixel history
+// matrix hist: cache hits first, then every miss in one core.FitMonitors
+// call over the misses' rows, whose records go into the cache. It
+// returns the number of hits.
+func (mg *Manager) fitRecords(ctx context.Context, px []state.PixelSnapshot, hist []float64, x *series.DesignMatrix, opt core.Options, queueKey string) (int, error) {
+	n := opt.History
+	keys := make([]uint64, len(px))
+	if mg.cacheCap > 0 {
+		err := sched.Shared().ForEachCtx(ctx, len(px), 0, sched.DefaultGrain, func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				keys[i] = fitKey(queueKey, hist[i*n:(i+1)*n])
+			}
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	miss := make([]int, 0, len(px))
+	for i := range px {
+		var hit bool
+		if px[i], hit = mg.cacheGet(keys[i]); !hit {
+			miss = append(miss, i)
+		}
+	}
+	rows := hist
+	if len(miss) < len(px) {
+		rows = make([]float64, 0, len(miss)*n)
+		for _, i := range miss {
+			rows = append(rows, hist[i*n:(i+1)*n]...)
+		}
+	}
+	recs, status, err := core.FitMonitors(ctx, &core.Batch{M: len(miss), N: n, Y: rows}, x, opt, core.BatchConfig{})
+	if err != nil {
+		return 0, err
+	}
+	for j, i := range miss {
+		px[i] = state.PixelSnapshot{Status: status[j], MonitorState: recs[j]}
+		mg.cachePut(keys[i], px[i])
+	}
+	return len(px) - len(miss), nil
 }
 
 func (mg *Manager) summary(id string, s *session, hits int) FitSummary {

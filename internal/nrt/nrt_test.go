@@ -262,6 +262,60 @@ func TestFitCacheReuse(t *testing.T) {
 	}
 }
 
+// TestFitPartialCacheHits: a fit whose pixels are partly cache hits and
+// partly misses resolves the hits, fits the misses' rows in one batch
+// and scatters the records back to their pixels — and the session's
+// verdicts still equal the offline refit bit for bit. The warm session
+// fits every third pixel in reverse order, so hits and misses interleave
+// and the misses' batch is not a whole number of tiles.
+func TestFitPartialCacheHits(t *testing.T) {
+	leakcheck.Check(t)
+	ds, opt := testScene(t)
+	M, N, n := ds.Spec.M, ds.Spec.N, ds.Spec.History
+	mg := NewManager(Config{Metrics: obs.NewRegistry()})
+	ctx := context.Background()
+
+	canon, err := opt.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	queueKey, err := canon.QueueKey(N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warm []float64
+	cached := map[uint64]bool{}
+	for i := M - 1; i >= 0; i-- {
+		if i%3 == 1 {
+			row := ds.Y[i*N : i*N+n]
+			warm = append(warm, row...)
+			cached[fitKey(queueKey, row)] = true
+		}
+	}
+	if _, err := mg.Fit(ctx, FitRequest{Options: opt, Pixels: len(warm) / n, History: warm, Capacity: N}); err != nil {
+		t.Fatal(err)
+	}
+	wantHits := 0
+	for i := 0; i < M; i++ {
+		if cached[fitKey(queueKey, ds.Y[i*N:i*N+n])] {
+			wantHits++
+		}
+	}
+	if wantHits == 0 || wantHits == M {
+		t.Fatalf("%d of %d pixels cached: the fit would not mix hits and misses", wantHits, M)
+	}
+
+	sum := fitScene(t, mg, ds, opt)
+	if sum.CacheHits != wantHits {
+		t.Fatalf("fit hit %d pixels, %d cached", sum.CacheHits, wantHits)
+	}
+	res, err := mg.Observe(ctx, sum.ID, sceneDates(ds, n, N), N-n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkVerdicts(t, res.Verdicts, offlineDetect(t, ds, opt, N), "partly cached fit")
+}
+
 // TestRestoreRejectsInvalid: a snapshot that passes the checksum but
 // violates the monitor invariants (a hand-edited file, a foreign
 // encoder) must be skipped by Restore and counted in

@@ -42,7 +42,7 @@ type Config struct {
 	// date axis *after* empty-slice removal when DropEmpty is set).
 	Options core.Options
 	// Strategy selects the kernel organization (default StrategyOurs).
-	Strategy core.Strategy
+	Strategy kernels.Strategy
 	// Chunks is the number of host-side chunks (§V-B uses 50 for the
 	// scenes that exceed device memory; default 1).
 	Chunks int

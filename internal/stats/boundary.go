@@ -60,14 +60,6 @@ func Boundary(kind BoundaryKind, lambda float64, t, n int) float64 {
 	}
 }
 
-// BoundarySeries fills out[t] = Boundary(kind, λ, t, n) for t = 0..len(out)-1.
-// It is the vectorized form used by the batched kernels (ker 10 companion).
-func BoundarySeries(kind BoundaryKind, lambda float64, n int, out []float64) {
-	for t := range out {
-		out[t] = Boundary(kind, lambda, t, n)
-	}
-}
-
 // critRow is one row of the MOSUM monitoring critical-value table:
 // the boundary scale λ for a given boundary functional, window fraction h
 // and significance level. The values were computed with
@@ -168,18 +160,4 @@ func Sigma(kind SigmaKind, histResiduals []float64, K, harmonics int) float64 {
 		return 0
 	}
 	return math.Sqrt(ss / dof)
-}
-
-// PrefixSum computes the inclusive prefix sum of in into out (which may be
-// the same slice). It is the sequential semantics of the scan (+) 0 operator
-// of Fig. 12 and is used by the MOSUM kernels and their tests.
-func PrefixSum(in, out []float64) {
-	if len(in) != len(out) {
-		panic("stats: PrefixSum length mismatch")
-	}
-	var acc float64
-	for i, v := range in {
-		acc += v
-		out[i] = acc
-	}
 }

@@ -81,16 +81,6 @@ func TestBoundaryMonotoneInT(t *testing.T) {
 	}
 }
 
-func TestBoundarySeriesMatchesScalar(t *testing.T) {
-	out := make([]float64, 64)
-	BoundarySeries(BoundaryStrucchange, 1.2, 50, out)
-	for i, v := range out {
-		if want := Boundary(BoundaryStrucchange, 1.2, i, 50); v != want {
-			t.Fatalf("series[%d]=%v want %v", i, v, want)
-		}
-	}
-}
-
 func TestBoundaryPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -240,50 +230,6 @@ func TestSigmaZeroResiduals(t *testing.T) {
 	r := make([]float64, 20)
 	if got := Sigma(SigmaFig12, r, 8, 3); got != 0 {
 		t.Fatalf("zero residuals must give σ̂ = 0, got %v", got)
-	}
-}
-
-func TestPrefixSum(t *testing.T) {
-	in := []float64{1, 2, 3, 4}
-	out := make([]float64, 4)
-	PrefixSum(in, out)
-	want := []float64{1, 3, 6, 10}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("PrefixSum = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestPrefixSumInPlace(t *testing.T) {
-	v := []float64{1, 1, 1}
-	PrefixSum(v, v)
-	if v[0] != 1 || v[1] != 2 || v[2] != 3 {
-		t.Fatalf("in-place PrefixSum = %v", v)
-	}
-}
-
-func TestPrefixSumLastElementEqualsSum(t *testing.T) {
-	f := func(in []float64) bool {
-		if len(in) == 0 {
-			return true
-		}
-		for i := range in {
-			in[i] = math.Mod(in[i], 1000) // keep magnitudes sane
-			if math.IsNaN(in[i]) || math.IsInf(in[i], 0) {
-				in[i] = 0
-			}
-		}
-		out := make([]float64, len(in))
-		PrefixSum(in, out)
-		var sum float64
-		for _, v := range in {
-			sum += v
-		}
-		return math.Abs(out[len(out)-1]-sum) <= 1e-9*math.Max(1, math.Abs(sum))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
