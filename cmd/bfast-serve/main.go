@@ -43,7 +43,7 @@ func main() {
 	coalesceFlag := flag.Bool("coalesce", false, "merge concurrent small /v1/batch requests into shared detection batches (bit-identical responses, higher throughput under small-request load)")
 	coalescePixels := flag.Int("coalesce-pixels", 0, "merged-batch size that flushes immediately (0 = default 64)")
 	coalesceWait := flag.Duration("coalesce-wait", 0, "max time a queued request waits for co-riders (0 = default 2ms)")
-	stateDir := flag.String("state-dir", "", "directory for NRT session snapshots; sessions survive restarts when set, live in memory otherwise")
+	stateDir := flag.String("state-dir", "", "directory for NRT session snapshots and journals; sessions survive restarts when set, live in memory otherwise")
 	snapshotEvery := flag.Int("snapshot-every", 0, "persist an NRT session every k-th observe (0 = default 1 = every observe; negative disables automatic snapshots)")
 	maxSessions := flag.Int("max-sessions", 0, "max live NRT sessions before /v1/fit returns 429 (0 = default 64)")
 	diagDir := flag.String("diag-dir", "", "diagnostics directory: tail-sampled traces persist to <dir>/traces*.jsonl and anomaly-captured profiles to <dir>/profiles; empty disables persistence and profile capture")

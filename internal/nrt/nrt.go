@@ -10,11 +10,14 @@
 // that state: a session per scene keeps its state.SessionSnapshot
 // resident — one core.MonitorState record per pixel, advanced in
 // lockstep under one session-level next-date cursor — plus one design
-// matrix. The resident records are the snapshot: persisting encodes them
-// as they are, and restoring adopts the decoded records after a
-// consistency check, so a restarted server resumes bit-identically to
-// one that never stopped (internal/state's codec round-trips every
-// float64 bit).
+// matrix. The resident records are the base snapshot: a fit writes them
+// as they are, and each later persist appends only the inputs of the
+// dates pushed since, as one journal frame, until the journal holds as
+// many bytes as the base and the next persist writes a fresh base.
+// Restoring adopts the decoded base records after a consistency check
+// and replays the journal through the same advance step the observes
+// ran, so a restarted server resumes bit-identically to one that never
+// stopped (internal/state's codec round-trips every float64 bit).
 //
 // Sessions are deliberately dumb about time: a "date" is the next index
 // in the designed series, exactly as in the offline API. Feeding dates
@@ -68,6 +71,8 @@ type Config struct {
 	// SnapshotEvery persists a session after every k-th observe call
 	// (fits always persist). 0 means 1 (every observe); negative
 	// disables automatic snapshots — SnapshotNow/Close still persist.
+	// An observe's persist appends a journal frame; fits, SnapshotNow
+	// and Close write a full base.
 	SnapshotEvery int
 	// CacheSize bounds the fit-result cache in pixel entries.
 	// 0 means DefaultCacheSize; negative disables the cache.
@@ -82,7 +87,15 @@ type session struct {
 	mu sync.Mutex
 	state.SessionSnapshot
 	x         *series.DesignMatrix
-	sinceSnap int // observe calls since the last persisted snapshot
+	sinceSnap int // observe calls since the last persist
+	// pending holds the date-major values pushed since the last persist
+	// (kept only under an automatic cadence), frame the buffer they are
+	// encoded into. baseBytes is the size of the last base written and
+	// journalBytes what has been appended after it.
+	pending      []float64
+	frame        []byte
+	baseBytes    int
+	journalBytes int
 	// lastObserve and lastSnap timestamp the session's most recent
 	// observe pass (fit counts) and persisted snapshot — the raw
 	// material of the observe-lag and snapshot-age diagnostics gauges.
@@ -254,7 +267,7 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 	// Persist immediately: a restart between fit and first observe must
 	// not lose the session.
 	s.mu.Lock()
-	perr := mg.persistLocked(ctx, s)
+	perr := mg.persistLocked(ctx, s, true)
 	s.mu.Unlock()
 	if perr != nil {
 		mg.drop(id)
@@ -476,37 +489,22 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 			ErrExhausted, dates, s.Capacity-s.NextDate, s.Capacity-s.History)
 	}
 	verdicts := make([]Verdict, m)
-	err = sched.Shared().ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := &s.Pixels[i]
-			if p.Status != core.StatusOK {
-				verdicts[i] = Verdict{Status: p.Status, BreakOffset: -1, Process: math.NaN()}
-				continue
-			}
-			var proc float64
-			for d := 0; d < dates; d++ {
-				proc, _ = p.Push(s.x, s.NextDate+d, values[d*m+i], s.Options, s.Lambda)
-			}
-			verdicts[i] = Verdict{
-				Status: core.StatusOK, Break: p.Break >= 0, BreakOffset: p.Break,
-				Process: proc, Mean: p.Mean(), ValidMon: p.ValidMon,
-			}
-		}
-	})
-	if err != nil {
+	if err := s.advance(ctx, values, dates, verdicts); err != nil {
 		// A cancelled pass leaves records at mixed dates; the session is
 		// no longer internally consistent, so drop it rather than serve
-		// skewed verdicts. The snapshot in the store (from before this
+		// skewed verdicts. The store (base and journal, from before this
 		// pass) still allows recovery via Restore.
 		mg.drop(s.ID)
 		return ObserveResult{}, fmt.Errorf("nrt: observe pass aborted, session %s dropped (recoverable from its last snapshot): %w", s.ID, err)
 	}
-	s.NextDate += dates
 	s.sinceSnap++
 	s.lastObserve = time.Now()
-	if mg.cfg.SnapshotEvery > 0 && s.sinceSnap >= mg.cfg.SnapshotEvery {
-		if err := mg.persistLocked(ctx, s); err != nil {
-			return ObserveResult{}, err
+	if mg.cfg.SnapshotEvery > 0 {
+		s.pending = append(s.pending, values...)
+		if s.sinceSnap >= mg.cfg.SnapshotEvery {
+			if err := mg.persistLocked(ctx, s, false); err != nil {
+				return ObserveResult{}, err
+			}
 		}
 	}
 
@@ -527,6 +525,43 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 		}
 	}
 	return res, nil
+}
+
+// advance pushes dates new dates (values date-major: values[d*M+i]) into
+// every live record of s in one scheduler pass and moves the cursor.
+// With verdicts non-nil it also writes each pixel's verdict in the same
+// pass. Observe and the journal replay of Restore both run it, so a
+// replayed date is computed exactly as the observed one was. The caller
+// holds s.mu or owns s alone; on error the records are at mixed dates
+// and the cursor has not moved.
+func (s *session) advance(ctx context.Context, values []float64, dates int, verdicts []Verdict) error {
+	m := len(s.Pixels)
+	err := sched.Shared().ForEachCtx(ctx, m, 0, sched.DefaultGrain, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			p := &s.Pixels[i]
+			if p.Status != core.StatusOK {
+				if verdicts != nil {
+					verdicts[i] = Verdict{Status: p.Status, BreakOffset: -1, Process: math.NaN()}
+				}
+				continue
+			}
+			var proc float64
+			for d := 0; d < dates; d++ {
+				proc, _ = p.Push(s.x, s.NextDate+d, values[d*m+i], s.Options, s.Lambda)
+			}
+			if verdicts != nil {
+				verdicts[i] = Verdict{
+					Status: core.StatusOK, Break: p.Break >= 0, BreakOffset: p.Break,
+					Process: proc, Mean: p.Mean(), ValidMon: p.ValidMon,
+				}
+			}
+		}
+	})
+	if err != nil {
+		return err
+	}
+	s.NextDate += dates
+	return nil
 }
 
 // --- introspection and lifecycle ------------------------------------------
@@ -663,7 +698,7 @@ func sortInfos(infos []Info) {
 	}
 }
 
-// Delete removes a session and its stored snapshot.
+// Delete removes a session and its stored snapshot and journal.
 func (mg *Manager) Delete(ctx context.Context, id string) error {
 	if _, err := mg.get(id); err != nil {
 		return err
@@ -672,7 +707,8 @@ func (mg *Manager) Delete(ctx context.Context, id string) error {
 	return mg.store.Delete(ctx, id)
 }
 
-// SnapshotNow persists a session immediately, regardless of cadence.
+// SnapshotNow writes a session's full base immediately, regardless of
+// cadence; its journal restarts empty.
 func (mg *Manager) SnapshotNow(ctx context.Context, id string) error {
 	s, err := mg.get(id)
 	if err != nil {
@@ -680,11 +716,11 @@ func (mg *Manager) SnapshotNow(ctx context.Context, id string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return mg.persistLocked(ctx, s)
+	return mg.persistLocked(ctx, s, true)
 }
 
-// Close persists every live session (the SIGTERM path). The sessions
-// stay usable; Close is idempotent.
+// Close writes a full base for every live session (the SIGTERM path).
+// The sessions stay usable; Close is idempotent.
 func (mg *Manager) Close(ctx context.Context) error {
 	mg.mu.Lock()
 	ss := make([]*session, 0, len(mg.sessions))
@@ -695,7 +731,7 @@ func (mg *Manager) Close(ctx context.Context) error {
 	var firstErr error
 	for _, s := range ss {
 		s.mu.Lock()
-		if err := mg.persistLocked(ctx, s); err != nil && firstErr == nil {
+		if err := mg.persistLocked(ctx, s, true); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		s.mu.Unlock()
@@ -703,25 +739,57 @@ func (mg *Manager) Close(ctx context.Context) error {
 	return firstErr
 }
 
-// persistLocked encodes the resident records of s as they are and saves
-// the blob; the caller holds s.mu.
-func (mg *Manager) persistLocked(ctx context.Context, s *session) error {
+// persistLocked makes the session's state durable; the caller holds
+// s.mu. With base set, or when compaction calls for it, it encodes the
+// resident records as they are and saves them as the new base, which
+// empties the journal. Otherwise it appends the dates pushed since the
+// last persist as one journal frame. Compaction has no knob: a persist
+// writes a base once the journal holds as many bytes as the base (a
+// restore then reads at most twice the base), or when the frame alone
+// would be at least half the base — its append plus the base it brings
+// forward would cost more than writing the base now.
+func (mg *Manager) persistLocked(ctx context.Context, s *session, base bool) error {
 	_, span := obs.StartSpan(ctx, "nrt.snapshot")
 	defer span.End()
-	if err := mg.store.Save(ctx, s.ID, state.EncodeSession(&s.SessionSnapshot)); err != nil {
-		return err
+	m := len(s.Pixels)
+	base = base || s.journalBytes >= s.baseBytes
+	if !base {
+		s.frame = state.AppendFrame(s.frame[:0], s.NextDate-len(s.pending)/m, m, s.pending)
+		base = 2*len(s.frame) >= s.baseBytes
 	}
+	if base {
+		blob := state.EncodeSession(&s.SessionSnapshot)
+		if err := mg.store.Save(ctx, s.ID, blob); err != nil {
+			return err
+		}
+		s.baseBytes, s.journalBytes = len(blob), 0
+		span.SetAttr("bytes", len(blob))
+	} else {
+		if err := mg.store.Append(ctx, s.ID, s.frame); err != nil {
+			// The append may have left a torn frame that later frames
+			// would follow; only a base write clears the journal.
+			s.journalBytes = s.baseBytes
+			return err
+		}
+		s.journalBytes += len(s.frame)
+		span.SetAttr("bytes", len(s.frame))
+	}
+	span.SetAttr("base", base)
+	s.pending = s.pending[:0]
 	s.sinceSnap = 0
 	s.lastSnap = time.Now()
 	mg.snapsSaved.Inc()
 	return nil
 }
 
-// Restore loads every stored snapshot and resumes its session — the
-// boot path. Nothing is replayed: the decoded records are the state. A
-// snapshot that fails to decode or to pass resume's checks is skipped
-// (counted in nrt.snapshots.failed) so one corrupt file cannot block
-// boot. Returns the number of sessions restored.
+// Restore loads every stored session and resumes it — the boot path. A
+// session's base is decoded and adopted, then its journal is replayed
+// through advance, and a session that replayed anything is saved as a
+// fresh base so its journal restarts empty. A session whose base fails
+// to decode or to pass resume's checks, or whose journal is malformed
+// anywhere but in a torn final frame, is skipped (counted in
+// nrt.snapshots.failed) so one corrupt file cannot block boot. Returns
+// the number of sessions restored.
 func (mg *Manager) Restore(ctx context.Context) (int, error) {
 	ctx, span := obs.StartSpan(ctx, "nrt.restore")
 	defer span.End()
@@ -731,17 +799,10 @@ func (mg *Manager) Restore(ctx context.Context) (int, error) {
 	}
 	restored := 0
 	for _, id := range ids {
-		data, err := mg.store.Load(ctx, id)
-		if err != nil {
-			mg.snapsFailed.Inc()
-			continue
+		if _, err := mg.get(id); err == nil {
+			continue // live already; its state is newer than the store's
 		}
-		snap, err := state.DecodeSession(data)
-		if err != nil || snap.ID != id {
-			mg.snapsFailed.Inc()
-			continue
-		}
-		s, err := resume(snap)
+		s, err := mg.restoreOne(ctx, id)
 		if err != nil {
 			mg.snapsFailed.Inc()
 			continue
@@ -759,6 +820,71 @@ func (mg *Manager) Restore(ctx context.Context) (int, error) {
 	}
 	span.SetAttr("restored", restored)
 	return restored, nil
+}
+
+// restoreOne rebuilds one session from its base and journal.
+func (mg *Manager) restoreOne(ctx context.Context, id string) (*session, error) {
+	data, err := mg.store.Load(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := state.DecodeSession(data)
+	if err != nil {
+		return nil, err
+	}
+	if snap.ID != id {
+		return nil, fmt.Errorf("nrt: snapshot stored as %s carries id %s", id, snap.ID)
+	}
+	s, err := resume(snap)
+	if err != nil {
+		return nil, err
+	}
+	s.baseBytes = len(data)
+	journal, err := mg.store.Journal(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	if len(journal) == 0 {
+		return s, nil
+	}
+	if err := s.replay(ctx, journal); err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := mg.persistLocked(ctx, s, true); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// replay pushes the journal's frames that lie past the cursor through
+// advance. Frames wholly behind the cursor — left by a crash between a
+// base write and the journal's removal — are skipped, and a torn final
+// frame ends the journal; any other gap, overlap or mismatch is an
+// error.
+func (s *session) replay(ctx context.Context, journal []byte) error {
+	frames, _, err := state.DecodeJournal(journal)
+	if err != nil {
+		return err
+	}
+	for _, f := range frames {
+		dates := f.Dates()
+		switch {
+		case f.Pixels != len(s.Pixels):
+			return fmt.Errorf("nrt: journal frame has %d pixels, session %d", f.Pixels, len(s.Pixels))
+		case f.Start+dates <= s.NextDate:
+			continue
+		case f.Start != s.NextDate:
+			return fmt.Errorf("nrt: journal frame starts at date %d, cursor is at %d", f.Start, s.NextDate)
+		case f.Start+dates > s.Capacity:
+			return fmt.Errorf("nrt: journal frame ends at date %d, capacity is %d", f.Start+dates, s.Capacity)
+		}
+		if err := s.advance(ctx, f.Values, dates, nil); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // resume adopts a decoded snapshot as a session. The session-shared

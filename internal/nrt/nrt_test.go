@@ -401,7 +401,8 @@ func TestRestoreRejectsInvalid(t *testing.T) {
 	}
 }
 
-// gateStore blocks every Save once armed, until the gate closes.
+// gateStore blocks every Save and Append once armed, until the gate
+// closes.
 type gateStore struct {
 	state.Store
 	mu      sync.Mutex
@@ -409,7 +410,7 @@ type gateStore struct {
 	entered chan struct{}
 }
 
-func (g *gateStore) Save(ctx context.Context, id string, data []byte) error {
+func (g *gateStore) wait() {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
@@ -417,7 +418,16 @@ func (g *gateStore) Save(ctx context.Context, id string, data []byte) error {
 		g.entered <- struct{}{}
 		<-gate
 	}
+}
+
+func (g *gateStore) Save(ctx context.Context, id string, data []byte) error {
+	g.wait()
 	return g.Store.Save(ctx, id, data)
+}
+
+func (g *gateStore) Append(ctx context.Context, id string, frame []byte) error {
+	g.wait()
+	return g.Store.Append(ctx, id, frame)
 }
 
 // TestLenDoesNotWaitOnObserve: counting sessions (the /v1/fit session
@@ -440,7 +450,7 @@ func TestLenDoesNotWaitOnObserve(t *testing.T) {
 		_, err := mg.Observe(context.Background(), sum.ID, sceneDates(ds, n, n+1), 1)
 		done <- err
 	}()
-	<-gs.entered // the observe now holds the session lock inside Save
+	<-gs.entered // the observe now holds the session lock inside its persist
 
 	counted := make(chan int, 1)
 	go func() { counted <- mg.Len() }()
@@ -500,7 +510,8 @@ func TestObserveErrors(t *testing.T) {
 	}
 }
 
-// countingStore wraps a Store and counts Save calls.
+// countingStore wraps a Store and counts its writes, Save and Append
+// together.
 type countingStore struct {
 	state.Store
 	mu    sync.Mutex
@@ -512,6 +523,13 @@ func (c *countingStore) Save(ctx context.Context, id string, data []byte) error 
 	c.saves++
 	c.mu.Unlock()
 	return c.Store.Save(ctx, id, data)
+}
+
+func (c *countingStore) Append(ctx context.Context, id string, frame []byte) error {
+	c.mu.Lock()
+	c.saves++
+	c.mu.Unlock()
+	return c.Store.Append(ctx, id, frame)
 }
 
 func (c *countingStore) count() int {

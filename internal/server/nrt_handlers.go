@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math"
 	"net/http"
+	"strconv"
 
 	"bfast/internal/core"
 	"bfast/internal/nrt"
@@ -210,37 +211,74 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
 	}
-	out := ObserveResponse{
-		Session: res.ID, Dates: res.Dates, NextDate: res.NextDate,
-		Remaining: res.Remaining, Breaks: res.Breaks,
-		Verdicts: make([]VerdictJSON, len(res.Verdicts)),
-	}
-	for i, v := range res.Verdicts {
-		out.Verdicts[i] = verdictJSON(v)
-	}
-	return out, nil
+	return observeReply{res}, nil
 }
 
-func verdictJSON(v nrt.Verdict) VerdictJSON {
-	out := VerdictJSON{
-		Status:          v.Status.String(),
-		Break:           v.Break,
-		BreakIndex:      v.BreakOffset,
-		ValidMonitoring: v.ValidMon,
+// observeReply is the body of a successful /v1/observe. It appends its
+// JSON straight from the manager's result: the bytes encoding/json
+// writes for the equivalent ObserveResponse — same field order, same
+// number formatting, NaN and ±Inf process values omitted, trailing
+// newline — without building one or reflecting over it.
+type observeReply struct{ res nrt.ObserveResult }
+
+func (o observeReply) appendJSON(b []byte) []byte {
+	r := &o.res
+	b = append(b, `{"session":`...)
+	b = appendJSONString(b, r.ID)
+	b = append(b, `,"dates":`...)
+	b = strconv.AppendInt(b, int64(r.Dates), 10)
+	b = append(b, `,"next_date":`...)
+	b = strconv.AppendInt(b, int64(r.NextDate), 10)
+	b = append(b, `,"remaining":`...)
+	b = strconv.AppendInt(b, int64(r.Remaining), 10)
+	b = append(b, `,"breaks":`...)
+	b = strconv.AppendInt(b, int64(r.Breaks), 10)
+	b = append(b, `,"verdicts":[`...)
+	for i := range r.Verdicts {
+		v := &r.Verdicts[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"status":`...)
+		b = appendJSONString(b, v.Status.String())
+		b = append(b, `,"break":`...)
+		b = strconv.AppendBool(b, v.Break)
+		b = append(b, `,"breakIndex":`...)
+		b = strconv.AppendInt(b, int64(v.BreakOffset), 10)
+		if v.Status == core.StatusOK {
+			b = appendOptionalFloat(b, `,"process":`, v.Process)
+			b = appendOptionalFloat(b, `,"magnitude":`, v.Mean)
+		}
+		b = append(b, `,"validMonitoring":`...)
+		b = strconv.AppendInt(b, int64(v.ValidMon), 10)
+		b = append(b, '}')
 	}
-	if v.Status == core.StatusOK {
-		out.Process = jsonFloat(v.Process)
-		out.Magnitude = jsonFloat(v.Mean)
-	}
-	return out
+	return append(b, "]}\n"...)
 }
 
-// jsonFloat returns &v, or nil for values JSON cannot carry.
-func jsonFloat(v float64) *float64 {
+// appendOptionalFloat appends the key and v, or nothing for the values
+// JSON cannot carry (an omitted *float64 field in ObserveResponse).
+func appendOptionalFloat(b []byte, key string, v float64) []byte {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return nil
+		return b
 	}
-	return &v
+	return appendJSONFloat(append(b, key...), v)
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// writes it, HTML escaping included. Session IDs and status names are
+// plain ASCII and take the copy; anything else goes through
+// encoding/json itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // handleSessions serves GET /v1/sessions (list, or one session via

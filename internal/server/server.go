@@ -136,8 +136,9 @@ type CoalesceConfig struct {
 // endpoints are always mounted; this only controls durability and
 // capacity.
 type NRTConfig struct {
-	// StateDir persists session snapshots as one file per session under
-	// this directory; on boot, existing snapshots are restored, so
+	// StateDir persists each session under this directory as a base
+	// snapshot file plus a journal of the dates observed since; on boot,
+	// existing sessions are restored (base, then journal replay), so
 	// sessions survive restarts bit-identically. "" keeps sessions in
 	// process memory only (they die with the process).
 	StateDir string
@@ -601,10 +602,36 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
+// jsonAppender is a response body that appends its own JSON encoding,
+// trailing newline included, without reflection.
+type jsonAppender interface {
+	appendJSON(b []byte) []byte
+}
+
+// replyPool recycles the buffers jsonAppender replies are rendered
+// into; maxPooledReply bounds what it keeps, so one outsized reply does
+// not pin its buffer forever.
+var replyPool sync.Pool
+
+const maxPooledReply = 8 << 20
+
+// writeJSON writes v as the response body: a jsonAppender through a
+// pooled buffer in one Write, anything else through encoding/json.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are gone; nothing more to do.
+	a, ok := v.(jsonAppender)
+	if !ok {
+		// On error the headers are gone; nothing more to do.
+		_ = json.NewEncoder(w).Encode(v)
 		return
+	}
+	p, _ := replyPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	*p = a.appendJSON((*p)[:0])
+	_, _ = w.Write(*p) // as above: a failed write has nowhere to go
+	if cap(*p) <= maxPooledReply {
+		replyPool.Put(p)
 	}
 }

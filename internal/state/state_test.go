@@ -272,6 +272,66 @@ func storeSuite(t *testing.T, s Store) {
 	if err := s.Save(ctx, "../evil", []byte("x")); err == nil {
 		t.Fatal("path-traversal id accepted")
 	}
+	journalSuite(t, s)
+}
+
+// journalSuite: frames append in order, Save empties the journal, and
+// Delete takes the journal with the base.
+func journalSuite(t *testing.T, s Store) {
+	t.Helper()
+	ctx := context.Background()
+	journal := func(id string) string {
+		t.Helper()
+		j, err := s.Journal(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(j)
+	}
+	if got := journal("sess-j"); got != "" {
+		t.Fatalf("journal of a fresh session: %q", got)
+	}
+	if err := s.Save(ctx, "sess-j", []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{"one,", "two,", "three"} {
+		if err := s.Append(ctx, "sess-j", []byte(f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := journal("sess-j"); got != "one,two,three" {
+		t.Fatalf("journal after three appends: %q", got)
+	}
+	if got := journal("sess-b"); got != "" {
+		t.Fatalf("another session's journal: %q", got)
+	}
+	if err := s.Save(ctx, "sess-j", []byte("base-2")); err != nil {
+		t.Fatal(err)
+	}
+	if got := journal("sess-j"); got != "" {
+		t.Fatalf("journal after Save: %q", got)
+	}
+	if err := s.Append(ctx, "sess-j", []byte("four")); err != nil {
+		t.Fatal(err)
+	}
+	if got := journal("sess-j"); got != "four" {
+		t.Fatalf("journal after Save and an append: %q", got)
+	}
+	if got, err := s.Load(ctx, "sess-j"); err != nil || string(got) != "base-2" {
+		t.Fatalf("base beside a journal: %q %v", got, err)
+	}
+	if err := s.Delete(ctx, "sess-j"); err != nil {
+		t.Fatal(err)
+	}
+	if got := journal("sess-j"); got != "" {
+		t.Fatalf("journal after Delete: %q", got)
+	}
+	if err := s.Append(ctx, "../evil", []byte("x")); err == nil {
+		t.Fatal("path-traversal id accepted by Append")
+	}
+	if _, err := s.Journal(ctx, "../evil"); err == nil {
+		t.Fatal("path-traversal id accepted by Journal")
+	}
 }
 
 func TestMemStore(t *testing.T) { storeSuite(t, NewMemStore()) }
@@ -291,13 +351,32 @@ func TestFileStore(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "BAD!.bfsnap"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A journal without a base is not a session either.
+	if err := fs.Append(context.Background(), "orphan", []byte("frame")); err != nil {
+		t.Fatal(err)
+	}
 	ids, err := fs.List(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if id == "README.txt" || id == "BAD!" {
+		if id == "README.txt" || id == "BAD!" || id == "orphan" {
 			t.Fatalf("stray file listed as session: %v", ids)
+		}
+	}
+	// Delete removes both files.
+	if err := fs.Save(context.Background(), "gone", []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Append(context.Background(), "gone", []byte("frame")); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete(context.Background(), "gone"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"gone.bfsnap", "gone.bfjournal"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s after Delete: %v", name, err)
 		}
 	}
 
@@ -313,6 +392,32 @@ func TestFileStore(t *testing.T) {
 	got, err := fs2.Load(context.Background(), "durable")
 	if err != nil || string(got) != "payload" {
 		t.Fatalf("reload: %q %v", got, err)
+	}
+	if err := fs.Append(context.Background(), "durable", []byte("frame")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs2.Journal(context.Background(), "durable"); err != nil || string(got) != "frame" {
+		t.Fatalf("journal across store instances: %q %v", got, err)
+	}
+}
+
+// TestMemStoreJournalIsolation: the store copies appended frames and
+// hands out copies of its journal.
+func TestMemStoreJournalIsolation(t *testing.T) {
+	s := NewMemStore()
+	ctx := context.Background()
+	frame := []byte("frame")
+	if err := s.Append(ctx, "iso", frame); err != nil {
+		t.Fatal(err)
+	}
+	frame[0] = 'X'
+	got, err := s.Journal(ctx, "iso")
+	if err != nil || string(got) != "frame" {
+		t.Fatalf("store aliased caller frame: %q %v", got, err)
+	}
+	got[0] = 'Y'
+	if again, _ := s.Journal(ctx, "iso"); string(again) != "frame" {
+		t.Fatal("Journal aliased store buffer")
 	}
 }
 
