@@ -6,8 +6,8 @@
 # fixture diagnostics; `make race` exercises every package (root, cmd
 # and internal) under the race detector; `make fuzz-smoke` runs each
 # native fuzz target for ~10s over its corpus (dates.ParseDate, the
-# /v1/batch and /v1/fit decode paths, the BFSS session-snapshot
-# decoder and the BFJF journal-frame decoder);
+# /v1/batch, /v1/fit and /v1/observe decode paths, the BFSS
+# session-snapshot decoder and the BFJF journal-frame decoder);
 # `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
@@ -64,6 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseDate -fuzztime=$(FUZZTIME) ./internal/dates/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzFitDecode -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzObserveDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/state/
 

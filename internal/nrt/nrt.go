@@ -55,6 +55,11 @@ var (
 	// ErrExhausted reports an observe past the session's designed
 	// capacity; the session consumed nothing.
 	ErrExhausted = errors.New("nrt: session exhausted")
+	// ErrPersist reports a store failure while persisting a session. A
+	// fit whose base could not be saved registers no session; an observe
+	// whose persist failed drops the live session, which the store's
+	// base and journal from before that call let Restore resume.
+	ErrPersist = errors.New("nrt: persisting session failed")
 )
 
 // DefaultCacheSize bounds the fit-result cache (entries ≈ pixels).
@@ -503,6 +508,9 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 		s.pending = append(s.pending, values...)
 		if s.sinceSnap >= mg.cfg.SnapshotEvery {
 			if err := mg.persistLocked(ctx, s, false); err != nil {
+				// The session has advanced past what the store holds, so
+				// a retry would push the same dates twice; fail closed.
+				mg.drop(s.ID)
 				return ObserveResult{}, err
 			}
 		}
@@ -760,16 +768,13 @@ func (mg *Manager) persistLocked(ctx context.Context, s *session, base bool) err
 	if base {
 		blob := state.EncodeSession(&s.SessionSnapshot)
 		if err := mg.store.Save(ctx, s.ID, blob); err != nil {
-			return err
+			return fmt.Errorf("%w: %w", ErrPersist, err)
 		}
 		s.baseBytes, s.journalBytes = len(blob), 0
 		span.SetAttr("bytes", len(blob))
 	} else {
 		if err := mg.store.Append(ctx, s.ID, s.frame); err != nil {
-			// The append may have left a torn frame that later frames
-			// would follow; only a base write clears the journal.
-			s.journalBytes = s.baseBytes
-			return err
+			return fmt.Errorf("%w: %w", ErrPersist, err)
 		}
 		s.journalBytes += len(s.frame)
 		span.SetAttr("bytes", len(s.frame))

@@ -2,10 +2,14 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"bfast/internal/core"
+	"bfast/internal/nrt"
 )
 
 // FuzzBatchDecode drives arbitrary bytes through the full /v1/batch
@@ -29,13 +33,13 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`[]`))
 
-	fuzzServe(f, "/v1/batch", Config{
+	fuzzServe(f, mustServer(f, Config{
 		MaxBodyBytes:   1 << 16,
 		MaxBatchPixels: 4,
 		MaxSeriesLen:   64,
 		TraceDepth:     -1,
 		Workers:        1,
-	})
+	}), "/v1/batch", nil)
 }
 
 // FuzzFitDecode is FuzzBatchDecode for /v1/fit, the session-creating
@@ -52,21 +56,71 @@ func FuzzFitDecode(f *testing.F) {
 	f.Add([]byte(`{"pixels":[],"history":4}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
-	fuzzServe(f, "/v1/fit", Config{
+	fuzzServe(f, mustServer(f, Config{
 		MaxBodyBytes:   1 << 16,
 		MaxBatchPixels: 4,
 		MaxSeriesLen:   64,
 		TraceDepth:     -1,
 		Workers:        1,
 		NRT:            NRTConfig{MaxSessions: 4},
+	}), "/v1/fit", nil)
+}
+
+// FuzzObserveDecode is FuzzBatchDecode for /v1/observe against a session
+// fitted up front: 2 pixels, history 8, capacity 64. Every "$ID" in an
+// input is replaced by that session's id, so mutations reach the date
+// rows, the length checks and the observe pass instead of stopping at an
+// unknown session. Once the session's 56 monitoring dates are used up
+// the handler answers 409; neither that nor anything else may 5xx.
+func FuzzObserveDecode(f *testing.F) {
+	f.Add([]byte(`{"session":"$ID","dates":[[0.5,null]]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[[1,2],[null,null],[3,-4e-2]]}`))
+	f.Add([]byte(`{"dates":[[1,2]],"session":"$ID"}`))
+	f.Add([]byte(`{"session":"$ID","dates":[[1,2,3]]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[null]}`))
+	f.Add([]byte(`{"session":"$I\u0044","dates":[[1,2]]}`))
+	f.Add([]byte(`{"session":"$ID","session":null,"dates":[[1,2]]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[[1,2]]} trailing`))
+	f.Add([]byte(`{"session":"s-0000000000000000","dates":[[1,2]]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[[1e999,2]]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[[,,,,,,,,]]}`))
+	f.Add([]byte(`{`))
+	f.Add([]byte(``))
+	srv := mustServer(f, Config{
+		MaxBodyBytes: 1 << 16,
+		MaxSeriesLen: 64,
+		TraceDepth:   -1,
+		Workers:      1,
+	})
+	history := make([]float64, 2*8)
+	for i := range history {
+		history[i] = float64(i%5) + 0.25*float64(i/8)
+	}
+	sum, err := srv.nrtMgr.Fit(context.Background(), nrt.FitRequest{
+		Options: core.DefaultOptions(8), Pixels: 2, History: history, Capacity: 64,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := []byte(sum.ID)
+	fuzzServe(f, srv, "/v1/observe", func(body []byte) []byte {
+		return bytes.ReplaceAll(body, []byte("$ID"), id)
 	})
 }
 
-// fuzzServe drives each fuzz input through ServeHTTP as a JSON POST to
-// path and requires no panic, no 5xx and a JSON body.
-func fuzzServe(f *testing.F, path string, cfg Config) {
-	srv := mustServer(f, cfg)
+// fuzzServe drives each fuzz input, after rewrite when one is given,
+// through srv.ServeHTTP as a JSON POST to path and requires no panic, no
+// 5xx and a JSON body; the single-scan parser must also agree with the
+// stock decoder on the input as every request body.
+func fuzzServe(f *testing.F, srv *Server, path string, rewrite func([]byte) []byte) {
 	f.Fuzz(func(t *testing.T, body []byte) {
+		if rewrite != nil {
+			body = rewrite(body)
+		}
+		if msg := divergesFromStock(body); msg != "" {
+			t.Fatalf("%q: %s", body, msg)
+		}
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		req.Header.Set("Content-Type", "application/json")
 		rec := httptest.NewRecorder()

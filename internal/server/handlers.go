@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -28,6 +25,12 @@ type DetectRequest struct {
 	N *int `json:"n,omitempty"`
 	// History is n, the history length in dates (required).
 	History int `json:"history"`
+	requestOptions
+}
+
+// requestOptions are the detection options every fitting body carries
+// (DetectRequest, FitHTTPRequest); unset fields take core's defaults.
+type requestOptions struct {
 	// Harmonics is k (default 3).
 	Harmonics *int `json:"harmonics,omitempty"`
 	// Frequency is f (default 23).
@@ -61,8 +64,9 @@ type TraceResponse struct {
 	BreakAt  int       `json:"breakAt"`
 }
 
-func (r *DetectRequest) options() core.Options {
-	opt := core.DefaultOptions(r.History)
+// options resolves the request's options for the given history length.
+func (r *requestOptions) options(history int) core.Options {
+	opt := core.DefaultOptions(history)
 	if r.Harmonics != nil {
 		opt.Harmonics = *r.Harmonics
 	}
@@ -89,7 +93,7 @@ const maxPooledBody = 1 << 20
 // readBody drains the request body into a pooled buffer, presized from
 // Content-Length when the client declared one. Decoding copies every
 // value out of the raw bytes, so the buffer goes back to the pool as
-// soon as decodeRequest returns.
+// soon as decodeBody returns.
 func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	size := 512
 	if r.ContentLength > 0 && r.ContentLength < maxPooledBody {
@@ -145,37 +149,6 @@ func (s *Server) putPackBuf(b []float64) {
 	s.packPool.Put(&b)
 }
 
-// decodeRequest parses and bounds the body. The decode span lands on
-// the request's trace so oversized-JSON cost is visible next to kernel
-// cost. Well-formed bodies take the single-scan fast path (see
-// reqjson.go); everything else re-parses with the stock decoder so
-// accept/reject behavior and error text never diverge from it.
-func (s *Server) decodeRequest(r *http.Request) (*DetectRequest, *apiError) {
-	_, sp := obs.StartSpan(r.Context(), "decode")
-	sp.SetAttr("bytes", r.ContentLength)
-	defer sp.End()
-	raw, err := s.readBody(r)
-	defer s.putBodyBuf(raw)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		}
-		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
-	}
-	if req, ok := parseDetectRequest(raw); ok {
-		return &req, nil
-	}
-	var req DetectRequest
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
-	}
-	return &req, nil
-}
-
 // checkSeries validates a single-series request's framing: presence, the
 // configured length cap, and the declared-n contract.
 func (s *Server) checkSeries(req *DetectRequest) *apiError {
@@ -193,11 +166,32 @@ func (s *Server) checkSeries(req *DetectRequest) *apiError {
 	return nil
 }
 
-// appendResultJSON emits exactly the bytes encoding/json produces for
-// resultJSON(res) — /v1/batch responses carry one object per pixel, and
-// hand-building them skips a reflection walk per element on the hot
-// serving path. resultJSON stays the schema's source of truth; the
-// equivalence is pinned by TestAppendResultJSONMatchesEncoder.
+// resultReply is the body of /v1/detect and batchReply that of
+// /v1/batch, one object per pixel. Both append the bytes encoding/json
+// writes for the equivalent DetectResponse (a []DetectResponse for the
+// batch), trailing newline included, without building one or reflecting
+// over it; TestAppendResultJSONMatchesEncoder pins the equivalence.
+type (
+	resultReply core.Result
+	batchReply  []core.Result
+)
+
+func (r resultReply) appendJSON(b []byte) []byte {
+	return append(appendResultJSON(b, core.Result(r)), '\n')
+}
+
+func (rs batchReply) appendJSON(b []byte) []byte {
+	b = append(b, '[')
+	for i, res := range rs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendResultJSON(b, res)
+	}
+	return append(b, "]\n"...)
+}
+
+// appendResultJSON appends one pixel's DetectResponse object.
 func appendResultJSON(dst []byte, res core.Result) []byte {
 	dst = append(dst, `{"status":"`...)
 	dst = append(dst, res.Status.String()...)
@@ -216,22 +210,8 @@ func appendResultJSON(dst []byte, res core.Result) []byte {
 	return append(dst, '}')
 }
 
-func resultJSON(res core.Result) DetectResponse {
-	out := DetectResponse{
-		Status:       res.Status.String(),
-		BreakIndex:   res.BreakIndex,
-		ValidHistory: res.ValidHistory,
-		Valid:        res.Valid,
-	}
-	if res.Status == core.StatusOK {
-		m, s := res.MosumMean, res.Sigma
-		out.Magnitude, out.Sigma = &m, &s
-	}
-	return out
-}
-
 func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
-	req, apiErr := s.decodeRequest(r)
+	req, apiErr := decodeBody[DetectRequest](s, r)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -240,7 +220,7 @@ func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}
 	tr.Pixels = 1
 	y := []float64(req.Series)
-	opt := req.options()
+	opt := req.options(req.History)
 	x, err := core.DesignFor(opt, len(y))
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
@@ -254,11 +234,11 @@ func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if err != nil {
 		return nil, ctxError(r.Context(), err)
 	}
-	return resultJSON(res), nil
+	return resultReply(res), nil
 }
 
 func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
-	req, apiErr := s.decodeRequest(r)
+	req, apiErr := decodeBody[DetectRequest](s, r)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -267,7 +247,7 @@ func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}
 	tr.Pixels = 1
 	y := []float64(req.Series)
-	opt := req.options()
+	opt := req.options(req.History)
 	x, err := core.DesignFor(opt, len(y))
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
@@ -301,7 +281,7 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		arr = s.batcher.Arrive()
 		defer arr.Done()
 	}
-	req, apiErr := s.decodeRequest(r)
+	req, apiErr := decodeBody[DetectRequest](s, r)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -339,7 +319,7 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	// under this request's span tree.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
 	bcfg := core.BatchConfig{Workers: s.cfg.Workers}
-	opt := req.options()
+	opt := req.options(req.History)
 	var results []core.Result
 	var err error
 	if s.batcher != nil {
@@ -360,14 +340,5 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if err != nil {
 		return nil, ctxError(r.Context(), err)
 	}
-	out := make([]byte, 0, 48+len(results)*96)
-	out = append(out, '[')
-	for i, res := range results {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = appendResultJSON(out, res)
-	}
-	out = append(out, ']')
-	return json.RawMessage(out), nil
+	return batchReply(results), nil
 }

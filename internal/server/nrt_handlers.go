@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,20 +25,7 @@ type FitHTTPRequest struct {
 	Capacity int `json:"capacity,omitempty"`
 	// History is n, the history length in dates (required).
 	History int `json:"history"`
-	// The remaining fields mirror DetectRequest's options.
-	Harmonics *int     `json:"harmonics,omitempty"`
-	Frequency *float64 `json:"frequency,omitempty"`
-	HFrac     *float64 `json:"hfrac,omitempty"`
-	Level     *float64 `json:"level,omitempty"`
-	Process   string   `json:"process,omitempty"`
-	NoTrend   bool     `json:"noTrend,omitempty"`
-}
-
-func (r *FitHTTPRequest) options() core.Options {
-	return (&DetectRequest{
-		History: r.History, Harmonics: r.Harmonics, Frequency: r.Frequency,
-		HFrac: r.HFrac, Level: r.Level, Process: r.Process, NoTrend: r.NoTrend,
-	}).options()
+	requestOptions
 }
 
 // ObserveHTTPRequest is the body of POST /v1/observe: one or more new
@@ -77,31 +63,6 @@ type SessionsResponse struct {
 	Sessions []nrt.Info `json:"sessions"`
 }
 
-// decodeInto parses a request body into dst with the same limits and
-// error taxonomy as decodeRequest, for the NRT bodies that do not share
-// the DetectRequest shape.
-func (s *Server) decodeInto(r *http.Request, dst any) *apiError {
-	_, sp := obs.StartSpan(r.Context(), "decode")
-	sp.SetAttr("bytes", r.ContentLength)
-	defer sp.End()
-	raw, err := s.readBody(r)
-	defer s.putBodyBuf(raw)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-		}
-		return errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
-	}
-	return nil
-}
-
 // nrtError maps manager errors onto the structured code set.
 func nrtError(ctx context.Context, err error) *apiError {
 	switch {
@@ -109,6 +70,8 @@ func nrtError(ctx context.Context, err error) *apiError {
 		return errf(http.StatusNotFound, CodeNotFound, "%v", err)
 	case errors.Is(err, nrt.ErrExhausted):
 		return errf(http.StatusConflict, CodeSessionExhausted, "%v", err)
+	case errors.Is(err, nrt.ErrPersist):
+		return errf(http.StatusInternalServerError, CodeInternal, "%v", err)
 	default:
 		return ctxError(ctx, err)
 	}
@@ -118,8 +81,8 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if s.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, CodeUnavailable, "draining for shutdown")
 	}
-	var req FitHTTPRequest
-	if apiErr := s.decodeInto(r, &req); apiErr != nil {
+	req, apiErr := decodeBody[FitHTTPRequest](s, r)
+	if apiErr != nil {
 		return nil, apiErr
 	}
 	m := len(req.Pixels)
@@ -163,7 +126,7 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		copy(flat[i*req.History:(i+1)*req.History], p)
 	}
 	sum, err := s.nrtMgr.Fit(r.Context(), nrt.FitRequest{
-		Options: req.options(), Pixels: m, History: flat, Capacity: req.Capacity,
+		Options: req.options(req.History), Pixels: m, History: flat, Capacity: req.Capacity,
 	})
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
@@ -180,8 +143,8 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	if s.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, CodeUnavailable, "draining for shutdown")
 	}
-	var req ObserveHTTPRequest
-	if apiErr := s.decodeInto(r, &req); apiErr != nil {
+	req, apiErr := decodeBody[ObserveHTTPRequest](s, r)
+	if apiErr != nil {
 		return nil, apiErr
 	}
 	if req.Session == "" {

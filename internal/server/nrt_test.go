@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
+	"bfast/internal/core"
+	"bfast/internal/nrt"
 	"bfast/internal/obs"
+	"bfast/internal/state"
 	"bfast/internal/workload"
 )
 
@@ -278,5 +282,134 @@ func TestNRTSessionLimit(t *testing.T) {
 	resp, raw := postJSON(t, ts, "/v1/fit", body, nil)
 	if resp.StatusCode != 429 {
 		t.Fatalf("second fit past the limit: %d %s", resp.StatusCode, raw)
+	}
+}
+
+// flakyStore is a store whose Save and Append fail on demand.
+type flakyStore struct {
+	state.Store
+	failSave, failAppend bool
+}
+
+func (s *flakyStore) Save(ctx context.Context, id string, data []byte) error {
+	if s.failSave {
+		return errors.New("flaky store: save failed")
+	}
+	return s.Store.Save(ctx, id, data)
+}
+
+func (s *flakyStore) Append(ctx context.Context, id string, frame []byte) error {
+	if s.failAppend {
+		return errors.New("flaky store: append failed")
+	}
+	return s.Store.Append(ctx, id, frame)
+}
+
+// TestStoreFailuresAreInternal: a store failure under /v1/fit or
+// /v1/observe is a 500 internal, not the client's fault. A fit that
+// could not save registers nothing; an observe that could not persist
+// drops the session, so a retry gets 404 instead of pushing its dates
+// twice, and a restart resumes at the cursor from before that observe,
+// bit-identical from there on to a twin that never failed.
+func TestStoreFailuresAreInternal(t *testing.T) {
+	ctx := context.Background()
+	ds := nrtScene(t)
+	m, n, N := ds.Spec.M, ds.Spec.History, ds.Spec.N
+	store := &flakyStore{Store: state.NewMemStore()}
+	srv := mustServer(t, Config{Metrics: obs.NewRegistry()})
+	srv.nrtMgr = nrt.NewManager(nrt.Config{Store: store, Metrics: obs.NewRegistry()})
+	serve := func(path string, body any) (int, string, []byte) {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+		var e struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		json.Unmarshal(rec.Body.Bytes(), &e)
+		return rec.Code, e.Error.Code, rec.Body.Bytes()
+	}
+	fitBody := map[string]any{"pixels": jsonRows(ds, 0, n, true), "history": n, "capacity": N}
+	observeBody := func(id string, d int) map[string]any {
+		return map[string]any{"session": id, "dates": jsonRows(ds, d, d+1, false)}
+	}
+
+	store.failSave = true
+	if status, code, raw := serve("/v1/fit", fitBody); status != 500 || code != CodeInternal {
+		t.Fatalf("fit with a failing save: %d %s", status, raw)
+	}
+	if live := srv.nrtMgr.Len(); live != 0 {
+		t.Fatalf("a failed fit left %d live sessions", live)
+	}
+	store.failSave = false
+	status, _, raw := serve("/v1/fit", fitBody)
+	if status != 200 {
+		t.Fatalf("fit: %d %s", status, raw)
+	}
+	var fit struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(raw, &fit); err != nil {
+		t.Fatal(err)
+	}
+	if status, _, raw := serve("/v1/observe", observeBody(fit.Session, n)); status != 200 {
+		t.Fatalf("observe: %d %s", status, raw)
+	}
+	store.failAppend = true
+	if status, code, raw := serve("/v1/observe", observeBody(fit.Session, n+1)); status != 500 || code != CodeInternal {
+		t.Fatalf("observe with a failing append: %d %s", status, raw)
+	}
+	store.failAppend = false
+	if status, code, raw := serve("/v1/observe", observeBody(fit.Session, n+1)); status != 404 || code != CodeNotFound {
+		t.Fatalf("retried observe: %d %s", status, raw)
+	}
+
+	restored := nrt.NewManager(nrt.Config{Store: store, Metrics: obs.NewRegistry()})
+	if got, err := restored.Restore(ctx); err != nil || got != 1 {
+		t.Fatalf("restore: %d sessions, %v", got, err)
+	}
+	if info, err := restored.Get(fit.Session); err != nil || info.NextDate != n+1 {
+		t.Fatalf("restored session %+v, %v; want cursor %d", info, err, n+1)
+	}
+	hist := make([]float64, 0, m*n)
+	for i := 0; i < m; i++ {
+		hist = append(hist, ds.Y[i*N:i*N+n]...)
+	}
+	twin := nrt.NewManager(nrt.Config{Metrics: obs.NewRegistry()})
+	sum, err := twin.Fit(ctx, nrt.FitRequest{Options: core.DefaultOptions(n), Pixels: m, History: hist, Capacity: N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	date := func(d int) []float64 {
+		vals := make([]float64, m)
+		for i := range vals {
+			vals[i] = ds.Y[i*N+d]
+		}
+		return vals
+	}
+	if _, err := twin.Observe(ctx, sum.ID, date(n), 1); err != nil {
+		t.Fatal(err)
+	}
+	for d := n + 1; d < n+8; d++ {
+		got, err := restored.Observe(ctx, fit.Session, date(d), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Observe(ctx, sum.ID, date(d), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range got.Verdicts {
+			w := want.Verdicts[i]
+			if v.Status != w.Status || v.Break != w.Break || v.BreakOffset != w.BreakOffset || v.ValidMon != w.ValidMon ||
+				math.Float64bits(v.Process) != math.Float64bits(w.Process) || math.Float64bits(v.Mean) != math.Float64bits(w.Mean) {
+				t.Fatalf("date %d pixel %d: restored %+v, twin %+v", d, i, v, w)
+			}
+		}
 	}
 }

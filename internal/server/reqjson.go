@@ -1,67 +1,185 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"math"
+	"net/http"
 	"strconv"
+
+	"bfast/internal/obs"
 )
 
-// parseDetectRequest is a single-scan fast path for the request body.
+// One reader for every JSON request body. /v1/detect, /v1/trace and
+// /v1/batch send a DetectRequest, /v1/fit a FitHTTPRequest and
+// /v1/observe an ObserveHTTPRequest; all five go through decodeBody.
+//
 // encoding/json costs three passes over every pixel array — a validity
 // pre-scan, a skip pass to delimit the value for the custom unmarshaler,
 // and the unmarshaler's own scan — which under small-request traffic
-// makes body decode rival kernel time. This parser does one pass.
+// makes body decode rival kernel time, and on the large date-major
+// bodies of /v1/fit and /v1/observe dominates the request. parseObject
+// does one pass, sizing each row once from its comma count.
 //
 // It is deliberately strict: it accepts a body only when it is certain
 // encoding/json would decode it into the identical struct — plain
-// unescaped ASCII keys matching the wire names exactly, canonical JSON
-// number/literal grammar, no trailing data. Anything else (escaped or
-// case-folded keys, unknown fields, type mismatches, syntax errors)
-// returns ok=false and the caller re-parses with the stock decoder, so
-// every accept/reject decision and every error message stays exactly
-// what it was before this fast path existed.
-func parseDetectRequest(data []byte) (req DetectRequest, ok bool) {
+// unescaped ASCII keys and string values, keys matching the wire names
+// exactly, canonical JSON number/literal grammar, no trailing data.
+// Anything else (escapes, case-folded keys, unknown fields, type
+// mismatches, syntax errors) declines, and decodeBody re-parses a fresh
+// struct with the stock decoder, so every accept/reject decision and
+// every error message stays encoding/json's. The stock decoder is also
+// the oracle the differential tests and fuzzers hold this parser to.
+
+// requestBody is a request struct the single-scan parser can fill: field
+// decodes the value of one key at the parser's cursor, or declines.
+type requestBody[T any] interface {
+	*T
+	field(p *reqParser, key []byte) bool
+}
+
+// decodeBody reads and bounds the body of r and decodes it into a fresh
+// T. The decode span lands on the request's trace so oversized-JSON
+// cost is visible next to kernel cost.
+func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request) (*T, *apiError) {
+	_, sp := obs.StartSpan(r.Context(), "decode")
+	defer sp.End()
+	raw, err := s.readBody(r)
+	defer s.putBodyBuf(raw)
+	sp.SetAttr("bytes", len(raw))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, errf(http.StatusRequestEntityTooLarge, CodeBodyTooLarge,
+				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+		}
+		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
+	}
+	req := new(T)
+	if parseObject(raw, P(req).field) {
+		return req, nil
+	}
+	req = new(T) // the fast path may have filled part of the first one
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
+	}
+	return req, nil
+}
+
+// parseObject runs the single scan over one JSON object, handing each
+// key's value to field. It reports false — decline, let the stock
+// decoder decide — on anything it is not certain about.
+func parseObject(data []byte, field func(p *reqParser, key []byte) bool) bool {
 	p := reqParser{in: data}
 	p.space()
 	if !p.eat('{') {
-		return req, false
+		return false
 	}
-	for {
+	for first := true; ; first = false {
 		p.space()
 		if p.eat('}') {
 			break
 		}
-		if p.first && !p.eat(',') {
-			return req, false
+		if !first && !p.eat(',') {
+			return false
 		}
-		p.first = true
 		p.space()
-		key, kok := p.key()
-		if !kok {
-			return req, false
+		key, ok := p.str()
+		if !ok {
+			return false
 		}
 		p.space()
 		if !p.eat(':') {
-			return req, false
+			return false
 		}
 		p.space()
-		if !p.field(&req, key) {
-			return req, false
+		if !field(&p, key) {
+			return false
 		}
 	}
 	p.space()
-	if p.pos != len(p.in) {
-		// The streaming decoder ignores trailing bytes after the first
-		// value; defer to it rather than reason about them here.
-		return req, false
+	// The streaming decoder ignores trailing bytes after the first value;
+	// defer to it rather than reason about them here.
+	return p.pos == len(p.in)
+}
+
+func (req *DetectRequest) field(p *reqParser, key []byte) bool {
+	switch string(key) {
+	case "series":
+		var ok bool
+		req.Series, ok = p.series()
+		return ok
+	case "pixels":
+		return p.rows(&req.Pixels)
+	case "n":
+		return p.intField(&req.N)
+	case "history":
+		return p.intValue(&req.History)
+	default:
+		return req.requestOptions.field(p, key)
 	}
-	return req, true
+}
+
+func (req *FitHTTPRequest) field(p *reqParser, key []byte) bool {
+	switch string(key) {
+	case "pixels":
+		return p.rows(&req.Pixels)
+	case "history":
+		return p.intValue(&req.History)
+	case "capacity":
+		return p.intValue(&req.Capacity)
+	default:
+		return req.requestOptions.field(p, key)
+	}
+}
+
+func (req *ObserveHTTPRequest) field(p *reqParser, key []byte) bool {
+	switch string(key) {
+	case "session":
+		return p.stringField(&req.Session)
+	case "dates":
+		return p.rows(&req.Dates)
+	default:
+		return false
+	}
+}
+
+func (o *requestOptions) field(p *reqParser, key []byte) bool {
+	switch string(key) {
+	case "harmonics":
+		return p.intField(&o.Harmonics)
+	case "frequency":
+		return p.floatField(&o.Frequency)
+	case "hfrac":
+		return p.floatField(&o.HFrac)
+	case "level":
+		return p.floatField(&o.Level)
+	case "process":
+		return p.stringField(&o.Process)
+	case "noTrend":
+		switch {
+		case p.literal("true"):
+			o.NoTrend = true
+		case p.literal("false"):
+			o.NoTrend = false
+		case p.literal("null"): // the stock decoder leaves the field untouched
+		default:
+			return false
+		}
+		return true
+	default:
+		// Unknown (or case-folded) field: the stock decoder owns the
+		// DisallowUnknownFields / fold-matching behavior.
+		return false
+	}
 }
 
 type reqParser struct {
-	in    []byte
-	pos   int
-	first bool // a field has been consumed; commas required from now on
-	hint  int  // last parsed series length; pre-sizes sibling pixel rows
+	in  []byte
+	pos int
 }
 
 func (p *reqParser) space() {
@@ -78,142 +196,95 @@ func (p *reqParser) eat(c byte) bool {
 	return false
 }
 
-// key reads a plain ASCII object key; escapes or exotic bytes bail to
-// the stock decoder (which also handles its case-insensitive matching).
-func (p *reqParser) key() (string, bool) {
+// literal consumes lit when it stands at the cursor as a whole token.
+func (p *reqParser) literal(lit string) bool {
+	end := p.pos + len(lit)
+	if end <= len(p.in) && string(p.in[p.pos:end]) == lit && (end == len(p.in) || !isTokenByte(p.in[end])) {
+		p.pos = end
+		return true
+	}
+	return false
+}
+
+// str reads a plain ASCII string, key or value, and returns its bytes
+// in the body; escapes or exotic bytes decline (the stock decoder also
+// owns case-insensitive key matching).
+func (p *reqParser) str() ([]byte, bool) {
 	if !p.eat('"') {
-		return "", false
+		return nil, false
 	}
 	start := p.pos
 	for p.pos < len(p.in) {
 		c := p.in[p.pos]
 		if c == '"' {
-			k := string(p.in[start:p.pos])
 			p.pos++
-			return k, true
+			return p.in[start : p.pos-1], true
 		}
 		if c == '\\' || c < 0x20 || c >= 0x80 {
-			return "", false
+			return nil, false
 		}
 		p.pos++
 	}
-	return "", false
+	return nil, false
 }
 
-// token reads a run of literal/number bytes up to a delimiter.
-func (p *reqParser) token() []byte {
-	start := p.pos
-	for p.pos < len(p.in) {
-		switch c := p.in[p.pos]; {
-		case c == ',' || c == ']' || c == '}' || isJSONSpace(c):
-			return p.in[start:p.pos]
-		default:
-			p.pos++
-		}
-	}
-	return p.in[start:p.pos]
-}
-
-func (p *reqParser) field(req *DetectRequest, key string) bool {
-	switch key {
-	case "series":
-		s, ok := p.series()
-		if !ok {
-			return false
-		}
-		req.Series = s
+// stringField reads a plain string into dst; null leaves dst untouched,
+// as the stock decoder does for a string field.
+func (p *reqParser) stringField(dst *string) bool {
+	if p.literal("null") {
 		return true
-	case "pixels":
-		if tok := p.peekNull(); tok {
-			req.Pixels = nil
-			return true
-		}
-		if !p.eat('[') {
-			return false
-		}
-		req.Pixels = make([]Series, 0, 8) // non-nil even when empty, like the stock decoder
-		p.space()
-		if p.eat(']') {
-			return true
-		}
+	}
+	s, ok := p.str()
+	if ok {
+		*dst = string(s)
+	}
+	return ok
+}
+
+// rows reads an array of series, or a whole-value null.
+func (p *reqParser) rows(dst *[]Series) bool {
+	if p.literal("null") {
+		*dst = nil
+		return true
+	}
+	if !p.eat('[') {
+		return false
+	}
+	out := make([]Series, 0, 8) // non-nil even when empty, like the stock decoder
+	p.space()
+	if !p.eat(']') {
 		for {
 			p.space()
 			s, ok := p.series()
 			if !ok {
 				return false
 			}
-			req.Pixels = append(req.Pixels, s)
+			out = append(out, s)
 			p.space()
 			if p.eat(']') {
-				return true
+				break
 			}
 			if !p.eat(',') {
 				return false
 			}
 		}
-	case "n":
-		return p.intField(&req.N)
-	case "history":
-		v, ok := p.intValue()
-		if !ok {
-			return false
-		}
-		req.History = v
-		return true
-	case "harmonics":
-		return p.intField(&req.Harmonics)
-	case "frequency":
-		return p.floatField(&req.Frequency)
-	case "hfrac":
-		return p.floatField(&req.HFrac)
-	case "level":
-		return p.floatField(&req.Level)
-	case "process":
-		if p.peekNull() {
-			req.Process = ""
-			return true
-		}
-		s, ok := p.key() // same grammar: a plain ASCII string
-		if !ok {
-			return false
-		}
-		req.Process = s
-		return true
-	case "noTrend":
-		switch tok := p.token(); string(tok) {
-		case "true":
-			req.NoTrend = true
-		case "false":
-			req.NoTrend = false
-		case "null": // stock decoder leaves the field untouched
-		default:
-			return false
-		}
-		return true
-	default:
-		// Unknown (or case-folded) field: the stock decoder owns the
-		// DisallowUnknownFields / fold-matching behavior.
-		return false
 	}
+	*dst = out
+	return true
 }
 
 // series parses one array of numbers/nulls, or a whole-value null.
 func (p *reqParser) series() (Series, bool) {
-	if p.peekNull() {
+	if p.literal("null") {
 		return nil, true
 	}
 	if !p.eat('[') {
 		return nil, false
 	}
-	size := p.hint
-	if size < 64 {
-		size = 64
-	}
-	out := make(Series, 0, size)
+	out := make(Series, 0, p.rowLen())
 	for {
 		p.space()
 		if p.eat(']') {
-			p.hint = len(out)
 			return out, true
 		}
 		if len(out) > 0 {
@@ -222,12 +293,12 @@ func (p *reqParser) series() (Series, bool) {
 			}
 			p.space()
 		}
-		if p.peekNull() {
+		if p.literal("null") {
 			out = append(out, math.NaN())
 			continue
 		}
-		tok, okNum := p.number()
-		if !okNum {
+		tok, ok := p.number()
+		if !ok {
 			return nil, false
 		}
 		v, err := strconv.ParseFloat(string(tok), 64)
@@ -236,6 +307,19 @@ func (p *reqParser) series() (Series, bool) {
 		}
 		out = append(out, v)
 	}
+}
+
+// rowLen is the element count of the row whose '[' was just consumed:
+// one more than its commas up to the closing ']'. It is capped at what
+// a valid row of that many bytes can hold — one byte per value plus the
+// commas between — so a body of bare commas cannot size an allocation
+// past four times its own length.
+func (p *reqParser) rowLen() int {
+	row := p.in[p.pos:]
+	if end := bytes.IndexByte(row, ']'); end >= 0 {
+		row = row[:end]
+	}
+	return min(bytes.Count(row, []byte{','})+1, (len(row)+1)/2)
 }
 
 // number reads one number token, validating the JSON number grammar in
@@ -285,55 +369,46 @@ func (p *reqParser) number() ([]byte, bool) {
 	return in[start:i], true
 }
 
-func (p *reqParser) peekNull() bool {
-	if p.pos+4 <= len(p.in) && string(p.in[p.pos:p.pos+4]) == "null" {
-		if p.pos+4 == len(p.in) || !isTokenByte(p.in[p.pos+4]) {
-			p.pos += 4
-			return true
-		}
-	}
-	return false
-}
-
 func isTokenByte(c byte) bool {
 	return !(c == ',' || c == ']' || c == '}' || isJSONSpace(c))
 }
 
 // intValue parses a JSON integer the way encoding/json decodes into an
-// int field: the literal must be digits only (no fraction or exponent)
-// and fit; otherwise bail to the stock decoder's error.
-func (p *reqParser) intValue() (int, bool) {
-	tok := p.token()
-	if len(tok) == 0 || !jsonNumber(tok) {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(tok), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return int(v), true
-}
-
-func (p *reqParser) intField(dst **int) bool {
-	if p.peekNull() {
-		*dst = nil
-		return true
-	}
-	v, ok := p.intValue()
+// int field: the number must be digits only (no fraction or exponent)
+// and fit; otherwise decline to the stock decoder's error.
+func (p *reqParser) intValue(dst *int) bool {
+	tok, ok := p.number()
 	if !ok {
 		return false
 	}
-	*dst = &v
+	v, err := strconv.ParseInt(string(tok), 10, 64)
+	if err != nil {
+		return false
+	}
+	*dst = int(v)
+	return true
+}
+
+func (p *reqParser) intField(dst **int) bool {
+	if p.literal("null") {
+		*dst = nil
+		return true
+	}
+	v := new(int)
+	if !p.intValue(v) {
+		return false
+	}
+	*dst = v
 	return true
 }
 
 func (p *reqParser) floatField(dst **float64) bool {
-	if p.peekNull() {
+	if p.literal("null") {
 		*dst = nil
 		return true
 	}
-	tok := p.token()
-	if !jsonNumber(tok) {
+	tok, ok := p.number()
+	if !ok {
 		return false
 	}
 	v, err := strconv.ParseFloat(string(tok), 64)

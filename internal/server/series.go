@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -13,14 +12,13 @@ import (
 //
 // It implements the JSON conversions by hand because the stock encoding
 // for "nullable float" ([]*float64) costs one heap pointer per present
-// value plus a reflect-driven decode; under small-request traffic the
-// body decode rivals kernel time and its garbage dominates GC load.
-// Parsing number tokens directly into the final float64 representation
-// removes both, and removes the pointer→NaN conversion pass the
-// handlers used to run. The wire format is unchanged and the number
-// grammar is validated exactly as encoding/json does (same ParseFloat,
-// same JSON number syntax), so accepted and rejected bodies — and the
-// decoded values — are identical to the previous encoding.
+// value plus a reflect-driven decode. Request bodies do not reach
+// UnmarshalJSON on the hot path: parseObject (reqjson.go) decodes their
+// rows in its single scan, and only a body it declines comes here via
+// the stock decoder. Both run the same reqParser.series, so there is one
+// number grammar — JSON's, validated exactly as encoding/json does, then
+// the same ParseFloat — and accepted and rejected arrays, and the
+// decoded values, are those of the []*float64 encoding.
 type Series []float64
 
 // MarshalJSON renders NaN as null. Infinities are rejected the same way
@@ -71,105 +69,16 @@ func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c =
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// jsonNumber reports whether tok matches the JSON number grammar —
-// strconv.ParseFloat alone is laxer (hex floats, leading +, Inf), so
-// tokens are validated first to keep accept/reject behavior identical
-// to encoding/json.
-func jsonNumber(tok []byte) bool {
-	i := 0
-	if i < len(tok) && tok[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(tok) && tok[i] == '0':
-		i++
-	case i < len(tok) && tok[i] >= '1' && tok[i] <= '9':
-		for i < len(tok) && isDigit(tok[i]) {
-			i++
-		}
-	default:
-		return false
-	}
-	if i < len(tok) && tok[i] == '.' {
-		i++
-		if i >= len(tok) || !isDigit(tok[i]) {
-			return false
-		}
-		for i < len(tok) && isDigit(tok[i]) {
-			i++
-		}
-	}
-	if i < len(tok) && (tok[i] == 'e' || tok[i] == 'E') {
-		i++
-		if i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
-			i++
-		}
-		if i >= len(tok) || !isDigit(tok[i]) {
-			return false
-		}
-		for i < len(tok) && isDigit(tok[i]) {
-			i++
-		}
-	}
-	return i == len(tok)
-}
-
-// UnmarshalJSON parses an array of numbers/nulls without reflection or
-// per-value boxing. data is one complete JSON value as handed over by
-// encoding/json's decoder.
+// UnmarshalJSON parses an array of numbers/nulls, or null, with
+// reqParser.series; every byte of data but surrounding space must be
+// part of that one value.
 func (s *Series) UnmarshalJSON(data []byte) error {
-	d := bytes.TrimSpace(data)
-	if bytes.Equal(d, []byte("null")) {
-		*s = nil
-		return nil
-	}
-	if len(d) < 2 || d[0] != '[' || d[len(d)-1] != ']' {
-		return fmt.Errorf("series: expected an array of numbers or nulls")
-	}
-	body := d[1 : len(d)-1]
-	// One comma per element past the first; pre-size for the common case
-	// of a dense array.
-	out := make(Series, 0, bytes.Count(body, []byte{','})+1)
-	i, n := 0, len(body)
-	for {
-		for i < n && isJSONSpace(body[i]) {
-			i++
-		}
-		if i >= n {
-			if len(out) > 0 {
-				return fmt.Errorf("series: trailing comma")
-			}
-			break // empty array
-		}
-		start := i
-		for i < n && body[i] != ',' {
-			i++
-		}
-		tok := body[start:i]
-		for len(tok) > 0 && isJSONSpace(tok[len(tok)-1]) {
-			tok = tok[:len(tok)-1]
-		}
-		hadComma := i < n
-		if hadComma {
-			i++
-		}
-		switch {
-		case len(tok) == 0:
-			return fmt.Errorf("series: missing value at element %d", len(out))
-		case bytes.Equal(tok, []byte("null")):
-			out = append(out, math.NaN())
-		case jsonNumber(tok):
-			v, err := strconv.ParseFloat(string(tok), 64)
-			if err != nil {
-				return fmt.Errorf("series: element %d: %v", len(out), err)
-			}
-			out = append(out, v)
-		default:
-			return fmt.Errorf("series: element %d: invalid value %q", len(out), tok)
-		}
-		if !hadComma {
-			break
-		}
+	p := reqParser{in: data}
+	p.space()
+	out, ok := p.series()
+	p.space()
+	if !ok || p.pos != len(data) {
+		return fmt.Errorf("series: expected an array of numbers or nulls, invalid at byte %d", p.pos)
 	}
 	*s = out
 	return nil

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bfast/internal/core"
@@ -112,20 +115,69 @@ func TestSeriesMarshalRejectsInf(t *testing.T) {
 	}
 }
 
-// decodeStock is the pre-fast-path behavior: the stock decoder with
-// unknown fields disallowed, as decodeRequest's fallback still runs it.
-func decodeStock(raw []byte) (DetectRequest, error) {
-	var req DetectRequest
+// divergence runs raw through parseObject into a T and, when the fast
+// path accepts, through the stock decoder that decodeBody falls back to.
+// It describes how the two differ, or returns "" when they agree or the
+// fast path declines.
+func divergence[T any, P requestBody[T]](raw []byte) string {
+	var fast T
+	if !parseObject(raw, P(&fast).field) {
+		return "" // the fallback covers it; nothing to compare
+	}
+	var stock T
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&req)
-	return req, err
+	if err := dec.Decode(&stock); err != nil {
+		return fmt.Sprintf("%T: fast path accepted what the stock decoder rejects (%v)", fast, err)
+	}
+	unNaN(reflect.ValueOf(&fast))
+	unNaN(reflect.ValueOf(&stock))
+	if !reflect.DeepEqual(fast, stock) {
+		return fmt.Sprintf("%T:\nfast  %+v\nstock %+v", fast, fast, stock)
+	}
+	return ""
+}
+
+// divergesFromStock checks raw against the stock decoder as each of the
+// three request bodies: detect/trace/batch, fit and observe.
+func divergesFromStock(raw []byte) string {
+	for _, d := range []func([]byte) string{
+		divergence[DetectRequest], divergence[FitHTTPRequest], divergence[ObserveHTTPRequest],
+	} {
+		if msg := d(raw); msg != "" {
+			return msg
+		}
+	}
+	return ""
+}
+
+// unNaN replaces every NaN series value under v with a sentinel outside
+// any test body (NaN != NaN defeats DeepEqual), leaving all else as is.
+func unNaN(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if !v.IsNil() {
+			unNaN(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			unNaN(v.Field(i))
+		}
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			unNaN(v.Index(i))
+		}
+	case reflect.Float64:
+		if math.IsNaN(v.Float()) {
+			v.SetFloat(-12345e67)
+		}
+	}
 }
 
 // TestFastParserNeverDiverges pins the fast path's safety property: on
 // any input it either produces exactly the stock decoder's result or
-// declines (ok=false) so the fallback runs. It must never accept a body
-// the stock decoder rejects, and never decode different values.
+// declines so the fallback runs. It must never accept a body the stock
+// decoder rejects, and never decode different values.
 func TestFastParserNeverDiverges(t *testing.T) {
 	cases := []string{
 		`{}`, `{ }`,
@@ -142,74 +194,54 @@ func TestFastParserNeverDiverges(t *testing.T) {
 		`{"history":-3}`, `{"n":-1,"history":1}`,
 		"{\n  \"series\" : [ 1 , null ] ,\n  \"history\" : 2\n}",
 		`{"history":2,"history":7}`, // duplicate: last wins
+		`{"process":"cusum","process":null}`, `{"noTrend":true,"noTrend":null}`,
+		`{"harmonics":2,"harmonics":null}`, `{"pixels":[[1]],"pixels":null}`,
 		`{"series":[0.30000000000000004,1e-7,1.7976931348623157e308],"history":1}`,
+		`{"pixels":[null],"history":1}`, `{"pixels":[[null,null],[]],"history":1}`,
+		// fit bodies
+		`{"pixels":[[1,2,null],[4,5,6]],"history":3,"capacity":6}`,
+		`{"pixels":[[1]],"history":1,"capacity":0,"harmonics":1,"process":"mosum","noTrend":false}`,
+		`{"capacity":-5,"history":2}`, `{"capacity":8,"capacity":9}`,
+		`{"capacity":null}`, `{"capacity":1.5}`, `{"capacity":"8"}`,
+		`{"pixels":[[1,2]],"history":2,"n":2}`, `{"pixels":[[1,2]],"history":2,"series":[1]}`,
+		// observe bodies
+		`{"session":"s-0123456789abcdef","dates":[[1,null,3]]}`,
+		`{"dates":[[1],[2],[null]],"session":"s-1"}`,
+		`{"session":"","dates":[]}`, `{"session":null,"dates":null}`,
+		`{"session":"a","session":"b"}`, `{"session":"a","session":null}`,
+		`{"dates":[[1]],"dates":[[2,3]]}`, `{"dates":[null,[1]]}`,
+		`{"session":"s-\u0031"}`, `{"session":"s\"1"}`, `{"session":"s\\1"}`,
+		`{"session":"s-1\n"}`, "{\"session\":\"s-\x01\"}", `{"session":"é"}`,
+		`{"session":"s-1","dates":[[1]]}{}`, `{"session":"s-1","dates":[[1]]} x`,
+		`{"session":5}`, `{"session":["s"]}`, `{"dates":[1,2]}`, `{"dates":"x"}`,
+		`{"session":"s-1","dates":[[1]],"history":3}`, `{"Session":"s-1"}`,
 		// bodies the fast path must hand to the fallback, which then
 		// reproduces today's accept/reject decision exactly
 		`{"unknown":1}`, `{"History":5}`, `{"SERIES":[1]}`,
 		`{"history":5}garbage`, `{"history":5} `, `{"history":5.0}`,
 		`{"history":5e0}`, `{"history":"5"}`, `{"history":1e99}`,
 		`{"series":[1,]}`, `{"series":[01],"history":1}`,
-		`{"series":"not an array"}`, `{"pixels":[null],"history":1}`,
+		`{"series":"not an array"}`, `{"series":[1e999],"history":1}`,
 		`{"process":"mo\u0073um","history":1}`, `{"process":5}`,
 		`{"noTrend":"true"}`, `{"n":2.5}`, `{`, `[]`, `null`, ``, `42`,
 		`{"series":[1] "history":2}`, `{"series":[1],,"history":2}`,
-		`{,"history":1}`, `{"history":1,}`,
+		`{,"history":1}`, `{"history":1,}`, `{"pixels":[[1,,,,,,,,2]]}`,
 	}
 	for _, c := range cases {
-		want, stockErr := decodeStock([]byte(c))
-		got, ok := parseDetectRequest([]byte(c))
-		if !ok {
-			continue // fallback covers it; nothing to compare
-		}
-		if stockErr != nil {
-			t.Errorf("%q: fast path accepted what the stock decoder rejects (%v)", c, stockErr)
-			continue
-		}
-		if !reflect.DeepEqual(normalizeReq(got), normalizeReq(want)) {
-			t.Errorf("%q:\nfast  %+v\nstock %+v", c, got, want)
+		if msg := divergesFromStock([]byte(c)); msg != "" {
+			t.Errorf("%q: %s", c, msg)
 		}
 	}
-}
-
-// normalizeReq maps NaNs to a comparable sentinel (NaN != NaN defeats
-// DeepEqual) without changing any other field.
-func normalizeReq(r DetectRequest) DetectRequest {
-	fix := func(s Series) Series {
-		out := make(Series, len(s))
-		for i, v := range s {
-			if math.IsNaN(v) {
-				out[i] = -12345e67 // sentinel outside any test body
-			} else {
-				out[i] = v
-			}
-		}
-		return out
-	}
-	if r.Series != nil {
-		r.Series = fix(r.Series)
-	}
-	for i := range r.Pixels {
-		r.Pixels[i] = fix(r.Pixels[i])
-	}
-	return r
 }
 
 // TestFastParserFuzzAgainstStock hammers the divergence property with
 // random bodies, mutations included.
 func TestFastParserFuzzAgainstStock(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 2000; trial++ {
+	for trial := 0; trial < 3000; trial++ {
 		raw := randomBody(rng)
-		want, stockErr := decodeStock(raw)
-		got, ok := parseDetectRequest(raw)
-		if !ok {
-			continue
-		}
-		if stockErr != nil {
-			t.Fatalf("%q: fast path accepted, stock decoder errs: %v", raw, stockErr)
-		}
-		if !reflect.DeepEqual(normalizeReq(got), normalizeReq(want)) {
-			t.Fatalf("%q:\nfast  %+v\nstock %+v", raw, got, want)
+		if msg := divergesFromStock(raw); msg != "" {
+			t.Fatalf("%q: %s", raw, msg)
 		}
 	}
 }
@@ -217,7 +249,10 @@ func TestFastParserFuzzAgainstStock(t *testing.T) {
 func randomBody(rng *rand.Rand) []byte {
 	var b bytes.Buffer
 	b.WriteByte('{')
-	fields := []string{"series", "pixels", "n", "history", "harmonics", "frequency", "hfrac", "level", "process", "noTrend", "bogus"}
+	fields := []string{
+		"series", "pixels", "dates", "n", "history", "capacity", "harmonics", "frequency",
+		"hfrac", "level", "process", "session", "noTrend", "bogus",
+	}
 	nf := rng.Intn(4)
 	for i := 0; i < nf; i++ {
 		if i > 0 {
@@ -228,7 +263,7 @@ func randomBody(rng *rand.Rand) []byte {
 		switch f {
 		case "series":
 			writeRandomArray(rng, &b)
-		case "pixels":
+		case "pixels", "dates":
 			b.WriteByte('[')
 			for j := rng.Intn(3); j > 0; j-- {
 				writeRandomArray(rng, &b)
@@ -237,8 +272,8 @@ func randomBody(rng *rand.Rand) []byte {
 				}
 			}
 			b.WriteByte(']')
-		case "process":
-			b.WriteString(`"cusum"`)
+		case "process", "session":
+			b.WriteString([]string{`"cusum"`, `"s-0a1b"`, `"s-\u0030"`, `""`, "null"}[rng.Intn(5)])
 		case "noTrend":
 			b.WriteString([]string{"true", "false", "null"}[rng.Intn(3)])
 		default:
@@ -249,12 +284,16 @@ func randomBody(rng *rand.Rand) []byte {
 	raw := b.Bytes()
 	// Mutate some bodies to exercise reject paths.
 	if rng.Intn(3) == 0 && len(raw) > 2 {
-		raw[rng.Intn(len(raw))] = byte(" ,:[]{}01.e\"x"[rng.Intn(13)])
+		raw[rng.Intn(len(raw))] = byte(" ,:[]{}01.e\"x\\"[rng.Intn(14)])
 	}
 	return raw
 }
 
 func writeRandomArray(rng *rand.Rand, b *bytes.Buffer) {
+	if rng.Intn(8) == 0 {
+		b.WriteString("null")
+		return
+	}
 	b.WriteByte('[')
 	for j := rng.Intn(4); j > 0; j-- {
 		switch rng.Intn(3) {
@@ -272,8 +311,80 @@ func writeRandomArray(rng *rand.Rand, b *bytes.Buffer) {
 	b.WriteByte(']')
 }
 
-// TestAppendResultJSONMatchesEncoder pins the hand-built /v1/batch
-// response bytes to what encoding/json produces for the same results.
+// TestObserveDecodeAllocatesRowOnce: the fast path decodes a one-date
+// observe body of 8 192 values — the date-major body of near-real-time
+// monitoring — sizing its row from the comma count, so the row is
+// allocated once (no growth from a guess) and the whole decode stays far
+// below the stock decoder's bytes for the same body.
+func TestObserveDecodeAllocatesRowOnce(t *testing.T) {
+	const px = 8192
+	rng := rand.New(rand.NewSource(5))
+	row := make(Series, px)
+	for i := range row {
+		if rng.Float64() < 0.3 {
+			row[i] = math.NaN()
+		} else {
+			row[i] = math.Round(rng.Float64()*1e4) / 1e4
+		}
+	}
+	wire, err := row.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := append(append([]byte(`{"session":"s-0123456789abcdef","dates":[`), wire...), "]}"...)
+	var req ObserveHTTPRequest
+	if !parseObject(body, req.field) || len(req.Dates) != 1 || len(req.Dates[0]) != px {
+		t.Fatalf("fast path declined or misread the body: %d dates", len(req.Dates))
+	}
+	// The parser (field sees it through a func value), the session
+	// string, the dates slice and the row.
+	if n := testing.AllocsPerRun(20, func() { parseObject(body, req.field) }); n > 4 {
+		t.Fatalf("decode: %v allocations, want at most 4", n)
+	}
+	if got, row := decodeBytes(body), int64(8*px); got >= 2*row {
+		t.Fatalf("decode: %d bytes per body, want under %d (the row once, not regrown)", got, 2*row)
+	}
+	// A row of bare commas is invalid, but is sized before the scan finds
+	// out: the cap keeps that at four times the body, not eight.
+	commas := append(append([]byte(`{"dates":[[`), bytes.Repeat([]byte{','}, 1<<16)...), "]]}"...)
+	if got := decodeBytes(commas); got > 4*int64(len(commas))+1024 {
+		t.Fatalf("comma body: %d bytes for a %d-byte body", got, len(commas))
+	}
+}
+
+// decodeBytes is the heap bytes parseObject allocates per decode of body
+// as an observe request.
+func decodeBytes(body []byte) int64 {
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var req ObserveHTTPRequest
+		parseObject(body, req.field)
+	}
+	runtime.ReadMemStats(&after)
+	return int64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// resultJSON is the reflection-path oracle for appendResultJSON: the
+// DetectResponse encoding/json renders for one pixel.
+func resultJSON(res core.Result) DetectResponse {
+	out := DetectResponse{
+		Status:       res.Status.String(),
+		BreakIndex:   res.BreakIndex,
+		ValidHistory: res.ValidHistory,
+		Valid:        res.Valid,
+	}
+	if res.Status == core.StatusOK {
+		m, s := res.MosumMean, res.Sigma
+		out.Magnitude, out.Sigma = &m, &s
+	}
+	return out
+}
+
+// TestAppendResultJSONMatchesEncoder pins the hand-built /v1/detect and
+// /v1/batch response bytes to what encoding/json writes for the same
+// results, trailing newline included.
 func TestAppendResultJSONMatchesEncoder(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	results := []core.Result{
@@ -301,5 +412,27 @@ func TestAppendResultJSONMatchesEncoder(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%+v:\ngot  %s\nwant %s", res, got, want)
 		}
+		checkReply(t, resultReply(res), resultJSON(res))
+	}
+	oracle := make([]DetectResponse, len(results))
+	for i, res := range results {
+		oracle[i] = resultJSON(res)
+	}
+	checkReply(t, batchReply(results), oracle)
+	checkReply(t, batchReply(results[:1]), oracle[:1])
+}
+
+// checkReply requires writeJSON to render reply as the same bytes
+// encoding/json writes for oracle.
+func checkReply(t *testing.T, reply jsonAppender, oracle any) {
+	t.Helper()
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(oracle); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, reply)
+	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("%T bytes differ:\n got %s\nwant %s", reply, rec.Body.Bytes(), want.Bytes())
 	}
 }

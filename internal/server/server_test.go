@@ -107,7 +107,7 @@ func TestDetectCUSUMAndOptions(t *testing.T) {
 	hf := 0.5
 	resp, body := post(t, ts, "/v1/detect", DetectRequest{
 		Series: jsonSeries(rng, 240, 200, 0.3), History: 120,
-		Harmonics: &k, HFrac: &hf, Process: "cusum",
+		requestOptions: requestOptions{Harmonics: &k, HFrac: &hf, Process: "cusum"},
 	})
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
