@@ -7,7 +7,8 @@
 # and internal) under the race detector; `make fuzz-smoke` runs each
 # native fuzz target for ~10s over its corpus (dates.ParseDate, the
 # /v1/batch, /v1/fit and /v1/observe decode paths, the BFSS
-# session-snapshot decoder and the BFJF journal-frame decoder);
+# session-snapshot decoder, the BFJF journal-frame decoder and the tile
+# lane kernels against their scalar oracles);
 # `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzObserveDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/state/
+	$(GO) test -run='^$$' -fuzz=FuzzLaneKernels -fuzztime=$(FUZZTIME) ./internal/tile/
 
 # vulncheck is advisory locally: govulncheck is not vendored, so the
 # target reports and succeeds when the tool (or network) is

@@ -64,12 +64,11 @@ func (b *Batch) MaskCtx(ctx context.Context, workers int) (*series.BatchMask, er
 // every worker count.
 //
 // Execution: each pixel's validity bitset is computed once (MaskCtx).
-// Pixels are then binned by valid-count and gathered into time-major
-// tiles of tile.DefaultWidth pixels, a short last tile padded to the
-// full width, and every kernel stage of a tile runs
-// inside one steal unit on the shared work-stealing scheduler; pixels
-// whose history masks are equal share one inverted normal matrix
-// (maskclass.go).
+// Pixels are then binned by valid-count into tiles of tile.DefaultWidth
+// pixels, each pixel of a tile is compacted from its row to its valid
+// dates and values, and every kernel stage of a tile runs inside one
+// steal unit on the shared work-stealing scheduler; pixels whose history
+// masks are equal share one inverted normal matrix (maskclass.go).
 //
 // Cancellation: ctx is checked before every steal unit (one tile, one
 // tile of class representatives, or one block of the mask sweep). When
@@ -85,7 +84,7 @@ func DetectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig) ([
 // those on which at least one pixel is valid — the empty-slice removal
 // of §III-D (cube.DropEmptySlices) without its copy. The mask pass finds
 // them by OR-ing the validity words, each pixel's bits are compacted in
-// place to the kept dates, and the tiled loop gathers the values from
+// place to the kept dates, and the tiled loop reads the values from
 // b.Y through the kept-date list, so every pixel sums the same numbers
 // in the same order as Detect on the compacted series. opt.History, the
 // results' break offsets and Valid counts all refer to the compacted

@@ -14,51 +14,49 @@ import (
 )
 
 // This file implements the pixel-tiled execution DetectBatch runs:
-// pixels are binned by valid-count
-// and gathered T at a time into time-major tiles (internal/tile), the
-// fit kernels run register-blocked over whole tiles, each lane's normal
-// matrix is summed from the batch's table of design products over its
-// own valid dates (tile.Pairs), and the K×K normal systems of a tile are
-// inverted together by the lane-interleaved batched Gauss-Jordan
-// (linalg.GJBatch) — the CPU analogues of the paper's Fig. 4 register
-// tiling and Fig. 5 shared-memory inversion.
+// pixels are binned by valid-count into tiles (internal/tile); each
+// pixel of a tile is compacted straight from its batch row to its valid
+// dates and values, its normal matrix is summed from the batch's table
+// of design products over those dates (tile.Pairs), its right-hand side
+// and residuals walk the same list, and the K×K normal systems of a tile
+// are inverted together by the lane-interleaved batched Gauss-Jordan
+// (linalg.GJBatch) — the CPU analogue of the paper's Fig. 5
+// shared-memory inversion.
 // One tile is one steal unit on the shared scheduler, and every stage of
 // a tile runs inside it on per-worker scratch. Pixels that share their
 // history mask share one inverse (maskclass.go). Results are
 // bit-identical to scalar Detect.
 
-// tileScratch is the per-worker working set of the tiled kernels: one
-// gathered tile plus the lane-interleaved fit and monitoring buffers.
+// tileScratch is the per-worker working set of the tiled kernels: the
+// lanes' compacted series and the lane-interleaved fit buffers.
 type tileScratch struct {
-	data *tile.Data
-	sc   *tile.Schedule // per-tile date segments, rebuilt per gather
-	hist [][]int        // per-lane valid history dates
-	nrm  []float64      // K×K×T lane-interleaved normal matrices
-	rhs  []float64      // K×T right-hand sides
-	inv  []float64      // K×K×T inverses
-	beta []float64      // K×T coefficients
-	sing []bool         // per-lane singularity flags
-	fit  []bool         // per-lane fittable flags
+	n    int       // dates per lane: the row stride of rbuf and ix
+	nrm  []float64 // K×K×T lane-interleaved normal matrices
+	rhs  []float64 // K×T right-hand sides
+	inv  []float64 // K×K×T inverses
+	beta []float64 // K×T coefficients
+	lb   []float64 // one lane's coefficients, padded to tile.PadK(K)
+	sing []bool    // per-lane singularity flags
+	fit  []bool    // per-lane fittable flags
 	gj   *linalg.GJBatch
 	ws   linalg.Workspace // single-lane solves (non-GJ solvers)
 	fm   []float64        // K×K single-lane normal matrix
 	fr   []float64        // K single-lane right-hand side
 	fb   []float64        // K single-lane coefficients
-	rbuf []float64        // T×N lane-major compacted residuals
-	ix   []int32          // T×N original date indices
-	nVal []int            // per-lane residual counts
+	rbuf []float64        // T×N lane-major compacted values, then residuals
+	ix   []int32          // T×N their original date indices
+	nVal []int            // per-lane valid counts
 }
 
 func newTileScratch(k, n int) *tileScratch {
 	t := tile.DefaultWidth
 	return &tileScratch{
-		data: tile.NewData(t, n),
-		sc:   tile.NewSchedule(n),
-		hist: make([][]int, t),
+		n:    n,
 		nrm:  make([]float64, k*k*t),
 		rhs:  make([]float64, k*t),
 		inv:  make([]float64, k*k*t),
 		beta: make([]float64, k*t),
+		lb:   make([]float64, tile.PadK(k)),
 		sing: make([]bool, t),
 		fit:  make([]bool, t),
 		gj:   linalg.NewGJBatch(k, t),
@@ -77,11 +75,12 @@ type scratchKey struct{ k, n int }
 // tileScratchPools maps a scratchKey to the sync.Pool of scratches of
 // that shape, so a call — above all a 1–4-pixel serving request, whose
 // scratch is most of what it would allocate — reuses the buffers of an
-// earlier one. Stale contents are harmless: every buffer is written for
-// the active lanes before it is read — Gather writes +0 into the masked
-// and padding slots of every date it copies — no result is read from a
-// padding lane, and no kernel reads the rows of dates no lane is valid
-// on (see tile.Data). One entry per distinct (K, N) the process has run.
+// earlier one. Stale contents are harmless: a lane's compacted values
+// and dates are written before any kernel reads them, and every kernel
+// reads only its lane's own count of them; the fit buffers are written
+// for the active lanes before they are read; no result is read from a
+// padding lane; and the padding of lb past K is never written. One entry
+// per distinct (K, N) the process has run.
 var tileScratchPools sync.Map
 
 func getTileScratch(key scratchKey) *tileScratch {
@@ -124,19 +123,8 @@ func forEachTileScratch(ctx context.Context, key scratchKey, tiles, workers int,
 	})
 }
 
-// laneNormals writes the normal matrix of every lane of idx into s.nrm:
-// each pixel's valid history dates, read off its mask row, select the
-// rows of pp it sums.
-func laneNormals(s *tileScratch, pp *tile.Pairs, mask *series.BatchMask, n int, idx []int) {
-	hist := s.hist[:len(idx)]
-	for p, px := range idx {
-		hist[p] = series.AppendValidIndices(hist[p][:0], mask.Row(px), n)
-	}
-	pp.Normals(hist, s.data.T, s.nrm)
-}
-
 // initTileResults fills the per-pixel counts and fittable flags for the
-// gathered tile's lanes, returning whether any lane can be fitted.
+// tile's lanes, returning whether any lane can be fitted.
 func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool, out []Result) bool {
 	n := opt.History
 	minHist := opt.minHist()
@@ -168,8 +156,8 @@ func initTileResults(idx []int, mask *series.BatchMask, opt Options, fit []bool,
 // so singularity behaviour matches it exactly. Lanes that fail are
 // flagged StatusSingular.
 func solveTile(s *tileScratch, k int, opt Options, shared *maskClasses, idx []int, out []Result) {
-	t := s.data.T
-	cnt := s.data.P
+	t := tile.DefaultWidth
+	cnt := len(idx)
 	if opt.Solver == SolverGaussJordan {
 		if shared != nil {
 			shared.fanOut(s, k, idx)
@@ -213,7 +201,7 @@ func solveTile(s *tileScratch, k int, opt Options, shared *maskClasses, idx []in
 // interleaved buffer into the pixel's result, carved from one slab per
 // tile.
 func publishBeta(s *tileScratch, k int, idx []int, out []Result) {
-	t := s.data.T
+	t := tile.DefaultWidth
 	fitted := 0
 	for p := range idx {
 		if s.fit[p] {
@@ -237,7 +225,7 @@ func publishBeta(s *tileScratch, k int, idx []int, out []Result) {
 // monitorTile runs the monitoring phase (ker 8–10) over the tile's
 // compacted residuals, lane by lane; bit-identical to scalar Detect.
 func monitorTile(s *tileScratch, opt Options, lambda float64, idx []int, out []Result) {
-	n, nDates := opt.History, s.data.N
+	n, nDates := opt.History, s.n
 	for p, px := range idx {
 		if !s.fit[p] {
 			continue
@@ -266,7 +254,7 @@ type tileFinish func(s *tileScratch, opt Options, lambda float64, idx []int, out
 // out, the MOSUM window carved from one slab per tile. A lane whose
 // seeding fails keeps a zero record and takes the failing status.
 func seedTile(s *tileScratch, opt Options, idx []int, out []Result, recs []MonitorState) {
-	n := s.data.N
+	n := s.n
 	total := 0
 	for p := range idx {
 		if s.fit[p] {
@@ -289,24 +277,25 @@ func seedTile(s *tileScratch, opt Options, idx []int, out []Result, recs []Monit
 	}
 }
 
-// batchTiled is the tiled execution: per tile, the fit kernels run
-// staged across the tile's lanes (cross product → batched inversion → β)
-// and the residual pass follows; finish then consumes the residuals —
-// the monitoring phase (monitorTile) or the seeding of monitor records
-// (seedTile) — all inside one steal unit with per-worker scratch. Tiles
-// never touch shared intermediates, so the whole pixel's data stays in
-// cache between stages.
+// batchTiled is the tiled execution: per tile, every lane is compacted
+// from its batch row (tile.Compact), the fit kernels run across the
+// tile's lanes (normal matrices → right-hand sides → batched inversion →
+// β) and the residual pass follows in place; finish then consumes the
+// residuals — the monitoring phase (monitorTile) or the seeding of
+// monitor records (seedTile) — all inside one steal unit with per-worker
+// scratch. Tiles never touch shared intermediates, so the whole pixel's
+// data stays in cache between stages.
 //
 // With the Gauss-Jordan solver and more than one tile, the batch is
 // first grouped by history mask and every class of two or more pixels
 // is inverted once (newMaskClasses). A tile whose fittable lanes all
-// belong to such classes skips its own cross product and inversion; any
-// other tile runs them for all its lanes, as a batch without repeated
-// masks does throughout.
+// belong to such classes skips its own normal matrices and inversion;
+// any other tile runs them for all its lanes, as a batch without
+// repeated masks does throughout.
 //
 // The loop detects over the mask's dates. dates, when non-nil, is the
-// column of b's rows each of them is gathered from (DetectPopulated);
-// nil means mask.N == b.N and the identity.
+// column of b's rows each of them is read from (DetectPopulated); nil
+// means mask.N == b.N and the identity.
 func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []int, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig, finish tileFinish) ([]Result, error) {
 	M, N := b.M, mask.N
 	n := opt.History
@@ -314,12 +303,11 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 	T := tile.DefaultWidth
 	out := make([]Result, M)
 	plan := tile.NewPlan(mask, T)
-	xh := historySlice(x, n)
 	ctx, sp := obs.StartSpan(ctx, "kernel.tiles")
 	sp.SetAttr("tiles", plan.Tiles)
 	sp.SetAttr("tile_width", T)
 	defer sp.End()
-	pp := tile.GetPairs(xh)
+	pp := tile.GetPairs(x, n)
 	defer pp.Release()
 	var classes *maskClasses
 	if plan.Tiles > 1 && opt.Solver == SolverGaussJordan {
@@ -342,19 +330,28 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 			tilesShared.Add(1)
 		}
 		t0 := time.Now()
-		s.data.MapDates(dates, b.N) // every tile: the scratch is pooled across calls
-		s.data.Gather(b.Y, mask, idx)
-		s.sc.Build(s.data)
-		s.sc.PublishWaste(len(idx))
-		if shared == nil {
-			laneNormals(s, pp, mask, n, idx)
+		var hist [tile.DefaultWidth][]int32
+		for p, px := range idx {
+			r, ix := s.rbuf[p*N:(p+1)*N], s.ix[p*N:(p+1)*N]
+			s.nVal[p] = tile.Compact(b.Row(px), dates, mask.Row(px), N, r, ix)
+			hist[p] = ix[:out[px].ValidHistory]
 		}
-		tile.MatVecHistory(xh, s.data, s.sc, s.rhs)
+		if shared == nil {
+			pp.Normals(hist[:len(idx)], T, s.nrm)
+		}
+		for p := range idx {
+			pp.LaneMatVec(hist[p], s.rbuf[p*N:], p, T, s.rhs)
+		}
 		t1 := time.Now()
 		solveTile(s, K, opt, shared, idx, out)
 		publishBeta(s, K, idx, out)
 		t2 := time.Now()
-		tile.Residuals(x, s.data, s.sc, s.beta, s.rbuf, s.ix, s.nVal)
+		for p, px := range idx {
+			if s.fit[p] {
+				copy(s.lb, out[px].Beta)
+				pp.LaneResiduals(s.ix[p*N:p*N+s.nVal[p]], s.rbuf[p*N:], s.lb)
+			}
+		}
 		t3 := time.Now()
 		finish(s, opt, lambda, idx, out)
 		// One tile is one steal unit: four atomic adds per tile.

@@ -109,3 +109,123 @@ func TestDetectBatchTiledWorkerInvariance(t *testing.T) {
 		assertBitIdentical(t, base, got, "workers")
 	}
 }
+
+// acrossKScene builds an m×N scene for TestDetectBatchAcrossK: ragged
+// i.i.d. masks or a few shared cloud masks, pixel 0 all-NaN, ±Inf and −0
+// observations in the history and the monitoring period of pixels 1 and
+// 2, and the dates in empty missing in every pixel.
+func acrossKScene(rng *rand.Rand, clouds bool, m, N int, empty []int) *Batch {
+	var b *Batch
+	if clouds {
+		b = maskedScene(rng, m, N, randomMasks(rng, 3, N, 0.5), func(i int) int { return i % 3 })
+	} else {
+		b = randomBatch(rng, m, N, 0.4)
+	}
+	for t := 0; t < N; t++ {
+		b.Y[t] = math.NaN()
+	}
+	negZero := math.Copysign(0, -1)
+	for _, s := range []struct {
+		px, t int
+		v     float64
+	}{{1, 5, math.Inf(1)}, {1, N - 7, math.Inf(-1)}, {2, 9, negZero}, {2, 11, negZero}, {2, N - 3, negZero}} {
+		b.Y[s.px*N+s.t] = s.v
+	}
+	for i := 0; i < m; i++ {
+		for _, t := range empty {
+			b.Y[i*N+t] = math.NaN()
+		}
+	}
+	return b
+}
+
+// TestDetectBatchAcrossK holds the three callers of the tiled loop —
+// DetectBatch, DetectPopulated and FitMonitors — to scalar Detect bit for
+// bit at K = 1, 2, 7, 8, 9, 16 and 22 (Harmonics × NoTrend): one
+// regressor, partial and whole blocks of eight, up to three blocks. The
+// scenes mix ragged i.i.d. and cloud masks with an all-NaN lane and ±Inf
+// and −0 values, end in a short last tile of 1 or 5 pixels, and run on
+// one and on four workers.
+func TestDetectBatchAcrossK(t *testing.T) {
+	rng := rand.New(rand.NewSource(135))
+	const N, n = 160, 80
+	empty := []int{3, 50, 51, 120, N - 1}
+	ctx := context.Background()
+	for _, kc := range []struct {
+		harmonics int
+		noTrend   bool
+	}{{0, true}, {0, false}, {3, true}, {3, false}, {4, true}, {7, false}, {10, false}} {
+		opt := defaultTestOpts(n)
+		opt.Harmonics, opt.NoTrend = kc.harmonics, kc.noTrend
+		x, err := DesignFor(opt, N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lambda, err := opt.ResolveLambda()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []int{17, 21} {
+			for _, clouds := range []bool{false, true} {
+				b := acrossKScene(rng, clouds, m, N, empty)
+				want := scalarResults(t, b, opt)
+				var kept []int
+				for d := 0; d < N; d++ {
+					for i := 0; i < m; i++ {
+						if !math.IsNaN(b.Y[i*N+d]) {
+							kept = append(kept, d)
+							break
+						}
+					}
+				}
+				compact := &Batch{M: m, N: len(kept), Y: make([]float64, m*len(kept))}
+				for i := 0; i < m; i++ {
+					for j, d := range kept {
+						compact.Y[i*len(kept)+j] = b.Y[i*N+d]
+					}
+				}
+				wantPop := scalarResults(t, compact, opt)
+				hist := &Batch{M: m, N: n, Y: make([]float64, m*n)}
+				for i := 0; i < m; i++ {
+					copy(hist.Row(i), b.Row(i)[:n])
+				}
+				for _, workers := range []int{1, 4} {
+					label := fmt.Sprintf("K=%d M=%d clouds=%v w%d", opt.K(), m, clouds, workers)
+					cfg := BatchConfig{Workers: workers}
+					got, err := DetectBatch(ctx, b, opt, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameBits(t, want, got, label+" DetectBatch")
+					gotPop, gotKept, err := DetectPopulated(ctx, b, opt, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(gotKept) != fmt.Sprint(kept) {
+						t.Fatalf("%s: DetectPopulated kept %v, want %v", label, gotKept, kept)
+					}
+					assertSameBits(t, wantPop, gotPop, label+" DetectPopulated")
+					recs, status, err := FitMonitors(ctx, hist, x, opt, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := 0; i < m; i++ {
+						w, rec := want[i], &recs[i]
+						if status[i] != StatusOK {
+							if status[i] != w.Status {
+								t.Fatalf("%s pixel %d: fit status %v, Detect %v", label, i, status[i], w.Status)
+							}
+							continue
+						}
+						for d := n; d < N; d++ {
+							rec.Push(x, d, b.Y[i*N+d], opt, lambda)
+						}
+						fit := Result{Status: w.Status, BreakIndex: rec.Break, ValidHistory: rec.NBar, Valid: w.Valid,
+							Beta: rec.Beta, Sigma: rec.Sigma, MosumMean: rec.Mean()}
+						assertSameBits(t, []Result{w}, []Result{fit}, fmt.Sprintf("%s FitMonitors pixel %d", label, i))
+					}
+				}
+			}
+		}
+	}
+}

@@ -17,10 +17,9 @@ import (
 // BenchmarkDetectBatchIID/nan=0.5 at -cpu 1).
 //
 // BenchmarkDetectBatchIID also sweeps the i.i.d. scene's NaN fraction
-// around the ledger's 0.5. A lane's normal matrix costs one table row of
-// K(K+1)/2 additions per valid history date, while the lane kernels
-// sweep every date some tile-mate is valid on, so the low-NaN end is
-// where summing per lane gains least over a tile-wide sweep.
+// around the ledger's 0.5. Every lane kernel walks only its pixel's own
+// valid dates, so their cost falls with the NaN fraction, while the
+// mask pass and the inversion stay the same.
 
 func specBatch(b *testing.B, spec workload.Spec, m int) *Batch {
 	ds, err := workload.Generate(spec)

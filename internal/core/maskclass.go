@@ -120,11 +120,12 @@ type maskClasses struct {
 }
 
 // newMaskClasses groups the batch and inverts one normal matrix per
-// shared class: the class representatives are taken T at a time, their
-// normal matrices summed from pp by the per-lane kernel the tile loop
-// runs (laneNormals) and inverted by GJBatch.Invert, one group per steal
-// unit on the shared scheduler under ctx. No Y is gathered: the normal
-// matrix reads only the mask.
+// shared class: the class representatives are taken T at a time, each
+// one's valid history dates compacted off its mask row, their normal
+// matrices summed from pp by the kernel the tile loop runs
+// (Pairs.Normals) and inverted by GJBatch.Invert, one group per steal
+// unit on the shared scheduler under ctx. No value is read: the normal
+// matrix depends only on the mask.
 func newMaskClasses(ctx context.Context, mask *series.BatchMask, pp *tile.Pairs, opt Options, cfg BatchConfig) (*maskClasses, error) {
 	K, T := opt.K(), tile.DefaultWidth
 	g := groupByHistoryMask(mask, opt.History, opt.minHist(), hashWords)
@@ -152,7 +153,12 @@ func newMaskClasses(ctx context.Context, mask *series.BatchMask, pp *tile.Pairs,
 		lo := ti * T
 		idx := reps[lo:min(lo+T, len(reps))]
 		t0 := time.Now()
-		laneNormals(s, pp, mask, opt.History, idx)
+		var hist [tile.DefaultWidth][]int32
+		for p, px := range idx {
+			ix := s.ix[p*s.n : (p+1)*s.n]
+			hist[p] = ix[:tile.CompactDates(mask.Row(px), opt.History, ix)]
+		}
+		pp.Normals(hist[:len(idx)], T, s.nrm)
 		t1 := time.Now()
 		s.gj.Invert(s.nrm, s.inv, s.sing, len(idx))
 		for p := range idx {
@@ -186,7 +192,7 @@ func (mc *maskClasses) covers(idx []int, fit []bool) bool {
 // into the tile's lane-interleaved buffers, where GJBatch.Invert would
 // have left them.
 func (mc *maskClasses) fanOut(s *tileScratch, k int, idx []int) {
-	t := s.data.T
+	t := tile.DefaultWidth
 	for p, px := range idx {
 		if !s.fit[p] {
 			continue

@@ -437,6 +437,33 @@ func TestClassSharingCancellation(t *testing.T) {
 	}
 }
 
+// plantScratch puts a fresh scratch of key's shape into an emptied pool
+// with every buffer that outlives a tile poisoned: ±Inf, NaN and −0 in
+// the compacted values, the fit buffers and the in-range coefficients
+// of lb, stale in-range dates in ix, and −1 in every lane count, so
+// ranOn can tell whether a call picked the scratch up.
+func plantScratch(rng *rand.Rand, key scratchKey) *tileScratch {
+	s := newTileScratch(key.k, key.n)
+	poison := []float64{math.Inf(1), math.NaN(), math.Inf(-1), math.Copysign(0, -1)}
+	for _, buf := range [][]float64{s.rbuf, s.nrm, s.rhs, s.inv, s.beta, s.lb[:key.k]} {
+		for i := range buf {
+			buf[i] = poison[(i+rng.Intn(2))%len(poison)]
+		}
+	}
+	for i := range s.ix {
+		s.ix[i] = int32(rng.Intn(key.n))
+	}
+	for i := range s.nVal {
+		s.nVal[i] = -1
+	}
+	tileScratchPools.Delete(key)
+	putTileScratch(key, s)
+	return s
+}
+
+// ranOn reports whether a call since plantScratch compacted a tile on s.
+func ranOn(s *tileScratch) bool { return s.nVal[0] != -1 }
+
 // TestPooledScratchCarriesNothingOver runs two unrelated scenes of one
 // shape back to back through one pooled scratch, so the second scene's
 // tiles are computed over whatever the first left in the buffers, and
@@ -459,23 +486,21 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 
 	// A sync.Pool may drop what it is given (it does at random under
 	// -race), so a round counts only when both calls demonstrably ran on
-	// the scratch planted here: Gather leaves its lane map in data.Idx.
+	// the scratch planted here.
 	for attempt := 0; attempt < 50; attempt++ {
-		tileScratchPools.Delete(key)
-		s := newTileScratch(key.k, key.n)
-		putTileScratch(key, s)
+		s := plantScratch(rng, key)
 		if _, err := DetectBatch(context.Background(), first, opt, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if s.data.Idx == nil {
+		if !ranOn(s) {
 			continue
 		}
-		s.data.Idx = nil
+		s.nVal[0] = -1
 		reused, err := DetectBatch(context.Background(), second, opt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.data.Idx == nil {
+		if !ranOn(s) {
 			continue
 		}
 		assertBitIdentical(t, fresh, reused, "pooled scratch")
@@ -484,15 +509,14 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	t.Fatal("the pool never handed the planted scratch to both calls")
 }
 
-// TestPooledScratchZeroFillsMaskedSlots runs a batch that fills the
-// pooled tile buffer with ±Inf and −0 at every date, and so leaves ±Inf
-// in Y and NaN in β on every lane, then through the same planted scratch
-// a batch of i.i.d. masks whose tiles are partial at nearly every date:
-// with whole tiles, and with a last tile of 1 and of 5 pixels whose
-// padding lanes the kernels sweep. The mat-vec sums every lane of a
-// partial date, so a masked or padding slot still holding the first
-// batch's ±Inf would poison the second batch's coefficients; both calls
-// must equal scalar Detect.
+// TestPooledScratchZeroFillsMaskedSlots runs two batches, each on a
+// freshly poisoned pooled scratch (plantScratch): one whose values are
+// all ±Inf and −0, which leaves non-finite residuals and NaN β in every
+// lane, and one of i.i.d. masks — with whole tiles, and with
+// a last tile of 1 and of 5 pixels whose padding lanes no kernel may
+// read. A kernel that read a value, date or coefficient its lane had not
+// written this call would poison that lane's result; both calls must
+// equal scalar Detect.
 func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 	rng := rand.New(rand.NewSource(147))
 	const M, N, n = 24, 120, 60
@@ -511,30 +535,28 @@ func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 	wantFirst := scalarResults(t, first, opt)
 	for _, m := range []int{M, M + 1, M + 5} {
 		second := randomBatch(rng, m, N, 0.5)
-		label := fmt.Sprintf("M=%d i.i.d. batch on the ±Inf scratch vs scalar", m)
+		label := fmt.Sprintf("M=%d i.i.d. batch on the poisoned scratch vs scalar", m)
 		ran := false
 		for attempt := 0; attempt < 50 && !ran; attempt++ {
-			tileScratchPools.Delete(key)
-			s := newTileScratch(key.k, key.n)
-			putTileScratch(key, s)
+			s := plantScratch(rng, key)
 			got1, err := DetectBatch(context.Background(), first, opt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.data.Idx == nil {
+			if !ranOn(s) {
 				continue
 			}
 			for p := 1; p < tile.DefaultWidth; p++ {
-				if !math.IsInf(s.data.Y[p], 0) || !math.IsNaN(s.beta[p]) {
-					t.Fatalf("lane %d: the ±Inf batch left Y %v and β %v", p, s.data.Y[p], s.beta[p])
+				if v := s.rbuf[p*N]; !math.IsInf(v, 0) && !math.IsNaN(v) || !math.IsNaN(s.beta[p]) {
+					t.Fatalf("lane %d: the ±Inf batch left residual %v and β %v", p, v, s.beta[p])
 				}
 			}
-			s.data.Idx = nil
+			s = plantScratch(rng, key)
 			got2, err := DetectBatch(context.Background(), second, opt, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.data.Idx == nil {
+			if !ranOn(s) {
 				continue
 			}
 			assertSameBits(t, wantFirst, got1, "±Inf batch vs scalar")

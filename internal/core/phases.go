@@ -10,7 +10,7 @@ import (
 // each kernel group of the tiled loop, summed across workers (CPU time,
 // not wall time), plus the number of pixels processed. Time is
 // attributed to the paper's kernel groups — cross product (ker 1–2, with
-// the tile gather), inversion + β (ker 3–5), residuals (ker 6–7), MOSUM
+// the per-lane compaction and the right-hand side), inversion + β (ker 3–5), residuals (ker 6–7), MOSUM
 // monitoring (ker 8–10) — once per steal unit.
 var (
 	statKernelPixels = obs.Default().Counter("kernel.pixels")

@@ -58,7 +58,8 @@ var (
 	// ErrPersist reports a store failure while persisting a session. A
 	// fit whose base could not be saved registers no session; an observe
 	// whose persist failed drops the live session, which the store's
-	// base and journal from before that call let Restore resume.
+	// base and journal from before that call let Restore resume; a
+	// delete whose store delete failed keeps the session live.
 	ErrPersist = errors.New("nrt: persisting session failed")
 )
 
@@ -106,6 +107,22 @@ type session struct {
 	// material of the observe-lag and snapshot-age diagnostics gauges.
 	lastObserve time.Time
 	lastSnap    time.Time
+	// dropped is set, under mu, when the session leaves the live set
+	// (dropLocked): deleted, or left ahead of or inconsistent with what
+	// the store holds. A caller that fetched it before must not write it
+	// (goneLocked).
+	dropped bool
+}
+
+// goneLocked reports ErrNotFound if the session was dropped while the
+// caller waited for its lock, which the caller holds: writing a deleted
+// session would bring it back on the next Restore, and a dropped one
+// would overwrite the state Restore resumes from.
+func (s *session) goneLocked() error {
+	if s.dropped {
+		return fmt.Errorf("%w: %s", ErrNotFound, s.ID)
+	}
+	return nil
 }
 
 // Manager owns the NRT sessions of one process.
@@ -272,10 +289,14 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 	// Persist immediately: a restart between fit and first observe must
 	// not lose the session.
 	s.mu.Lock()
-	perr := mg.persistLocked(ctx, s, true)
+	perr := s.goneLocked()
+	if perr == nil {
+		if perr = mg.persistLocked(ctx, s, true); perr != nil {
+			mg.dropLocked(s)
+		}
+	}
 	s.mu.Unlock()
 	if perr != nil {
-		mg.drop(id)
 		return FitSummary{}, perr
 	}
 
@@ -367,9 +388,12 @@ func (mg *Manager) register(s *session) (string, error) {
 	return "", errors.New("nrt: could not allocate a session id")
 }
 
-func (mg *Manager) drop(id string) {
+// dropLocked removes the session from the live set and marks it
+// dropped; the caller holds s.mu.
+func (mg *Manager) dropLocked(s *session) {
+	s.dropped = true
 	mg.mu.Lock()
-	delete(mg.sessions, id)
+	delete(mg.sessions, s.ID)
 	mg.active.Set(int64(len(mg.sessions)))
 	mg.mu.Unlock()
 }
@@ -489,6 +513,9 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.goneLocked(); err != nil {
+		return ObserveResult{}, err
+	}
 	if s.NextDate+dates > s.Capacity {
 		return ObserveResult{}, fmt.Errorf("%w: %d dates requested, %d of %d remaining",
 			ErrExhausted, dates, s.Capacity-s.NextDate, s.Capacity-s.History)
@@ -499,7 +526,7 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 		// no longer internally consistent, so drop it rather than serve
 		// skewed verdicts. The store (base and journal, from before this
 		// pass) still allows recovery via Restore.
-		mg.drop(s.ID)
+		mg.dropLocked(s)
 		return ObserveResult{}, fmt.Errorf("nrt: observe pass aborted, session %s dropped (recoverable from its last snapshot): %w", s.ID, err)
 	}
 	s.sinceSnap++
@@ -510,7 +537,7 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 			if err := mg.persistLocked(ctx, s, false); err != nil {
 				// The session has advanced past what the store holds, so
 				// a retry would push the same dates twice; fail closed.
-				mg.drop(s.ID)
+				mg.dropLocked(s)
 				return ObserveResult{}, err
 			}
 		}
@@ -706,13 +733,27 @@ func sortInfos(infos []Info) {
 	}
 }
 
-// Delete removes a session and its stored snapshot and journal.
+// Delete removes a session's stored snapshot and journal, then the live
+// session. A store failure is ErrPersist and leaves the session live and
+// listed, so a retry can finish the delete; dropping it first would let
+// the next Restore bring back a session its client was told is gone.
+// A deleted session is marked dropped, so no caller already holding it
+// writes it to the store again.
 func (mg *Manager) Delete(ctx context.Context, id string) error {
-	if _, err := mg.get(id); err != nil {
+	s, err := mg.get(id)
+	if err != nil {
 		return err
 	}
-	mg.drop(id)
-	return mg.store.Delete(ctx, id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.goneLocked(); err != nil {
+		return err
+	}
+	if err := mg.store.Delete(ctx, id); err != nil {
+		return fmt.Errorf("%w: %w", ErrPersist, err)
+	}
+	mg.dropLocked(s)
+	return nil
 }
 
 // SnapshotNow writes a session's full base immediately, regardless of
@@ -724,11 +765,15 @@ func (mg *Manager) SnapshotNow(ctx context.Context, id string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.goneLocked(); err != nil {
+		return err
+	}
 	return mg.persistLocked(ctx, s, true)
 }
 
-// Close writes a full base for every live session (the SIGTERM path).
-// The sessions stay usable; Close is idempotent.
+// Close writes a full base for every live session (the SIGTERM path),
+// skipping any dropped while it ran. The sessions stay usable; Close is
+// idempotent.
 func (mg *Manager) Close(ctx context.Context) error {
 	mg.mu.Lock()
 	ss := make([]*session, 0, len(mg.sessions))
@@ -739,6 +784,10 @@ func (mg *Manager) Close(ctx context.Context) error {
 	var firstErr error
 	for _, s := range ss {
 		s.mu.Lock()
+		if s.goneLocked() != nil {
+			s.mu.Unlock()
+			continue
+		}
 		if err := mg.persistLocked(ctx, s, true); err != nil && firstErr == nil {
 			firstErr = err
 		}

@@ -402,31 +402,31 @@ func TestRestoreRejectsInvalid(t *testing.T) {
 }
 
 // gateStore blocks every Save and Append once armed, until the gate
-// closes.
+// closes; each blocked call first sends its session ID on entered.
 type gateStore struct {
 	state.Store
 	mu      sync.Mutex
 	gate    chan struct{}
-	entered chan struct{}
+	entered chan string
 }
 
-func (g *gateStore) wait() {
+func (g *gateStore) wait(id string) {
 	g.mu.Lock()
 	gate := g.gate
 	g.mu.Unlock()
 	if gate != nil {
-		g.entered <- struct{}{}
+		g.entered <- id
 		<-gate
 	}
 }
 
 func (g *gateStore) Save(ctx context.Context, id string, data []byte) error {
-	g.wait()
+	g.wait(id)
 	return g.Store.Save(ctx, id, data)
 }
 
 func (g *gateStore) Append(ctx context.Context, id string, frame []byte) error {
-	g.wait()
+	g.wait(id)
 	return g.Store.Append(ctx, id, frame)
 }
 
@@ -437,7 +437,7 @@ func TestLenDoesNotWaitOnObserve(t *testing.T) {
 	leakcheck.Check(t)
 	ds, opt := testScene(t)
 	n := ds.Spec.History
-	gs := &gateStore{Store: state.NewMemStore(), entered: make(chan struct{})}
+	gs := &gateStore{Store: state.NewMemStore(), entered: make(chan string)}
 	mg := NewManager(Config{Store: gs, Metrics: obs.NewRegistry()})
 	sum := fitScene(t, mg, ds, opt)
 
@@ -469,6 +469,54 @@ func TestLenDoesNotWaitOnObserve(t *testing.T) {
 	}
 	if got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
+	}
+}
+
+// TestCloseSkipsSessionDeletedMeanwhile: a Close that listed a session
+// before a Delete of it finished must not write it again once it gets
+// the session's lock — a base saved after the delete would bring the
+// session back on the next Restore.
+func TestCloseSkipsSessionDeletedMeanwhile(t *testing.T) {
+	leakcheck.Check(t)
+	ctx := context.Background()
+	ds, opt := testScene(t)
+	gs := &gateStore{Store: state.NewMemStore(), entered: make(chan string, 2)}
+	mg := NewManager(Config{Store: gs, Metrics: obs.NewRegistry()})
+	a, b := fitScene(t, mg, ds, opt), fitScene(t, mg, ds, opt)
+
+	gate := make(chan struct{})
+	gs.mu.Lock()
+	gs.gate = gate
+	gs.mu.Unlock()
+	done := make(chan error, 1)
+	go func() { done <- mg.Close(ctx) }()
+	// Close has listed both sessions and is inside the first one's save.
+	kept, deleted := <-gs.entered, a.ID
+	if kept == a.ID {
+		deleted = b.ID
+	}
+	if err := mg.Delete(ctx, deleted); err != nil {
+		t.Fatal(err)
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case id := <-gs.entered:
+		t.Fatalf("Close saved session %s after its delete (kept %s)", id, kept)
+	default:
+	}
+
+	fresh := NewManager(Config{Store: gs.Store, Metrics: obs.NewRegistry()})
+	if got, err := fresh.Restore(ctx); err != nil || got != 1 {
+		t.Fatalf("restore: %d sessions, %v; want 1", got, err)
+	}
+	if _, err := fresh.Get(kept); err != nil {
+		t.Fatalf("the session Close kept: %v", err)
+	}
+	if _, err := fresh.Get(deleted); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("the deleted session came back: %v", err)
 	}
 }
 

@@ -285,10 +285,17 @@ func TestNRTSessionLimit(t *testing.T) {
 	}
 }
 
-// flakyStore is a store whose Save and Append fail on demand.
+// flakyStore is a store whose Save, Append and Delete fail on demand.
 type flakyStore struct {
 	state.Store
-	failSave, failAppend bool
+	failSave, failAppend, failDelete bool
+}
+
+func (s *flakyStore) Delete(ctx context.Context, id string) error {
+	if s.failDelete {
+		return errors.New("flaky store: delete failed")
+	}
+	return s.Store.Delete(ctx, id)
 }
 
 func (s *flakyStore) Save(ctx context.Context, id string, data []byte) error {
@@ -411,5 +418,70 @@ func TestStoreFailuresAreInternal(t *testing.T) {
 				t.Fatalf("date %d pixel %d: restored %+v, twin %+v", d, i, v, w)
 			}
 		}
+	}
+}
+
+// TestStoreDeleteFailureKeepsSession: a store failure under DELETE
+// /v1/sessions is a 500 internal that leaves the session live and
+// listed, a retry once the store recovers deletes it, and a fresh
+// manager over the store then restores nothing.
+func TestStoreDeleteFailureKeepsSession(t *testing.T) {
+	ctx := context.Background()
+	ds := nrtScene(t)
+	n, N := ds.Spec.History, ds.Spec.N
+	store := &flakyStore{Store: state.NewMemStore()}
+	srv := mustServer(t, Config{Metrics: obs.NewRegistry()})
+	srv.nrtMgr = nrt.NewManager(nrt.Config{Store: store, Metrics: obs.NewRegistry()})
+	do := func(method, path string, body []byte) (int, string, []byte) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		var e struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		json.Unmarshal(rec.Body.Bytes(), &e)
+		return rec.Code, e.Error.Code, rec.Body.Bytes()
+	}
+	raw, err := json.Marshal(map[string]any{"pixels": jsonRows(ds, 0, n, true), "history": n, "capacity": N})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, raw := do(http.MethodPost, "/v1/fit", raw)
+	if status != 200 {
+		t.Fatalf("fit: %d %s", status, raw)
+	}
+	var fit struct {
+		Session string `json:"session"`
+	}
+	if err := json.Unmarshal(raw, &fit); err != nil {
+		t.Fatal(err)
+	}
+	del := "/v1/sessions?session=" + fit.Session
+
+	store.failDelete = true
+	if status, code, raw := do(http.MethodDelete, del, nil); status != 500 || code != CodeInternal {
+		t.Fatalf("delete with a failing store: %d %s", status, raw)
+	}
+	status, _, raw = do(http.MethodGet, "/v1/sessions", nil)
+	var list SessionsResponse
+	if err := json.Unmarshal(raw, &list); status != 200 || err != nil {
+		t.Fatalf("list: %d %s %v", status, raw, err)
+	}
+	if len(list.Sessions) != 1 || list.Sessions[0].ID != fit.Session {
+		t.Fatalf("after a failed delete the sessions are %+v, want %s", list.Sessions, fit.Session)
+	}
+
+	store.failDelete = false
+	if status, _, raw := do(http.MethodDelete, del, nil); status != 200 {
+		t.Fatalf("retried delete: %d %s", status, raw)
+	}
+	if live := srv.nrtMgr.Len(); live != 0 {
+		t.Fatalf("a finished delete left %d live sessions", live)
+	}
+	fresh := nrt.NewManager(nrt.Config{Store: store, Metrics: obs.NewRegistry()})
+	if got, err := fresh.Restore(ctx); err != nil || got != 0 {
+		t.Fatalf("restore after the delete: %d sessions, %v", got, err)
 	}
 }

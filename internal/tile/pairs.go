@@ -4,86 +4,119 @@ import (
 	"fmt"
 	"sync"
 
-	"bfast/internal/linalg"
+	"bfast/internal/series"
 )
 
-// Pairs is the pair-product table of a design's history rows: for every
-// history date t, the K(K+1)/2 products x_j1[t]·x_j2[t] (j1 ≤ j2, row
-// by row) of the normal matrix's upper triangle. A lane's normal matrix
-// is then the sum of the table rows of its valid dates, so the masked
-// cross product of a pixel whose mask is shared with no other costs no
-// lane branches and no work on the dates it is missing.
+// Pairs holds the two tables the lane kernels read a batch's design
+// through, both filled once per call from the K×N design:
 //
-// The entries are stored in blocks of eight, each block date-major
+//   - the pair-product table of the history rows: for every history date
+//     t, the K(K+1)/2 products x_j1[t]·x_j2[t] (j1 ≤ j2, row by row) of
+//     the normal matrix's upper triangle. A lane's normal matrix is then
+//     the sum of the table rows of its valid dates, so the masked cross
+//     product of a pixel whose mask is shared with no other costs no lane
+//     branches and no work on the dates it is missing;
+//   - the design table: for every date t of the whole series, the K
+//     regressors x_j[t], read by the right-hand side (LaneMatVec) and the
+//     residual pass (LaneResiduals).
+//
+// Both store their entries in blocks of eight, each block date-major
 // (xx[b*n*8 + t*8 + i] is entry 8b+i at date t): a block is 64 bytes a
-// date, one cache line, and n·64 bytes in all, so it stays L1-resident
-// while every lane of a tile sums it.
+// date, one cache line, and stays L1-resident while every lane of a tile
+// walks it. Padding entries are +0, so a kernel runs whole blocks for any
+// K, and K ≤ 8 regressors are one block.
 //
-// The table depends on the design only, so one table serves every lane
-// of a batch; it is filled once per call and pooled by length across
-// calls (a 1–4-pixel serving request would otherwise allocate it anew).
+// The tables depend on the design only, so one serves every lane of a
+// batch; it is pooled by its tables' lengths across calls (a 1–4-pixel
+// serving request would otherwise allocate it anew).
 type Pairs struct {
-	k, n int
-	// blocks is the number of 8-entry blocks, K(K+1)/2 rounded up; the
-	// padding entries are zero.
-	blocks int
-	xx     []float64
+	k int
+	// n is the number of history dates of the pair table, nd the number
+	// of dates of the design table.
+	n, nd int
+	// blocks is the number of 8-entry blocks of the pair table,
+	// K(K+1)/2 rounded up; xBlocks that of the design table, K rounded up.
+	blocks, xBlocks int
+	xx, xt          []float64
 	// at holds, per entry, its two offsets j1*K+j2 and j2*K+j1 in a K×K
 	// matrix: where the kernel stores it, mirrored.
 	at []int
 }
 
-// pairsPools maps a table length to the sync.Pool of tables that long.
+// PadK returns K rounded up to whole blocks of eight: the length of the
+// padded coefficient vector LaneResiduals reads.
+func PadK(k int) int { return (k + 7) &^ 7 }
+
+// pairsKey is the shape a pooled Pairs is sized for: its tables' lengths.
+type pairsKey struct{ xx, xt int }
+
+// pairsPools maps a pairsKey to the sync.Pool of tables that long.
 var pairsPools sync.Map
 
-// GetPairs returns a table filled from xh (K×n), taken from the pool of
-// its length when one is there. Release hands it back.
-func GetPairs(xh *linalg.Matrix) *Pairs {
-	k, n := xh.Rows, xh.Cols
-	blocks := (k*(k+1)/2 + 7) / 8
+// GetPairs returns the tables of x: the pair products of its first n
+// dates, the history, and the design over all x.N dates. It takes them
+// from the pool of their lengths when one is there; Release hands them
+// back.
+func GetPairs(x *series.DesignMatrix, n int) *Pairs {
+	k := x.K
+	if n > x.N {
+		panic(fmt.Sprintf("tile: %d history dates of a %d-date design", n, x.N))
+	}
+	blocks, xBlocks := (k*(k+1)/2+7)/8, PadK(k)/8
+	key := pairsKey{blocks * n * 8, xBlocks * x.N * 8}
 	var pp *Pairs
-	if p, ok := pairsPools.Load(blocks * n * 8); ok {
+	if p, ok := pairsPools.Load(key); ok {
 		pp, _ = p.(*sync.Pool).Get().(*Pairs)
 	}
 	if pp == nil {
-		pp = &Pairs{xx: make([]float64, blocks*n*8)}
+		pp = &Pairs{xx: make([]float64, key.xx), xt: make([]float64, key.xt)}
 	}
-	pp.k, pp.n, pp.blocks = k, n, blocks
+	pp.k, pp.n, pp.nd, pp.blocks, pp.xBlocks = k, n, x.N, blocks, xBlocks
 	pp.at = pp.at[:0]
 	for j1 := 0; j1 < k; j1++ {
 		for j2 := j1; j2 < k; j2++ {
 			pp.at = append(pp.at, j1*k+j2, j2*k+j1)
 		}
 	}
-	pp.fill(xh)
+	pp.fill(x)
 	return pp
 }
 
-// Release returns the table to the pool of its length.
+// Release returns the tables to the pool of their lengths.
 func (pp *Pairs) Release() {
-	p, ok := pairsPools.Load(len(pp.xx))
+	key := pairsKey{len(pp.xx), len(pp.xt)}
+	p, ok := pairsPools.Load(key)
 	if !ok {
-		p, _ = pairsPools.LoadOrStore(len(pp.xx), new(sync.Pool))
+		p, _ = pairsPools.LoadOrStore(key, new(sync.Pool))
 	}
 	p.(*sync.Pool).Put(pp)
 }
 
-// fill computes the table from xh, zeroing the padding entries.
+// fill computes both tables from x, zeroing the padding entries.
 //
 //bfast:kernel
-func (pp *Pairs) fill(xh *linalg.Matrix) {
-	k, n := pp.k, pp.n
+func (pp *Pairs) fill(x *series.DesignMatrix) {
+	k, n, nd := pp.k, pp.n, pp.nd
 	for t := 0; t < n; t++ {
 		e := 0
 		for j1 := 0; j1 < k; j1++ {
-			x1 := xh.Data[j1*n+t]
+			x1 := x.Data[j1*nd+t]
 			for j2 := j1; j2 < k; j2++ {
-				pp.xx[(e/8*n+t)*8+e%8] = x1 * xh.Data[j2*n+t]
+				pp.xx[(e/8*n+t)*8+e%8] = x1 * x.Data[j2*nd+t]
 				e++
 			}
 		}
 		for ; e < pp.blocks*8; e++ {
 			pp.xx[(e/8*n+t)*8+e%8] = 0
+		}
+	}
+	for t := 0; t < nd; t++ {
+		for j := 0; j < pp.xBlocks*8; j++ {
+			v := 0.0
+			if j < k {
+				v = x.Data[j*nd+t]
+			}
+			pp.xt[(j/8*nd+t)*8+j%8] = v
 		}
 	}
 }
@@ -101,7 +134,7 @@ func (pp *Pairs) fill(xh *linalg.Matrix) {
 // their accumulators in registers across its date walk.
 //
 //bfast:kernel
-func (pp *Pairs) Normals(dates [][]int, T int, out []float64) {
+func (pp *Pairs) Normals(dates [][]int32, T int, out []float64) {
 	k, n := pp.k, pp.n
 	if len(dates) > T || len(out) < k*k*T {
 		panic(fmt.Sprintf("tile: normal matrices of %d lanes into %d slots for K=%d, T=%d", len(dates), len(out), k, T))
@@ -113,7 +146,7 @@ func (pp *Pairs) Normals(dates [][]int, T int, out []float64) {
 		for p, ds := range dates {
 			var a0, a1, a2, a3, a4, a5, a6, a7 float64
 			for _, t := range ds {
-				r := (*[8]float64)(blk[t*8 : t*8+8])
+				r := (*[8]float64)(blk[int(t)*8 : int(t)*8+8])
 				a0 += r[0]
 				a1 += r[1]
 				a2 += r[2]

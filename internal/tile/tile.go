@@ -1,51 +1,46 @@
 // Package tile implements the pixel-tiled execution layout of the batched
-// detection strategies: T pixels are gathered into one time-major SoA tile
-// (Y[t*T+p]) so the same timestep of all T pixels is contiguous, and every
-// kernel pass loads the shared design matrix X once per tile instead of
-// once per pixel. This is the CPU analogue of the paper's register tiling
-// of the masked batched X_h·X_hᵀ (Fig. 4): one load of X's row updates T
-// accumulators held in registers. The per-date validity of the T pixels
-// is a single column-mask word; Gather zero-fills the masked slots, so
-// the lane loops never branch on it.
+// detection strategies. Pixels are binned by their valid-observation
+// count (Plan): pixel indices are sorted by the popcount of their
+// validity bitset, so the pixels sharing a tile have near-uniform NaN
+// loads — the same-inner-size grouping the paper pads its GPU batches
+// into, applied to the irregular missing-value structure. A tile of T
+// pixels is the detector's unit of work, and its K×K normal systems are
+// solved together (linalg.GJBatch).
 //
-// The normal matrices are the exception: each lane sums a table of design
-// products (Pairs) over its own valid history dates, so its work follows
-// its own mask and not the union of its tile-mates'.
+// Inside a tile every pixel (a lane) is compacted on its own: its valid
+// dates and values are read straight from its mask and batch rows
+// (Compact), and the lane kernels — the normal matrix (Pairs.Normals),
+// the history right-hand side (LaneMatVec) and the residual pass
+// (LaneResiduals) — walk only that list, reading the design through
+// tables filled once per batch (Pairs). A lane therefore does no work on
+// the dates it is missing, whatever its tile-mates' masks are: the NaN
+// structure is found once, and only the values a pixel needs are touched
+// (the paper's §III-C argument).
 //
-// Tiles are formed after valid-count binning (Plan): pixel indices are
-// sorted by the popcount of their validity bitset, so the pixels sharing a
-// tile have near-uniform NaN loads — the same-inner-size grouping the
-// paper pads its GPU batches into, applied to the irregular
-// missing-value structure.
+// Data, Gather and Schedule are the time-major transposed tile and its
+// date segments; the detector does not build them. The tile adapters
+// (adapters.go) run the lane kernels over one.
 package tile
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"bfast/internal/obs"
 	"bfast/internal/series"
 )
 
-// Workload-skew introspection (DESIGN.md §7). The pixel and spread
-// histograms are published at plan time — planning already popcounts
-// every pixel, so they cost one extra pass over the bin structure, not
-// over the data; the waste histogram per gathered tile, from its
-// schedule (Schedule.PublishWaste).
+// Workload-skew introspection (DESIGN.md §7), published at plan time —
+// planning already popcounts every pixel, so the histograms cost one
+// extra pass over the bin structure, not over the data.
 //
 //   - tile.pixel.valid: valid-observation count per pixel — the raw
 //     irregularity the binning has to absorb.
-//   - tile.pad.waste_pct: per tile, the share of the lane-dates the lane
-//     kernels sweep that are masked out, 100·(1 − Σc_p/(P·u)) with u the
-//     tile's non-empty dates. Near 0 means the tile's masks align;
-//     masks that differ pixel by pixel push it towards their NaN share.
 //   - tile.bin.spread: per tile, c_max − c_min of its pixels' valid
 //     counts — the residual non-uniformity inside one tile.
 var (
 	statTiles      = obs.Default().Counter("tile.tiles")
 	statPixelValid = obs.Default().Histogram("tile.pixel.valid", []float64{8, 16, 32, 64, 128, 256, 512, 1024})
-	statPadWaste   = obs.Default().Histogram("tile.pad.waste_pct", []float64{0.5, 1, 2, 5, 10, 25, 50})
 	statBinSpread  = obs.Default().Histogram("tile.bin.spread", []float64{0, 1, 2, 4, 8, 16, 32, 64})
 )
 
@@ -154,12 +149,8 @@ type Data struct {
 	// N is the number of dates.
 	N int
 	// Y holds the gathered series, time-major: Y[t*T+p] is pixel
-	// Idx[p]'s observation at date t. On a date where some lane is valid
-	// every slot of the Lanes() the kernels sweep is written, +0 where
-	// the lane is masked out or padding, so the kernels' lane loops read
-	// only gathered values; rows of fully-missing dates and lanes
-	// p >= Lanes() keep whatever the buffer held, and no kernel reads
-	// them.
+	// Idx[p]'s observation at date t where ColMask marks it valid; every
+	// other slot keeps whatever the buffer held.
 	Y []float64
 	// ColMask holds one word per date: bit p set iff lane p is valid at
 	// that date — the transpose of the per-pixel validity bitsets.
@@ -167,10 +158,6 @@ type Data struct {
 	// Idx maps lanes to original pixel indices (a view into the Plan's
 	// Order, set by Gather).
 	Idx []int
-
-	// dates and stride are the date map set by MapDates (nil: identity).
-	dates  []int
-	stride int
 }
 
 // NewData allocates a tile buffer for width t, a positive multiple of 8
@@ -180,33 +167,11 @@ func NewData(t, n int) *Data {
 	return &Data{T: t, N: n, Y: make([]float64, n*t), ColMask: make([]uint64, n)}
 }
 
-// Lanes returns the lanes the kernels sweep: P padded up to whole
-// blocks of eight, ⌈P/8⌉·8.
-func (d *Data) Lanes() int { return (d.P + 7) &^ 7 }
-
-// MapDates sets the date map later Gathers read through: tile date t
-// comes from column dates[t] of source rows stride values long, so a
-// tile can cover a subset of a batch's dates (the populated ones of a
-// cube) without the subset being copied out first. mask, as given to
-// Gather, then describes the mapped dates. nil dates restores the
-// identity, rows of N values, which is what NewData starts with.
-func (d *Data) MapDates(dates []int, stride int) {
-	if dates != nil && len(dates) != d.N {
-		panic(fmt.Sprintf("tile: date map of %d dates for a %d-date tile", len(dates), d.N))
-	}
-	d.dates, d.stride = dates, stride
-}
-
 // Gather transposes the pixels idx (original batch indices, at most T of
-// them) from the row-major batch y (stride mask.N, or the MapDates
-// stride) into the tile: Y becomes time-major and ColMask the per-date
-// lane masks, and P and Idx describe the pixels. A fully-missing date
-// skips its Y row entirely; on every other date each active lane's slot
-// gets its observation or, masked out, +0 — the select keeps the value's
-// bits under an all-ones word and clears them under zero, so the copy
-// has no lane branch. The padding lanes [P, Lanes()) are cleared in the
-// mask and so get +0 on the same dates, which makes every lane block a
-// full eight.
+// them) from the row-major batch y (stride mask.N) into the tile: Y
+// becomes time-major and ColMask the per-date lane masks, and P and Idx
+// describe the pixels. Only the valid slots of Y are written; the lane
+// walks over a tile (adapters.go) read no other.
 func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	n := mask.N
 	if n != d.N {
@@ -218,46 +183,18 @@ func (d *Data) Gather(y []float64, mask *series.BatchMask, idx []int) {
 	d.P = len(idx)
 	d.Idx = idx
 	clear(d.ColMask)
-	// Transpose the per-pixel validity bitsets into per-date column masks.
+	T := d.T
 	for p, px := range idx {
 		bit := uint64(1) << uint(p)
+		row := y[px*n : (px+1)*n]
 		for wi, w := range mask.Row(px) {
 			base := wi * 64
 			for ; w != 0; w &= w - 1 {
 				if t := base + bits.TrailingZeros64(w); t < n {
 					d.ColMask[t] |= bit
+					d.Y[t*T+p] = row[t]
 				}
 			}
-		}
-	}
-	stride := d.N
-	if d.dates != nil {
-		stride = d.stride
-	}
-	var rows [MaxWidth][]float64
-	for p, px := range idx {
-		rows[p] = y[px*stride : (px+1)*stride]
-	}
-	lanes := d.Lanes()
-	for p := d.P; p < lanes; p++ {
-		rows[p] = rows[0] // read, then cleared by the zero mask bit
-	}
-	// Copy observations date-outer: the writes stream sequentially
-	// through Y (the reads walk T parallel row cursors) instead of
-	// striding T words apart per pixel.
-	T := d.T
-	for t, m := range d.ColMask {
-		if m == 0 {
-			continue
-		}
-		src := t
-		if d.dates != nil {
-			src = d.dates[t]
-		}
-		dst := d.Y[t*T : t*T+lanes]
-		for p := range dst {
-			keep := -(m >> uint(p) & 1)
-			dst[p] = math.Float64frombits(math.Float64bits(rows[p][src]) & keep)
 		}
 	}
 }

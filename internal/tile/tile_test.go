@@ -3,7 +3,6 @@ package tile
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -85,9 +84,9 @@ func TestPlanBinningPermutation(t *testing.T) {
 
 // TestGatherRoundTrip: gathering then reading back through the
 // time-major layout must reproduce each pixel's valid observations
-// exactly, the column masks must transpose the per-pixel bitsets, and
-// on every non-empty date the padding slots up to Lanes() must hold +0.
-// Y starts poisoned, so a padding slot Gather skipped would show.
+// exactly, and the column masks must transpose the per-pixel bitsets
+// with no bit set past the tile's pixels. Y starts poisoned, so a valid
+// slot Gather skipped would show.
 func TestGatherRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, tc := range []struct{ m, n, tw int }{
@@ -103,8 +102,8 @@ func TestGatherRoundTrip(t *testing.T) {
 		for ti := 0; ti < pl.Tiles; ti++ {
 			idx := pl.Indices(ti)
 			d.Gather(y, mask, idx)
-			if d.P != len(idx) || d.Lanes() != (len(idx)+7)/8*8 {
-				t.Fatalf("P=%d, %d lanes for %d pixels", d.P, d.Lanes(), len(idx))
+			if d.P != len(idx) {
+				t.Fatalf("P=%d for %d pixels", d.P, len(idx))
 			}
 			for p, px := range idx {
 				row := mask.Row(px)
@@ -118,16 +117,10 @@ func TestGatherRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			// Lanes beyond P must be masked out everywhere, and the
-			// padding lanes +0 wherever the tile has a valid lane.
+			// Lanes beyond P must be masked out everywhere.
 			for tt := 0; tt < tc.n; tt++ {
 				if d.ColMask[tt]>>uint(d.P) != 0 {
 					t.Fatalf("tile %d: ghost lanes in column mask", ti)
-				}
-				for p := d.P; d.ColMask[tt] != 0 && p < d.Lanes(); p++ {
-					if v := d.Y[tt*d.T+p]; math.Float64bits(v) != 0 {
-						t.Fatalf("tile %d date %d padding lane %d holds %v, want +0", ti, tt, p, v)
-					}
 				}
 			}
 		}
@@ -264,96 +257,4 @@ func prefixScene(m, n int, valid func(i int) int) []float64 {
 		}
 	}
 	return y
-}
-
-// TestPublishWaste: a gathered tile's padding waste is the masked share
-// of the lane-dates on its non-empty dates — zero when the lanes share
-// their mask, 100·(1 − 90/120) = 25% for lanes valid on the first 30 and
-// 60 dates, and 50% for two lanes valid on alternate dates, which the
-// valid counts alone (equal) cannot see.
-func TestPublishWaste(t *testing.T) {
-	const n = 70
-	alternate := make([]float64, 2*n)
-	for i := range alternate {
-		if (i%n+i/n)%2 == 0 {
-			alternate[i] = math.NaN()
-		}
-	}
-	for _, tc := range []struct {
-		name string
-		y    []float64
-		want float64
-	}{
-		{"shared", prefixScene(4, n, func(int) int { return 30 }), 0},
-		{"prefixes", prefixScene(2, n, func(i int) int { return 30 * (i + 1) }), 25},
-		{"alternate", alternate, 50},
-		{"empty", prefixScene(3, n, func(int) int { return 0 }), 0},
-	} {
-		m := len(tc.y) / n
-		idx := make([]int, m)
-		for i := range idx {
-			idx[i] = i
-		}
-		d, sc := NewData(8, n), NewSchedule(n)
-		d.Gather(tc.y, series.NewBatchMask(m, n, tc.y), idx)
-		sc.Build(d)
-		count, sum := statPadWaste.Count(), statPadWaste.Sum()
-		sc.PublishWaste(d.P)
-		if statPadWaste.Count() != count+1 {
-			t.Fatalf("%s: %d waste samples, want 1", tc.name, statPadWaste.Count()-count)
-		}
-		if got := statPadWaste.Sum() - sum; got != tc.want {
-			t.Fatalf("%s: waste %v%%, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestGatherThroughDateMap: gathering a subset of the dates through
-// MapDates fills the tile exactly as gathering a compacted copy of the
-// batch does, and MapDates(nil) restores the identity on the same Data.
-func TestGatherThroughDateMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	const m, n, tw = 21, 150, 8
-	y := randomScene(rng, m, n, 0.4)
-	var dates []int
-	for d := 0; d < n; d++ {
-		if rng.Intn(3) != 0 {
-			dates = append(dates, d)
-		}
-	}
-	k := len(dates)
-	compact := make([]float64, m*k)
-	for i := 0; i < m; i++ {
-		for j, d := range dates {
-			compact[i*k+j] = y[i*n+d]
-		}
-	}
-	mask := series.NewBatchMask(m, k, compact)
-	pl := NewPlan(mask, tw)
-	want, got := NewData(tw, k), NewData(tw, k)
-	for _, mapped := range []bool{true, false} {
-		src := compact
-		if mapped {
-			got.MapDates(dates, n)
-			src = y
-		} else {
-			got.MapDates(nil, 0)
-		}
-		for ti := 0; ti < pl.Tiles; ti++ {
-			idx := pl.Indices(ti)
-			want.Gather(compact, mask, idx)
-			got.Gather(src, mask, idx)
-			for d, cm := range want.ColMask {
-				if got.ColMask[d] != cm {
-					t.Fatalf("mapped=%v tile %d date %d: column mask %b, want %b", mapped, ti, d, got.ColMask[d], cm)
-				}
-				for ; cm != 0; cm &= cm - 1 {
-					p := bits.TrailingZeros64(cm)
-					if g, w := got.Y[d*tw+p], want.Y[d*tw+p]; g != w {
-						t.Fatalf("mapped=%v tile %d date %d lane %d: %v, want %v", mapped, ti, d, p, g, w)
-					}
-				}
-			}
-		}
-	}
 }
