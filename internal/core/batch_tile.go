@@ -69,53 +69,46 @@ func newTileScratch(k, n int) *tileScratch {
 	}
 }
 
-// scratchKey is the shape a tileScratch is sized for.
-type scratchKey struct{ k, n int }
-
-// tileScratchPools maps a scratchKey to the sync.Pool of scratches of
-// that shape, so a call — above all a 1–4-pixel serving request, whose
-// scratch is most of what it would allocate — reuses the buffers of an
-// earlier one. Stale contents are harmless: a lane's compacted values
-// and dates are written before any kernel reads them, and every kernel
+// tileScratchPool holds released scratches of any shape, so a call —
+// above all a 1–4-pixel serving request, whose scratch is most of what
+// it would allocate — reuses the buffers of an earlier one.
+// getTileScratch takes a pooled scratch built for the same K whose date
+// buffers have the capacity for n dates, the rule the server's pack
+// buffers follow, so the pool keeps no entry per shape a caller ever
+// brought. Stale contents are harmless: a lane's compacted values and
+// dates are written before any kernel reads them, and every kernel
 // reads only its lane's own count of them; the fit buffers are written
 // for the active lanes before they are read; no result is read from a
-// padding lane; and the padding of lb past K is never written. One entry
-// per distinct (K, N) the process has run.
-var tileScratchPools sync.Map
+// padding lane; and the padding of lb past K is never written.
+var tileScratchPool sync.Pool
 
-func getTileScratch(key scratchKey) *tileScratch {
-	if p, ok := tileScratchPools.Load(key); ok {
-		if s, _ := p.(*sync.Pool).Get().(*tileScratch); s != nil {
-			return s
-		}
+func getTileScratch(k, n int) *tileScratch {
+	s, _ := tileScratchPool.Get().(*tileScratch)
+	if s == nil || s.gj.K != k || cap(s.rbuf) < tile.DefaultWidth*n {
+		return newTileScratch(k, n)
 	}
-	return newTileScratch(key.k, key.n)
-}
-
-func putTileScratch(key scratchKey, s *tileScratch) {
-	p, ok := tileScratchPools.Load(key)
-	if !ok {
-		p, _ = tileScratchPools.LoadOrStore(key, new(sync.Pool))
-	}
-	p.(*sync.Pool).Put(s)
+	s.n = n
+	s.rbuf, s.ix = s.rbuf[:tile.DefaultWidth*n], s.ix[:tile.DefaultWidth*n]
+	return s
 }
 
 // forEachTileScratch runs body over [0, tiles), one tile per steal unit
 // on the shared scheduler, handing each worker a pooled tileScratch that
-// goes back to the pool when the loop returns.
-func forEachTileScratch(ctx context.Context, key scratchKey, tiles, workers int, body func(s *tileScratch, ti int)) error {
+// goes back to the pool when the loop returns. Each scratch is sized for
+// K regressors and series of n dates.
+func forEachTileScratch(ctx context.Context, k, n, tiles, workers int, body func(s *tileScratch, ti int)) error {
 	pool := sched.Shared()
 	scratch := make([]*tileScratch, pool.Workers(workers, tiles))
 	defer func() {
 		for _, s := range scratch {
 			if s != nil {
-				putTileScratch(key, s)
+				tileScratchPool.Put(s)
 			}
 		}
 	}()
 	return pool.ForEachCtx(ctx, tiles, len(scratch), 1, func(id, lo, hi int) {
 		if scratch[id] == nil {
-			scratch[id] = getTileScratch(key)
+			scratch[id] = getTileScratch(k, n)
 		}
 		for ti := lo; ti < hi; ti++ {
 			body(scratch[id], ti)
@@ -319,7 +312,7 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 		sp.SetAttr("shared_pixels", classes.pixels)
 	}
 	var tilesShared atomic.Int64
-	err := forEachTileScratch(ctx, scratchKey{K, N}, plan.Tiles, cfg.Workers, func(s *tileScratch, ti int) {
+	err := forEachTileScratch(ctx, K, N, plan.Tiles, cfg.Workers, func(s *tileScratch, ti int) {
 		idx := plan.Indices(ti)
 		if !initTileResults(idx, mask, opt, s.fit, out) {
 			return

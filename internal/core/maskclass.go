@@ -147,9 +147,8 @@ func newMaskClasses(ctx context.Context, mask *series.BatchMask, pp *tile.Pairs,
 	}
 	mc.inv = make([]float64, len(reps)*K*K)
 	mc.sing = make([]bool, len(reps))
-	key := scratchKey{K, mask.N}
 	tiles := (len(reps) + T - 1) / T
-	err := forEachTileScratch(ctx, key, tiles, cfg.Workers, func(s *tileScratch, ti int) {
+	err := forEachTileScratch(ctx, K, mask.N, tiles, cfg.Workers, func(s *tileScratch, ti int) {
 		lo := ti * T
 		idx := reps[lo:min(lo+T, len(reps))]
 		t0 := time.Now()

@@ -437,27 +437,35 @@ func TestClassSharingCancellation(t *testing.T) {
 	}
 }
 
-// plantScratch puts a fresh scratch of key's shape into an emptied pool
-// with every buffer that outlives a tile poisoned: ±Inf, NaN and −0 in
-// the compacted values, the fit buffers and the in-range coefficients
-// of lb, stale in-range dates in ix, and −1 in every lane count, so
-// ranOn can tell whether a call picked the scratch up.
-func plantScratch(rng *rand.Rand, key scratchKey) *tileScratch {
-	s := newTileScratch(key.k, key.n)
+// drainScratchPool empties tileScratchPool, so the next call builds its
+// scratches afresh.
+func drainScratchPool() {
+	for tileScratchPool.Get() != nil {
+	}
+}
+
+// plantScratch puts a fresh scratch for k regressors and n dates into an
+// emptied pool with every buffer that outlives a tile poisoned: ±Inf,
+// NaN and −0 in the compacted values, the fit buffers and the in-range
+// coefficients of lb, stale in-range dates in ix, and −1 in every lane
+// count, so ranOn can tell whether a call picked the scratch up. A call
+// on series of n or fewer dates may pick it up.
+func plantScratch(rng *rand.Rand, k, n int) *tileScratch {
+	s := newTileScratch(k, n)
 	poison := []float64{math.Inf(1), math.NaN(), math.Inf(-1), math.Copysign(0, -1)}
-	for _, buf := range [][]float64{s.rbuf, s.nrm, s.rhs, s.inv, s.beta, s.lb[:key.k]} {
+	for _, buf := range [][]float64{s.rbuf, s.nrm, s.rhs, s.inv, s.beta, s.lb[:k]} {
 		for i := range buf {
 			buf[i] = poison[(i+rng.Intn(2))%len(poison)]
 		}
 	}
 	for i := range s.ix {
-		s.ix[i] = int32(rng.Intn(key.n))
+		s.ix[i] = int32(rng.Intn(n))
 	}
 	for i := range s.nVal {
 		s.nVal[i] = -1
 	}
-	tileScratchPools.Delete(key)
-	putTileScratch(key, s)
+	drainScratchPool()
+	tileScratchPool.Put(s)
 	return s
 }
 
@@ -467,7 +475,10 @@ func ranOn(s *tileScratch) bool { return s.nVal[0] != -1 }
 // TestPooledScratchCarriesNothingOver runs two unrelated scenes of one
 // shape back to back through one pooled scratch, so the second scene's
 // tiles are computed over whatever the first left in the buffers, and
-// compares with the same call on buffers nobody has used.
+// compares with the same call on buffers nobody has used. The planted
+// scratch is built for longer series than the scenes', so the calls run
+// on buffers reused by capacity, their row stride not the one the
+// poison was laid out in.
 func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	rng := rand.New(rand.NewSource(146))
 	const M, N, n = 45, 180, 90
@@ -475,9 +486,8 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	first := randomBatch(rng, M, N, 0.2)
 	second := maskedScene(rng, M, N, randomMasks(rng, 6, N, 0.6), func(i int) int { return i % 6 })
 	cfg := BatchConfig{Workers: 1}
-	key := scratchKey{opt.K(), N}
 
-	tileScratchPools.Delete(key)
+	drainScratchPool()
 	fresh, err := DetectBatch(context.Background(), second, opt, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -488,7 +498,7 @@ func TestPooledScratchCarriesNothingOver(t *testing.T) {
 	// -race), so a round counts only when both calls demonstrably ran on
 	// the scratch planted here.
 	for attempt := 0; attempt < 50; attempt++ {
-		s := plantScratch(rng, key)
+		s := plantScratch(rng, opt.K(), N+13)
 		if _, err := DetectBatch(context.Background(), first, opt, cfg); err != nil {
 			t.Fatal(err)
 		}
@@ -522,7 +532,6 @@ func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 	const M, N, n = 24, 120, 60
 	opt := defaultTestOpts(n)
 	cfg := BatchConfig{Workers: 1}
-	key := scratchKey{opt.K(), N}
 	specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 	y := make([]float64, M*N)
 	for i := range y {
@@ -538,7 +547,7 @@ func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 		label := fmt.Sprintf("M=%d i.i.d. batch on the poisoned scratch vs scalar", m)
 		ran := false
 		for attempt := 0; attempt < 50 && !ran; attempt++ {
-			s := plantScratch(rng, key)
+			s := plantScratch(rng, opt.K(), N)
 			got1, err := DetectBatch(context.Background(), first, opt, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -551,7 +560,7 @@ func TestPooledScratchZeroFillsMaskedSlots(t *testing.T) {
 					t.Fatalf("lane %d: the ±Inf batch left residual %v and β %v", p, v, s.beta[p])
 				}
 			}
-			s = plantScratch(rng, key)
+			s = plantScratch(rng, opt.K(), N)
 			got2, err := DetectBatch(context.Background(), second, opt, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -23,20 +23,13 @@
 // in the designed series, exactly as in the offline API. Feeding dates
 // in acquisition order is the caller's contract, the same contract the
 // offline series layout already imposes.
-//
-// Fit results are cached across sessions keyed by (canonical options,
-// capacity, history bits): re-fitting the same scene — retries, A/B
-// sessions over one tile, restarts without a snapshot store — reuses the
-// per-pixel fit instead of redoing the normal-equations solve.
 package nrt
 
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sync"
 	"time"
@@ -63,9 +56,6 @@ var (
 	ErrPersist = errors.New("nrt: persisting session failed")
 )
 
-// DefaultCacheSize bounds the fit-result cache (entries ≈ pixels).
-const DefaultCacheSize = 1 << 16
-
 // Config configures a Manager. The zero value works: in-memory store,
 // default registry, snapshot after every observe. The per-pixel
 // fan-outs run on sched.Shared().
@@ -80,8 +70,11 @@ type Config struct {
 	// An observe's persist appends a journal frame; fits, SnapshotNow
 	// and Close write a full base.
 	SnapshotEvery int
-	// CacheSize bounds the fit-result cache in pixel entries.
-	// 0 means DefaultCacheSize; negative disables the cache.
+	// CacheSize is ignored.
+	//
+	// Deprecated: fits are not cached. The field remains only because
+	// the benchmark harness (bench/) still sets it, and goes once that
+	// harness no longer does.
 	CacheSize int
 }
 
@@ -133,16 +126,9 @@ type Manager struct {
 	mu       sync.Mutex
 	sessions map[string]*session
 
-	cacheMu  sync.Mutex
-	cache    map[uint64]state.PixelSnapshot
-	cacheSeq []uint64 // FIFO eviction order
-	cacheCap int
-
 	active      *obs.Gauge
 	fits        *obs.Counter
 	fitPixels   *obs.Counter
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
 	observes    *obs.Counter
 	obsDates    *obs.Counter
 	obsPixels   *obs.Counter
@@ -165,23 +151,15 @@ func NewManager(cfg Config) *Manager {
 	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 1
 	}
-	cacheCap := cfg.CacheSize
-	if cacheCap == 0 {
-		cacheCap = DefaultCacheSize
-	}
 	reg := cfg.Metrics
 	return &Manager{
 		cfg:      cfg,
 		store:    cfg.Store,
 		sessions: make(map[string]*session),
-		cache:    make(map[uint64]state.PixelSnapshot),
-		cacheCap: cacheCap,
 
 		active:      reg.Gauge("nrt.sessions.active"),
 		fits:        reg.Counter("nrt.fits"),
 		fitPixels:   reg.Counter("nrt.fit.pixels"),
-		cacheHits:   reg.Counter("nrt.fit.cache_hits"),
-		cacheMisses: reg.Counter("nrt.fit.cache_misses"),
 		observes:    reg.Counter("nrt.observes"),
 		obsDates:    reg.Counter("nrt.observe.dates"),
 		obsPixels:   reg.Counter("nrt.observe.pixels"),
@@ -212,14 +190,13 @@ type FitRequest struct {
 
 // FitSummary reports the outcome of a fit.
 type FitSummary struct {
-	ID        string `json:"session"`
-	Pixels    int    `json:"pixels"`
-	OK        int    `json:"ok"`
-	Failed    int    `json:"failed"`
-	History   int    `json:"history"`
-	Capacity  int    `json:"capacity"`
-	NextDate  int    `json:"next_date"`
-	CacheHits int    `json:"cache_hits"`
+	ID       string `json:"session"`
+	Pixels   int    `json:"pixels"`
+	OK       int    `json:"ok"`
+	Failed   int    `json:"failed"`
+	History  int    `json:"history"`
+	Capacity int    `json:"capacity"`
+	NextDate int    `json:"next_date"`
 }
 
 // CheckCapacity reports whether a session designed for capacity dates
@@ -231,8 +208,8 @@ func CheckCapacity(capacity, history int) error {
 	return nil
 }
 
-// Fit fits a scene's per-pixel monitor records and registers a new
-// session. Per-pixel fit failures are not errors: they become terminal
+// Fit fits a scene's per-pixel monitor records in one core.FitMonitors
+// call over req.History and registers a new session. Per-pixel fit failures are not errors: they become terminal
 // pixel statuses in every verdict, mirroring the offline per-pixel
 // Status semantics. Errors are reserved for invalid requests and store
 // failures.
@@ -262,9 +239,9 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 	if err != nil {
 		return FitSummary{}, fmt.Errorf("nrt: %w", err)
 	}
-	queueKey, err := opt.QueueKey(req.Capacity)
+	recs, status, err := core.FitMonitors(ctx, &core.Batch{M: m, N: opt.History, Y: req.History}, x, opt, core.BatchConfig{})
 	if err != nil {
-		return FitSummary{}, fmt.Errorf("nrt: %w", err)
+		return FitSummary{}, err
 	}
 
 	s := &session{
@@ -277,9 +254,12 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 		// A fresh session's observe lag is measured from its fit.
 		lastObserve: time.Now(),
 	}
-	hits, err := mg.fitRecords(ctx, s.Pixels, req.History, x, opt, queueKey)
-	if err != nil {
-		return FitSummary{}, err
+	ok := 0
+	for i := range s.Pixels {
+		s.Pixels[i] = state.PixelSnapshot{Status: status[i], MonitorState: recs[i]}
+		if status[i] == core.StatusOK {
+			ok++
+		}
 	}
 
 	id, err := mg.register(s)
@@ -302,70 +282,14 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 
 	mg.fits.Inc()
 	mg.fitPixels.Add(int64(m))
-	mg.cacheHits.Add(int64(hits))
-	mg.cacheMisses.Add(int64(m - hits))
 	span.SetAttr("pixels", m)
-	span.SetAttr("cache_hits", hits)
 	// The session ID on the fit span is what lets a trace reader stitch
 	// this request to the /v1/observe requests that follow it.
 	span.SetAttr("session", id)
-	return mg.summary(id, s, hits), nil
-}
-
-// fitRecords fills px, one record per pixel of the row-per-pixel history
-// matrix hist: cache hits first, then every miss in one core.FitMonitors
-// call over the misses' rows, whose records go into the cache. It
-// returns the number of hits.
-func (mg *Manager) fitRecords(ctx context.Context, px []state.PixelSnapshot, hist []float64, x *series.DesignMatrix, opt core.Options, queueKey string) (int, error) {
-	n := opt.History
-	keys := make([]uint64, len(px))
-	if mg.cacheCap > 0 {
-		err := sched.Shared().ForEachCtx(ctx, len(px), 0, sched.DefaultGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				keys[i] = fitKey(queueKey, hist[i*n:(i+1)*n])
-			}
-		})
-		if err != nil {
-			return 0, err
-		}
-	}
-	miss := make([]int, 0, len(px))
-	for i := range px {
-		var hit bool
-		if px[i], hit = mg.cacheGet(keys[i]); !hit {
-			miss = append(miss, i)
-		}
-	}
-	rows := hist
-	if len(miss) < len(px) {
-		rows = make([]float64, 0, len(miss)*n)
-		for _, i := range miss {
-			rows = append(rows, hist[i*n:(i+1)*n]...)
-		}
-	}
-	recs, status, err := core.FitMonitors(ctx, &core.Batch{M: len(miss), N: n, Y: rows}, x, opt, core.BatchConfig{})
-	if err != nil {
-		return 0, err
-	}
-	for j, i := range miss {
-		px[i] = state.PixelSnapshot{Status: status[j], MonitorState: recs[j]}
-		mg.cachePut(keys[i], px[i])
-	}
-	return len(px) - len(miss), nil
-}
-
-func (mg *Manager) summary(id string, s *session, hits int) FitSummary {
-	ok := 0
-	for i := range s.Pixels {
-		if s.Pixels[i].Status == core.StatusOK {
-			ok++
-		}
-	}
 	return FitSummary{
-		ID: id, Pixels: len(s.Pixels), OK: ok, Failed: len(s.Pixels) - ok,
-		History: s.History, Capacity: s.Capacity, NextDate: s.NextDate,
-		CacheHits: hits,
-	}
+		ID: id, Pixels: m, OK: ok, Failed: m - ok,
+		History: opt.History, Capacity: req.Capacity, NextDate: opt.History,
+	}, nil
 }
 
 // register assigns a fresh ID and publishes the session.
@@ -405,55 +329,6 @@ func newID() (string, error) {
 		return "", fmt.Errorf("nrt: %w", err)
 	}
 	return fmt.Sprintf("s-%x", b), nil
-}
-
-// fitKey hashes (canonical option key, history bits) — the fit-cache key.
-// Two pixels with equal keys produce bit-identical fits, the same
-// guarantee Options.QueueKey gives the coalescing layer.
-func fitKey(queueKey string, hist []float64) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(queueKey))
-	var buf [8]byte
-	for _, v := range hist {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-		h.Write(buf[:])
-	}
-	return h.Sum64()
-}
-
-// cacheGet returns a deep copy of the cached fit for key: the session
-// that adopts it pushes the window in place.
-func (mg *Manager) cacheGet(key uint64) (state.PixelSnapshot, bool) {
-	if mg.cacheCap <= 0 {
-		return state.PixelSnapshot{}, false
-	}
-	mg.cacheMu.Lock()
-	p, ok := mg.cache[key]
-	mg.cacheMu.Unlock()
-	if ok {
-		p.MonitorState = p.Clone()
-	}
-	return p, ok
-}
-
-// cachePut stores a deep copy of a freshly fitted pixel (nothing
-// observed yet), so the fitting session's pushes cannot reach the cache.
-func (mg *Manager) cachePut(key uint64, p state.PixelSnapshot) {
-	if mg.cacheCap <= 0 {
-		return
-	}
-	p.MonitorState = p.Clone()
-	mg.cacheMu.Lock()
-	if _, exists := mg.cache[key]; !exists {
-		for len(mg.cache) >= mg.cacheCap && len(mg.cacheSeq) > 0 {
-			oldest := mg.cacheSeq[0]
-			mg.cacheSeq = mg.cacheSeq[1:]
-			delete(mg.cache, oldest)
-		}
-		mg.cacheSeq = append(mg.cacheSeq, key)
-	}
-	mg.cache[key] = p
-	mg.cacheMu.Unlock()
 }
 
 // --- observe --------------------------------------------------------------

@@ -206,114 +206,27 @@ func TestRestartFromSnapshotBitIdentical(t *testing.T) {
 	checkVerdicts(t, res.Verdicts, offlineDetect(t, ds, opt, N), "after restart")
 }
 
-// TestFitCacheReuse: refitting an identical scene must hit the fit
-// cache for every pixel and behave identically afterwards — also after
-// the first two sessions have pushed their records, which must not
-// write through into the cache.
-func TestFitCacheReuse(t *testing.T) {
+// TestFitSessionsIndependent: two sessions fitted from the same scene
+// share no record. The first is observed through its whole monitoring
+// period before the second sees a date, and both must still equal the
+// offline refit bit for bit, so no session's pushes reach another.
+func TestFitSessionsIndependent(t *testing.T) {
 	leakcheck.Check(t)
 	ds, opt := testScene(t)
-	n := ds.Spec.History
+	n, N := ds.Spec.History, ds.Spec.N
 	mg := NewManager(Config{Metrics: obs.NewRegistry()})
 	ctx := context.Background()
 
 	first := fitScene(t, mg, ds, opt)
-	if first.CacheHits != 0 {
-		t.Fatalf("cold fit reported %d cache hits", first.CacheHits)
-	}
 	second := fitScene(t, mg, ds, opt)
-	if second.CacheHits != ds.Spec.M {
-		t.Fatalf("warm fit hit %d of %d pixels", second.CacheHits, ds.Spec.M)
-	}
-
-	day := sceneDates(ds, n, n+1)
-	r1, err := mg.Observe(ctx, first.ID, day, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := mg.Observe(ctx, second.ID, day, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Verdicts {
-		a, b := r1.Verdicts[i], r2.Verdicts[i]
-		if a.Status != b.Status || a.BreakOffset != b.BreakOffset ||
-			math.Float64bits(a.Mean) != math.Float64bits(b.Mean) ||
-			math.Float64bits(a.Process) != math.Float64bits(b.Process) {
-			t.Fatalf("pixel %d: cached fit diverged: %+v vs %+v", i, a, b)
+	offline := offlineDetect(t, ds, opt, N)
+	for _, id := range []string{first.ID, second.ID} {
+		res, err := mg.Observe(ctx, id, sceneDates(ds, n, N), N-n)
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkVerdicts(t, res.Verdicts, offline, id)
 	}
-
-	third := fitScene(t, mg, ds, opt)
-	if third.CacheHits != ds.Spec.M {
-		t.Fatalf("fit after observes hit %d of %d pixels", third.CacheHits, ds.Spec.M)
-	}
-	r3, err := mg.Observe(ctx, third.ID, day, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Verdicts {
-		a, c := r1.Verdicts[i], r3.Verdicts[i]
-		if a.Status != c.Status || a.BreakOffset != c.BreakOffset || a.ValidMon != c.ValidMon ||
-			math.Float64bits(a.Mean) != math.Float64bits(c.Mean) ||
-			math.Float64bits(a.Process) != math.Float64bits(c.Process) {
-			t.Fatalf("pixel %d: a live session wrote through into the cache: %+v vs %+v", i, a, c)
-		}
-	}
-}
-
-// TestFitPartialCacheHits: a fit whose pixels are partly cache hits and
-// partly misses resolves the hits, fits the misses' rows in one batch
-// and scatters the records back to their pixels — and the session's
-// verdicts still equal the offline refit bit for bit. The warm session
-// fits every third pixel in reverse order, so hits and misses interleave
-// and the misses' batch is not a whole number of tiles.
-func TestFitPartialCacheHits(t *testing.T) {
-	leakcheck.Check(t)
-	ds, opt := testScene(t)
-	M, N, n := ds.Spec.M, ds.Spec.N, ds.Spec.History
-	mg := NewManager(Config{Metrics: obs.NewRegistry()})
-	ctx := context.Background()
-
-	canon, err := opt.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	queueKey, err := canon.QueueKey(N)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warm []float64
-	cached := map[uint64]bool{}
-	for i := M - 1; i >= 0; i-- {
-		if i%3 == 1 {
-			row := ds.Y[i*N : i*N+n]
-			warm = append(warm, row...)
-			cached[fitKey(queueKey, row)] = true
-		}
-	}
-	if _, err := mg.Fit(ctx, FitRequest{Options: opt, Pixels: len(warm) / n, History: warm, Capacity: N}); err != nil {
-		t.Fatal(err)
-	}
-	wantHits := 0
-	for i := 0; i < M; i++ {
-		if cached[fitKey(queueKey, ds.Y[i*N:i*N+n])] {
-			wantHits++
-		}
-	}
-	if wantHits == 0 || wantHits == M {
-		t.Fatalf("%d of %d pixels cached: the fit would not mix hits and misses", wantHits, M)
-	}
-
-	sum := fitScene(t, mg, ds, opt)
-	if sum.CacheHits != wantHits {
-		t.Fatalf("fit hit %d pixels, %d cached", sum.CacheHits, wantHits)
-	}
-	res, err := mg.Observe(ctx, sum.ID, sceneDates(ds, n, N), N-n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkVerdicts(t, res.Verdicts, offlineDetect(t, ds, opt, N), "partly cached fit")
 }
 
 // TestRestoreRejectsInvalid: a snapshot that passes the checksum but

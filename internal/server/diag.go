@@ -208,7 +208,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeError(w, errf(http.StatusNotFound, CodeInvalidArgument,
+		writeError(w, errf(http.StatusNotFound, CodeNotFound,
 			"no trace for request_id %q (rotated out or never traced)", id))
 		return
 	}

@@ -161,8 +161,12 @@ func TestTracesMergeAcrossRestart(t *testing.T) {
 	if err := json.Unmarshal(body, &one); err != nil || one.RequestID != "persist-me" {
 		t.Fatalf("request_id lookup body = %s (%v)", body, err)
 	}
-	if resp, _ := get(t, tsB, "/debug/bfast/traces?request_id=never-existed"); resp.StatusCode != http.StatusNotFound {
+	resp, body = get(t, tsB, "/debug/bfast/traces?request_id=never-existed")
+	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown request_id: %d, want 404", resp.StatusCode)
+	}
+	if e := errEnvelope(t, body); e.Code != CodeNotFound {
+		t.Fatalf("unknown request_id: code %q, want %q", e.Code, CodeNotFound)
 	}
 }
 

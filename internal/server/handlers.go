@@ -300,17 +300,20 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument,
 			"series has %d dates, want 1 to %d", n, s.cfg.MaxSeriesLen)
 	}
+	// Every row is checked before the declared n sizes the pack buffer,
+	// so a body of short rows cannot allocate far beyond its own size.
+	for i, p := range req.Pixels {
+		if len(p) != n {
+			return nil, errf(http.StatusBadRequest, CodeLengthMismatch,
+				"pixel %d has %d dates, expected %d", i, len(p), n)
+		}
+	}
 	m := len(req.Pixels)
 	tr.Pixels = m
 	_, sp := obs.StartSpan(r.Context(), "pack")
 	flat := s.getPackBuf(m * n)
 	defer s.putPackBuf(flat)
 	for i, p := range req.Pixels {
-		if len(p) != n {
-			sp.End()
-			return nil, errf(http.StatusBadRequest, CodeLengthMismatch,
-				"pixel %d has %d dates, expected %d", i, len(p), n)
-		}
 		copy(flat[i*n:(i+1)*n], p)
 	}
 	sp.End()

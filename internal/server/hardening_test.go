@@ -9,10 +9,12 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"bfast/internal/core"
 	"bfast/internal/nrt"
 	"bfast/internal/sched"
 )
@@ -404,5 +406,91 @@ func TestRetryAfterConfigurable(t *testing.T) {
 	}
 	if got := mustServer(t, Config{}).Config().RetryAfterSeconds; got != 1 {
 		t.Fatalf("default RetryAfterSeconds = %d, want 1", got)
+	}
+}
+
+// TestHostileBodiesAllocateBounded: a body of 4 096 empty rows declaring
+// a long row length (n, history, or an 8 192-pixel session's width) must
+// get its 400 length_mismatch without allocating the pack buffer that
+// length would need — about 12 KB of request must not cost hundreds of
+// MB. Each call may allocate at most 4 MB in total. The cases run in
+// order of the buffer they would size, so none could hide behind a
+// larger one left in the pool by the case before.
+func TestHostileBodiesAllocateBounded(t *testing.T) {
+	s := mustServer(t, Config{})
+	const rows, sessionPixels = 4096, 8192
+	hist := make([]float64, sessionPixels*50)
+	sum, err := s.nrtMgr.Fit(context.Background(), nrt.FitRequest{
+		Options: core.DefaultOptions(50), Pixels: sessionPixels, History: hist, Capacity: 100,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := strings.Repeat("[],", rows-1) + "[]"
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/observe", `{"session":"` + sum.ID + `","dates":[` + empty + `]}`},
+		{"/v1/fit", `{"pixels":[` + empty + `],"history":16000,"capacity":16001}`},
+		{"/v1/batch", `{"pixels":[` + empty + `],"history":16000,"n":16384}`},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", tc.path, rec.Code, rec.Body.Bytes())
+		}
+		if e := errEnvelope(t, rec.Body.Bytes()); e.Code != CodeLengthMismatch {
+			t.Fatalf("%s: code %q, want %q", tc.path, e.Code, CodeLengthMismatch)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
+			t.Fatalf("%s: a %d-byte body allocated %d bytes", tc.path, len(tc.body), grew)
+		}
+	}
+}
+
+// TestBatchShapesLeaveNoHeap: the kernels' buffer pools keep nothing per
+// request shape. 2 000 single-pixel /v1/batch calls, each with its own
+// (history, n), must leave the live heap, after two collections have
+// emptied every sync.Pool, less than 64 KB above where it started.
+func TestBatchShapesLeaveNoHeap(t *testing.T) {
+	s := mustServer(t, Config{TraceDepth: -1})
+	rng := rand.New(rand.NewSource(36))
+	call := func(history, n int) {
+		t.Helper()
+		px := make([]float64, n)
+		for i := range px {
+			px[i] = rng.NormFloat64()
+		}
+		body, err := json.Marshal(map[string]any{"pixels": [][]float64{px}, "history": history})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("history %d, n %d: status %d: %s", history, n, rec.Code, rec.Body.Bytes())
+		}
+	}
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Warm every lazily built structure the calls touch on shapes outside
+	// the measured set.
+	for n := 300; n < 400; n++ {
+		call(24, n)
+	}
+	before := liveHeap()
+	for history := 24; history < 44; history += 2 {
+		for n := 60; n < 260; n++ {
+			call(history, n)
+		}
+	}
+	if grew := int64(liveHeap()) - int64(before); grew >= 64<<10 {
+		t.Fatalf("2000 request shapes left %d bytes of live heap", grew)
 	}
 }

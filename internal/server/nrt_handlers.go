@@ -115,14 +115,16 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		return nil, errf(http.StatusTooManyRequests, CodeRateLimited,
 			"session limit %d reached; delete a session first", s.cfg.NRT.MaxSessions)
 	}
-	tr.Pixels = m
-	flat := s.getPackBuf(m * req.History)
-	defer s.putPackBuf(flat)
 	for i, p := range req.Pixels {
 		if len(p) != req.History {
 			return nil, errf(http.StatusBadRequest, CodeLengthMismatch,
 				"pixel %d has %d dates, history is %d", i, len(p), req.History)
 		}
+	}
+	tr.Pixels = m
+	flat := s.getPackBuf(m * req.History)
+	defer s.putPackBuf(flat)
+	for i, p := range req.Pixels {
 		copy(flat[i*req.History:(i+1)*req.History], p)
 	}
 	sum, err := s.nrtMgr.Fit(r.Context(), nrt.FitRequest{
@@ -161,13 +163,15 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	}
 	m := info.Pixels
 	tr.Pixels = m
-	flat := s.getPackBuf(len(req.Dates) * m)
-	defer s.putPackBuf(flat)
 	for d, row := range req.Dates {
 		if len(row) != m {
 			return nil, errf(http.StatusBadRequest, CodeLengthMismatch,
 				"date %d has %d values, session %s has %d pixels", d, len(row), req.Session, m)
 		}
+	}
+	flat := s.getPackBuf(len(req.Dates) * m)
+	defer s.putPackBuf(flat)
+	for d, row := range req.Dates {
 		copy(flat[d*m:(d+1)*m], row)
 	}
 	res, err := s.nrtMgr.Observe(r.Context(), req.Session, flat, len(req.Dates))

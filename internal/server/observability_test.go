@@ -163,6 +163,9 @@ func TestTracesEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id status %d: %s", resp.StatusCode, body)
 	}
+	if e := errEnvelope(t, body); e.Code != CodeNotFound {
+		t.Fatalf("unknown id code %q, want %q", e.Code, CodeNotFound)
+	}
 }
 
 // TestTracingDisabledSkipsSpans: TraceDepth < 0 turns the ring off, and

@@ -59,7 +59,7 @@ func RouteTable() []Route {
 		{Method: "GET", Path: "/metrics", Summary: "metric JSON (Prometheus text via Accept)", Debug: true},
 		{Method: "GET", Path: "/debug/bfast", Summary: "resolved config and recent request traces", Debug: true},
 		{Method: "GET", Path: "/debug/bfast/traces", Summary: "recent span trees, ring + persisted (?limit=, ?since=, ?request_id=)", Debug: true,
-			Codes: []string{CodeInvalidArgument}},
+			Codes: []string{CodeNotFound, CodeInvalidArgument}},
 		{Method: "GET", Path: "/debug/bfast/flight", Summary: "flight-recorder bundle: metrics, traces, config, profiles (tar.gz)", Debug: true,
 			Codes: []string{CodeMethodNotAllowed}},
 		{Method: "GET", Path: "/debug/pprof/", Summary: "pprof index", Debug: true, Pprof: true},

@@ -370,9 +370,19 @@ func (s *FileStore) Delete(ctx context.Context, id string) error {
 		return err
 	}
 	// The base goes first: once it is gone the session is no longer
-	// listed, and a journal left by a crash here is never read.
+	// listed, and a journal left by a crash here is never read. The
+	// directory is synced once anything was removed, so a crash after
+	// Delete returns cannot bring the base back.
+	removed := false
 	for _, p := range []string{s.path(id), s.journalPath(id)} {
-		if err := os.Remove(p); err != nil && !errors.Is(err, os.ErrNotExist) {
+		err := os.Remove(p)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("state: %w", err)
+		}
+		removed = removed || err == nil
+	}
+	if removed {
+		if err := s.syncDir(); err != nil {
 			return fmt.Errorf("state: %w", err)
 		}
 	}

@@ -27,8 +27,8 @@ import (
 // K, and K ≤ 8 regressors are one block.
 //
 // The tables depend on the design only, so one serves every lane of a
-// batch; it is pooled by its tables' lengths across calls (a 1–4-pixel
-// serving request would otherwise allocate it anew).
+// batch; it is pooled across calls (a 1–4-pixel serving request would
+// otherwise allocate it anew).
 type Pairs struct {
 	k int
 	// n is the number of history dates of the pair table, nd the number
@@ -47,30 +47,26 @@ type Pairs struct {
 // padded coefficient vector LaneResiduals reads.
 func PadK(k int) int { return (k + 7) &^ 7 }
 
-// pairsKey is the shape a pooled Pairs is sized for: its tables' lengths.
-type pairsKey struct{ xx, xt int }
-
-// pairsPools maps a pairsKey to the sync.Pool of tables that long.
-var pairsPools sync.Map
+// pairsPool holds released tables of any shape. GetPairs reuses one
+// whose tables have the capacity it needs, as the server's pack buffers
+// do, so the pool holds no entry per shape a caller ever brought.
+var pairsPool sync.Pool
 
 // GetPairs returns the tables of x: the pair products of its first n
-// dates, the history, and the design over all x.N dates. It takes them
-// from the pool of their lengths when one is there; Release hands them
-// back.
+// dates, the history, and the design over all x.N dates. It reuses a
+// pooled Pairs whose tables are long enough; Release hands it back.
 func GetPairs(x *series.DesignMatrix, n int) *Pairs {
 	k := x.K
 	if n > x.N {
 		panic(fmt.Sprintf("tile: %d history dates of a %d-date design", n, x.N))
 	}
 	blocks, xBlocks := (k*(k+1)/2+7)/8, PadK(k)/8
-	key := pairsKey{blocks * n * 8, xBlocks * x.N * 8}
-	var pp *Pairs
-	if p, ok := pairsPools.Load(key); ok {
-		pp, _ = p.(*sync.Pool).Get().(*Pairs)
+	nxx, nxt := blocks*n*8, xBlocks*x.N*8
+	pp, _ := pairsPool.Get().(*Pairs)
+	if pp == nil || cap(pp.xx) < nxx || cap(pp.xt) < nxt {
+		pp = &Pairs{xx: make([]float64, nxx), xt: make([]float64, nxt)}
 	}
-	if pp == nil {
-		pp = &Pairs{xx: make([]float64, key.xx), xt: make([]float64, key.xt)}
-	}
+	pp.xx, pp.xt = pp.xx[:nxx], pp.xt[:nxt]
 	pp.k, pp.n, pp.nd, pp.blocks, pp.xBlocks = k, n, x.N, blocks, xBlocks
 	pp.at = pp.at[:0]
 	for j1 := 0; j1 < k; j1++ {
@@ -82,15 +78,8 @@ func GetPairs(x *series.DesignMatrix, n int) *Pairs {
 	return pp
 }
 
-// Release returns the tables to the pool of their lengths.
-func (pp *Pairs) Release() {
-	key := pairsKey{len(pp.xx), len(pp.xt)}
-	p, ok := pairsPools.Load(key)
-	if !ok {
-		p, _ = pairsPools.LoadOrStore(key, new(sync.Pool))
-	}
-	p.(*sync.Pool).Put(pp)
-}
+// Release returns the tables to the pool.
+func (pp *Pairs) Release() { pairsPool.Put(pp) }
 
 // fill computes both tables from x, zeroing the padding entries.
 //
