@@ -6,9 +6,11 @@
 # fixture diagnostics; `make race` exercises every package (root, cmd
 # and internal) under the race detector; `make fuzz-smoke` runs each
 # native fuzz target for ~10s over its corpus (dates.ParseDate, the
-# /v1/batch, /v1/fit and /v1/observe decode paths, the BFSS
-# session-snapshot decoder, the BFJF journal-frame decoder and the tile
-# lane kernels against their scalar oracles);
+# /v1/batch, /v1/fit and /v1/observe decode paths, the range-rendered
+# observe and batch replies against their one-range rendering and
+# encoding/json, the BFSS session-snapshot decoder, the BFJF
+# journal-frame decoder and the tile lane kernels against their scalar
+# oracles);
 # `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
@@ -66,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzFitDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzObserveDecode -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzReplyRanges -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzLaneKernels -fuzztime=$(FUZZTIME) ./internal/tile/

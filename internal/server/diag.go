@@ -198,13 +198,13 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if id := q.Get("request_id"); id != "" {
 		tr, ok := s.ring.Find(id)
 		if ok {
-			writeJSON(w, tr)
+			writeJSON(r.Context(), w, tr)
 			return
 		}
 		// Not in the ring — it may still be a tail-sampled survivor.
 		for _, rec := range s.tail.ReadBack(0, time.Time{}) {
 			if rec.RequestID == id {
-				writeJSON(w, rec.Trace)
+				writeJSON(r.Context(), w, rec.Trace)
 				return
 			}
 		}
@@ -232,7 +232,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		since = t
 	}
-	writeJSON(w, map[string]any{"traces": s.mergedTraces(limit, since)})
+	writeJSON(r.Context(), w, map[string]any{"traces": s.mergedTraces(limit, since)})
 }
 
 // mergedTraces joins the in-memory ring with the persisted trace log:

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -106,6 +108,79 @@ func FuzzObserveDecode(f *testing.F) {
 	id := []byte(sum.ID)
 	fuzzServe(f, srv, "/v1/observe", func(body []byte) []byte {
 		return bytes.ReplaceAll(body, []byte("$ID"), id)
+	})
+}
+
+// FuzzReplyRanges renders a random /v1/observe reply and a random
+// /v1/batch reply of the same size, up to four ranges, through writeJSON
+// and requires both bodies to equal their one-range rendering and
+// encoding/json's. Floats come from raw bit patterns and from a list of
+// edge values, so NaN, ±Inf, subnormals, negative zero and both
+// 'e'-format boundaries all occur. A result renders its floats only
+// with StatusOK, and only such a result is kept finite: encoding/json
+// rejects a non-finite value where the reply would write one.
+func FuzzReplyRanges(f *testing.F) {
+	for i, size := range []int{0, 1, replyRange - 1, replyRange, replyRange + 1, 2*replyRange - 1, 2 * replyRange, 3*replyRange + 17} {
+		f.Add(int64(i), uint16(size))
+	}
+	edges := []float64{
+		math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0,
+		5e-324, 1e-310, 1e-7, 9.99e-7, 1e-6, 1e20, 9.99e20, 1e21, math.MaxFloat64,
+	}
+	statuses := []core.Status{
+		core.StatusOK, core.StatusInsufficientHistory, core.StatusSingular,
+		core.StatusNoMonitoringData, core.StatusNoVariance,
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		draw := func() float64 {
+			if rng.Intn(2) == 0 {
+				return edges[rng.Intn(len(edges))]
+			}
+			return math.Float64frombits(rng.Uint64())
+		}
+		finite := func() float64 {
+			for {
+				if v := draw(); !math.IsNaN(v) && !math.IsInf(v, 0) {
+					return v
+				}
+			}
+		}
+		n := int(size) % (4 * replyRange)
+		obsRes := nrt.ObserveResult{ID: "s-fuzz", Dates: rng.Intn(4), NextDate: rng.Intn(500), Remaining: rng.Intn(500)}
+		batch := make(batchReply, n)
+		oracle := make([]DetectResponse, n)
+		for i := 0; i < n; i++ {
+			off := rng.Intn(300) - 1
+			v := nrt.Verdict{
+				Status: statuses[rng.Intn(len(statuses))], Break: off >= 0, BreakOffset: off,
+				Process: draw(), Mean: draw(), ValidMon: rng.Intn(300),
+			}
+			if v.Break {
+				obsRes.Breaks++
+			}
+			obsRes.Verdicts = append(obsRes.Verdicts, v)
+			res := core.Result{
+				Status: statuses[rng.Intn(len(statuses))], BreakIndex: rng.Intn(300) - 1,
+				MosumMean: draw(), Sigma: draw(), ValidHistory: rng.Intn(300), Valid: rng.Intn(600),
+			}
+			if res.Status == core.StatusOK {
+				res.MosumMean, res.Sigma = finite(), finite()
+			}
+			batch[i], oracle[i] = res, resultJSON(res)
+		}
+		want := oracleReply(t, obsRes)
+		if got := appendReply(nil, observeReply{obsRes}); !bytes.Equal(got, want) {
+			t.Fatalf("%d verdicts: one-range bytes differ:\n got %s\nwant %s", n, got, want)
+		}
+		rec := httptest.NewRecorder()
+		if err := writeJSON(context.Background(), rec, observeReply{obsRes}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("%d verdicts: writeJSON bytes differ:\n got %s\nwant %s", n, rec.Body.Bytes(), want)
+		}
+		checkReply(t, batch, oracle)
 	})
 }
 

@@ -167,28 +167,39 @@ func (s *Server) checkSeries(req *DetectRequest) *apiError {
 }
 
 // resultReply is the body of /v1/detect and batchReply that of
-// /v1/batch, one object per pixel. Both append the bytes encoding/json
-// writes for the equivalent DetectResponse (a []DetectResponse for the
-// batch), trailing newline included, without building one or reflecting
-// over it; TestAppendResultJSONMatchesEncoder pins the equivalence.
+// /v1/batch, one object per pixel, each a row. Both append the bytes
+// encoding/json writes for the equivalent DetectResponse (a
+// []DetectResponse for the batch), trailing newline included, without
+// building one or reflecting over it; TestAppendResultJSONMatchesEncoder
+// pins the equivalence.
 type (
 	resultReply core.Result
 	batchReply  []core.Result
 )
 
-func (r resultReply) appendJSON(b []byte) []byte {
-	return append(appendResultJSON(b, core.Result(r)), '\n')
+func (r resultReply) rows() int                  { return 1 }
+func (r resultReply) appendHead(b []byte) []byte { return b }
+func (r resultReply) appendTail(b []byte) []byte { return append(b, '\n') }
+
+func (r resultReply) appendRows(b []byte, lo, hi int) []byte {
+	if lo < hi {
+		b = appendResultJSON(b, core.Result(r))
+	}
+	return b
 }
 
-func (rs batchReply) appendJSON(b []byte) []byte {
-	b = append(b, '[')
-	for i, res := range rs {
+func (rs batchReply) rows() int                  { return len(rs) }
+func (rs batchReply) appendHead(b []byte) []byte { return append(b, '[') }
+func (rs batchReply) appendTail(b []byte) []byte { return append(b, "]\n"...) }
+
+func (rs batchReply) appendRows(b []byte, lo, hi int) []byte {
+	for i := lo; i < hi; i++ {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendResultJSON(b, res)
+		b = appendResultJSON(b, rs[i])
 	}
-	return append(b, "]\n"...)
+	return b
 }
 
 // appendResultJSON appends one pixel's DetectResponse object.

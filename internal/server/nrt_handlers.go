@@ -182,13 +182,16 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 }
 
 // observeReply is the body of a successful /v1/observe. It appends its
-// JSON straight from the manager's result: the bytes encoding/json
-// writes for the equivalent ObserveResponse — same field order, same
-// number formatting, NaN and ±Inf process values omitted, trailing
-// newline — without building one or reflecting over it.
+// JSON straight from the manager's result, one verdict per row: the
+// bytes encoding/json writes for the equivalent ObserveResponse — same
+// field order, same number formatting, NaN and ±Inf process values
+// omitted, trailing newline — without building one or reflecting over
+// it.
 type observeReply struct{ res nrt.ObserveResult }
 
-func (o observeReply) appendJSON(b []byte) []byte {
+func (o observeReply) rows() int { return len(o.res.Verdicts) }
+
+func (o observeReply) appendHead(b []byte) []byte {
 	r := &o.res
 	b = append(b, `{"session":`...)
 	b = appendJSONString(b, r.ID)
@@ -200,9 +203,12 @@ func (o observeReply) appendJSON(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(r.Remaining), 10)
 	b = append(b, `,"breaks":`...)
 	b = strconv.AppendInt(b, int64(r.Breaks), 10)
-	b = append(b, `,"verdicts":[`...)
-	for i := range r.Verdicts {
-		v := &r.Verdicts[i]
+	return append(b, `,"verdicts":[`...)
+}
+
+func (o observeReply) appendRows(b []byte, lo, hi int) []byte {
+	for i := lo; i < hi; i++ {
+		v := &o.res.Verdicts[i]
 		if i > 0 {
 			b = append(b, ',')
 		}
@@ -220,8 +226,10 @@ func (o observeReply) appendJSON(b []byte) []byte {
 		b = strconv.AppendInt(b, int64(v.ValidMon), 10)
 		b = append(b, '}')
 	}
-	return append(b, "]}\n"...)
+	return b
 }
+
+func (o observeReply) appendTail(b []byte) []byte { return append(b, "]}\n"...) }
 
 // appendOptionalFloat appends the key and v, or nothing for the values
 // JSON cannot carry (an omitted *float64 field in ObserveResponse).

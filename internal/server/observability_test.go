@@ -12,6 +12,8 @@ import (
 	"testing"
 	"time"
 
+	"bfast/internal/core"
+	"bfast/internal/nrt"
 	"bfast/internal/obs"
 )
 
@@ -116,6 +118,51 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 	// that durations are populated, not just names.
 	if d := tr.Spans.Find("detect"); d.DurNs <= 0 {
 		t.Fatalf("detect span duration %d", d.DurNs)
+	}
+}
+
+// TestObserveEncodeSpan: an observe's trace records on its encode span
+// the bytes it wrote and the ranges it rendered them in, and a reply of
+// several ranges runs its parallel loop under that span.
+func TestObserveEncodeSpan(t *testing.T) {
+	s := mustServer(t, Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	rng := rand.New(rand.NewSource(47))
+	const history, px = 12, 2*replyRange + 5
+	hist := make([]float64, px*history)
+	for i := range hist {
+		hist[i] = 0.5 + 0.01*rng.NormFloat64()
+	}
+	sum, err := s.nrtMgr.Fit(context.Background(), nrt.FitRequest{
+		Options: core.DefaultOptions(history), Pixels: px, History: hist, Capacity: 2 * history,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "observe-encode-1"
+	resp, body := postWithHeaders(t, ts, "/v1/observe",
+		map[string]any{"session": sum.ID, "dates": []Series{jsonSeries(rng, px, -1, 0.2)}},
+		map[string]string{HeaderRequestID: id})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("observe status %d: %s", resp.StatusCode, body)
+	}
+	tr, ok := s.ring.Find(id)
+	if !ok {
+		t.Fatalf("no trace for %s", id)
+	}
+	enc := tr.Spans.Find("encode")
+	if enc == nil {
+		t.Fatalf("observe trace has no encode span: %+v", tr.Spans)
+	}
+	if got := enc.Attrs["bytes"]; got != len(body) {
+		t.Fatalf("encode bytes = %v, body is %d bytes", got, len(body))
+	}
+	if got := enc.Attrs["ranges"]; got != 3 {
+		t.Fatalf("encode ranges = %v, want 3 for %d verdicts", got, px)
+	}
+	if enc.Find("sched.foreach") == nil {
+		t.Fatalf("encode span has no sched.foreach child: %+v", enc)
 	}
 }
 

@@ -2,9 +2,16 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"bfast/internal/core"
@@ -83,8 +90,36 @@ func replyCases() nrt.ObserveResult {
 	return res
 }
 
+// appendReply appends a's whole reply to b as one range: the reference
+// every range-split rendering must match.
+func appendReply(b []byte, a jsonAppender) []byte {
+	b = a.appendHead(b)
+	b = a.appendRows(b, 0, a.rows())
+	return a.appendTail(b)
+}
+
+// repeatVerdicts returns res with its verdicts cycled out to n rows and
+// Breaks recounted, so a reply of any size mixes every case of res.
+func repeatVerdicts(res nrt.ObserveResult, n int) nrt.ObserveResult {
+	src := res.Verdicts
+	res.Verdicts, res.Breaks = make([]nrt.Verdict, n), 0
+	for i := range res.Verdicts {
+		res.Verdicts[i] = src[i%len(src)]
+		if res.Verdicts[i].Break {
+			res.Breaks++
+		}
+	}
+	return res
+}
+
+// rangeSizes are the reply sizes around the one-range/parallel switch:
+// one range less a row, two full ranges, and three full ranges plus a
+// partial last one.
+var rangeSizes = []int{2*replyRange - 1, 2 * replyRange, 3*replyRange + 17}
+
 // TestObserveReplyMatchesEncodingJSON: the hand-appended /v1/observe
-// body is byte-identical to encoding/json over ObserveResponse.
+// body is byte-identical to encoding/json over ObserveResponse, in one
+// range and, through writeJSON, split into parallel ranges.
 func TestObserveReplyMatchesEncodingJSON(t *testing.T) {
 	results := map[string]nrt.ObserveResult{
 		"cases":       replyCases(),
@@ -96,18 +131,26 @@ func TestObserveReplyMatchesEncodingJSON(t *testing.T) {
 	for _, id := range []string{`a"b`, `a\b`, "a<b", "a>b", "a&b", "a\x01b", "a\x7fb", "é", "a\xffb", "\u2028"} {
 		results["id "+id] = nrt.ObserveResult{ID: id}
 	}
+	for _, n := range rangeSizes {
+		results[fmt.Sprintf("%d rows", n)] = repeatVerdicts(replyCases(), n)
+	}
 	for name, res := range results {
 		want := oracleReply(t, res)
-		if got := (observeReply{res}).appendJSON(nil); !bytes.Equal(got, want) {
+		if got := appendReply(nil, observeReply{res}); !bytes.Equal(got, want) {
 			t.Fatalf("%s: reply bytes differ:\n got %s\nwant %s", name, got, want)
 		}
 		rec := httptest.NewRecorder()
-		writeJSON(rec, observeReply{res})
+		if err := writeJSON(context.Background(), rec, observeReply{res}); err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(rec.Body.Bytes(), want) {
 			t.Fatalf("%s: writeJSON bytes differ:\n got %s\nwant %s", name, rec.Body.Bytes(), want)
 		}
 		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("%s: content type %q", name, ct)
+		}
+		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+			t.Fatalf("%s: content length %q, body is %d bytes", name, cl, len(want))
 		}
 	}
 }
@@ -115,9 +158,106 @@ func TestObserveReplyMatchesEncodingJSON(t *testing.T) {
 // TestObserveReplyAllocs: a reply appended into a warm buffer
 // allocates nothing.
 func TestObserveReplyAllocs(t *testing.T) {
-	r := observeReply{replyCases()}
-	buf := r.appendJSON(nil)
-	if n := testing.AllocsPerRun(20, func() { buf = r.appendJSON(buf[:0]) }); n != 0 {
+	var r jsonAppender = observeReply{replyCases()}
+	buf := appendReply(nil, r)
+	if n := testing.AllocsPerRun(20, func() { buf = appendReply(buf[:0], r) }); n != 0 {
 		t.Fatalf("warm reply: %v allocations, want 0", n)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the body, so
+// measuring writeJSON does not measure a recorder's growing buffer.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestLargeReplyAllocs: a warm 8 192-row observe reply through writeJSON
+// (eight parallel ranges) allocates under 4 KiB a call — the range
+// buffers come from their pool and none regrows. TotalAlloc counts what
+// the pool's helpers allocate too, which AllocsPerRun would not.
+func TestLargeReplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	r := observeReply{repeatVerdicts(replyCases(), 8192)}
+	w := &discardWriter{h: http.Header{}}
+	for i := 0; i < 4; i++ {
+		if err := writeJSON(context.Background(), w, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = writeJSON(context.Background(), w, r)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4<<10 {
+		t.Fatalf("warm 8192-row reply allocated %d bytes a call, want < 4096", per)
+	} else {
+		t.Logf("warm 8192-row reply: %d bytes a call", per)
+	}
+}
+
+// TestCancelledReplyWritesNothing: a request context cancelled before
+// its ranges render leaves the reply unwritten and returns the
+// context's error, so a cut-short reply never reaches the wire.
+func TestCancelledReplyWritesNothing(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	err := writeJSON(ctx, rec, observeReply{repeatVerdicts(replyCases(), 2*replyRange)})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rec.Body.Len() != 0 || rec.Header().Get("Content-Length") != "" {
+		t.Fatalf("cancelled reply wrote %d bytes (Content-Length %q)",
+			rec.Body.Len(), rec.Header().Get("Content-Length"))
+	}
+}
+
+// TestRepliesCarryContentLength: every appender reply — /v1/observe,
+// /v1/batch and /v1/detect, in one range and in several — is sent with a
+// Content-Length equal to its body and without chunked framing.
+func TestRepliesCarryContentLength(t *testing.T) {
+	s := mustServer(t, Config{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	rng := rand.New(rand.NewSource(37))
+	const history = 12
+	observeBody := func(px int) map[string]any {
+		hist := make([]float64, px*history)
+		for i := range hist {
+			hist[i] = 0.5 + 0.1*math.Sin(float64(i%history)) + 0.01*rng.NormFloat64()
+		}
+		sum, err := s.nrtMgr.Fit(context.Background(), nrt.FitRequest{
+			Options: core.DefaultOptions(history), Pixels: px, History: hist, Capacity: 2 * history,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return map[string]any{"session": sum.ID, "dates": []Series{jsonSeries(rng, px, -1, 0.2)}}
+	}
+	for _, px := range []int{3, 2*replyRange + 5} {
+		for _, c := range []struct {
+			path string
+			body any
+		}{
+			{"/v1/observe", observeBody(px)},
+			{"/v1/batch", batchBody(rng, px, 2*history)},
+			{"/v1/detect", map[string]any{"series": jsonSeries(rng, 2*history, -1, 0.2), "history": history}},
+		} {
+			resp, body := post(t, ts, c.path, c.body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s (%d px): status %d: %s", c.path, px, resp.StatusCode, body)
+			}
+			if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+				t.Fatalf("%s (%d px): Content-Length %d, transfer encoding %v, body %d bytes",
+					c.path, px, resp.ContentLength, resp.TransferEncoding, len(body))
+			}
+		}
 	}
 }

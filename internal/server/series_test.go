@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -420,6 +421,43 @@ func TestAppendResultJSONMatchesEncoder(t *testing.T) {
 	}
 	checkReply(t, batchReply(results), oracle)
 	checkReply(t, batchReply(results[:1]), oracle[:1])
+	mixed := rangeResults()
+	for _, n := range rangeSizes {
+		batch := make(batchReply, n)
+		oracle := make([]DetectResponse, n)
+		for i := range batch {
+			batch[i] = mixed[i%len(mixed)]
+			oracle[i] = resultJSON(batch[i])
+		}
+		checkReply(t, batch, oracle)
+	}
+}
+
+// rangeResults mixes every status with the magnitudes that exercise the
+// formatter: both 'e'-format boundaries, negative zero, a subnormal,
+// and the NaN and ±Inf a result without StatusOK carries but never
+// renders.
+func rangeResults() []core.Result {
+	statuses := []core.Status{
+		core.StatusOK, core.StatusInsufficientHistory, core.StatusSingular,
+		core.StatusNoMonitoringData, core.StatusNoVariance,
+	}
+	finite := []float64{1e-7, -1e-7, 1e21, -1e21, math.Copysign(0, -1), 0.1, 5e-324, 123456789.125}
+	omitted := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	var out []core.Result
+	for si, st := range statuses {
+		vals := finite
+		if st != core.StatusOK {
+			vals = append(omitted, finite...)
+		}
+		for vi, v := range vals {
+			out = append(out, core.Result{
+				Status: st, BreakIndex: []int{-1, 0, 7, 113}[(si+vi)%4],
+				MosumMean: v, Sigma: vals[(vi+1)%len(vals)], ValidHistory: vi, Valid: 3 * vi,
+			})
+		}
+	}
+	return out
 }
 
 // checkReply requires writeJSON to render reply as the same bytes
@@ -430,8 +468,13 @@ func checkReply(t *testing.T, reply jsonAppender, oracle any) {
 	if err := json.NewEncoder(&want).Encode(oracle); err != nil {
 		t.Fatal(err)
 	}
+	if got := appendReply(nil, reply); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("%T one-range bytes differ:\n got %s\nwant %s", reply, got, want.Bytes())
+	}
 	rec := httptest.NewRecorder()
-	writeJSON(rec, reply)
+	if err := writeJSON(context.Background(), rec, reply); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Fatalf("%T bytes differ:\n got %s\nwant %s", reply, rec.Body.Bytes(), want.Bytes())
 	}

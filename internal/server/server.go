@@ -43,6 +43,7 @@ import (
 	"bfast/internal/coalesce"
 	"bfast/internal/nrt"
 	"bfast/internal/obs"
+	"bfast/internal/sched"
 	"bfast/internal/state"
 )
 
@@ -494,12 +495,14 @@ func (s *Server) endpoint(name, methods string, heavy bool, fn endpointFunc) htt
 		defer s.inflight.Add(-1)
 
 		resp, apiErr := fn(r, &tr)
+		if apiErr == nil {
+			if err := writeJSON(r.Context(), w, resp); err != nil {
+				apiErr = ctxError(r.Context(), err)
+			}
+		}
 		switch {
 		case apiErr == nil:
 			oks.Inc()
-			_, sp := obs.StartSpan(r.Context(), "encode")
-			writeJSON(w, resp)
-			sp.End()
 			finish(http.StatusOK, nil)
 		case apiErr.Code == CodeCanceled:
 			// The client is gone (or its deadline passed): the write is
@@ -602,36 +605,131 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// jsonAppender is a response body that appends its own JSON encoding,
-// trailing newline included, without reflection.
+// jsonAppender is a response body that renders its own JSON, trailing
+// newline included, without reflection, as rows between a head and a
+// tail: head, rows [0, rows()) and tail, concatenated, are the reply.
+// appendRows writes the separator before every row but the first, so
+// any split of [0, rows()) into consecutive ranges renders the same
+// bytes.
 type jsonAppender interface {
-	appendJSON(b []byte) []byte
+	rows() int
+	appendHead(b []byte) []byte
+	appendRows(b []byte, lo, hi int) []byte
+	appendTail(b []byte) []byte
 }
 
-// replyPool recycles the buffers jsonAppender replies are rendered
-// into; maxPooledReply bounds what it keeps, so one outsized reply does
-// not pin its buffer forever.
-var replyPool sync.Pool
+// replyRange is the number of rows one range of a reply renders. On a
+// 2-core x86-64 host a range of observe verdicts is about 0.35 ms of
+// float formatting, some twenty times the ~15 µs a shared-pool loop
+// costs to dispatch, so a range pays for its dispatch at any reply
+// size. It is a property of the formatter, not of a deployment, and so
+// not a knob.
+const replyRange = 1024
 
-const maxPooledReply = 8 << 20
+// replyRanges renders one jsonAppender reply in ranges of replyRange
+// rows: bufs[k] holds range k, range 0 carrying the head and the last
+// range the tail. Both it and its range buffers are pooled. The buffers
+// have a pool of their own, so they are drawn one by one: a range never
+// draws a whole reply's worth of buffers, a pooled buffer is range-sized
+// and a warm one never regrows, and the shared pool's helpers can take
+// the buffers the caller's processor put back.
+type replyRanges struct {
+	a      jsonAppender
+	rows   int
+	bufs   []*[]byte
+	tailAt int // where the tail starts in the last range's buffer
+}
 
-// writeJSON writes v as the response body: a jsonAppender through a
-// pooled buffer in one Write, anything else through encoding/json.
-func writeJSON(w http.ResponseWriter, v any) {
+var (
+	replyPool = sync.Pool{New: func() any { return new(replyRanges) }}
+	rangePool = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+func (r *replyRanges) render(k int) {
+	p := rangePool.Get().(*[]byte)
+	b := (*p)[:0]
+	if k == 0 {
+		b = r.a.appendHead(b)
+	}
+	b = r.a.appendRows(b, k*replyRange, min((k+1)*replyRange, r.rows))
+	if k == len(r.bufs)-1 {
+		r.tailAt = len(b)
+		b = r.a.appendTail(b)
+	}
+	*p = b
+	r.bufs[k] = p
+}
+
+// release returns the range buffers and r to their pools. A cancelled
+// loop leaves the ranges it never claimed nil.
+func (r *replyRanges) release() {
+	for k, p := range r.bufs {
+		if p != nil {
+			rangePool.Put(p)
+			r.bufs[k] = nil
+		}
+	}
+	r.a = nil // the pool must not pin the reply
+	replyPool.Put(r)
+}
+
+// writeJSON writes v as the response body inside an encode span. A
+// jsonAppender renders in ranges (replyRanges): one range in the
+// caller, more in parallel on the shared pool under ctx. The ranges are
+// then written in order under an explicit Content-Length, so the bytes
+// are the same whatever the split. If ctx is cancelled before every
+// range was claimed, nothing is written and the context's error is
+// returned. Anything else goes through encoding/json.
+func writeJSON(ctx context.Context, w http.ResponseWriter, v any) error {
+	ctx, sp := obs.StartSpan(ctx, "encode")
+	defer sp.End()
 	w.Header().Set("Content-Type", "application/json")
 	a, ok := v.(jsonAppender)
 	if !ok {
 		// On error the headers are gone; nothing more to do.
 		_ = json.NewEncoder(w).Encode(v)
-		return
+		return nil
 	}
-	p, _ := replyPool.Get().(*[]byte)
-	if p == nil {
-		p = new([]byte)
+	r := replyPool.Get().(*replyRanges)
+	defer r.release()
+	r.a, r.rows = a, a.rows()
+	ranges := max(1, (r.rows+replyRange-1)/replyRange)
+	if cap(r.bufs) < ranges {
+		r.bufs = make([]*[]byte, ranges)
 	}
-	*p = a.appendJSON((*p)[:0])
-	_, _ = w.Write(*p) // as above: a failed write has nowhere to go
-	if cap(*p) <= maxPooledReply {
-		replyPool.Put(p)
+	r.bufs = r.bufs[:ranges]
+	if ranges == 1 {
+		r.render(0)
+	} else {
+		err := sched.Shared().ForEachCtx(ctx, ranges, 0, 1, func(_, lo, hi int) {
+			for k := lo; k < hi; k++ {
+				r.render(k)
+			}
+		})
+		if err != nil {
+			return err
+		}
 	}
+	n := 0
+	for _, p := range r.bufs {
+		n += len(*p)
+	}
+	if ranges > 1 {
+		// Only a parallel reply records its shape: on a one-range reply
+		// the span's attribute map would cost about 700 B a request,
+		// over 1 % of what a 1-4 px /v1/batch request allocates.
+		sp.SetAttr("bytes", n)
+		sp.SetAttr("ranges", ranges)
+	}
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	for _, p := range r.bufs[:ranges-1] {
+		_, _ = w.Write(*p) // as above: a failed write has nowhere to go
+	}
+	// The tail goes out in a write of its own: net/http buffers so short
+	// a write until the handler returns, so a client has the whole reply
+	// only after the request's trace and metrics are recorded.
+	last := *r.bufs[ranges-1]
+	_, _ = w.Write(last[:r.tailAt])
+	_, _ = w.Write(last[r.tailAt:])
+	return nil
 }
