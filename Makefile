@@ -9,8 +9,9 @@
 # /v1/batch, /v1/fit and /v1/observe decode paths, the range-rendered
 # observe and batch replies against their one-range rendering and
 # encoding/json, the BFSS session-snapshot decoder, the BFJF
-# journal-frame decoder and the tile lane kernels against their scalar
-# oracles);
+# journal-frame decoder, the tile lane kernels against their scalar
+# oracles and core.DetectBatch over random sequences of shapes against
+# scalar Detect);
 # `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzLaneKernels -fuzztime=$(FUZZTIME) ./internal/tile/
+	$(GO) test -run='^$$' -fuzz=FuzzDetectBatchShapes -fuzztime=$(FUZZTIME) ./internal/core/
 
 # vulncheck is advisory locally: govulncheck is not vendored, so the
 # target reports and succeeds when the tool (or network) is

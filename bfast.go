@@ -92,8 +92,12 @@ func DefaultOptions(history int) Options { return core.DefaultOptions(history) }
 // NewBatch wraps a flat row-major M×N pixel matrix as a Batch.
 func NewBatch(m, n int, y []float64) (*Batch, error) { return core.NewBatch(m, n, y) }
 
-// Detector holds a validated option set and the precomputed design matrix
-// for a fixed series length, ready to process any number of pixels.
+// Detector holds a validated option set and the design matrix for a
+// fixed series length, ready to process any number of pixels. Detect,
+// SelectStableHistory and DetectStable read that design; DetectBatch
+// does not: the batched detector reads the design through its tables,
+// which it keeps for the last shape it ran, so a detector's repeated
+// batches reuse them without holding a copy here.
 type Detector struct {
 	opt    Options
 	n      int

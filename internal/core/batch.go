@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"bfast/internal/obs"
 	"bfast/internal/sched"
 	"bfast/internal/series"
+	"bfast/internal/tile"
 )
 
 // BatchConfig configures DetectBatch.
@@ -101,11 +103,10 @@ func DetectPopulated(ctx context.Context, b *Batch, opt Options, cfg BatchConfig
 func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dropEmpty bool) ([]Result, []int, error) {
 	var (
 		lambda float64
-		x      *series.DesignMatrix
 		err    error
 	)
 	if !dropEmpty {
-		if lambda, x, err = fitSetup(opt, b.N); err != nil {
+		if lambda, err = fitSetup(opt, b.N); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -136,7 +137,7 @@ func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dr
 			sp.SetAttr("dates_kept", 0)
 			return nil, nil, nil
 		}
-		if lambda, x, err = fitSetup(opt, len(kept)); err != nil {
+		if lambda, err = fitSetup(opt, len(kept)); err != nil {
 			return nil, nil, err
 		}
 		if len(kept) < b.N {
@@ -147,8 +148,13 @@ func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dr
 		}
 	}
 	sp.SetAttr("dates_kept", mask.N)
+	d, err := getDesign(opt, mask.N)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer designPool.Put(d)
 	statKernelPixels.Add(int64(b.M))
-	res, err := batchTiled(ctx, b, mask, dates, x, opt, lambda, cfg, monitorTile)
+	res, err := batchTiled(ctx, b, mask, dates, &d.pp, opt, lambda, cfg, monitorTile)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -156,20 +162,58 @@ func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dr
 }
 
 // fitSetup validates opt for series of n dates and returns the
-// monitoring boundary's λ and the design matrix.
-func fitSetup(opt Options, n int) (float64, *series.DesignMatrix, error) {
+// monitoring boundary's λ.
+func fitSetup(opt Options, n int) (float64, error) {
 	if err := opt.Validate(n); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	lambda, err := opt.ResolveLambda()
-	if err != nil {
-		return 0, nil, err
+	return opt.ResolveLambda()
+}
+
+// designKey is what a batch's design tables depend on: the date count
+// and the options DesignFor and the pair table read.
+type designKey struct {
+	n, history, harmonics int
+	frequency             float64
+	noTrend               bool
+}
+
+// designTables are the tables of one shape's design (tile.Pairs) and the
+// key they were filled for.
+type designTables struct {
+	key designKey
+	pp  tile.Pairs
+}
+
+// designPool holds released design tables. A call of the shape the last
+// one had — a stream of small serving requests over one date axis —
+// takes its tables as they are, as the paper's mkX builds X once for
+// every pixel of a run; any other call refills the entry it drew in its
+// buffers. The tables are read-only while a call holds its entry. The
+// pool keeps no entry per shape: like every sync.Pool, it drops what is
+// not reused within two collections.
+var designPool sync.Pool
+
+// getDesign returns pooled tables of the design DesignFor(opt, n) builds,
+// with opt.History history dates, for the caller to put back into
+// designPool. opt must have passed Validate(n), so a valid key is never
+// the zero key of a fresh entry.
+func getDesign(opt Options, n int) (*designTables, error) {
+	key := designKey{n: n, history: opt.History, harmonics: opt.Harmonics, frequency: opt.Frequency, noTrend: opt.NoTrend}
+	d, _ := designPool.Get().(*designTables)
+	if d == nil {
+		d = new(designTables)
+	} else if d.key == key {
+		return d, nil
 	}
 	x, err := DesignFor(opt, n)
 	if err != nil {
-		return 0, nil, err
+		designPool.Put(d)
+		return nil, err
 	}
-	return lambda, x, nil
+	d.pp.Fill(x, opt.History)
+	d.key = key
+	return d, nil
 }
 
 // populatedDates returns the bitset of the dates valid in at least one

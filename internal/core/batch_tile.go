@@ -286,12 +286,12 @@ func seedTile(s *tileScratch, opt Options, idx []int, out []Result, recs []Monit
 // any other tile runs them for all its lanes, as a batch without
 // repeated masks does throughout.
 //
-// The loop detects over the mask's dates. dates, when non-nil, is the
-// column of b's rows each of them is read from (DetectPopulated); nil
-// means mask.N == b.N and the identity.
-func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []int, x *series.DesignMatrix, opt Options, lambda float64, cfg BatchConfig, finish tileFinish) ([]Result, error) {
+// The loop detects over the mask's dates, reading the design through
+// pp, its tables over those dates with opt.History history dates. dates,
+// when non-nil, is the column of b's rows each of them is read from
+// (DetectPopulated); nil means mask.N == b.N and the identity.
+func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []int, pp *tile.Pairs, opt Options, lambda float64, cfg BatchConfig, finish tileFinish) ([]Result, error) {
 	M, N := b.M, mask.N
-	n := opt.History
 	K := opt.K()
 	T := tile.DefaultWidth
 	out := make([]Result, M)
@@ -300,8 +300,6 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 	sp.SetAttr("tiles", plan.Tiles)
 	sp.SetAttr("tile_width", T)
 	defer sp.End()
-	pp := tile.GetPairs(x, n)
-	defer pp.Release()
 	var classes *maskClasses
 	if plan.Tiles > 1 && opt.Solver == SolverGaussJordan {
 		var err error

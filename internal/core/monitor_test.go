@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -227,10 +228,26 @@ func TestDetectValidateErrors(t *testing.T) {
 		{History: 5, Harmonics: 3, Frequency: 23, HFrac: 0.25, Level: 0.42},
 		{History: 5, Harmonics: 3, Frequency: 23, HFrac: 0.25, Level: 0.05, Lambda: -1},
 		{History: 5, Harmonics: 3, Frequency: 23, HFrac: 0.25, Level: 0.05, Solver: Solver(9)},
+		// Non-finite values slip past the ordered checks unless rejected
+		// first: each of these passed Validate once, and NaN/±Inf
+		// Frequency then made every pixel singular, NaN HFrac every pixel
+		// no-variance.
+		{History: 5, Harmonics: 3, Frequency: math.NaN(), HFrac: 0.25, Level: 0.05},
+		{History: 5, Harmonics: 3, Frequency: math.Inf(1), HFrac: 0.25, Level: 0.05},
+		{History: 5, Harmonics: 3, Frequency: math.Inf(-1), HFrac: 0.25, Level: 0.05},
+		{History: 5, Harmonics: 3, Frequency: 23, HFrac: math.NaN(), Level: 0.05},
+		{History: 5, Harmonics: 3, Frequency: 23, HFrac: 0.25, Level: 0.05, Lambda: math.NaN()},
 	}
 	for i, opt := range cases {
+		if err := opt.Validate(len(y)); err == nil {
+			t.Errorf("case %d: Validate accepted %+v", i, opt)
+		}
 		if _, err := Detect(y, x, opt); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, opt)
+		}
+		b, _ := NewBatch(1, len(y), y)
+		if _, err := DetectBatch(context.Background(), b, opt, BatchConfig{}); err == nil {
+			t.Errorf("case %d: DetectBatch accepted %+v", i, opt)
 		}
 	}
 }

@@ -156,16 +156,24 @@ func (o Options) Validate(n int) error {
 	if o.Harmonics < 0 {
 		return errors.New("core: Harmonics must be non-negative")
 	}
+	// NaN slips past every ordered check below (each comparison with NaN
+	// is false), and so does +Inf past the Frequency one: a non-finite
+	// Frequency makes every pixel singular, a NaN HFrac every pixel
+	// no-variance, a NaN Lambda poisons the boundary test — exactly the
+	// class of bug nanguard exists to catch.
+	if math.IsNaN(o.Frequency) || math.IsInf(o.Frequency, 0) {
+		return fmt.Errorf("core: Frequency must be finite, got %g", o.Frequency)
+	}
 	if o.Frequency <= 0 {
 		return errors.New("core: Frequency must be positive")
+	}
+	if math.IsNaN(o.HFrac) {
+		return errors.New("core: HFrac must not be NaN")
 	}
 	if o.HFrac <= 0 || o.HFrac > 1 {
 		return fmt.Errorf("core: HFrac must be in (0,1], got %g", o.HFrac)
 	}
 	if math.IsNaN(o.Lambda) {
-		// NaN slips past both ordered checks below (NaN<0 and NaN==0
-		// are false) and would poison the boundary test downstream —
-		// exactly the class of bug nanguard exists to catch.
 		return errors.New("core: Lambda must not be NaN")
 	}
 	if o.Lambda < 0 {

@@ -7,6 +7,7 @@ import (
 
 	"bfast/internal/series"
 	"bfast/internal/stats"
+	"bfast/internal/tile"
 )
 
 // MonitorState is one pixel's monitor record from fit to verdict: the
@@ -268,9 +269,10 @@ func FitMonitors(ctx context.Context, hist *Batch, x *series.DesignMatrix, opt O
 	if err != nil {
 		return nil, nil, err
 	}
-	xh := &series.DesignMatrix{K: x.K, N: n, Data: historySlice(x, n).Data}
+	pp := tile.GetPairs(&series.DesignMatrix{K: x.K, N: n, Data: historySlice(x, n).Data}, n)
+	defer pp.Release()
 	recs := make([]MonitorState, hist.M)
-	out, err := batchTiled(ctx, hist, mask, nil, xh, opt, 0, cfg, func(s *tileScratch, opt Options, _ float64, idx []int, out []Result) {
+	out, err := batchTiled(ctx, hist, mask, nil, pp, opt, 0, cfg, func(s *tileScratch, opt Options, _ float64, idx []int, out []Result) {
 		seedTile(s, opt, idx, out, recs)
 	})
 	if err != nil {

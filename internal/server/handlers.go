@@ -9,6 +9,7 @@ import (
 	"bfast/internal/core"
 	"bfast/internal/obs"
 	"bfast/internal/stats"
+	"bfast/internal/tile"
 )
 
 // DetectRequest is the request body of /v1/detect and /v1/trace; /v1/batch
@@ -166,6 +167,43 @@ func (s *Server) checkSeries(req *DetectRequest) *apiError {
 	return nil
 }
 
+// checkDesign validates opt for series of n dates and answers 400 when
+// the design it implies would cost more than a request body may: the
+// K×n design matrix and the tables the kernels read it through
+// (tile.TablesLen), in float64s, against MaxBodyBytes/8. The pair table
+// grows as K²·History, so without this bound a body of a few kilobytes
+// could ask for gigabytes through harmonics alone.
+func (s *Server) checkDesign(opt core.Options, n int) *apiError {
+	if err := opt.Validate(n); err != nil {
+		return errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
+	}
+	if !designFits(opt, n, s.cfg.MaxBodyBytes/8) {
+		return errf(http.StatusBadRequest, CodeInvalidArgument,
+			"harmonics %d over %d dates (history %d) needs a design larger than the %d-byte body limit",
+			opt.Harmonics, n, opt.History, s.cfg.MaxBodyBytes)
+	}
+	return nil
+}
+
+// designFits reports whether the design of opt over n dates and its
+// tables fit in limit float64s; opt has passed Validate(n), so
+// 0 < History < n. Necessary conditions go first, by division:
+// Harmonics·n, so that forming K = 2·Harmonics+2 cannot overflow, then
+// the design alone (K·n) and the pair table's K²·History/2. Past them
+// every term of the total is below a few limits, so computing it cannot
+// overflow.
+func designFits(opt core.Options, n int, limit int64) bool {
+	nd, h := int64(n), int64(opt.History)
+	if int64(opt.Harmonics) > limit/nd {
+		return false
+	}
+	k := int64(opt.K())
+	if k > limit/nd || k*h > 2*limit/k {
+		return false
+	}
+	return k*nd+int64(tile.TablesLen(opt.K(), opt.History, n)) <= limit
+}
+
 // resultReply is the body of /v1/detect and batchReply that of
 // /v1/batch, one object per pixel, each a row. Both append the bytes
 // encoding/json writes for the equivalent DetectResponse (a
@@ -232,6 +270,9 @@ func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	tr.Pixels = 1
 	y := []float64(req.Series)
 	opt := req.options(req.History)
+	if apiErr := s.checkDesign(opt, len(y)); apiErr != nil {
+		return nil, apiErr
+	}
 	x, err := core.DesignFor(opt, len(y))
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
@@ -259,6 +300,9 @@ func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	tr.Pixels = 1
 	y := []float64(req.Series)
 	opt := req.options(req.History)
+	if apiErr := s.checkDesign(opt, len(y)); apiErr != nil {
+		return nil, apiErr
+	}
 	x, err := core.DesignFor(opt, len(y))
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
@@ -319,6 +363,10 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 				"pixel %d has %d dates, expected %d", i, len(p), n)
 		}
 	}
+	opt := req.options(req.History)
+	if apiErr := s.checkDesign(opt, n); apiErr != nil {
+		return nil, apiErr
+	}
 	m := len(req.Pixels)
 	tr.Pixels = m
 	_, sp := obs.StartSpan(r.Context(), "pack")
@@ -333,7 +381,6 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	// under this request's span tree.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
 	bcfg := core.BatchConfig{Workers: s.cfg.Workers}
-	opt := req.options(req.History)
 	var results []core.Result
 	var err error
 	if s.batcher != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"bfast/internal/core"
 	"bfast/internal/nrt"
 	"bfast/internal/sched"
+	"bfast/internal/tile"
 )
 
 // errEnvelope decodes the {"error":{"code","message"}} wire shape.
@@ -416,6 +418,12 @@ func TestRetryAfterConfigurable(t *testing.T) {
 // MB. Each call may allocate at most 4 MB in total. The cases run in
 // order of the buffer they would size, so none could hide behind a
 // larger one left in the pool by the case before.
+//
+// Likewise a one-pixel body asking for harmonics = 40 (K = 82) over a
+// 4 000-date history, whose pair table alone would take 109 MB, gets
+// 400 invalid_argument from every endpoint that builds a design once the
+// design would exceed the body limit (8 MiB here), before any of it is
+// built.
 func TestHostileBodiesAllocateBounded(t *testing.T) {
 	s := mustServer(t, Config{})
 	const rows, sessionPixels = 4096, 8192
@@ -427,24 +435,62 @@ func TestHostileBodiesAllocateBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	empty := strings.Repeat("[],", rows-1) + "[]"
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/observe", `{"session":"` + sum.ID + `","dates":[` + empty + `]}`},
-		{"/v1/fit", `{"pixels":[` + empty + `],"history":16000,"capacity":16001}`},
-		{"/v1/batch", `{"pixels":[` + empty + `],"history":16000,"n":16384}`},
+	small := mustServer(t, Config{MaxBodyBytes: 8 << 20})
+	const history, n = 4000, 8000
+	series := func(n int) string { return "[" + strings.Repeat("1,", n-1) + "1]" }
+	for _, tc := range []struct {
+		s          *Server
+		path, body string
+		code       string
+	}{
+		{s, "/v1/observe", `{"session":"` + sum.ID + `","dates":[` + empty + `]}`, CodeLengthMismatch},
+		{s, "/v1/fit", `{"pixels":[` + empty + `],"history":16000,"capacity":16001}`, CodeLengthMismatch},
+		{s, "/v1/batch", `{"pixels":[` + empty + `],"history":16000,"n":16384}`, CodeLengthMismatch},
+		{small, "/v1/batch", `{"pixels":[` + series(n) + `],"history":4000,"harmonics":40}`, CodeInvalidArgument},
+		{small, "/v1/detect", `{"series":` + series(n) + `,"history":4000,"harmonics":40}`, CodeInvalidArgument},
+		{small, "/v1/trace", `{"series":` + series(n) + `,"history":4000,"harmonics":40}`, CodeInvalidArgument},
+		{small, "/v1/fit", `{"pixels":[` + series(history) + `],"history":4000,"capacity":8000,"harmonics":40}`, CodeInvalidArgument},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		tc.s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
 		runtime.ReadMemStats(&after)
 		if rec.Code != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400: %s", tc.path, rec.Code, rec.Body.Bytes())
 		}
-		if e := errEnvelope(t, rec.Body.Bytes()); e.Code != CodeLengthMismatch {
-			t.Fatalf("%s: code %q, want %q", tc.path, e.Code, CodeLengthMismatch)
+		if e := errEnvelope(t, rec.Body.Bytes()); e.Code != tc.code {
+			t.Fatalf("%s: code %q, want %q: %s", tc.path, e.Code, tc.code, e.Message)
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<20 {
 			t.Fatalf("%s: a %d-byte body allocated %d bytes", tc.path, len(tc.body), grew)
+		}
+	}
+}
+
+// TestDesignBoundAdmitsServingShapes: the design bound rejects only what
+// exceeds the body limit — the default serving shape and a large but
+// affordable harmonic model pass at the 8 MiB limit, and designFits
+// agrees with the plain byte count on both sides of its boundary, with
+// no overflow for harmonics near the int range.
+func TestDesignBoundAdmitsServingShapes(t *testing.T) {
+	const limit = 1 << 20 // float64s: an 8 MiB body
+	size := func(opt core.Options, n int) int {
+		return opt.K()*n + tile.TablesLen(opt.K(), opt.History, n)
+	}
+	for _, tc := range []struct{ harmonics, history, n int }{
+		{3, 114, 228}, {40, 114, 228}, {40, 4000, 8000}, {12, 2000, 4000}, {0, 1, 2},
+		{100, 50, 100}, {1 << 20, 1, 2}, {math.MaxInt64 / 4, 5, 10},
+	} {
+		opt := core.DefaultOptions(tc.history)
+		opt.Harmonics = tc.harmonics
+		got := designFits(opt, tc.n, limit)
+		if tc.harmonics < 1<<20 {
+			if want := size(opt, tc.n) <= limit; got != want {
+				t.Errorf("harmonics %d history %d n %d: fits = %v, size %d against %d", tc.harmonics, tc.history, tc.n, got, size(opt, tc.n), limit)
+			}
+		} else if got {
+			t.Errorf("harmonics %d: fits", tc.harmonics)
 		}
 	}
 }

@@ -111,6 +111,10 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if err := nrt.CheckCapacity(req.Capacity, req.History); err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
+	opt := req.options(req.History)
+	if apiErr := s.checkDesign(opt, req.Capacity); apiErr != nil {
+		return nil, apiErr
+	}
 	if s.nrtMgr.Len() >= s.cfg.NRT.MaxSessions {
 		return nil, errf(http.StatusTooManyRequests, CodeRateLimited,
 			"session limit %d reached; delete a session first", s.cfg.NRT.MaxSessions)
@@ -128,7 +132,7 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		copy(flat[i*req.History:(i+1)*req.History], p)
 	}
 	sum, err := s.nrtMgr.Fit(r.Context(), nrt.FitRequest{
-		Options: req.options(req.History), Pixels: m, History: flat, Capacity: req.Capacity,
+		Options: opt, Pixels: m, History: flat, Capacity: req.Capacity,
 	})
 	if err != nil {
 		return nil, nrtError(r.Context(), err)

@@ -3,6 +3,7 @@ package tile
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bfast/internal/linalg"
@@ -271,6 +272,30 @@ func FuzzLaneKernels(f *testing.F) {
 		defer pp.Release()
 		checkLane(t, pp, x, n, y, beta, dates, r, rhs, p, T)
 	})
+}
+
+// TestFillRefillsInPlace: Fill into a Pairs that held another shape's
+// tables — longer, shorter, another K, no history — gives exactly the
+// tables a fresh Pairs gets, of the length TablesLen reports.
+func TestFillRefillsInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	var reused Pairs
+	for _, sh := range []struct{ k, n, nd int }{
+		{8, 114, 228}, {22, 60, 300}, {3, 10, 20}, {8, 114, 229}, {9, 0, 50}, {1, 5, 6},
+	} {
+		x := randomDesign(rng, sh.k, sh.nd)
+		var fresh Pairs
+		fresh.Fill(x, sh.n)
+		reused.Fill(x, sh.n)
+		if reused.k != fresh.k || reused.n != fresh.n || reused.nd != fresh.nd ||
+			reused.blocks != fresh.blocks || reused.xBlocks != fresh.xBlocks ||
+			!slices.Equal(reused.xx, fresh.xx) || !slices.Equal(reused.xt, fresh.xt) || !slices.Equal(reused.at, fresh.at) {
+			t.Fatalf("K=%d n=%d N=%d: refilled tables differ from fresh ones", sh.k, sh.n, sh.nd)
+		}
+		if got, want := len(fresh.xx)+len(fresh.xt), TablesLen(sh.k, sh.n, sh.nd); got != want {
+			t.Fatalf("K=%d n=%d N=%d: tables hold %d float64s, TablesLen says %d", sh.k, sh.n, sh.nd, got, want)
+		}
+	}
 }
 
 // BenchmarkLaneKernels runs a tile's per-lane kernels — compaction,

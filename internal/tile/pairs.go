@@ -27,8 +27,9 @@ import (
 // K, and K ≤ 8 regressors are one block.
 //
 // The tables depend on the design only, so one serves every lane of a
-// batch; it is pooled across calls (a 1–4-pixel serving request would
-// otherwise allocate it anew).
+// batch. The zero Pairs is empty; Fill fills it, reusing its buffers, so
+// a caller that keeps one across calls (core keeps the last shape's) or
+// draws one from the pool (GetPairs) allocates nothing once warm.
 type Pairs struct {
 	k int
 	// n is the number of history dates of the pair table, nd the number
@@ -47,27 +48,40 @@ type Pairs struct {
 // padded coefficient vector LaneResiduals reads.
 func PadK(k int) int { return (k + 7) &^ 7 }
 
-// pairsPool holds released tables of any shape. GetPairs reuses one
-// whose tables have the capacity it needs, as the server's pack buffers
-// do, so the pool holds no entry per shape a caller ever brought.
-var pairsPool sync.Pool
+// TablesLen returns the float64s the tables of a K-regressor design
+// over nd dates take when its first n dates are the history: the pair
+// table's ⌈K(K+1)/16⌉·8·n and the design table's ⌈K/8⌉·8·nd, the
+// lengths Fill gives them. A caller bounds by it what a design would cost
+// before building one.
+func TablesLen(k, n, nd int) int {
+	blocks, xBlocks := tableBlocks(k)
+	return blocks*8*n + xBlocks*8*nd
+}
 
-// GetPairs returns the tables of x: the pair products of its first n
-// dates, the history, and the design over all x.N dates. It reuses a
-// pooled Pairs whose tables are long enough; Release hands it back.
-func GetPairs(x *series.DesignMatrix, n int) *Pairs {
+// tableBlocks returns the number of 8-entry blocks of the pair table,
+// K(K+1)/2 rounded up, and of the design table, K rounded up.
+func tableBlocks(k int) (blocks, xBlocks int) {
+	return (k*(k+1)/2 + 7) / 8, PadK(k) / 8
+}
+
+// Fill computes the tables of x into pp: the pair products of its first
+// n dates, the history, and the design over all x.N dates. It reuses
+// pp's buffers when they are long enough.
+func (pp *Pairs) Fill(x *series.DesignMatrix, n int) {
 	k := x.K
 	if n > x.N {
 		panic(fmt.Sprintf("tile: %d history dates of a %d-date design", n, x.N))
 	}
-	blocks, xBlocks := (k*(k+1)/2+7)/8, PadK(k)/8
-	nxx, nxt := blocks*n*8, xBlocks*x.N*8
-	pp, _ := pairsPool.Get().(*Pairs)
-	if pp == nil || cap(pp.xx) < nxx || cap(pp.xt) < nxt {
-		pp = &Pairs{xx: make([]float64, nxx), xt: make([]float64, nxt)}
+	pp.k, pp.n, pp.nd = k, n, x.N
+	pp.blocks, pp.xBlocks = tableBlocks(k)
+	nxx, nxt := pp.blocks*8*n, pp.xBlocks*8*x.N
+	if cap(pp.xx) < nxx {
+		pp.xx = make([]float64, nxx)
+	}
+	if cap(pp.xt) < nxt {
+		pp.xt = make([]float64, nxt)
 	}
 	pp.xx, pp.xt = pp.xx[:nxx], pp.xt[:nxt]
-	pp.k, pp.n, pp.nd, pp.blocks, pp.xBlocks = k, n, x.N, blocks, xBlocks
 	pp.at = pp.at[:0]
 	for j1 := 0; j1 < k; j1++ {
 		for j2 := j1; j2 < k; j2++ {
@@ -75,6 +89,21 @@ func GetPairs(x *series.DesignMatrix, n int) *Pairs {
 		}
 	}
 	pp.fill(x)
+}
+
+// pairsPool holds released tables of any shape. GetPairs reuses one,
+// growing its buffers when they are short, as the server's pack buffers
+// do, so the pool holds no entry per shape a caller ever brought.
+var pairsPool sync.Pool
+
+// GetPairs returns the tables of x (Fill) in a pooled Pairs; Release
+// hands it back.
+func GetPairs(x *series.DesignMatrix, n int) *Pairs {
+	pp, _ := pairsPool.Get().(*Pairs)
+	if pp == nil {
+		pp = new(Pairs)
+	}
+	pp.Fill(x, n)
 	return pp
 }
 

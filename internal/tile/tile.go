@@ -82,25 +82,33 @@ type Plan struct {
 
 // NewPlan bins the batch's pixels by validity popcount into tiles of
 // width t, a positive multiple of 8 up to MaxWidth. The sort is a
-// counting sort over the popcount range [0, N] — deterministic and
-// stable.
+// counting sort over the observed popcount range [cmin, cmax] —
+// deterministic and stable, so the order is the one a histogram over
+// all of [0, N] gives, at the size of the spread actually present (one
+// bucket for a 1-pixel call).
 func NewPlan(mask *series.BatchMask, t int) *Plan {
 	checkWidth(t)
 	m, n := mask.M, mask.N
 	pl := &Plan{T: t, M: m, N: n, Order: make([]int, m), Tiles: (m + t - 1) / t}
 	counts := make([]int, m)
-	hist := make([]int, n+2)
+	cmin, cmax := n, 0
 	for i := 0; i < m; i++ {
 		c := series.CountBits(mask.Row(i), n)
 		counts[i] = c
-		hist[c+1]++
+		cmin, cmax = min(cmin, c), max(cmax, c)
 	}
-	for c := 1; c < len(hist); c++ {
-		hist[c] += hist[c-1]
-	}
-	for i := 0; i < m; i++ {
-		pl.Order[hist[counts[i]]] = i
-		hist[counts[i]]++
+	if m > 0 {
+		hist := make([]int, cmax-cmin+2)
+		for _, c := range counts {
+			hist[c-cmin+1]++
+		}
+		for c := 1; c < len(hist); c++ {
+			hist[c] += hist[c-1]
+		}
+		for i, c := range counts {
+			pl.Order[hist[c-cmin]] = i
+			hist[c-cmin]++
+		}
 	}
 	pl.publishSkew(counts)
 	return pl

@@ -82,6 +82,41 @@ func TestPlanBinningPermutation(t *testing.T) {
 	}
 }
 
+// TestPlanOrderMatchesFullHistogram: NewPlan's counting sort over the
+// observed popcount range gives exactly the permutation of one over the
+// whole range [0, N] — on random masks of every NaN load, one pixel and
+// many, all-NaN and all-valid pixels included.
+func TestPlanOrderMatchesFullHistogram(t *testing.T) {
+	fullRange := func(mask *series.BatchMask) []int {
+		m, n := mask.M, mask.N
+		order, counts, hist := make([]int, m), make([]int, m), make([]int, n+2)
+		for i := range counts {
+			counts[i] = series.CountBits(mask.Row(i), n)
+			hist[counts[i]+1]++
+		}
+		for c := 1; c < len(hist); c++ {
+			hist[c] += hist[c-1]
+		}
+		for i, c := range counts {
+			order[hist[c]] = i
+			hist[c]++
+		}
+		return order
+	}
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 60; trial++ {
+		m, n := 1+rng.Intn(70), 1+rng.Intn(300)
+		y := randomScene(rng, m, n, rng.Float64())
+		mask := series.NewBatchMask(m, n, y)
+		want, got := fullRange(mask), NewPlan(mask, 8).Order
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("M=%d N=%d: Order[%d] = %d, the full-range sort gives %d", m, n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestGatherRoundTrip: gathering then reading back through the
 // time-major layout must reproduce each pixel's valid observations
 // exactly, and the column masks must transpose the per-pixel bitsets
