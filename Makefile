@@ -6,7 +6,9 @@
 # fixture diagnostics; `make race` exercises every package (root, cmd
 # and internal) under the race detector; `make fuzz-smoke` runs each
 # native fuzz target for ~10s over its corpus (dates.ParseDate, the
-# /v1/batch, /v1/fit and /v1/observe decode paths, the range-rendered
+# /v1/batch, /v1/fit and /v1/observe decode paths, the request-number
+# reader against its old scan plus strconv.ParseFloat, the float writer
+# against encoding/json, the range-rendered
 # observe and batch replies against their one-range rendering and
 # encoding/json, the BFSS session-snapshot decoder, the BFJF
 # journal-frame decoder, the tile lane kernels against their scalar
@@ -28,8 +30,9 @@
 # drives slow + error traffic, and asserts tail-sampled traces survive a
 # restart, exemplars land on the latency buckets, the slo.* gauges are
 # exported, and /debug/bfast/flight streams a complete bundle;
-# `make bench-smoke` runs every benchmark body of the kernel packages
-# and of the comparators in internal/baseline once (`go test ./...`
+# `make bench-smoke` runs every benchmark body of the kernel packages,
+# of the server's number codec and of the comparators in
+# internal/baseline once (`go test ./...`
 # compiles benchmarks but never runs them).
 
 GO ?= go
@@ -69,6 +72,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBatchDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzFitDecode -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzObserveDecode -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzReqNumber -fuzztime=$(FUZZTIME) ./internal/server/
+	$(GO) test -run='^$$' -fuzz=FuzzAppendJSONFloat -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzReplyRanges -fuzztime=$(FUZZTIME) ./internal/server/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSession -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/state/
@@ -93,7 +98,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/tile ./internal/linalg ./internal/series ./internal/baseline
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/core ./internal/tile ./internal/linalg ./internal/series ./internal/server ./internal/baseline
 
 bench-ledger:
 	bash bench/run.sh

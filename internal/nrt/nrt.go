@@ -360,6 +360,22 @@ type ObserveResult struct {
 	Remaining int // dates of capacity left
 	Breaks    int // pixels currently flagged
 	Verdicts  []Verdict
+	// buf is the pooled slice Verdicts is cut from.
+	buf *[]Verdict
+}
+
+// verdictPool holds the verdict slices of released observes, so that a
+// stream of observes stops allocating 48 B a pixel per call.
+var verdictPool sync.Pool // of *[]Verdict
+
+// Release hands r's verdicts back for a later observe to reuse; after
+// it, r.Verdicts is nil and no copy of it may be read. Calling it is
+// optional: an unreleased result is left to the garbage collector.
+func (r *ObserveResult) Release() {
+	if r.buf != nil {
+		verdictPool.Put(r.buf)
+	}
+	r.buf, r.Verdicts = nil, nil
 }
 
 // Observe folds `dates` new acquisition dates across the scene in one
@@ -395,7 +411,12 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 		return ObserveResult{}, fmt.Errorf("%w: %d dates requested, %d of %d remaining",
 			ErrExhausted, dates, s.Capacity-s.NextDate, s.Capacity-s.History)
 	}
-	verdicts := make([]Verdict, m)
+	buf, _ := verdictPool.Get().(*[]Verdict)
+	if buf == nil || cap(*buf) < m {
+		buf = new([]Verdict)
+		*buf = make([]Verdict, m)
+	}
+	verdicts := (*buf)[:m] // advance writes every pixel's verdict
 	if err := s.advance(ctx, values, dates, verdicts); err != nil {
 		// A cancelled pass leaves records at mixed dates; the session is
 		// no longer internally consistent, so drop it rather than serve
@@ -427,7 +448,7 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 	res := ObserveResult{
 		ID: s.ID, Dates: dates, NextDate: s.NextDate,
 		Remaining: s.Capacity - s.NextDate,
-		Verdicts:  verdicts,
+		Verdicts:  verdicts, buf: buf,
 	}
 	for i := range verdicts {
 		if verdicts[i].Break {
@@ -513,6 +534,16 @@ func (mg *Manager) Get(id string) (Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return infoLocked(s), nil
+}
+
+// Pixels returns a session's pixel count, fixed at its fit. Unlike Get
+// it neither walks the scene nor waits behind an in-flight observe.
+func (mg *Manager) Pixels(id string) (int, error) {
+	s, err := mg.get(id)
+	if err != nil {
+		return 0, err
+	}
+	return len(s.Pixels), nil
 }
 
 func infoLocked(s *session) Info {

@@ -385,6 +385,58 @@ func TestLenDoesNotWaitOnObserve(t *testing.T) {
 	}
 }
 
+// TestPixelsDoesNotWaitOnObserve: an observe reads its session's pixel
+// count through Pixels, which must not wait behind another observe of
+// the session that holds its lock, and reports ErrNotFound as Get does.
+func TestPixelsDoesNotWaitOnObserve(t *testing.T) {
+	leakcheck.Check(t)
+	ds, opt := testScene(t)
+	n := ds.Spec.History
+	gs := &gateStore{Store: state.NewMemStore(), entered: make(chan string)}
+	mg := NewManager(Config{Store: gs, Metrics: obs.NewRegistry()})
+	sum := fitScene(t, mg, ds, opt)
+	if _, err := mg.Pixels("s-missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Pixels of an unknown session: %v, want ErrNotFound", err)
+	}
+
+	gate := make(chan struct{})
+	gs.mu.Lock()
+	gs.gate = gate
+	gs.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := mg.Observe(context.Background(), sum.ID, sceneDates(ds, n, n+1), 1)
+		done <- err
+	}()
+	<-gs.entered // the observe now holds the session lock inside its persist
+
+	type answer struct {
+		m   int
+		err error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		m, err := mg.Pixels(sum.ID)
+		got <- answer{m, err}
+	}()
+	var a answer
+	select {
+	case a = <-got:
+	case <-time.After(5 * time.Second):
+		close(gate)
+		<-done
+		<-got
+		t.Fatal("Pixels waited on an in-flight observe")
+	}
+	close(gate)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if a.err != nil || a.m != ds.Spec.M {
+		t.Fatalf("Pixels = %d, %v; want %d", a.m, a.err, ds.Spec.M)
+	}
+}
+
 // TestCloseSkipsSessionDeletedMeanwhile: a Close that listed a session
 // before a Delete of it finished must not write it again once it gets
 // the session's lock — a base saved after the delete would bring the

@@ -161,11 +161,10 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	if len(req.Dates) == 0 {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "dates is required")
 	}
-	info, err := s.nrtMgr.Get(req.Session)
+	m, err := s.nrtMgr.Pixels(req.Session)
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
 	}
-	m := info.Pixels
 	tr.Pixels = m
 	for d, row := range req.Dates {
 		if len(row) != m {
@@ -194,6 +193,10 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 type observeReply struct{ res nrt.ObserveResult }
 
 func (o observeReply) rows() int { return len(o.res.Verdicts) }
+
+// release returns the verdicts to the manager's pool once the reply is
+// written.
+func (o observeReply) release() { o.res.Release() }
 
 func (o observeReply) appendHead(b []byte) []byte {
 	r := &o.res

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -308,6 +310,63 @@ func TestRequestLogging(t *testing.T) {
 	}
 	if bad["request_id"] != "log-bad" || bad["level"] != "WARN" || bad["err"] != CodeInvalidArgument {
 		t.Fatalf("bad line: %v", bad)
+	}
+}
+
+// TestRequestLogLine pins the request log line to the bytes of the
+// line the endpoint used to write — a logger carrying request_id and
+// endpoint (Logger.With) logging the rest as loose key-value pairs — in
+// both handler formats, time stripped, and checks that a disabled level
+// allocates nothing.
+func TestRequestLogLine(t *testing.T) {
+	noTime := func(_ []string, a slog.Attr) slog.Attr {
+		if a.Key == slog.TimeKey {
+			return slog.Attr{}
+		}
+		return a
+	}
+	handlers := map[string]func(io.Writer) slog.Handler{
+		"text": func(w io.Writer) slog.Handler {
+			return slog.NewTextHandler(w, &slog.HandlerOptions{ReplaceAttr: noTime})
+		},
+		"json": func(w io.Writer) slog.Handler {
+			return slog.NewJSONHandler(w, &slog.HandlerOptions{ReplaceAttr: noTime})
+		},
+	}
+	traces := []obs.Trace{
+		{RequestID: "r-1", Code: 200, Pixels: 4, Bytes: 1234, Total: 1500 * time.Microsecond},
+		{RequestID: "r 2 \"q\"", Code: 400, Err: CodeInvalidArgument, Bytes: -1, Total: time.Millisecond},
+		{RequestID: "r-3", Code: 503, Err: CodeUnavailable, Pixels: 8192, Session: "s-0123456789abcdef", Total: 2 * time.Second},
+		{RequestID: "<r&4>", Code: 404, Err: CodeNotFound, Session: "a=b c"},
+	}
+	ctx := context.Background()
+	for format, handler := range handlers {
+		for _, tr := range traces {
+			var want, got bytes.Buffer
+			level := slog.LevelInfo
+			switch {
+			case tr.Code >= 500:
+				level = slog.LevelError
+			case tr.Code >= 400:
+				level = slog.LevelWarn
+			}
+			attrs := []any{"code", tr.Code, "err", tr.Err, "pixels", tr.Pixels, "bytes", tr.Bytes, "duration", tr.Total}
+			if tr.Session != "" {
+				attrs = append(attrs, "session", tr.Session)
+			}
+			slog.New(handler(&want)).With("request_id", tr.RequestID, "endpoint", "observe").
+				Log(ctx, level, "request served", attrs...)
+			logRequest(ctx, slog.New(handler(&got)), "observe", &tr)
+			if got.String() != want.String() {
+				t.Errorf("%s: got\n%s\nwant\n%s", format, got.String(), want.String())
+			}
+		}
+	}
+	quiet := slog.New(slog.NewJSONHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelError}))
+	for _, lg := range []*slog.Logger{quiet, obs.NopLogger()} {
+		if n := testing.AllocsPerRun(100, func() { logRequest(ctx, lg, "observe", &traces[0]) }); n != 0 {
+			t.Errorf("a disabled level allocated %v times, want 0", n)
+		}
 	}
 }
 

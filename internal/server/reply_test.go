@@ -16,6 +16,7 @@ import (
 
 	"bfast/internal/core"
 	"bfast/internal/nrt"
+	"bfast/internal/obs"
 )
 
 // verdictJSON is the reflection-path oracle for observeReply: the
@@ -220,6 +221,35 @@ func TestCancelledReplyWritesNothing(t *testing.T) {
 	if rec.Body.Len() != 0 || rec.Header().Get("Content-Length") != "" {
 		t.Fatalf("cancelled reply wrote %d bytes (Content-Length %q)",
 			rec.Body.Len(), rec.Header().Get("Content-Length"))
+	}
+}
+
+// releaseProbe is an observe reply that records, when the endpoint
+// releases it, how many body bytes had reached the writer.
+type releaseProbe struct {
+	observeReply
+	rec       *httptest.ResponseRecorder
+	atRelease *int
+}
+
+func (p releaseProbe) release() { *p.atRelease = p.rec.Body.Len() }
+
+// TestReplyReleasedAfterWrite: the endpoint hands a reply's pooled
+// verdicts back only once its whole body is written, whether it
+// rendered in one range or in several on the shared pool.
+func TestReplyReleasedAfterWrite(t *testing.T) {
+	s := mustServer(t, Config{})
+	for _, rows := range []int{3, 2*replyRange + 5} {
+		rec := httptest.NewRecorder()
+		at := -1
+		probe := releaseProbe{observeReply{repeatVerdicts(replyCases(), rows)}, rec, &at}
+		h := s.endpoint("probe", http.MethodPost, false, func(*http.Request, *obs.Trace) (any, *apiError) {
+			return probe, nil
+		})
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", nil))
+		if at == 0 || at != rec.Body.Len() {
+			t.Fatalf("%d rows: released after %d of %d bytes", rows, at, rec.Body.Len())
+		}
 	}
 }
 

@@ -293,16 +293,15 @@ func (p *reqParser) series() (Series, bool) {
 			}
 			p.space()
 		}
-		if p.literal("null") {
+		if p.pos < len(p.in) && p.in[p.pos] == 'n' {
+			if !p.literal("null") {
+				return nil, false
+			}
 			out = append(out, math.NaN())
 			continue
 		}
-		tok, ok := p.number()
+		v, ok := p.float()
 		if !ok {
-			return nil, false
-		}
-		v, err := strconv.ParseFloat(string(tok), 64)
-		if err != nil {
 			return nil, false
 		}
 		out = append(out, v)
@@ -322,51 +321,108 @@ func (p *reqParser) rowLen() int {
 	return min(bytes.Count(row, []byte{','})+1, (len(row)+1)/2)
 }
 
+// float reads one number token as a float64. A token of at most 19
+// digits whose mantissa m is at most 2^53 and whose decimal exponent e
+// has |e| <= 22 converts as float64(m) × 10^e or float64(m) / 10^-e:
+// both operands are exact, so the one IEEE operation rounds the exact
+// decimal value correctly (Clinger 1990), and the bits are those of
+// strconv.ParseFloat, whose own exact path this is. Every other token
+// goes to strconv.ParseFloat.
+func (p *reqParser) float() (float64, bool) {
+	tok, m, e, ok := p.number()
+	if !ok {
+		return 0, false
+	}
+	if m <= 1<<53 && -22 <= e && e <= 22 {
+		v := float64(int64(m)) // m <= 2^53: exact, one signed convert
+		if e < 0 {
+			v /= exactPow10[-e]
+		} else {
+			v *= exactPow10[e]
+		}
+		if tok[0] == '-' {
+			v = -v
+		}
+		return v, true
+	}
+	v, err := strconv.ParseFloat(string(tok), 64)
+	return v, err == nil
+}
+
+// exactPow10 holds the powers of ten a float64 represents exactly.
+var exactPow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
 // number reads one number token, validating the JSON number grammar in
 // the same pass (strconv.ParseFloat alone is laxer: hex floats, leading
 // '+', Inf). Hot path — series bodies are almost entirely these tokens.
-func (p *reqParser) number() ([]byte, bool) {
+// The same pass reads the token's value as m × 10^e, m its digits with
+// the point and sign dropped, for float. A token of more than 19 digits
+// reports an m above 2^53 instead (its m would not fit), and an exponent
+// field stops accumulating past 9 999, which still leaves e beyond ±22.
+func (p *reqParser) number() (tok []byte, m uint64, e int, ok bool) {
 	in, i := p.in, p.pos
 	start := i
 	if i < len(in) && in[i] == '-' {
 		i++
 	}
+	digits := i
 	switch {
 	case i < len(in) && in[i] == '0':
 		i++
 	case i < len(in) && in[i] >= '1' && in[i] <= '9':
 		for i < len(in) && isDigit(in[i]) {
+			m = m*10 + uint64(in[i]-'0')
 			i++
 		}
 	default:
-		return nil, false
+		return nil, 0, 0, false
 	}
+	nd := i - digits
 	if i < len(in) && in[i] == '.' {
 		i++
 		if i >= len(in) || !isDigit(in[i]) {
-			return nil, false
+			return nil, 0, 0, false
 		}
+		frac := i
 		for i < len(in) && isDigit(in[i]) {
+			m = m*10 + uint64(in[i]-'0')
 			i++
 		}
+		nd += i - frac
+		e = frac - i
 	}
 	if i < len(in) && (in[i] == 'e' || in[i] == 'E') {
 		i++
+		sign := 1
 		if i < len(in) && (in[i] == '+' || in[i] == '-') {
+			if in[i] == '-' {
+				sign = -1
+			}
 			i++
 		}
 		if i >= len(in) || !isDigit(in[i]) {
-			return nil, false
+			return nil, 0, 0, false
 		}
+		x := 0
 		for i < len(in) && isDigit(in[i]) {
+			if x < 1e4 {
+				x = x*10 + int(in[i]-'0')
+			}
 			i++
 		}
+		e += sign * x
 	}
 	if i < len(in) && isTokenByte(in[i]) {
-		return nil, false // e.g. "1x" — token continues past the grammar
+		return nil, 0, 0, false // e.g. "1x" — token continues past the grammar
+	}
+	if nd > 19 {
+		m = math.MaxUint64
 	}
 	p.pos = i
-	return in[start:i], true
+	return in[start:i], m, e, true
 }
 
 func isTokenByte(c byte) bool {
@@ -377,7 +433,7 @@ func isTokenByte(c byte) bool {
 // int field: the number must be digits only (no fraction or exponent)
 // and fit; otherwise decline to the stock decoder's error.
 func (p *reqParser) intValue(dst *int) bool {
-	tok, ok := p.number()
+	tok, _, _, ok := p.number()
 	if !ok {
 		return false
 	}
@@ -407,14 +463,9 @@ func (p *reqParser) floatField(dst **float64) bool {
 		*dst = nil
 		return true
 	}
-	tok, ok := p.number()
-	if !ok {
-		return false
+	v, ok := p.float()
+	if ok {
+		*dst = &v
 	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		return false
-	}
-	*dst = &v
-	return true
+	return ok
 }

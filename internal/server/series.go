@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"strconv"
 )
 
 // Series is a pixel time series on the wire: a JSON array of numbers
@@ -16,9 +15,11 @@ import (
 // UnmarshalJSON on the hot path: parseObject (reqjson.go) decodes their
 // rows in its single scan, and only a body it declines comes here via
 // the stock decoder. Both run the same reqParser.series, so there is one
-// number grammar — JSON's, validated exactly as encoding/json does, then
-// the same ParseFloat — and accepted and rejected arrays, and the
-// decoded values, are those of the []*float64 encoding.
+// number grammar — JSON's, validated exactly as encoding/json does — and
+// one conversion, reqParser.float, which gives strconv.ParseFloat's bits;
+// accepted and rejected arrays, and the decoded values, are those of the
+// []*float64 encoding. MarshalJSON writes each value with
+// appendJSONFloat, byte for byte as encoding/json writes a float64.
 type Series []float64
 
 // MarshalJSON renders NaN as null. Infinities are rejected the same way
@@ -43,26 +44,6 @@ func (s Series) MarshalJSON() ([]byte, error) {
 		}
 	}
 	return append(out, ']'), nil
-}
-
-// appendJSONFloat formats like encoding/json: shortest round-trip form,
-// with the e-notation boundaries JSON readers expect.
-func appendJSONFloat(out []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	start := len(out)
-	out = strconv.AppendFloat(out, v, format, -1, 64)
-	if format == 'e' {
-		// Trim "e-06" style exponents to "e-6" as encoding/json does.
-		if n := len(out); n >= start+4 && out[n-4] == 'e' && out[n-3] == '-' && out[n-2] == '0' {
-			out[n-2] = out[n-1]
-			out = out[:n-1]
-		}
-	}
-	return out
 }
 
 func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
