@@ -12,8 +12,8 @@
 # observe and batch replies against their one-range rendering and
 # encoding/json, the BFSS session-snapshot decoder, the BFJF
 # journal-frame decoder, the tile lane kernels against their scalar
-# oracles and core.DetectBatch over random sequences of shapes against
-# scalar Detect);
+# oracles, core.DetectBatch over random sequences of shapes against
+# scalar Detect, and the cube and GeoTIFF file decoders);
 # `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
@@ -21,9 +21,7 @@
 # bfast-serve, hits /v1/healthz and /metrics, and verifies a clean
 # SIGTERM shutdown; `make metrics-smoke` validates both /metrics
 # expositions (JSON default, Prometheus text) against the pinned family
-# golden file; `make coalesce-smoke` boots bfast-serve with and without
-# -coalesce, fires the same concurrent small /v1/batch requests at both
-# and asserts the responses are byte-identical; `make nrt-smoke` fits a
+# golden file; `make nrt-smoke` fits a
 # scene, observes dates across a SIGTERM restart from the state
 # directory, and diffs the verdicts against one offline /v1/batch run;
 # `make diag-smoke` boots bfast-serve with a diagnostics directory,
@@ -38,9 +36,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-ledger bench-compare serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+.PHONY: ci lint bfast-lint lint-selfcheck vet fmt-check build test race fuzz-smoke vulncheck vulncheck-ci bench bench-smoke bench-ledger bench-compare serve-smoke metrics-smoke nrt-smoke diag-smoke
 
-ci: lint lint-selfcheck build race test bench-smoke fuzz-smoke serve-smoke metrics-smoke coalesce-smoke nrt-smoke diag-smoke
+ci: lint lint-selfcheck build race test bench-smoke fuzz-smoke serve-smoke metrics-smoke nrt-smoke diag-smoke
 
 lint: vet fmt-check bfast-lint
 
@@ -79,6 +77,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeJournal -fuzztime=$(FUZZTIME) ./internal/state/
 	$(GO) test -run='^$$' -fuzz=FuzzLaneKernels -fuzztime=$(FUZZTIME) ./internal/tile/
 	$(GO) test -run='^$$' -fuzz=FuzzDetectBatchShapes -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run='^$$' -fuzz=FuzzReadCube -fuzztime=$(FUZZTIME) ./internal/cube/
+	$(GO) test -run='^$$' -fuzz=FuzzReadGeoTIFF -fuzztime=$(FUZZTIME) ./internal/geotiff/
 
 # vulncheck is advisory locally: govulncheck is not vendored, so the
 # target reports and succeeds when the tool (or network) is
@@ -114,9 +114,6 @@ serve-smoke:
 
 metrics-smoke:
 	./scripts/metrics-smoke.sh
-
-coalesce-smoke:
-	./scripts/coalesce-smoke.sh
 
 nrt-smoke:
 	./scripts/nrt-smoke.sh

@@ -40,9 +40,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "log format: text or json")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	runtimeSample := flag.Duration("runtime-sample", 10*time.Second, "runtime.* gauge sampling interval (0 disables)")
-	coalesceFlag := flag.Bool("coalesce", false, "merge concurrent small /v1/batch requests into shared detection batches (bit-identical responses, higher throughput under small-request load)")
-	coalescePixels := flag.Int("coalesce-pixels", 0, "merged-batch size that flushes immediately (0 = default 64)")
-	coalesceWait := flag.Duration("coalesce-wait", 0, "max time a queued request waits for co-riders (0 = default 2ms)")
 	stateDir := flag.String("state-dir", "", "directory for NRT session snapshots and journals; sessions survive restarts when set, live in memory otherwise")
 	snapshotEvery := flag.Int("snapshot-every", 0, "persist an NRT session every k-th observe (0 = default 1 = every observe; negative disables automatic snapshots)")
 	maxSessions := flag.Int("max-sessions", 0, "max live NRT sessions before /v1/fit returns 429 (0 = default 64)")
@@ -69,11 +66,6 @@ func main() {
 		Logger:             logger,
 		EnablePprof:        *enablePprof,
 		SampleRuntimeEvery: *runtimeSample,
-		Coalesce: bfast.CoalesceConfig{
-			Enabled:     *coalesceFlag,
-			BatchPixels: *coalescePixels,
-			MaxWait:     *coalesceWait,
-		},
 		NRT: bfast.NRTConfig{
 			StateDir:      *stateDir,
 			SnapshotEvery: *snapshotEvery,

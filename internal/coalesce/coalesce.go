@@ -3,10 +3,18 @@
 // from batching many pixels into one kernel launch, and the CPU tile
 // kernels inherit that shape: a 1-pixel request still pays a whole
 // 8-lane tile, a design-matrix build, a mask sweep and a scheduler
-// pass. Under traffic made of many small requests the vectorized
-// kernels run nearly empty. The serving layer's job is to
-// *manufacture* the dense-batch shape the kernels want from whatever
-// the wire delivers; this package is that layer.
+// pass. This package tried to manufacture that dense-batch shape from
+// many small requests.
+//
+// The server no longer uses it: once a 1–4 px /v1/batch call cost
+// about 0.07 ms, merging calls only added waiting (on the serve-small
+// workload coalescing cut pixels_per_s 17-fold and raised
+// latency_p50_ms from 0.07 to 1.3 ms, with identical replies), so
+// /v1/batch runs core.DetectBatch directly. The benchmark's layer probe
+// (bench/layers.go) is now its only importer; the benchmark change that
+// retires that probe (ROADMAP C1) deletes the probe and this package
+// together. Its coalesce.* metric families are therefore not part of
+// any served exposition.
 //
 // Model: one queue per (canonical Options, series length, batch
 // geometry). Concurrent callers append their pixels to the queue and
@@ -204,20 +212,20 @@ func New(cfg Config) *Batcher {
 	b := &Batcher{
 		cfg:         cfg,
 		queues:      make(map[string]*queue),
-		requests:    m.Counter("coalesce.requests"),
-		direct:      m.Counter("coalesce.direct"),
-		mergedPix:   m.Counter("coalesce.pixels"),
-		abandoned:   m.Counter("coalesce.abandoned"),
-		flushes:     m.Counter("coalesce.flushes"),
-		queueDepth:  m.Gauge("coalesce.queue.depth"),
-		queueAgeMs:  m.Gauge("coalesce.queue.age_ms"),
-		flushPixels: m.Histogram("coalesce.flush.pixels", nil),
-		flushWaitMs: m.Histogram("coalesce.flush.wait_ms", nil),
+		requests:    m.Counter("coalesce.requests"),             //lint:allow metricdoc -- no server exports it; goes with the package
+		direct:      m.Counter("coalesce.direct"),               //lint:allow metricdoc -- no server exports it; goes with the package
+		mergedPix:   m.Counter("coalesce.pixels"),               //lint:allow metricdoc -- no server exports it; goes with the package
+		abandoned:   m.Counter("coalesce.abandoned"),            //lint:allow metricdoc -- no server exports it; goes with the package
+		flushes:     m.Counter("coalesce.flushes"),              //lint:allow metricdoc -- no server exports it; goes with the package
+		queueDepth:  m.Gauge("coalesce.queue.depth"),            //lint:allow metricdoc -- no server exports it; goes with the package
+		queueAgeMs:  m.Gauge("coalesce.queue.age_ms"),           //lint:allow metricdoc -- no server exports it; goes with the package
+		flushPixels: m.Histogram("coalesce.flush.pixels", nil),  //lint:allow metricdoc -- no server exports it; goes with the package
+		flushWaitMs: m.Histogram("coalesce.flush.wait_ms", nil), //lint:allow metricdoc -- no server exports it; goes with the package
 		reasons: map[string]*obs.Counter{
-			ReasonSize:     m.Counter("coalesce.flush.reason.size"),
-			ReasonDeadline: m.Counter("coalesce.flush.reason.deadline"),
-			ReasonIdle:     m.Counter("coalesce.flush.reason.idle"),
-			ReasonClose:    m.Counter("coalesce.flush.reason.close"),
+			ReasonSize:     m.Counter("coalesce.flush.reason.size"),     //lint:allow metricdoc -- no server exports it; goes with the package
+			ReasonDeadline: m.Counter("coalesce.flush.reason.deadline"), //lint:allow metricdoc -- no server exports it; goes with the package
+			ReasonIdle:     m.Counter("coalesce.flush.reason.idle"),     //lint:allow metricdoc -- no server exports it; goes with the package
+			ReasonClose:    m.Counter("coalesce.flush.reason.close"),    //lint:allow metricdoc -- no server exports it; goes with the package
 		},
 	}
 	return b

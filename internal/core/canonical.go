@@ -6,9 +6,9 @@ import (
 )
 
 // Canonical returns opt with equivalent-but-distinct encodings collapsed
-// onto one representative, so callers that key caches or coalescing
-// queues on an option set group requests that would compute identical
-// results:
+// onto one representative, so callers that store or key on an option
+// set (an NRT session keeps its canonical options) treat alike requests
+// that would compute identical results:
 //
 //   - Lambda is resolved: an explicit Lambda and the (Level, HFrac,
 //     Boundary) triple that looks up the same critical value become the
@@ -36,11 +36,11 @@ func (o Options) Canonical() (Options, error) {
 }
 
 // QueueKey returns a stable string identifying the canonical option set
-// for a series length n — the coalescing-queue and cache key: two
-// (Options, n) pairs with equal keys produce bit-identical per-pixel
-// results, so their requests may share one merged DetectBatch. The key
-// is exact (strconv float formatting, no rounding); distinct option
-// sets never collide.
+// for a series length n: two (Options, n) pairs with equal keys produce
+// bit-identical per-pixel results, so their requests may share one
+// merged DetectBatch. The key is exact (strconv float formatting, no
+// rounding); distinct option sets never collide. Its one caller is
+// internal/coalesce, and it goes when that package does.
 func (o Options) QueueKey(n int) (string, error) {
 	c, err := o.Canonical()
 	if err != nil {

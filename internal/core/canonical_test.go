@@ -77,8 +77,8 @@ func TestQueueKeyInvalidOptions(t *testing.T) {
 	}
 }
 
-// TestCanonicalOptionsBitIdentical pins the coalescing substrate's core
-// assumption: running DetectBatch with opt.Canonical() returns results
+// TestCanonicalOptionsBitIdentical pins the assumption every caller
+// keying on canonical options rests on: running DetectBatch with opt.Canonical() returns results
 // bit-identical to running it with opt.
 func TestCanonicalOptionsBitIdentical(t *testing.T) {
 	ds, err := workload.Generate(workload.Spec{

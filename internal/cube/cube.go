@@ -16,6 +16,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 )
 
 // Cube is a W×H raster of time series with N dates. Values is laid out
@@ -179,39 +180,32 @@ func (c *Cube) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Read deserializes a cube written by Write.
+// readPiece is the most payload Read pulls in one go: memory grows with
+// the bytes a file really holds, so a short file whose header claims
+// gigabytes fails after at most one piece.
+const readPiece = 1 << 20
+
+// Read deserializes a cube written by Write. Values grows as the payload
+// arrives, in pieces of at most readPiece bytes, so a truncated or
+// hostile header cannot make Read allocate the size it claims.
 func Read(r io.Reader) (*Cube, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("cube: reading magic: %w", err)
+	h, err := ReadHeader(r)
+	if err != nil {
+		return nil, err
 	}
-	if magic != cubeMagic {
-		return nil, fmt.Errorf("cube: bad magic %q", magic[:])
-	}
-	var dims [3]uint32
-	for i := range dims {
-		if err := binary.Read(br, binary.LittleEndian, &dims[i]); err != nil {
-			return nil, fmt.Errorf("cube: reading header: %w", err)
+	c := &Cube{Width: h.Width, Height: h.Height, Dates: h.Dates}
+	total := h.Pixels() * h.Dates
+	buf := make([]byte, min(4*total, readPiece))
+	for len(c.Values) < total {
+		piece := buf[:min(4*(total-len(c.Values)), len(buf))]
+		if _, err := io.ReadFull(r, piece); err != nil {
+			return nil, fmt.Errorf("cube: reading pixel %d: %w", len(c.Values)/h.Dates, err)
 		}
-	}
-	w, h, dates := int(dims[0]), int(dims[1]), int(dims[2])
-	// Bound each dimension before multiplying so hostile headers cannot
-	// overflow the size arithmetic.
-	const maxDim = 1 << 20
-	if w <= 0 || h <= 0 || dates <= 0 || w > maxDim || h > maxDim || dates > maxDim ||
-		w*h > (1<<30)/dates {
-		return nil, fmt.Errorf("cube: implausible dimensions %dx%dx%d", w, h, dates)
-	}
-	c := &Cube{Width: w, Height: h, Dates: dates, Values: make([]float64, w*h*dates)}
-	buf := make([]byte, 4*dates)
-	for i := 0; i < w*h; i++ {
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("cube: reading pixel %d: %w", i, err)
-		}
-		s := c.Series(i)
-		for j := range s {
-			s[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
+		at := len(c.Values)
+		c.Values = slices.Grow(c.Values, len(piece)/4)[:at+len(piece)/4]
+		vals := c.Values[at:]
+		for j := range vals {
+			vals[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(piece[4*j:])))
 		}
 	}
 	return c, nil

@@ -60,6 +60,16 @@ func StreamChunks(path string, count int, fn func(Header, Chunk) error) error {
 		return err
 	}
 	pixels := h.Pixels()
+	// A truncated file fails here, before the first chunk buffer is
+	// sized by the header's claim.
+	fi, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if need := 16 + 4*int64(pixels)*int64(h.Dates); fi.Size() < need {
+		return fmt.Errorf("cube: file holds %d bytes, header %dx%dx%d needs %d",
+			fi.Size(), h.Width, h.Height, h.Dates, need)
+	}
 	if count <= 0 {
 		count = 1
 	}

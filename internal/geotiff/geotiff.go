@@ -17,6 +17,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"bfast/internal/dates"
@@ -102,11 +103,19 @@ func (im *Image) Write(w io.Writer) error {
 		desc = append(desc, 0) // ASCII tags are NUL-terminated
 	}
 
-	// Layout: header(8) | pixel strip | description | IFD.
+	// Layout: header(8) | pixel strip | description | IFD. A description
+	// of at most 4 bytes is stored inline in its IFD entry, as the spec
+	// requires of any value that fits there.
 	stripOff := uint32(8)
 	stripLen := uint32(4 * len(im.Pixels))
 	descOff := stripOff + stripLen
-	ifdOff := descOff + uint32(len(desc))
+	descVal, descTail := descOff, desc
+	if len(desc) <= 4 {
+		var v [4]byte
+		copy(v[:], desc)
+		descVal, descTail = le.Uint32(v[:]), nil
+	}
+	ifdOff := descOff + uint32(len(descTail))
 	if ifdOff%2 == 1 { // IFDs must be word-aligned
 		ifdOff++
 	}
@@ -125,12 +134,12 @@ func (im *Image) Write(w io.Writer) error {
 	if _, err := w.Write(buf); err != nil {
 		return err
 	}
-	if len(desc) > 0 {
-		if _, err := w.Write(desc); err != nil {
+	if len(descTail) > 0 {
+		if _, err := w.Write(descTail); err != nil {
 			return err
 		}
 	}
-	if (descOff+uint32(len(desc)))%2 == 1 {
+	if (descOff+uint32(len(descTail)))%2 == 1 {
 		if _, err := w.Write([]byte{0}); err != nil {
 			return err
 		}
@@ -154,7 +163,7 @@ func (im *Image) Write(w io.Writer) error {
 		{tagSampleFormat, typeShort, 1, 3}, // IEEE float
 	}
 	if len(desc) > 0 {
-		entries = append(entries, entry{tagImageDescription, typeASCII, uint32(len(desc)), descOff})
+		entries = append(entries, entry{tagImageDescription, typeASCII, uint32(len(desc)), descVal})
 		// Keep entries sorted by tag as the spec requires.
 		for i := len(entries) - 1; i > 0 && entries[i].tag < entries[i-1].tag; i-- {
 			entries[i], entries[i-1] = entries[i-1], entries[i]
@@ -180,6 +189,14 @@ func (im *Image) Write(w io.Writer) error {
 	}
 	return nil
 }
+
+// Read limits: readPiece is the most strip data read in one go, and
+// maxDescription the longest ImageDescription accepted (an acquisition
+// date needs a few dozen bytes).
+const (
+	readPiece      = 1 << 20
+	maxDescription = 64 << 10
+)
 
 // Read parses a single-band float32 TIFF in either byte order.
 func Read(r io.ReaderAt) (*Image, error) {
@@ -280,25 +297,40 @@ func Read(r io.ReaderAt) (*Image, error) {
 	case len(stripOffs) == 0 || len(stripOffs) != len(stripLens):
 		return nil, fmt.Errorf("geotiff: inconsistent strip tables (%d offsets, %d lengths)",
 			len(stripOffs), len(stripLens))
+	case descLen > maxDescription:
+		return nil, fmt.Errorf("geotiff: ImageDescription of %d bytes exceeds %d", descLen, maxDescription)
 	}
 
-	im := &Image{Width: width, Height: height, Pixels: make([]float32, width*height)}
-	want := 4 * len(im.Pixels)
-	got := 0
-	pos := 0
+	// Pixels grow as samples arrive and each strip is read in pieces of
+	// at most readPiece bytes, never past the bytes the image still
+	// needs, so a short file cannot make Read allocate what its tags
+	// claim.
+	im := &Image{Width: width, Height: height}
+	total := width * height
+	var buf []byte
 	for s := range stripOffs {
-		data := make([]byte, stripLens[s])
-		if _, err := r.ReadAt(data, int64(stripOffs[s])); err != nil {
-			return nil, fmt.Errorf("geotiff: reading strip %d: %w", s, err)
-		}
-		got += len(data)
-		for o := 0; o+4 <= len(data) && pos < len(im.Pixels); o += 4 {
-			im.Pixels[pos] = math.Float32frombits(bo.Uint32(data[o:]))
-			pos++
+		off, left := int64(stripOffs[s]), int64(stripLens[s])
+		for left > 0 && len(im.Pixels) < total {
+			k := int(min(left, readPiece, 4*int64(total-len(im.Pixels))))
+			if cap(buf) < k {
+				buf = make([]byte, k)
+			}
+			piece := buf[:k]
+			if n, err := r.ReadAt(piece, off); n < k {
+				return nil, fmt.Errorf("geotiff: reading strip %d: %w", s, err)
+			}
+			at := len(im.Pixels)
+			im.Pixels = slices.Grow(im.Pixels, k/4)[:at+k/4]
+			px := im.Pixels[at:]
+			for j := range px {
+				px[j] = math.Float32frombits(bo.Uint32(piece[4*j:]))
+			}
+			off += int64(k)
+			left -= int64(k)
 		}
 	}
-	if got < want {
-		return nil, fmt.Errorf("geotiff: strips hold %d bytes, image needs %d", got, want)
+	if len(im.Pixels) < total {
+		return nil, fmt.Errorf("geotiff: strips hold %d samples, image needs %d", len(im.Pixels), total)
 	}
 	if descLen > 0 {
 		d := make([]byte, descLen)

@@ -84,6 +84,26 @@ func TestRoundTripNoDescription(t *testing.T) {
 	}
 }
 
+// TestRoundTripShortDescription: a description that fits the 4-byte
+// value field of its IFD entry is stored there, and reads back intact.
+func TestRoundTripShortDescription(t *testing.T) {
+	for _, desc := range []string{"a", "ab", "abc", "abcd"} {
+		im := randImage(t, 3, 2, 6)
+		im.Description = desc
+		var buf bytes.Buffer
+		if err := im.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Description != desc || !pixelsEqual(got.Pixels, im.Pixels) {
+			t.Fatalf("description %q read back as %q", desc, got.Description)
+		}
+	}
+}
+
 func TestReadBigEndian(t *testing.T) {
 	// Hand-build a 2x1 big-endian float32 TIFF.
 	var buf bytes.Buffer

@@ -153,8 +153,8 @@ func (m *SLOMonitor) Objectives() []Objective {
 
 // AddSampler registers a function run at the start of every tick —
 // the hook subsystem gauges that need periodic refreshing (NRT
-// snapshot ages, coalescer queue age) ride on, so the whole diagnostic
-// surface shares one clock.
+// snapshot ages) ride on, so the whole diagnostic surface shares one
+// clock.
 func (m *SLOMonitor) AddSampler(fn func()) {
 	if m == nil || fn == nil {
 		return

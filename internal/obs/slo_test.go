@@ -78,7 +78,7 @@ func TestSLOMonitorSkipsInvalidObjectives(t *testing.T) {
 }
 
 // TestSLOMonitorSamplerHook: AddSampler functions run on every tick —
-// the shared clock the NRT age and coalescer queue gauges ride on.
+// the shared clock the NRT snapshot-age gauges ride on.
 func TestSLOMonitorSamplerHook(t *testing.T) {
 	leakcheck.Check(t)
 	m := NewSLOMonitor(NewRegistry(), nil, 0)

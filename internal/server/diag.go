@@ -113,8 +113,8 @@ func (c Config) sloObjectives() []obs.Objective {
 // initDiagnostics builds and starts the diagnostics layer: the tail
 // sampler (when Diag.Dir is set), the SLO monitor with its subsystem
 // sampler hooks, and the profile-capture watcher. Called from New after
-// the NRT manager and the batcher exist (their gauges ride the SLO
-// tick); failures are boot failures, like any other misconfiguration.
+// the NRT manager exists (its gauges ride the SLO tick); failures are
+// boot failures, like any other misconfiguration.
 func (s *Server) initDiagnostics() error {
 	cfg := s.cfg
 	if cfg.Diag.Dir != "" {
@@ -136,9 +136,6 @@ func (s *Server) initDiagnostics() error {
 		// Subsystem freshness gauges tick on the SLO clock so the whole
 		// diagnostic surface shares one sampling cadence.
 		s.slo.AddSampler(s.nrtMgr.SampleAges)
-		if s.batcher != nil {
-			s.slo.AddSampler(s.batcher.SampleQueueAge)
-		}
 		s.stopSLO = s.slo.Start()
 	}
 	if cfg.Diag.Dir != "" && !cfg.Diag.DisableProfiles {
@@ -322,11 +319,6 @@ func (s *Server) resolvedConfig() map[string]any {
 		"retry_after_seconds":     c.RetryAfterSeconds,
 		"enable_pprof":            c.EnablePprof,
 		"sample_runtime_every_ns": c.SampleRuntimeEvery,
-		"coalesce": map[string]any{
-			"enabled":      c.Coalesce.Enabled,
-			"batch_pixels": c.Coalesce.BatchPixels,
-			"max_wait_ns":  c.Coalesce.MaxWait,
-		},
 		"nrt": map[string]any{
 			"state_dir":      c.NRT.StateDir,
 			"snapshot_every": c.NRT.SnapshotEvery,

@@ -292,7 +292,7 @@ func TestMetricsExemplarExposed(t *testing.T) {
 // TestResolvedConfigCoversConfig walks Config by reflection and pins the
 // flight bundle's config.json to it: every field except Logger and
 // Metrics has exactly one key (snake-cased name, _ns on durations), the
-// Coalesce/NRT/Diag/SLO groups nest, and no key outlives its field.
+// NRT/Diag/SLO groups nest, and no key outlives its field.
 func TestResolvedConfigCoversConfig(t *testing.T) {
 	s := mustServer(t, Config{Metrics: obs.NewRegistry()})
 	var want, got []string

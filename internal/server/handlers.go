@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"strconv"
 
-	"bfast/internal/coalesce"
 	"bfast/internal/core"
 	"bfast/internal/obs"
 	"bfast/internal/stats"
@@ -132,8 +131,8 @@ func (s *Server) putBodyBuf(b []byte) {
 
 // getPackBuf returns a pooled buffer of exactly size values; putPackBuf
 // recycles it. Detection never retains the pack buffer past its return
-// (results carry their own storage, and the coalescer copies pixels out
-// at enqueue), so handleBatch can recycle immediately.
+// (results carry their own storage), so handleBatch can recycle
+// immediately.
 func (s *Server) getPackBuf(size int) []float64 {
 	if v := s.packPool.Get(); v != nil {
 		if b := *v.(*[]float64); cap(b) >= size {
@@ -326,16 +325,6 @@ func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
 }
 
 func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
-	// Announce the request to the coalescer before decoding: queues stay
-	// open while any batch request is still on its way to enqueueing, so
-	// concurrent small requests merge even though they never overlap
-	// inside the batcher itself. Done is idempotent — the defer covers
-	// every error return, Detect consumes the arrival on the happy path.
-	var arr *coalesce.Arrival
-	if s.batcher != nil {
-		arr = s.batcher.Arrive()
-		defer arr.Done()
-	}
 	req, apiErr := decodeBody[DetectRequest](s, r)
 	if apiErr != nil {
 		return nil, apiErr
@@ -380,23 +369,12 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	// bit-identical to scalar Detect; the kernel-phase spans light up
 	// under this request's span tree.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
-	bcfg := core.BatchConfig{Workers: s.cfg.Workers}
-	var results []core.Result
-	var err error
-	if s.batcher != nil {
-		// Coalesced path: this request's pixels may ride a merged batch
-		// with concurrent equivalent requests. The batcher's wait span
-		// (child of the detect span above) records which flush they rode
-		// in; results are bit-identical to the direct path.
-		results, _, err = s.batcher.Detect(dctx, arr, flat, m, n, opt, bcfg)
-	} else {
-		var b *core.Batch
-		if b, err = core.NewBatch(m, n, flat); err != nil {
-			sp.End()
-			return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
-		}
-		results, err = core.DetectBatch(dctx, b, opt, bcfg)
+	b, err := core.NewBatch(m, n, flat)
+	if err != nil {
+		sp.End()
+		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
+	results, err := core.DetectBatch(dctx, b, opt, core.BatchConfig{Workers: s.cfg.Workers})
 	sp.End()
 	if err != nil {
 		return nil, ctxError(r.Context(), err)

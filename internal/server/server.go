@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"bfast/internal/coalesce"
 	"bfast/internal/nrt"
 	"bfast/internal/obs"
 	"bfast/internal/sched"
@@ -98,8 +97,6 @@ type Config struct {
 	// publishing runtime.* gauges (goroutines, heap, GC pauses) into
 	// Metrics at that interval; Shutdown stops it.
 	SampleRuntimeEvery time.Duration
-	// Coalesce groups the /v1/batch request-coalescing knobs.
-	Coalesce CoalesceConfig
 	// NRT groups the stateful near-real-time serving knobs
 	// (/v1/fit, /v1/observe, /v1/sessions).
 	NRT NRTConfig
@@ -111,26 +108,6 @@ type Config struct {
 	// burn-rate gauges. On by default with DefaultSLOLatencyMs /
 	// DefaultSLOTarget over the compute endpoints.
 	SLO SLOConfig
-}
-
-// CoalesceConfig groups the /v1/batch request-coalescing knobs.
-type CoalesceConfig struct {
-	// Enabled routes /v1/batch through the request coalescer
-	// (internal/coalesce): concurrent small requests with equivalent
-	// options merge into shared detection batches so they ride full
-	// tiles instead of each paying a near-empty kernel launch. Off by
-	// default — responses are bit-identical either way (the repo's
-	// batch-composition invariant), coalescing only changes throughput
-	// and adds at most MaxWait of latency under load.
-	Enabled bool
-	// BatchPixels is the merged-batch size that triggers an immediate
-	// flush (default 64); requests at least this large bypass the
-	// queue. Ignored unless Enabled is set.
-	BatchPixels int
-	// MaxWait bounds how long a queued request waits for co-riders
-	// before flushing anyway (default 2ms) — the worst-case latency
-	// coalescing can add. Ignored unless Enabled is set.
-	MaxWait time.Duration
 }
 
 // NRTConfig groups the stateful near-real-time serving knobs. The NRT
@@ -210,9 +187,6 @@ type Server struct {
 	rateLimited *obs.Counter
 	reqBytes    *obs.Histogram
 
-	// batcher is non-nil iff Config.Coalesce: /v1/batch detection runs
-	// through it instead of calling core.DetectBatch per request.
-	batcher *coalesce.Batcher
 	// The diagnostics layer (diag.go). tail and prof are nil without a
 	// Diag.Dir, slo is nil when SLO.Disabled — all are nil-safe.
 	tail     *obs.TailSampler
@@ -225,8 +199,8 @@ type Server struct {
 	// buffer is reusable the moment decoding returns.
 	bodyPool sync.Pool
 	// packPool recycles /v1/batch pack buffers (the flat NaN-encoded
-	// pixel matrix) across requests; the batcher copies pixels out at
-	// enqueue, so a buffer is reusable the moment detection returns.
+	// pixel matrix) across requests; a buffer is reusable the moment
+	// detection returns.
 	packPool sync.Pool
 
 	stopSampler func()
@@ -248,14 +222,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.TraceDepth >= 0 {
 		s.ring = obs.NewTraceRing(cfg.TraceDepth)
-	}
-	if cfg.Coalesce.Enabled {
-		s.batcher = coalesce.New(coalesce.Config{
-			BatchPixels: cfg.Coalesce.BatchPixels,
-			MaxWait:     cfg.Coalesce.MaxWait,
-			Metrics:     cfg.Metrics,
-			Traces:      s.ring,
-		})
 	}
 
 	// NRT durability: a state directory makes sessions restart-proof;
@@ -377,8 +343,7 @@ func (s *Server) handleDebug(w http.ResponseWriter, _ *http.Request) {
 			"max_series_len":   s.cfg.MaxSeriesLen,
 			"max_concurrent":   s.cfg.MaxConcurrent,
 		},
-		"workers":  s.cfg.Workers,
-		"coalesce": s.batcher != nil,
+		"workers": s.cfg.Workers,
 		"nrt": map[string]any{
 			"state_dir":      s.cfg.NRT.StateDir,
 			"snapshot_every": s.cfg.NRT.SnapshotEvery,
@@ -591,12 +556,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	if s.stopSampler != nil {
 		s.stopSampler()
-	}
-	// Flush pending coalescing queues now instead of waiting out their
-	// deadline timers; requests still in flight after this run direct
-	// (unbatched but correct), so drain strands no waiter.
-	if s.batcher != nil {
-		s.batcher.Close()
 	}
 	s.mu.Lock()
 	srv := s.httpSrv

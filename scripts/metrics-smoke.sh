@@ -16,13 +16,13 @@ TMP=$(mktemp -d)
 trap 'kill "$PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
 
 $GO build -o "$TMP/bfast-serve" ./cmd/bfast-serve
-# -coalesce so the coalesce.* batcher families are part of the pinned
-# exposition surface too; -diag-dir so the diag.* tail-sampler and
-# profile-capture families (and the slo.* gauges' exemplar path) are;
-# -state-dir so the state.file.* snapshot-store families are (metricdoc
-# cross-checks every registration site against this golden, so the boot
-# must light up every optional subsystem that registers metrics).
-"$TMP/bfast-serve" -addr "$ADDR" -runtime-sample 50ms -coalesce -diag-dir "$TMP/diag" -state-dir "$TMP/state" >"$TMP/serve.log" 2>&1 &
+# -diag-dir so the diag.* tail-sampler and profile-capture families
+# (and the slo.* gauges' exemplar path) are part of the pinned
+# exposition surface too; -state-dir so the state.file.* snapshot-store
+# families are (metricdoc cross-checks every registration site against
+# this golden, so the boot must light up every optional subsystem that
+# registers metrics).
+"$TMP/bfast-serve" -addr "$ADDR" -runtime-sample 50ms -diag-dir "$TMP/diag" -state-dir "$TMP/state" >"$TMP/serve.log" 2>&1 &
 PID=$!
 
 i=0

@@ -12,10 +12,6 @@ import (
 // production-ready. See the field docs on internal/server.Config.
 type ServerConfig = server.Config
 
-// CoalesceConfig groups the /v1/batch request-coalescing knobs
-// (ServerConfig.Coalesce).
-type CoalesceConfig = server.CoalesceConfig
-
 // NRTConfig groups the stateful near-real-time serving knobs
 // (ServerConfig.NRT): snapshot directory, snapshot cadence, session
 // limits.
