@@ -13,7 +13,8 @@
 # encoding/json, the BFSS session-snapshot decoder, the BFJF
 # journal-frame decoder, the tile lane kernels against their scalar
 # oracles, core.DetectBatch over random sequences of shapes against
-# scalar Detect, and the cube and GeoTIFF file decoders);
+# scalar Detect, the cube and GeoTIFF file decoders, and the
+# tail-sampled trace log's read-back);
 # `make bench-ledger` runs the repository's benchmark (bench/, the command
 # BENCHMARK.json names) and `make bench-compare OLD=... NEW=...` judges
 # two of its `-json` reports row by row against BENCHMARK.json's bounds,
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDetectBatchShapes -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run='^$$' -fuzz=FuzzReadCube -fuzztime=$(FUZZTIME) ./internal/cube/
 	$(GO) test -run='^$$' -fuzz=FuzzReadGeoTIFF -fuzztime=$(FUZZTIME) ./internal/geotiff/
+	$(GO) test -run='^$$' -fuzz=FuzzReadBack -fuzztime=$(FUZZTIME) ./internal/obs/
 
 # vulncheck is advisory locally: govulncheck is not vendored, so the
 # target reports and succeeds when the tool (or network) is

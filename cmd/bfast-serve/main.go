@@ -1,7 +1,7 @@
 // Command bfast-serve runs the BFAST-Monitor HTTP service: per-pixel
 // detection, trace and batch endpoints over JSON (null = missing value),
 // with metrics at /metrics (JSON, or Prometheus text via Accept /
-// ?format=prometheus), request span trees at /debug/bfast/traces, and
+// ?format=prometheus), request traces at /debug/bfast/traces, and
 // structured logs on stderr (-log-level, -log-format).
 //
 // Usage:

@@ -12,7 +12,7 @@ import (
 // the first parameter (so call chains cannot silently drop it), and
 // (b) library code never manufactures its own context.Background()/
 // TODO() — a fabricated root context disconnects the code below it
-// from the caller's deadline and from the span tree (PR-4). Rule (a)
+// from the caller's deadline and from the request's trace (PR-4). Rule (a)
 // applies to the hot-path packages (root bfast, core, sched, pipeline,
 // baseline, history); rule (b) applies to every internal/ library.
 // Pre-ctx wrappers kept for callers with no request context carry

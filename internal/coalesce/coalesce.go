@@ -47,8 +47,7 @@ import (
 	"bfast/internal/obs"
 )
 
-// Flush reasons, recorded in coalesce.flush.reason.* counters and on
-// flush spans.
+// Flush reasons, recorded in coalesce.flush.reason.* counters.
 const (
 	ReasonSize     = "size"     // queue reached Config.BatchPixels
 	ReasonDeadline = "deadline" // Config.MaxWait elapsed since first enqueue
@@ -90,11 +89,6 @@ type Config struct {
 	// Metrics receives the coalesce.* counters, gauges and histograms
 	// (default obs.Default()).
 	Metrics *obs.Registry
-	// Traces, when non-nil, receives one synthetic trace per flush
-	// (request id "coalesce-flush-<id>", endpoint "coalesce.flush") whose
-	// span tree holds the merged kernel phases. Callers' own spans carry
-	// the flush id, so /debug/bfast/traces stitches the per-request view.
-	Traces *obs.TraceRing
 }
 
 func (c Config) withDefaults() Config {
@@ -120,8 +114,7 @@ func (c Config) withDefaults() Config {
 // returned alongside the results so the serving layer can attach it to
 // the caller's span.
 type FlushMeta struct {
-	// ID is the flush sequence number; the matching synthetic trace (if
-	// tracing is on) has request id "coalesce-flush-<ID>".
+	// ID is the flush sequence number.
 	ID int64
 	// Pixels and Callers are the merged batch's totals.
 	Pixels  int
@@ -356,12 +349,11 @@ func (b *Batcher) Detect(ctx context.Context, arr *Arrival, pixels []float64, m,
 		return b.runDirect(ctx, pixels, m, n, canon, bcfg)
 	}
 
-	// The wait span is the caller's side of the stitch: it lives in the
-	// request's own trace and carries the flush id its pixels rode in,
-	// pointing at the synthetic coalesce-flush-<id> trace.
+	// The wait span lives in the request's own trace and carries the
+	// flush id its pixels rode in.
 	wctx, sp := obs.StartSpan(ctx, "coalesce.wait")
 	defer sp.End()
-	sp.SetAttr("pixels", m)
+	sp.SetAttr("pixels", int64(m))
 	ctx = wctx
 
 	b.mu.Lock()
@@ -404,13 +396,12 @@ func (b *Batcher) Detect(ctx context.Context, arr *Arrival, pixels []float64, m,
 	select {
 	case r := <-c.done:
 		sp.SetAttr("flush_id", r.meta.ID)
-		sp.SetAttr("flush_pixels", r.meta.Pixels)
-		sp.SetAttr("flush_callers", r.meta.Callers)
-		sp.SetAttr("flush_reason", r.meta.Reason)
+		sp.SetAttr("flush_pixels", int64(r.meta.Pixels))
+		sp.SetAttr("flush_callers", int64(r.meta.Callers))
 		return r.res, r.meta, r.err
 	case <-ctx.Done():
 		b.abandoned.Inc()
-		sp.SetAttr("abandoned", true)
+		sp.SetAttr("abandoned", 1)
 		return nil, FlushMeta{}, ctx.Err()
 	}
 }
@@ -471,17 +462,11 @@ func (b *Batcher) run(fl *queue) {
 
 	// The merged run must not die with any single caller, so it runs on
 	// a context detached from the triggering one (values — and thus the
-	// span linkage when no flush span overrides it — survive, the
-	// cancel chain does not). It is cancelled only when every rider is
-	// gone: context.AfterFunc hooks each caller's Done and the last one
-	// out turns off the lights.
+	// span linkage — survive, the cancel chain does not). It is
+	// cancelled only when every rider is gone: context.AfterFunc hooks
+	// each caller's Done and the last one out turns off the lights.
 	base := context.WithoutCancel(fl.calls[0].ctx)
-	var sp *obs.Span
 	start := time.Now()
-	if b.cfg.Traces != nil {
-		sp = obs.NewSpan("coalesce.flush")
-		base = obs.ContextWithSpan(base, sp)
-	}
 	ctx, cancel := context.WithCancel(base)
 	var live atomic.Int64
 	live.Store(int64(len(fl.calls)))
@@ -513,23 +498,6 @@ func (b *Batcher) run(fl *queue) {
 	meta := FlushMeta{
 		ID: id, Pixels: m, Callers: len(fl.calls),
 		Reason: reason, Wait: wait, Detect: detect,
-	}
-	if sp != nil {
-		sp.SetAttr("flush_id", id)
-		sp.SetAttr("pixels", m)
-		sp.SetAttr("callers", len(fl.calls))
-		sp.SetAttr("reason", reason)
-		sp.SetAttr("wait_ms", wait.Seconds()*1e3)
-		if err != nil {
-			sp.SetAttr("err", err.Error())
-		}
-		sp.End()
-		node := sp.Node()
-		b.cfg.Traces.Record(obs.Trace{
-			RequestID: fmt.Sprintf("coalesce-flush-%d", id),
-			Start:     start, Endpoint: "coalesce.flush",
-			Pixels: m, Total: detect, Spans: &node,
-		})
 	}
 
 	// Demux: every caller gets its own slice of the merged results, or

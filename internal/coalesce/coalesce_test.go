@@ -479,12 +479,14 @@ func TestLargeRequestBypasses(t *testing.T) {
 // TestStressConcurrentSmallCallers is the race-detector stress test:
 // ≥64 concurrent callers firing 1–4-pixel requests across two option
 // sets, with a fraction cancelling mid-flight; every completed caller
-// must get results bit-identical to its own per-request run.
+// must get results bit-identical to its own per-request run. Every
+// caller is traced, so a merged run writes spans into the trace of its
+// first rider, which may seal it mid-flush.
 func TestStressConcurrentSmallCallers(t *testing.T) {
 	leakcheck.Check(t)
 	b := New(Config{
 		BatchPixels: 16, MaxWait: time.Millisecond,
-		Metrics: obs.NewRegistry(), Traces: obs.NewTraceRing(8),
+		Metrics: obs.NewRegistry(),
 	})
 	defer b.Close()
 
@@ -526,13 +528,15 @@ func TestStressConcurrentSmallCallers(t *testing.T) {
 					ids[j] = (g*iters + it + j) % 8
 				}
 				px := flatPixels(ids...)
-				ctx := context.Background()
+				root := obs.NewSpan("caller")
+				ctx := obs.ContextWithSpan(context.Background(), root)
 				cancelled := (g+it)%7 == 0
 				var cancel context.CancelFunc
 				if cancelled {
 					ctx, cancel = context.WithTimeout(ctx, time.Duration(g%3)*100*time.Microsecond)
 				}
 				res, _, err := b.Detect(ctx, nil, px, m, testN, opt, core.BatchConfig{})
+				root.End()
 				if cancel != nil {
 					cancel()
 				}

@@ -45,7 +45,7 @@ func (b *Batch) Row(i int) []float64 { return b.Y[i*b.N : (i+1)*b.N] }
 // cancellable: it returns a nil mask and ctx.Err() when cut short.
 func (b *Batch) MaskCtx(ctx context.Context, workers int) (*series.BatchMask, error) {
 	sctx, sp := obs.StartSpan(ctx, "kernel.mask")
-	sp.SetAttr("pixels", b.M)
+	sp.SetAttr("pixels", int64(b.M))
 	defer sp.End()
 	bm := &series.BatchMask{M: b.M, N: b.N, WordsPerRow: series.MaskWords(b.N)}
 	bm.Words = make([]uint64, b.M*bm.WordsPerRow)
@@ -120,8 +120,8 @@ func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dr
 		return []Result{}, nil, nil
 	}
 	ctx, sp := obs.StartSpan(ctx, "core.detect_batch")
-	sp.SetAttr("pixels", b.M)
-	sp.SetAttr("dates_nominal", b.N)
+	sp.SetAttr("pixels", int64(b.M))
+	sp.SetAttr("dates_nominal", int64(b.N))
 	defer sp.End()
 	mask, err := b.MaskCtx(ctx, cfg.Workers)
 	if err != nil {
@@ -147,7 +147,7 @@ func detectBatch(ctx context.Context, b *Batch, opt Options, cfg BatchConfig, dr
 			dates = kept
 		}
 	}
-	sp.SetAttr("dates_kept", mask.N)
+	sp.SetAttr("dates_kept", int64(mask.N))
 	d, err := getDesign(opt, mask.N)
 	if err != nil {
 		return nil, nil, err

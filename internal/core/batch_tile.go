@@ -297,8 +297,8 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 	out := make([]Result, M)
 	plan := tile.NewPlan(mask, T)
 	ctx, sp := obs.StartSpan(ctx, "kernel.tiles")
-	sp.SetAttr("tiles", plan.Tiles)
-	sp.SetAttr("tile_width", T)
+	sp.SetAttr("tiles", int64(plan.Tiles))
+	sp.SetAttr("tile_width", int64(T))
 	defer sp.End()
 	var classes *maskClasses
 	if plan.Tiles > 1 && opt.Solver == SolverGaussJordan {
@@ -306,8 +306,8 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 		if classes, err = newMaskClasses(ctx, mask, pp, opt, cfg); err != nil {
 			return nil, err
 		}
-		sp.SetAttr("mask_classes", classes.classes)
-		sp.SetAttr("shared_pixels", classes.pixels)
+		sp.SetAttr("mask_classes", int64(classes.classes))
+		sp.SetAttr("shared_pixels", int64(classes.pixels))
 	}
 	var tilesShared atomic.Int64
 	err := forEachTileScratch(ctx, K, N, plan.Tiles, cfg.Workers, func(s *tileScratch, ti int) {
@@ -354,6 +354,6 @@ func batchTiled(ctx context.Context, b *Batch, mask *series.BatchMask, dates []i
 	if err != nil {
 		return nil, err
 	}
-	sp.SetAttr("tiles_shared", int(tilesShared.Load()))
+	sp.SetAttr("tiles_shared", tilesShared.Load())
 	return out, nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestDetectBatchSpanTree: under a root span, DetectBatch must attach a
-// core.detect_batch span whose children cover the mask sweep and the
-// tiled loop — the tree the serving layer
+// core.detect_batch span whose descendants cover the mask sweep and the
+// tiled loop — the trace the serving layer
 // exposes at /debug/bfast/traces. Without a root span the context must
 // come back unwrapped (the no-overhead default).
 func TestDetectBatchSpanTree(t *testing.T) {
@@ -25,25 +25,25 @@ func TestDetectBatchSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	n := root.Node()
-	db := n.Find("core.detect_batch")
+	spans, attrs := root.Records()
+	db := findSpan(spans, -1, "core.detect_batch")
 	if db == nil {
 		t.Fatal("no core.detect_batch span")
 	}
-	if db.Attrs["pixels"] != 40 || db.Attrs["dates_nominal"] != 200 || db.Attrs["dates_kept"] != 200 {
-		t.Fatalf("detect_batch attrs %v", db.Attrs)
+	if a := spanAttrs(attrs, db.ID); a["pixels"] != 40 || a["dates_nominal"] != 200 || a["dates_kept"] != 200 {
+		t.Fatalf("detect_batch attrs %v", a)
 	}
 	for _, phase := range []string{"kernel.mask", "kernel.tiles"} {
-		ph := db.Find(phase)
+		ph := findSpan(spans, db.ID, phase)
 		if ph == nil {
 			t.Fatalf("missing %s span under core.detect_batch", phase)
 		}
-		if ph.DurNs < 0 {
-			t.Fatalf("%s duration %d", phase, ph.DurNs)
+		if ph.EndNs < ph.StartNs {
+			t.Fatalf("%s ends at %d before its start %d", phase, ph.EndNs, ph.StartNs)
 		}
 		// Every kernel phase runs its sweep on the scheduler, so it
 		// must have picked up a sched.foreach child.
-		if ph.Find("sched.foreach") == nil {
+		if findSpan(spans, ph.ID, "sched.foreach") == nil {
 			t.Fatalf("%s has no sched.foreach child", phase)
 		}
 	}
@@ -66,13 +66,13 @@ func TestDetectPopulatedSpanReportsCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.End()
-	n := root.Node()
-	db := n.Find("core.detect_batch")
+	spans, attrs := root.Records()
+	db := findSpan(spans, -1, "core.detect_batch")
 	if db == nil {
 		t.Fatal("no core.detect_batch span")
 	}
-	if db.Attrs["dates_nominal"] != 200 || db.Attrs["dates_kept"] != 195 {
-		t.Fatalf("detect_batch attrs %v, want 200 nominal and 195 kept dates", db.Attrs)
+	if a := spanAttrs(attrs, db.ID); a["dates_nominal"] != 200 || a["dates_kept"] != 195 {
+		t.Fatalf("detect_batch attrs %v, want 200 nominal and 195 kept dates", a)
 	}
 }
 
@@ -85,7 +85,7 @@ func TestTilesSpanReportsSharing(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	const N, n = 200, 100
 	opt := defaultTestOpts(n)
-	tiles := func(b *Batch) *obs.SpanNode {
+	tiles := func(b *Batch) map[string]int64 {
 		t.Helper()
 		root := obs.NewSpan("request")
 		ctx := obs.ContextWithSpan(context.Background(), root)
@@ -93,32 +93,32 @@ func TestTilesSpanReportsSharing(t *testing.T) {
 			t.Fatal(err)
 		}
 		root.End()
-		tree := root.Node()
-		sp := tree.Find("kernel.tiles")
+		spans, attrs := root.Records()
+		sp := findSpan(spans, -1, "kernel.tiles")
 		if sp == nil {
 			t.Fatal("no kernel.tiles span")
 		}
-		return sp
+		return spanAttrs(attrs, sp.ID)
 	}
 	// 4 masks over 64 pixels in runs of 16: every class has 16 members
 	// and the count-binned plan keeps every tile inside shared classes.
 	shared := tiles(maskedScene(rng, 64, N, randomMasks(rng, 4, N, 0.4), func(i int) int { return i / 16 }))
-	for key, want := range map[string]any{"tiles": 8, "mask_classes": 4, "shared_pixels": 64, "tiles_shared": 8} {
-		if got := shared.Attrs[key]; got != want {
-			t.Errorf("shared scene: %s = %v (%T), want %v", key, got, got, want)
+	for key, want := range map[string]int64{"tiles": 8, "mask_classes": 4, "shared_pixels": 64, "tiles_shared": 8} {
+		if got, ok := shared[key]; !ok || got != want {
+			t.Errorf("shared scene: %s = %v (set %v), want %v", key, got, ok, want)
 		}
 	}
 	// Every pixel its own mask: a table, nothing in it to share.
 	own := tiles(maskedScene(rng, 24, N, randomMasks(rng, 24, N, 0.4), func(i int) int { return i }))
-	for key, want := range map[string]any{"mask_classes": 24, "shared_pixels": 0, "tiles_shared": 0} {
-		if got := own.Attrs[key]; got != want {
-			t.Errorf("distinct masks: %s = %v (%T), want %v", key, got, got, want)
+	for key, want := range map[string]int64{"mask_classes": 24, "shared_pixels": 0, "tiles_shared": 0} {
+		if got, ok := own[key]; !ok || got != want {
+			t.Errorf("distinct masks: %s = %v (set %v), want %v", key, got, ok, want)
 		}
 	}
 	// One tile: no table.
 	single := tiles(maskedScene(rng, 4, N, randomMasks(rng, 1, N, 0.4), func(int) int { return 0 }))
-	if _, ok := single.Attrs["mask_classes"]; ok {
-		t.Errorf("single-tile batch built a class table: %v", single.Attrs)
+	if _, ok := single["mask_classes"]; ok {
+		t.Errorf("single-tile batch built a class table: %v", single)
 	}
 }
 
@@ -134,4 +134,26 @@ func TestDetectBatchNoSpanNoOverheadPath(t *testing.T) {
 	if _, err := DetectBatch(ctx, b, defaultTestOpts(60), BatchConfig{}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// findSpan returns the first span named name whose parent is parent
+// (any parent when parent < 0), or nil.
+func findSpan(spans []obs.SpanRecord, parent int32, name string) *obs.SpanRecord {
+	for i := range spans {
+		if spans[i].Name == name && (parent < 0 || spans[i].Parent == parent) {
+			return &spans[i]
+		}
+	}
+	return nil
+}
+
+// spanAttrs returns span id's attributes by key.
+func spanAttrs(attrs []obs.SpanAttr, id int32) map[string]int64 {
+	m := make(map[string]int64)
+	for _, a := range attrs {
+		if a.Span == id {
+			m[a.Key] = a.Value
+		}
+	}
+	return m
 }

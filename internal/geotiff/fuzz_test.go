@@ -9,6 +9,46 @@ import (
 	"time"
 )
 
+// hostileStripTable is a 46-byte little-endian TIFF for a 1×1 image
+// whose StripOffsets tag claims 2^20 LONGs at offset 8, 4 MiB the file
+// does not hold.
+func hostileStripTable() []byte {
+	le := binary.LittleEndian
+	b := []byte{'I', 'I', 42, 0, 8, 0, 0, 0}
+	entries := [][4]uint32{ // tag, type, count, value
+		{tagImageWidth, typeLong, 1, 1},
+		{tagImageLength, typeLong, 1, 1},
+		{tagStripOffsets, typeLong, 1 << 20, 8},
+	}
+	b = le.AppendUint16(b, uint16(len(entries)))
+	for _, e := range entries {
+		b = le.AppendUint16(b, uint16(e[0]))
+		b = le.AppendUint16(b, uint16(e[1]))
+		b = le.AppendUint32(b, e[2])
+		b = le.AppendUint32(b, e[3])
+	}
+	return b
+}
+
+// TestReadSizesStripTablesByFile: a strip table is not allocated from
+// its tag's count before the file is known to hold it.
+func TestReadSizesStripTablesByFile(t *testing.T) {
+	data := hostileStripTable()
+	if len(data) != 46 {
+		t.Fatalf("hostile file is %d bytes, want 46", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile file must fail")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("Read allocated %d bytes for a %d-byte file", n, len(data))
+	}
+}
+
 // hostileTIFF is a 94-byte little-endian TIFF whose tags claim a
 // 4096×4096 float32 image in one 256 MiB strip that the file does not
 // hold.
@@ -92,6 +132,7 @@ func FuzzReadGeoTIFF(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(hostileTIFF())
+	f.Add(hostileStripTable())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, err := Read(bytes.NewReader(data))
 		if err != nil {

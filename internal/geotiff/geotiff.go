@@ -271,13 +271,13 @@ func Read(r io.ReaderAt) (*Image, error) {
 			}
 		case tagStripOffsets:
 			var err error
-			stripOffs, err = readLongs(r, bo, e, typ, count, ifdOff, i)
+			stripOffs, err = readLongs(r, bo, e, typ, count)
 			if err != nil {
 				return nil, err
 			}
 		case tagStripByteCounts:
 			var err error
-			stripLens, err = readLongs(r, bo, e, typ, count, ifdOff, i)
+			stripLens, err = readLongs(r, bo, e, typ, count)
 			if err != nil {
 				return nil, err
 			}
@@ -344,8 +344,11 @@ func Read(r io.ReaderAt) (*Image, error) {
 	return im, nil
 }
 
-// readLongs reads a LONG/SHORT array tag (inline or pointed-to).
-func readLongs(r io.ReaderAt, bo binary.ByteOrder, e []byte, typ uint16, count uint32, ifdOff int64, idx int) ([]uint32, error) {
+// readLongs reads a LONG/SHORT array tag (inline in entry e, or
+// pointed to by it). A pointed-to array is sized only once its last
+// byte is known to be in the file, so a short file cannot make it
+// allocate what the tag's count claims.
+func readLongs(r io.ReaderAt, bo binary.ByteOrder, e []byte, typ uint16, count uint32) ([]uint32, error) {
 	if count == 0 || count > 1<<20 {
 		return nil, fmt.Errorf("geotiff: implausible array tag count %d", count)
 	}
@@ -353,22 +356,20 @@ func readLongs(r io.ReaderAt, bo binary.ByteOrder, e []byte, typ uint16, count u
 	if typ == typeShort {
 		size = 2
 	}
-	out := make([]uint32, count)
-	if count*size <= 4 {
-		for i := uint32(0); i < count; i++ {
-			if typ == typeShort {
-				out[i] = uint32(bo.Uint16(e[8+2*i:]))
-			} else {
-				out[i] = bo.Uint32(e[8+4*i:])
-			}
+	n := count * size
+	raw := e[8:12]
+	if n > 4 {
+		off := int64(bo.Uint32(e[8:]))
+		var last [1]byte
+		if _, err := r.ReadAt(last[:], off+int64(n)-1); err != nil {
+			return nil, fmt.Errorf("geotiff: reading array tag: %w", err)
 		}
-		return out, nil
+		raw = make([]byte, n)
+		if _, err := r.ReadAt(raw, off); err != nil {
+			return nil, fmt.Errorf("geotiff: reading array tag: %w", err)
+		}
 	}
-	off := int64(bo.Uint32(e[8:]))
-	raw := make([]byte, count*size)
-	if _, err := r.ReadAt(raw, off); err != nil {
-		return nil, fmt.Errorf("geotiff: reading array tag: %w", err)
-	}
+	out := make([]uint32, count)
 	for i := uint32(0); i < count; i++ {
 		if typ == typeShort {
 			out[i] = uint32(bo.Uint16(raw[2*i:]))

@@ -282,10 +282,7 @@ func (mg *Manager) Fit(ctx context.Context, req FitRequest) (FitSummary, error) 
 
 	mg.fits.Inc()
 	mg.fitPixels.Add(int64(m))
-	span.SetAttr("pixels", m)
-	// The session ID on the fit span is what lets a trace reader stitch
-	// this request to the /v1/observe requests that follow it.
-	span.SetAttr("session", id)
+	span.SetAttr("pixels", int64(m))
 	return FitSummary{
 		ID: id, Pixels: m, OK: ok, Failed: m - ok,
 		History: opt.History, Capacity: req.Capacity, NextDate: opt.History,
@@ -392,7 +389,6 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 	if err != nil {
 		return ObserveResult{}, err
 	}
-	span.SetAttr("session", id)
 	m := len(s.Pixels)
 	if dates <= 0 {
 		return ObserveResult{}, fmt.Errorf("nrt: dates %d must be positive", dates)
@@ -442,8 +438,8 @@ func (mg *Manager) Observe(ctx context.Context, id string, values []float64, dat
 	mg.observes.Inc()
 	mg.obsDates.Add(int64(dates))
 	mg.obsPixels.Add(int64(dates * m))
-	span.SetAttr("dates", dates)
-	span.SetAttr("pixels", m)
+	span.SetAttr("dates", int64(dates))
+	span.SetAttr("pixels", int64(m))
 
 	res := ObserveResult{
 		ID: s.ID, Dates: dates, NextDate: s.NextDate,
@@ -726,15 +722,16 @@ func (mg *Manager) persistLocked(ctx context.Context, s *session, base bool) err
 			return fmt.Errorf("%w: %w", ErrPersist, err)
 		}
 		s.baseBytes, s.journalBytes = len(blob), 0
-		span.SetAttr("bytes", len(blob))
+		span.SetAttr("bytes", int64(len(blob)))
+		span.SetAttr("base", 1)
 	} else {
 		if err := mg.store.Append(ctx, s.ID, s.frame); err != nil {
 			return fmt.Errorf("%w: %w", ErrPersist, err)
 		}
 		s.journalBytes += len(s.frame)
-		span.SetAttr("bytes", len(s.frame))
+		span.SetAttr("bytes", int64(len(s.frame)))
+		span.SetAttr("base", 0)
 	}
-	span.SetAttr("base", base)
 	s.pending = s.pending[:0]
 	s.sinceSnap = 0
 	s.lastSnap = time.Now()
@@ -778,7 +775,7 @@ func (mg *Manager) Restore(ctx context.Context) (int, error) {
 		restored++
 		mg.snapsLoaded.Inc()
 	}
-	span.SetAttr("restored", restored)
+	span.SetAttr("restored", int64(restored))
 	return restored, nil
 }
 

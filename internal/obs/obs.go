@@ -2,7 +2,7 @@
 // and histograms held in a process-local registry and rendered as
 // expvar-compatible JSON (a single flat object, one entry per metric) or
 // Prometheus text exposition for the server's /metrics endpoint; a
-// context-propagated Span tree per request (span.go) recorded into a
+// context-propagated trace of span records per request (span.go) kept in a
 // bounded ring of recent traces for /debug/bfast/traces; structured
 // log/slog construction helpers (log.go); and a background runtime
 // sampler publishing goroutine/heap/GC gauges (runtime.go).

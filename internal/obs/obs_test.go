@@ -116,8 +116,8 @@ func TestTraceRingBasic(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		root := NewSpan("detect")
 		root.End()
-		node := root.Node()
-		r.Record(Trace{Endpoint: "detect", Code: 200 + i, Total: time.Duration(i), Spans: &node})
+		spans, _ := root.Records()
+		r.Record(Trace{Endpoint: "detect", Code: 200 + i, Total: time.Duration(i), Spans: spans})
 	}
 	got := r.Recent()
 	if len(got) != 3 {
@@ -128,8 +128,8 @@ func TestTraceRingBasic(t *testing.T) {
 		if tr.Code != 202+i {
 			t.Fatalf("ring order: got %d at %d", tr.Code, i)
 		}
-		if tr.Spans == nil || tr.Spans.Name != "detect" {
-			t.Fatalf("span tree lost: %+v", tr)
+		if len(tr.Spans) != 1 || tr.Spans[0].Name != "detect" {
+			t.Fatalf("spans lost: %+v", tr)
 		}
 	}
 	// nil ring is a no-op recorder.

@@ -6,38 +6,74 @@ import (
 	"time"
 )
 
-// Span is one timed node of a request's execution tree: the serving
-// layer opens a root span per request, and every instrumented stage
-// below it (pipeline stages, scheduler loops, kernel phases) attaches a
-// child via StartSpan. Spans replace the old flat Trace.Phases list —
-// the tree preserves *where* time went, not just how much, which is the
-// difference between "detect took 80 ms" and "80 ms = 70 ms in the
-// inversion sweep of which 60 ms sat in one scheduler loop".
+// A request's trace is one flat, append-only list of span records owned
+// by its root span: the server opens a root per request, and every
+// instrumented stage below it (pipeline stages, scheduler loops, kernel
+// phases) appends a record via StartSpan naming its parent, so the
+// trace keeps *where* time went, not just how much. The records have
+// the fields of the benchmark harness's own spans.
 //
-// Tracing is opt-in per call chain: a context without a span makes
-// StartSpan free (nil span, no allocation), and every Span method is
-// safe on a nil receiver, so the kernel hot paths carry the
-// instrumentation unconditionally and pay only a context lookup when
-// tracing is off. The benchmark ledger's trace.overhead_pct row
-// measures what tracing costs when it is on.
-type Span struct {
-	name  string
-	start time.Time
+// A context without a span makes StartSpan free (nil span, no
+// allocation) and every Span method is safe on a nil receiver, so the
+// hot paths carry the instrumentation unconditionally and pay one
+// context lookup when tracing is off. The server traces every request
+// while its trace ring is on; TestTracedRequestAllocs in
+// internal/server bounds what that costs a small request.
 
+// SpanRecord is one span of a trace.
+type SpanRecord struct {
+	// ID numbers the trace's spans from 1 (the root) in start order;
+	// Parent is the enclosing span's ID (0 for the root).
+	ID     int32  `json:"id"`
+	Parent int32  `json:"parent,omitempty"`
+	Name   string `json:"name"`
+	// StartNs and EndNs are offsets from the root's start.
+	StartNs int64 `json:"start_ns"`
+	EndNs   int64 `json:"end_ns"`
+}
+
+// SpanAttr is one integer attribute of a span: a count, a size, a
+// duration in nanoseconds or a 0/1 flag.
+type SpanAttr struct {
+	Span  int32  `json:"span"`
+	Key   string `json:"key"`
+	Value int64  `json:"value"`
+}
+
+// recorder holds one trace. Its first spans and attributes live in the
+// fixed arrays, so a small request's whole trace is one allocation.
+type recorder struct {
+	root     Span
+	start    time.Time
 	mu       sync.Mutex
-	dur      time.Duration
-	ended    bool
-	attrs    map[string]any
-	children []*Span
+	sealed   bool
+	spans    []SpanRecord
+	attrs    []SpanAttr
+	spanBuf  [12]SpanRecord
+	attrsBuf [24]SpanAttr
+}
+
+const openEnd = -1 // EndNs of a span that has not Ended yet
+
+// Span is a handle to one record of a trace.
+type Span struct {
+	rec *recorder
+	id  int32
 }
 
 // spanCtxKey carries the active span through a context chain.
 type spanCtxKey struct{}
 
-// NewSpan starts a root span. The caller must End it and usually
-// exports the finished tree with Node.
+// NewSpan starts the root span of a new trace. Its End seals the trace:
+// spans still open are closed at the root's end, and a later StartSpan,
+// End or SetAttr anywhere in the trace is dropped. Records then returns
+// the finished trace.
 func NewSpan(name string) *Span {
-	return &Span{name: name, start: time.Now()}
+	r := &recorder{start: time.Now()}
+	r.spans = append(r.spanBuf[:0], SpanRecord{ID: 1, Name: name, EndNs: openEnd})
+	r.attrs = r.attrsBuf[:0]
+	r.root = Span{rec: r, id: 1}
+	return &r.root
 }
 
 // ContextWithSpan returns ctx carrying sp as the active span. A nil sp
@@ -56,120 +92,80 @@ func SpanFromContext(ctx context.Context) *Span {
 }
 
 // StartSpan begins a child of ctx's active span and returns a context
-// carrying the child. When ctx has no active span it returns ctx
-// unchanged and a nil span — the disabled fast path.
+// carrying the child. When ctx has no active span, or its trace is
+// already sealed, it returns ctx unchanged and a nil span — the
+// disabled fast path.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFromContext(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
-	sp := &Span{name: name, start: time.Now()}
-	parent.mu.Lock()
-	parent.children = append(parent.children, sp)
-	parent.mu.Unlock()
+	r := parent.rec
+	now := int64(time.Since(r.start))
+	r.mu.Lock()
+	if r.sealed {
+		r.mu.Unlock()
+		return ctx, nil
+	}
+	id := int32(len(r.spans) + 1)
+	r.spans = append(r.spans, SpanRecord{ID: id, Parent: parent.id, Name: name, StartNs: now, EndNs: openEnd})
+	r.mu.Unlock()
+	sp := &Span{rec: r, id: id}
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
-// End fixes the span's duration. Safe on a nil receiver; the first End
-// wins, later calls are no-ops.
+// End records the span's end. Safe on a nil receiver; the first End
+// wins, later calls are no-ops. The root's End seals the trace.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		s.dur = time.Since(s.start)
-		s.ended = true
+	r := s.rec
+	now := int64(time.Since(r.start))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sealed {
+		return
 	}
-	s.mu.Unlock()
+	if s.id == 1 {
+		for i := range r.spans {
+			if r.spans[i].EndNs == openEnd {
+				r.spans[i].EndNs = now
+			}
+		}
+		r.sealed = true
+	} else if rec := &r.spans[s.id-1]; rec.EndNs == openEnd {
+		rec.EndNs = now
+	}
 }
 
-// SetAttr attaches a key/value attribute (v must be JSON-encodable).
-// Safe on a nil receiver.
-func (s *Span) SetAttr(key string, v any) {
+// SetAttr attaches an integer attribute to the span. Safe on a nil
+// receiver; dropped once the trace is sealed.
+func (s *Span) SetAttr(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if s.attrs == nil {
-		s.attrs = make(map[string]any, 4)
+	r := s.rec
+	r.mu.Lock()
+	if !r.sealed {
+		r.attrs = append(r.attrs, SpanAttr{Span: s.id, Key: key, Value: v})
 	}
-	s.attrs[key] = v
-	s.mu.Unlock()
+	r.mu.Unlock()
 }
 
-// Duration returns the span's duration (elapsed-so-far if not ended).
-// Safe on a nil receiver (0).
-func (s *Span) Duration() time.Duration {
+// Records returns the sealed trace s belongs to: its spans in start
+// order and its attributes in the order they were set, shared rather
+// than copied (callers must not modify them). Before the root has Ended
+// it returns nil lists; so does a nil receiver.
+func (s *Span) Records() ([]SpanRecord, []SpanAttr) {
 	if s == nil {
-		return 0
+		return nil, nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
+	r := s.rec
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.sealed {
+		return nil, nil
 	}
-	return time.Since(s.start)
-}
-
-// SpanNode is the exported, JSON-encodable snapshot of a span subtree,
-// the wire shape of /debug/bfast/traces.
-type SpanNode struct {
-	Name string `json:"name"`
-	// StartNs is the span's absolute start time in Unix nanoseconds
-	// (children's StartNs minus the root's gives the waterfall offset).
-	StartNs int64 `json:"start_ns"`
-	// DurNs is the span duration in nanoseconds.
-	DurNs    int64          `json:"ns"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
-	Children []SpanNode     `json:"children,omitempty"`
-}
-
-// Node snapshots the span subtree. Spans still running are exported
-// with their elapsed-so-far duration. Safe on a nil receiver (zero
-// node).
-func (s *Span) Node() SpanNode {
-	if s == nil {
-		return SpanNode{}
-	}
-	s.mu.Lock()
-	n := SpanNode{Name: s.name, StartNs: s.start.UnixNano()}
-	if s.ended {
-		n.DurNs = int64(s.dur)
-	} else {
-		n.DurNs = int64(time.Since(s.start))
-	}
-	if len(s.attrs) > 0 {
-		n.Attrs = make(map[string]any, len(s.attrs))
-		for k, v := range s.attrs {
-			n.Attrs[k] = v
-		}
-	}
-	children := make([]*Span, len(s.children))
-	copy(children, s.children)
-	s.mu.Unlock()
-	if len(children) > 0 {
-		n.Children = make([]SpanNode, len(children))
-		for i, c := range children {
-			n.Children[i] = c.Node()
-		}
-	}
-	return n
-}
-
-// Find returns the first node in the tree (pre-order) with the given
-// name, or nil — a convenience for tests and trace consumers.
-func (n *SpanNode) Find(name string) *SpanNode {
-	if n == nil {
-		return nil
-	}
-	if n.Name == name {
-		return n
-	}
-	for i := range n.Children {
-		if hit := n.Children[i].Find(name); hit != nil {
-			return hit
-		}
-	}
-	return nil
+	return r.spans[:len(r.spans):len(r.spans)], r.attrs[:len(r.attrs):len(r.attrs)]
 }

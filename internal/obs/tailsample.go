@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Tail-based trace sampling: the TraceRing keeps the last N span trees
+// Tail-based trace sampling: the TraceRing keeps the last N traces
 // in memory, which is the wrong retention policy for production
 // diagnostics — the trace an operator needs after a page is exactly the
 // slow or failed one, and under load it rotates out of the ring in

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -272,4 +275,70 @@ func TestTailSamplerRequiresDir(t *testing.T) {
 	if _, err := NewTailSampler(TailConfig{Metrics: NewRegistry()}); err == nil {
 		t.Fatal("NewTailSampler without Dir should error")
 	}
+}
+
+// nestedTraceLine is a trace line as servers before the flat span
+// records wrote it: spans as a tree of nodes with map attributes.
+const nestedTraceLine = `{"reason":"head","sampled_unix_ns":2,"request_id":"nested-1","start":"2026-01-02T03:04:05Z","endpoint":"batch","code":200,"bytes":10,"total_ns":5,"spans":{"name":"server.batch","start_ns":1,"ns":5,"children":[{"name":"decode","start_ns":2,"ns":1,"attrs":{"bytes":10}}]}}`
+
+// flatTraceLine persists a sealed two-span trace the way Offer does.
+func flatTraceLine(t testing.TB) []byte {
+	root := NewSpan("server.batch")
+	_, sp := StartSpan(ContextWithSpan(context.Background(), root), "decode")
+	sp.SetAttr("bytes", 10)
+	sp.End()
+	root.End()
+	tr := Trace{RequestID: "flat-1", Start: time.Unix(1, 0), Endpoint: "batch", Code: 200}
+	tr.Spans, tr.Attrs = root.Records()
+	line, err := json.Marshal(PersistedTrace{Reason: "head", SampledUnixNs: 2, Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// TestReadBackSkipsNestedSpans: a line an older server persisted with
+// nested spans is skipped and counted as corrupt; a flat one reads back
+// with its records.
+func TestReadBackSkipsNestedSpans(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	data := append([]byte(nestedTraceLine+"\n"), flatTraceLine(t)...)
+	if err := os.WriteFile(filepath.Join(dir, traceLogName), append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, reg := newTestSampler(t, TailConfig{Dir: dir})
+	got := s.ReadBack(0, time.Time{})
+	if len(got) != 1 || got[0].RequestID != "flat-1" || len(got[0].Spans) != 2 || got[0].Spans[1].Parent != 1 {
+		t.Fatalf("ReadBack = %+v, want the flat record", got)
+	}
+	if v := reg.Counter("diag.tail.corrupt_skipped").Value(); v != 1 {
+		t.Fatalf("corrupt_skipped = %d, want 1", v)
+	}
+}
+
+// FuzzReadBack: whatever bytes the trace log holds, ReadBack never
+// panics, and every non-empty line is either returned or counted in
+// diag.tail.corrupt_skipped.
+func FuzzReadBack(f *testing.F) {
+	f.Add([]byte(nestedTraceLine + "\n"))
+	f.Add(append(flatTraceLine(f), '\n'))
+	f.Add([]byte("not json\n\r\n{}\n" + nestedTraceLine))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, traceLogName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		lines := 0
+		for _, l := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.TrimSuffix(l, []byte("\r"))) > 0 {
+				lines++
+			}
+		}
+		s, reg := newTestSampler(t, TailConfig{Dir: dir})
+		got := s.ReadBack(lines+1, time.Time{})
+		if skipped := reg.Counter("diag.tail.corrupt_skipped").Value(); len(got)+int(skipped) != lines {
+			t.Fatalf("%d records + %d skipped != %d non-empty lines", len(got), skipped, lines)
+		}
+	})
 }

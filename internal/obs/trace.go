@@ -6,7 +6,7 @@ import (
 )
 
 // Trace is the record of one served request: correlation id, endpoint,
-// outcome, sizes, and the span tree of where the time went (decode →
+// outcome, sizes, and the span records of where the time went (decode →
 // detect → scheduler loops → kernel phases). The RequestID matches the
 // X-Request-ID response header and the request_id field of the
 // request's log lines, so logs, traces and metrics correlate.
@@ -23,9 +23,10 @@ type Trace struct {
 	Bytes   int64         `json:"bytes"`
 	Pixels  int           `json:"pixels,omitempty"`
 	Total   time.Duration `json:"total_ns"`
-	// Spans is the request's finished span tree (nil when tracing was
-	// off for the request). It replaces the old flat Phases list.
-	Spans *SpanNode `json:"spans,omitempty"`
+	// Spans and Attrs are the request's sealed trace, as its root span's
+	// Records returns them (nil when tracing was off for the request).
+	Spans []SpanRecord `json:"spans,omitempty"`
+	Attrs []SpanAttr   `json:"attrs,omitempty"`
 }
 
 // TraceRing is a bounded, concurrency-safe ring of recent request

@@ -130,8 +130,7 @@ func Run(ctx context.Context, c *cube.Cube, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	ctx, spRun := obs.StartSpan(ctx, "pipeline.run")
-	spRun.SetAttr("chunks", cfg.Chunks)
-	spRun.SetAttr("strategy", cfg.Strategy.String())
+	spRun.SetAttr("chunks", int64(cfg.Chunks))
 	defer spRun.End()
 	lg := cfg.logger()
 
@@ -190,8 +189,8 @@ func Run(ctx context.Context, c *cube.Cube, cfg Config) (*Result, error) {
 			return nil, err
 		}
 		_, spCh := obs.StartSpan(ctx, "pipeline.chunk")
-		spCh.SetAttr("idx", idx)
-		spCh.SetAttr("pixels", ch.Pixels)
+		spCh.SetAttr("idx", int64(idx))
+		spCh.SetAttr("pixels", int64(ch.Pixels))
 		// Kick off staging of the next chunk before simulating this one.
 		var (
 			next      *kernels.Batch32
@@ -300,8 +299,7 @@ func RunFile(ctx context.Context, path string, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: DropEmpty is not supported in streaming mode")
 	}
 	ctx, spRun := obs.StartSpan(ctx, "pipeline.run_file")
-	spRun.SetAttr("chunks", cfg.Chunks)
-	spRun.SetAttr("strategy", cfg.Strategy.String())
+	spRun.SetAttr("chunks", int64(cfg.Chunks))
 	defer spRun.End()
 	lg := cfg.logger()
 	res := &Result{Chunks: cfg.Chunks}
@@ -380,8 +378,8 @@ func RunFile(ctx context.Context, path string, cfg Config) (*Result, error) {
 		// by the error path below) when the chunk retires.
 		//lint:allow spanpair -- cross-iteration span; flush() and the StreamChunks error path End it
 		_, pendingSpan = obs.StartSpan(ctx, "pipeline.chunk")
-		pendingSpan.SetAttr("idx", pendingIdx)
-		pendingSpan.SetAttr("pixels", ch.Pixels)
+		pendingSpan.SetAttr("idx", int64(pendingIdx))
+		pendingSpan.SetAttr("pixels", int64(ch.Pixels))
 		pendingSpan.SetAttr("stage_ns", int64(stage))
 		pendingSpan.SetAttr("transfer_ns", int64(transfer))
 		lg.Debug("pipeline chunk staged",

@@ -303,23 +303,24 @@ func TestRunObservability(t *testing.T) {
 	}
 	root.End()
 
-	n := root.Node()
-	run := n.Find("pipeline.run")
+	spans, attrs := root.Records()
+	run := findSpan(spans, -1, "pipeline.run")
 	if run == nil {
 		t.Fatal("no pipeline.run span")
 	}
-	if run.Find("pipeline.preprocess") == nil || run.Find("pipeline.chunking") == nil {
-		t.Fatalf("missing host-phase spans: %+v", run)
+	if findSpan(spans, run.ID, "pipeline.preprocess") == nil || findSpan(spans, run.ID, "pipeline.chunking") == nil {
+		t.Fatalf("missing host-phase spans: %+v", spans)
 	}
 	chunks := 0
-	for _, ch := range run.Children {
-		if ch.Name != "pipeline.chunk" {
+	for _, ch := range spans {
+		if ch.Parent != run.ID || ch.Name != "pipeline.chunk" {
 			continue
 		}
 		chunks++
+		a := spanAttrs(attrs, ch.ID)
 		for _, attr := range []string{"idx", "pixels", "stage_ns", "transfer_ns", "kernel_ns"} {
-			if _, ok := ch.Attrs[attr]; !ok {
-				t.Fatalf("pipeline.chunk missing attr %q: %v", attr, ch.Attrs)
+			if _, ok := a[attr]; !ok {
+				t.Fatalf("pipeline.chunk missing attr %q: %v", attr, a)
 			}
 		}
 	}
@@ -352,19 +353,20 @@ func TestRunFileObservability(t *testing.T) {
 	}
 	root.End()
 
-	node := root.Node()
-	run := node.Find("pipeline.run_file")
+	spans, attrs := root.Records()
+	run := findSpan(spans, -1, "pipeline.run_file")
 	if run == nil {
 		t.Fatal("no pipeline.run_file span")
 	}
 	chunks := 0
-	for _, ch := range run.Children {
-		if ch.Name != "pipeline.chunk" {
+	for _, ch := range spans {
+		if ch.Parent != run.ID || ch.Name != "pipeline.chunk" {
 			continue
 		}
 		chunks++
-		if _, ok := ch.Attrs["kernel_ns"]; !ok {
-			t.Fatalf("streamed chunk span missing kernel_ns: %v", ch.Attrs)
+		a := spanAttrs(attrs, ch.ID)
+		if _, ok := a["kernel_ns"]; !ok {
+			t.Fatalf("streamed chunk span missing kernel_ns: %v", a)
 		}
 	}
 	if chunks != 2 {
@@ -374,4 +376,26 @@ func TestRunFileObservability(t *testing.T) {
 		strings.Count(logBuf.String(), "pipeline chunk retired") != 2 {
 		t.Fatalf("staged/retired log pairs missing: %s", logBuf.String())
 	}
+}
+
+// findSpan returns the first span named name whose parent is parent
+// (any parent when parent < 0), or nil.
+func findSpan(spans []obs.SpanRecord, parent int32, name string) *obs.SpanRecord {
+	for i := range spans {
+		if spans[i].Name == name && (parent < 0 || spans[i].Parent == parent) {
+			return &spans[i]
+		}
+	}
+	return nil
+}
+
+// spanAttrs returns span id's attributes by key.
+func spanAttrs(attrs []obs.SpanAttr, id int32) map[string]int64 {
+	m := make(map[string]int64)
+	for _, a := range attrs {
+		if a.Span == id {
+			m[a.Key] = a.Value
+		}
+	}
+	return m
 }

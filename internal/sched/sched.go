@@ -158,10 +158,10 @@ func (p *Pool) ForEachCtx(ctx context.Context, m, workers, grain int, body func(
 		w = blocks
 	}
 	_, sp := obs.StartSpan(ctx, "sched.foreach")
-	sp.SetAttr("items", m)
-	sp.SetAttr("blocks", blocks)
-	sp.SetAttr("workers", w)
-	sp.SetAttr("grain", g)
+	sp.SetAttr("items", int64(m))
+	sp.SetAttr("blocks", int64(blocks))
+	sp.SetAttr("workers", int64(w))
+	sp.SetAttr("grain", int64(g))
 	counts := make([]int64, w)
 	var next atomic.Int64
 	run := func(id int) {
@@ -238,7 +238,7 @@ func recordLoopSkew(sp *obs.Span, counts []int64) {
 		imb := 100 * (float64(max) - mean) / mean
 		StatImbalancePct.Observe(imb)
 		StatImbalanceLast.Set(int64(imb))
-		sp.SetAttr("imbalance_pct", imb)
+		sp.SetAttr("imbalance_pct", int64(imb))
 	}
 }
 

@@ -184,7 +184,7 @@ type traceEntry struct {
 	obs.Trace
 }
 
-// handleTraces serves the recent span trees. Without parameters: the
+// handleTraces serves the recent request traces. Without parameters: the
 // last 50 traces, merged from the in-memory ring and the persisted
 // tail-sample log (ring wins on duplicates), oldest first. ?limit=
 // overrides the count, ?since= (RFC3339) drops older traces, and

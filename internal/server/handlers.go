@@ -366,8 +366,8 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}
 	sp.End()
 	// /v1/batch runs the one tiled detector (core.DetectBatch), which is
-	// bit-identical to scalar Detect; the kernel-phase spans light up
-	// under this request's span tree.
+	// bit-identical to scalar Detect; the kernel-phase spans land in
+	// this request's trace under detect.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
 	b, err := core.NewBatch(m, n, flat)
 	if err != nil {

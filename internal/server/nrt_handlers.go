@@ -137,11 +137,10 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
 	}
-	// Stitch the session onto the request's trace and root span: the
-	// /v1/observe requests that follow carry the same ID, so logs and
-	// traces of one session's lifetime correlate.
+	// Stitch the session onto the request's trace: the /v1/observe
+	// requests that follow carry the same ID, so logs and traces of one
+	// session's lifetime correlate.
 	tr.Session = sum.ID
-	obs.SpanFromContext(r.Context()).SetAttr("session", sum.ID)
 	return sum, nil
 }
 
@@ -157,7 +156,6 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "session is required")
 	}
 	tr.Session = req.Session
-	obs.SpanFromContext(r.Context()).SetAttr("session", req.Session)
 	if len(req.Dates) == 0 {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "dates is required")
 	}

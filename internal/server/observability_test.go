@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -70,8 +72,8 @@ func batchBody(rng *rand.Rand, m, n int) map[string]any {
 }
 
 // TestRequestIDAndSpanTree is the PR's acceptance path: a batch request
-// with a client X-Request-ID must echo the ID, and its span tree —
-// server root through the batched kernel phases — must be retrievable
+// with a client X-Request-ID must echo the ID, and its trace — server
+// root through the batched kernel phases — must be retrievable
 // from /debug/bfast/traces under that ID.
 func TestRequestIDAndSpanTree(t *testing.T) {
 	ts := httptest.NewServer(mustServer(t, Config{}))
@@ -99,27 +101,34 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 	if tr.RequestID != id || tr.Endpoint != "batch" || tr.Code != http.StatusOK || tr.Pixels != 24 {
 		t.Fatalf("trace fields: %+v", tr)
 	}
-	if tr.Spans == nil || tr.Spans.Name != "server.batch" {
-		t.Fatalf("span tree root: %+v", tr.Spans)
+	if len(tr.Spans) == 0 || tr.Spans[0].Name != "server.batch" {
+		t.Fatalf("trace root: %+v", tr.Spans)
 	}
 	for _, name := range []string{
 		"decode", "pack", "detect", "encode",
 		"core.detect_batch", "kernel.mask", "kernel.tiles", "sched.foreach",
 	} {
-		if tr.Spans.Find(name) == nil {
-			t.Fatalf("span tree missing %q:\n%s", name, tbody)
+		if findSpan(tr.Spans, -1, name) == nil {
+			t.Fatalf("trace missing %q:\n%s", name, tbody)
 		}
 	}
+	// The kernel spans hang under detect, not beside it.
+	detect := findSpan(tr.Spans, -1, "detect")
+	db := findSpan(tr.Spans, detect.ID, "core.detect_batch")
+	if db == nil || findSpan(tr.Spans, db.ID, "kernel.tiles") == nil {
+		t.Fatalf("kernel.tiles is not under detect → core.detect_batch:\n%s", tbody)
+	}
 	// The trace must answer "did this request share inverses?".
+	tiles := spanAttrs(tr.Attrs, findSpan(tr.Spans, db.ID, "kernel.tiles").ID)
 	for _, attr := range []string{"tiles", "mask_classes", "shared_pixels", "tiles_shared"} {
-		if _, ok := tr.Spans.Find("kernel.tiles").Attrs[attr]; !ok {
+		if _, ok := tiles[attr]; !ok {
 			t.Fatalf("kernel.tiles span missing %q:\n%s", attr, tbody)
 		}
 	}
 	// detect must dominate decode+pack for a real batch; sanity-check
 	// that durations are populated, not just names.
-	if d := tr.Spans.Find("detect"); d.DurNs <= 0 {
-		t.Fatalf("detect span duration %d", d.DurNs)
+	if detect.EndNs <= detect.StartNs {
+		t.Fatalf("detect span runs %d..%d", detect.StartNs, detect.EndNs)
 	}
 }
 
@@ -153,18 +162,19 @@ func TestObserveEncodeSpan(t *testing.T) {
 	if !ok {
 		t.Fatalf("no trace for %s", id)
 	}
-	enc := tr.Spans.Find("encode")
+	enc := findSpan(tr.Spans, -1, "encode")
 	if enc == nil {
 		t.Fatalf("observe trace has no encode span: %+v", tr.Spans)
 	}
-	if got := enc.Attrs["bytes"]; got != len(body) {
+	a := spanAttrs(tr.Attrs, enc.ID)
+	if got := a["bytes"]; got != int64(len(body)) {
 		t.Fatalf("encode bytes = %v, body is %d bytes", got, len(body))
 	}
-	if got := enc.Attrs["ranges"]; got != 3 {
+	if got := a["ranges"]; got != 3 {
 		t.Fatalf("encode ranges = %v, want 3 for %d verdicts", got, px)
 	}
-	if enc.Find("sched.foreach") == nil {
-		t.Fatalf("encode span has no sched.foreach child: %+v", enc)
+	if findSpan(tr.Spans, enc.ID, "sched.foreach") == nil {
+		t.Fatalf("encode span has no sched.foreach child: %+v", tr.Spans)
 	}
 }
 
@@ -230,6 +240,46 @@ func TestTracingDisabledSkipsSpans(t *testing.T) {
 	if resp.Header.Get(HeaderRequestID) == "" {
 		t.Fatal("request id must be issued even with tracing off")
 	}
+}
+
+// TestTracedRequestAllocs bounds what tracing costs a small request: a
+// warm 1-px /v1/batch through ServeHTTP may allocate under 3 KB more
+// with the trace ring on (TraceDepth 0, the default) than with it off.
+// Each configuration runs three rounds and keeps its least, so a
+// collection that empties the kernels' pools in one round does not
+// count against either side.
+func TestTracedRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	body, err := json.Marshal(batchBody(rand.New(rand.NewSource(48)), 1, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRequest := func(s *Server, runs int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			w := &discardWriter{h: http.Header{}}
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+	}
+	traced := mustServer(t, Config{TraceDepth: 0})
+	untraced := mustServer(t, Config{TraceDepth: -1})
+	perRequest(traced, 200)
+	perRequest(untraced, 200)
+	on, off := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for round := 0; round < 3; round++ {
+		on = min(on, perRequest(traced, 2000))
+		off = min(off, perRequest(untraced, 2000))
+	}
+	cost := int64(on) - int64(off)
+	if cost >= 3<<10 {
+		t.Fatalf("traced request allocates %d B, untraced %d B: tracing costs %d B, want < 3072", on, off, cost)
+	}
+	t.Logf("traced %d B, untraced %d B a request: tracing costs %d B", on, off, cost)
 }
 
 // TestMetricsPrometheusNegotiation: the server's /metrics must serve the
@@ -412,4 +462,26 @@ func TestRuntimeSamplerLifecycle(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// findSpan returns the first span named name whose parent is parent
+// (any parent when parent < 0), or nil.
+func findSpan(spans []obs.SpanRecord, parent int32, name string) *obs.SpanRecord {
+	for i := range spans {
+		if spans[i].Name == name && (parent < 0 || spans[i].Parent == parent) {
+			return &spans[i]
+		}
+	}
+	return nil
+}
+
+// spanAttrs returns span id's attributes by key.
+func spanAttrs(attrs []obs.SpanAttr, id int32) map[string]int64 {
+	m := make(map[string]int64)
+	for _, a := range attrs {
+		if a.Span == id {
+			m[a.Key] = a.Value
+		}
+	}
+	return m
 }

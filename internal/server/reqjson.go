@@ -47,7 +47,7 @@ func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request) (*T, *apiEr
 	defer sp.End()
 	raw, err := s.readBody(r)
 	defer s.putBodyBuf(raw)
-	sp.SetAttr("bytes", len(raw))
+	sp.SetAttr("bytes", int64(len(raw)))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {

@@ -58,7 +58,7 @@ func RouteTable() []Route {
 			Codes: []string{CodeNotFound, CodeInvalidArgument, CodeMethodNotAllowed, CodeInternal}},
 		{Method: "GET", Path: "/metrics", Summary: "metric JSON (Prometheus text via Accept)", Debug: true},
 		{Method: "GET", Path: "/debug/bfast", Summary: "resolved config and recent request traces", Debug: true},
-		{Method: "GET", Path: "/debug/bfast/traces", Summary: "recent span trees, ring + persisted (?limit=, ?since=, ?request_id=)", Debug: true,
+		{Method: "GET", Path: "/debug/bfast/traces", Summary: "recent request traces, ring + persisted (?limit=, ?since=, ?request_id=)", Debug: true,
 			Codes: []string{CodeNotFound, CodeInvalidArgument}},
 		{Method: "GET", Path: "/debug/bfast/flight", Summary: "flight-recorder bundle: metrics, traces, config, profiles (tar.gz)", Debug: true,
 			Codes: []string{CodeMethodNotAllowed}},

@@ -8,7 +8,7 @@
 //	GET  /v1/healthz                                         -> ok (503 while draining)
 //	GET  /metrics                                            -> metric JSON (Prometheus text via Accept or ?format=prometheus)
 //	GET  /debug/bfast                                        -> config, recent request traces
-//	GET  /debug/bfast/traces                                 -> recent span trees, ring + persisted (?limit=, ?since=, ?request_id=)
+//	GET  /debug/bfast/traces                                 -> recent request traces, ring + persisted (?limit=, ?since=, ?request_id=)
 //	GET  /debug/bfast/flight                                 -> flight-recorder bundle (tar.gz)
 //
 // NaN cannot be represented in JSON; missing observations are sent as
@@ -405,11 +405,8 @@ func (s *Server) endpoint(name, methods string, heavy bool, fn endpointFunc) htt
 			// The exemplar puts this request's ID on the latency bucket it
 			// landed in, so a burning SLO points at a concrete trace.
 			latency.ObserveExemplar(float64(tr.Total)/1e6, id)
-			if root != nil {
-				root.End()
-				node := root.Node()
-				tr.Spans = &node
-			}
+			root.End()
+			tr.Spans, tr.Attrs = root.Records()
 			s.ring.Record(tr)
 			// Tail sampling sees the completed trace — outcome and latency
 			// known — and persists it when it is an error, slow, or a
@@ -689,13 +686,8 @@ func writeJSON(ctx context.Context, w http.ResponseWriter, v any) error {
 	for _, p := range r.bufs {
 		n += len(*p)
 	}
-	if ranges > 1 {
-		// Only a parallel reply records its shape: on a one-range reply
-		// the span's attribute map would cost about 700 B a request,
-		// over 1 % of what a 1-4 px /v1/batch request allocates.
-		sp.SetAttr("bytes", n)
-		sp.SetAttr("ranges", ranges)
-	}
+	sp.SetAttr("bytes", int64(n))
+	sp.SetAttr("ranges", int64(ranges))
 	w.Header().Set("Content-Length", strconv.Itoa(n))
 	for _, p := range r.bufs[:ranges-1] {
 		_, _ = w.Write(*p) // as above: a failed write has nowhere to go

@@ -6,6 +6,9 @@
 #     served (merged with the ring) by /debug/bfast/traces;
 #   - a persisted trace survives a SIGTERM restart and comes back with
 #     source "disk" and its sampling reason;
+#   - a trace is a flat list of span records: persisted lines carry a
+#     "spans" array, and the batch trace's core.detect_batch record
+#     names its detect record as parent;
 #   - the latency histograms carry OpenMetrics exemplars whose trace ID
 #     resolves via /debug/bfast/traces?request_id=;
 #   - the slo.* burn-rate gauge families are exported;
@@ -55,6 +58,8 @@ code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/v1/detect" \
 [ -s "$DIAG/traces.jsonl" ] || { echo "diag-smoke: $DIAG/traces.jsonl missing or empty" >&2; exit 1; }
 grep -q '"request_id":"diag-smoke-err"' "$DIAG/traces.jsonl" ||
     { echo "diag-smoke: error trace not persisted" >&2; exit 1; }
+grep '"request_id":"diag-smoke-err"' "$DIAG/traces.jsonl" | grep -q '"spans":\[{"id":1,' ||
+    { echo "diag-smoke: persisted trace has no spans array" >&2; exit 1; }
 
 # Exemplar on a latency bucket, resolving back to the batch trace.
 curl -fsS "http://$ADDR/metrics?format=prometheus" >"$TMP/metrics.prom"
@@ -62,8 +67,13 @@ grep -q '# {trace_id="diag-smoke-batch"}' "$TMP/metrics.prom" ||
     { echo "diag-smoke: no exemplar for the batch request in /metrics" >&2; exit 1; }
 grep -q '^slo_batch_burn_rate_5m_milli ' "$TMP/metrics.prom" ||
     { echo "diag-smoke: slo.* burn-rate gauges missing" >&2; exit 1; }
-curl -fsS "http://$ADDR/debug/bfast/traces?request_id=diag-smoke-batch" >/dev/null ||
+curl -fsS "http://$ADDR/debug/bfast/traces?request_id=diag-smoke-batch" >"$TMP/batch-trace.json" ||
     { echo "diag-smoke: exemplar trace ID does not resolve" >&2; exit 1; }
+# Records encode as {"id":I,"parent":P,"name":N,...}, fields in that order.
+detect=$(grep -o '"id":[0-9]*,"parent":[0-9]*,"name":"detect"' "$TMP/batch-trace.json" | sed 's/^"id":\([0-9]*\),.*/\1/')
+[ -n "$detect" ] || { echo "diag-smoke: batch trace has no detect record" >&2; cat "$TMP/batch-trace.json" >&2; exit 1; }
+grep -q "\"parent\":$detect,\"name\":\"core.detect_batch\"" "$TMP/batch-trace.json" ||
+    { echo "diag-smoke: core.detect_batch is not a child of detect (id $detect)" >&2; cat "$TMP/batch-trace.json" >&2; exit 1; }
 
 # Flight bundle: one GET, a well-formed non-empty tar.gz.
 curl -fsS "http://$ADDR/debug/bfast/flight" >"$TMP/flight.tar.gz"
