@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -34,6 +35,10 @@ func FuzzBatchDecode(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
 	f.Add([]byte(`[]`))
+	f.Add([]byte(`{"pixels":[[1,2,3,4,5,6]],"pixels":[[-0,null,1,2,3,4],[5,6,7,8,9,0]],"history":4}`))
+	f.Add([]byte(`{"pix\u0065ls":[[1,2,3,4,5,6],[6,5,4,3,2,1]],"history":4}`))
+	f.Add([]byte(`{"pixels":[[1,2,3,4,5,6],null],"history":4}`))
+	f.Add([]byte(`{"pixels":[[1,2,3,4,5,6],[1,2,3,4,5,6]],"history":4} {}`))
 
 	fuzzServe(f, mustServer(f, Config{
 		MaxBodyBytes:   1 << 16,
@@ -41,7 +46,22 @@ func FuzzBatchDecode(f *testing.F) {
 		MaxSeriesLen:   64,
 		TraceDepth:     -1,
 		Workers:        1,
-	}), "/v1/batch", nil)
+	}), "/v1/batch", nil, func(raw []byte) string {
+		var req DetectRequest
+		if stockDecode(raw, &req) != nil || len(req.Pixels) == 0 {
+			return ""
+		}
+		n := len(req.Pixels[0])
+		if req.N != nil {
+			n = *req.N
+		}
+		for i, p := range req.Pixels {
+			if len(p) != n {
+				return fmt.Sprintf("pixel %d has %d dates, expected %d", i, len(p), n)
+			}
+		}
+		return ""
+	})
 }
 
 // FuzzFitDecode is FuzzBatchDecode for /v1/fit, the session-creating
@@ -58,6 +78,9 @@ func FuzzFitDecode(f *testing.F) {
 	f.Add([]byte(`{"pixels":[],"history":4}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"pixels":[[1,2,3,4]],"pixels":[[-0,null,3,4],[4,3,2,1]],"history":4}`))
+	f.Add([]byte(`{"pixels":[[1,2,3,4],null],"history":4}`))
+	f.Add([]byte(`{"pixels":[[1,2,3,4],[4,3,2,1]],"History":4}`))
 	fuzzServe(f, mustServer(f, Config{
 		MaxBodyBytes:   1 << 16,
 		MaxBatchPixels: 4,
@@ -65,7 +88,18 @@ func FuzzFitDecode(f *testing.F) {
 		TraceDepth:     -1,
 		Workers:        1,
 		NRT:            NRTConfig{MaxSessions: 4},
-	}), "/v1/fit", nil)
+	}), "/v1/fit", nil, func(raw []byte) string {
+		var req FitHTTPRequest
+		if stockDecode(raw, &req) != nil {
+			return ""
+		}
+		for i, p := range req.Pixels {
+			if len(p) != req.History {
+				return fmt.Sprintf("pixel %d has %d dates, history is %d", i, len(p), req.History)
+			}
+		}
+		return ""
+	})
 }
 
 // FuzzObserveDecode is FuzzBatchDecode for /v1/observe against a session
@@ -89,6 +123,9 @@ func FuzzObserveDecode(f *testing.F) {
 	f.Add([]byte(`{"session":"$ID","dates":[[,,,,,,,,]]}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(``))
+	f.Add([]byte(`{"session":"$ID","dates":[[1,2,3]],"dates":[[-0,null],[4,5]]}`))
+	f.Add([]byte(`{"session":"$ID","d\u0061tes":[[1,2],[3,-0]]}`))
+	f.Add([]byte(`{"session":"$ID","dates":[[1,2],null]}`))
 	srv := mustServer(f, Config{
 		MaxBodyBytes: 1 << 16,
 		MaxSeriesLen: 64,
@@ -108,6 +145,17 @@ func FuzzObserveDecode(f *testing.F) {
 	id := []byte(sum.ID)
 	fuzzServe(f, srv, "/v1/observe", func(body []byte) []byte {
 		return bytes.ReplaceAll(body, []byte("$ID"), id)
+	}, func(raw []byte) string {
+		var req ObserveHTTPRequest
+		if stockDecode(raw, &req) != nil {
+			return ""
+		}
+		for d, row := range req.Dates {
+			if len(row) != 2 {
+				return fmt.Sprintf("date %d has %d values, session %s has 2 pixels", d, len(row), req.Session)
+			}
+		}
+		return ""
 	})
 }
 
@@ -186,9 +234,13 @@ func FuzzReplyRanges(f *testing.F) {
 
 // fuzzServe drives each fuzz input, after rewrite when one is given,
 // through srv.ServeHTTP as a JSON POST to path and requires no panic, no
-// 5xx and a JSON body; the single-scan parser must also agree with the
-// stock decoder on the input as every request body.
-func fuzzServe(f *testing.F, srv *Server, path string, rewrite func([]byte) []byte) {
+// 5xx and a JSON body; the single-scan parser and decodeBody's packing
+// must also agree with the stock decoder on the input as every request
+// body. mismatch is the length_mismatch message the endpoint's handler
+// gives the rows the stock decoder reads from a body, "" when they are
+// all as long as it requires: a body with such a row must not succeed,
+// and a length_mismatch reply must carry exactly that message.
+func fuzzServe(f *testing.F, srv *Server, path string, rewrite func([]byte) []byte, mismatch func([]byte) string) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if rewrite != nil {
 			body = rewrite(body)
@@ -208,5 +260,21 @@ func fuzzServe(f *testing.F, srv *Server, path string, rewrite func([]byte) []by
 		if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 			t.Fatalf("status %d with non-JSON body %q", rec.Code, rec.Body.Bytes())
 		}
+		want := mismatch(body)
+		if want != "" && rec.Code == http.StatusOK {
+			t.Fatalf("%q: served a body with a row of the wrong length (%s)", body, want)
+		}
+		if rec.Code == http.StatusBadRequest {
+			if e := errEnvelope(t, rec.Body.Bytes()); e.Code == CodeLengthMismatch && e.Message != want {
+				t.Fatalf("%q: length_mismatch says %q, want %q", body, e.Message, want)
+			}
+		}
 	})
+}
+
+// stockDecode decodes raw into dst as decodeBody's fallback does.
+func stockDecode(raw []byte, dst any) error {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	return dec.Decode(dst)
 }

@@ -86,30 +86,24 @@ func (r *requestOptions) options(history int) core.Options {
 	return opt
 }
 
-// maxPooledBody bounds what readBody keeps for reuse — one outsized
-// request must not pin its buffer in the pool forever.
-const maxPooledBody = 1 << 20
-
-// readBody drains the request body into a pooled buffer, presized from
-// Content-Length when the client declared one. Decoding copies every
-// value out of the raw bytes, so the buffer goes back to the pool as
-// soon as decodeBody returns.
-func (s *Server) readBody(r *http.Request) ([]byte, error) {
-	size := 512
-	if r.ContentLength > 0 && r.ContentLength < maxPooledBody {
-		size = int(r.ContentLength) + 1
+// readBody drains the request body into buf, reusing its capacity. A
+// full buffer grows to the largest of want, want/2, want/4, … within
+// twice the bytes received plus 64 KiB, where want is Content-Length+1
+// when the client declared a length within MaxBodyBytes and
+// MaxBodyBytes+1 otherwise: an honest length is reached in a few
+// doubling steps that land on it exactly, and a false one costs only in
+// proportion to the bytes that arrived.
+func (s *Server) readBody(r *http.Request, buf []byte) ([]byte, error) {
+	want := s.cfg.MaxBodyBytes
+	if r.ContentLength >= 0 && r.ContentLength < want {
+		want = r.ContentLength
 	}
-	var buf []byte
-	if v := s.bodyPool.Get(); v != nil {
-		buf = (*v.(*[]byte))[:0]
-	}
-	if cap(buf) < size {
-		buf = make([]byte, 0, size)
-	}
+	buf = buf[:0]
 	src := http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			grown := make([]byte, len(buf), nextBodyCap(len(buf), int(want)+1))
+			buf = grown[:copy(grown, buf)]
 		}
 		n, err := src.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
@@ -122,31 +116,17 @@ func (s *Server) readBody(r *http.Request) ([]byte, error) {
 	}
 }
 
-func (s *Server) putBodyBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBody {
-		return
+// nextBodyCap is the capacity a full body buffer of n bytes grows to on
+// its way to want bytes (readBody).
+func nextBodyCap(n, want int) int {
+	limit := 2*n + 64<<10
+	if want <= n { // the body outran its claim
+		return limit
 	}
-	s.bodyPool.Put(&b)
-}
-
-// getPackBuf returns a pooled buffer of exactly size values; putPackBuf
-// recycles it. Detection never retains the pack buffer past its return
-// (results carry their own storage), so handleBatch can recycle
-// immediately.
-func (s *Server) getPackBuf(size int) []float64 {
-	if v := s.packPool.Get(); v != nil {
-		if b := *v.(*[]float64); cap(b) >= size {
-			return b[:size]
-		}
+	for want > limit {
+		want /= 2
 	}
-	return make([]float64, size)
-}
-
-func (s *Server) putPackBuf(b []float64) {
-	if cap(b) == 0 {
-		return
-	}
-	s.packPool.Put(&b)
+	return want
 }
 
 // checkSeries validates a single-series request's framing: presence, the
@@ -259,7 +239,9 @@ func appendResultJSON(dst []byte, res core.Result) []byte {
 }
 
 func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
-	req, apiErr := decodeBody[DetectRequest](s, r)
+	buf := s.getDecodeBuf()
+	defer s.putDecodeBuf(buf)
+	req, apiErr := decodeBody[DetectRequest](s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -289,7 +271,9 @@ func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
 }
 
 func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
-	req, apiErr := decodeBody[DetectRequest](s, r)
+	buf := s.getDecodeBuf()
+	defer s.putDecodeBuf(buf)
+	req, apiErr := decodeBody[DetectRequest](s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -325,7 +309,9 @@ func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
 }
 
 func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
-	req, apiErr := decodeBody[DetectRequest](s, r)
+	buf := s.getDecodeBuf()
+	defer s.putDecodeBuf(buf)
+	req, apiErr := decodeBody[DetectRequest](s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -358,18 +344,13 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}
 	m := len(req.Pixels)
 	tr.Pixels = m
-	_, sp := obs.StartSpan(r.Context(), "pack")
-	flat := s.getPackBuf(m * n)
-	defer s.putPackBuf(flat)
-	for i, p := range req.Pixels {
-		copy(flat[i*n:(i+1)*n], p)
-	}
-	sp.End()
 	// /v1/batch runs the one tiled detector (core.DetectBatch), which is
 	// bit-identical to scalar Detect; the kernel-phase spans land in
-	// this request's trace under detect.
+	// this request's trace under detect. Every row is n long and the
+	// rows lie end to end in buf.vals (decodeBody), so its first m·n
+	// values are the pixel-major matrix.
 	dctx, sp := obs.StartSpan(r.Context(), "detect")
-	b, err := core.NewBatch(m, n, flat)
+	b, err := core.NewBatch(m, n, buf.vals[:m*n])
 	if err != nil {
 		sp.End()
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)

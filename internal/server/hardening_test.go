@@ -424,6 +424,12 @@ func TestRetryAfterConfigurable(t *testing.T) {
 // 400 invalid_argument from every endpoint that builds a design once the
 // design would exceed the body limit (8 MiB here), before any of it is
 // built.
+//
+// readBody sizes its buffer from Content-Length, so a false one is
+// pinned too: a request declaring MaxBodyBytes−1 bytes that carries 100
+// allocates under 1 MiB, and a body that arrives in small pieces, with
+// its length declared or not, never has a buffer larger than twice the
+// bytes received plus 64 KiB read into.
 func TestHostileBodiesAllocateBounded(t *testing.T) {
 	s := mustServer(t, Config{})
 	const rows, sessionPixels = 4096, 8192
@@ -466,6 +472,60 @@ func TestHostileBodiesAllocateBounded(t *testing.T) {
 			t.Fatalf("%s: a %d-byte body allocated %d bytes", tc.path, len(tc.body), grew)
 		}
 	}
+
+	// A false Content-Length on a 100-byte body: a fresh server, so no
+	// pooled buffer hides what the claim would size.
+	short := `{"pixels":[[1,2,3,4,5,6,7,8,9,10,11,12]],"history":8}` + strings.Repeat(" ", 47)
+	claims := mustServer(t, Config{TraceDepth: -1})
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", strings.NewReader(short))
+	req.ContentLength = claims.cfg.MaxBodyBytes - 1
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec := httptest.NewRecorder()
+	claims.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("false Content-Length: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("a %d-byte body claiming %d bytes allocated %d bytes", len(short), req.ContentLength, grew)
+	}
+
+	// A body in 1 000-byte pieces, its length declared or not.
+	piecewise := `{"pixels":[` + strings.Repeat(series(100)+",", 2000) + series(100) + `],"history":50}`
+	for _, declared := range []int64{int64(len(piecewise)), -1} {
+		src := &pieceReader{r: strings.NewReader(piecewise), piece: 1000}
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", src)
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		mustServer(t, Config{TraceDepth: -1}).ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("pieces (Content-Length %d): status %d: %s", declared, rec.Code, rec.Body.Bytes())
+		}
+		if src.worst > 0 {
+			t.Fatalf("pieces (Content-Length %d): a read into a buffer %d bytes past twice the %d received plus 64 KiB",
+				declared, src.worst, src.worstAt)
+		}
+	}
+}
+
+// pieceReader hands out r at most piece bytes a Read, and records the
+// worst read it was asked to fill: how far the caller's buffer, the bytes
+// received so far plus len(p), exceeded twice those bytes plus 64 KiB.
+type pieceReader struct {
+	r              *strings.Reader
+	piece          int
+	received       int
+	worst, worstAt int
+}
+
+func (p *pieceReader) Read(b []byte) (int, error) {
+	if over := len(b) - p.received - 64<<10; over > p.worst { // received+len(b) past 2·received+64 KiB
+		p.worst, p.worstAt = over, p.received
+	}
+	n, err := p.r.Read(b[:min(len(b), p.piece)])
+	p.received += n
+	return n, err
 }
 
 // TestDesignBoundAdmitsServingShapes: the design bound rejects only what

@@ -81,7 +81,9 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if s.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, CodeUnavailable, "draining for shutdown")
 	}
-	req, apiErr := decodeBody[FitHTTPRequest](s, r)
+	buf := s.getDecodeBuf()
+	defer s.putDecodeBuf(buf)
+	req, apiErr := decodeBody[FitHTTPRequest](s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -126,13 +128,9 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 		}
 	}
 	tr.Pixels = m
-	flat := s.getPackBuf(m * req.History)
-	defer s.putPackBuf(flat)
-	for i, p := range req.Pixels {
-		copy(flat[i*req.History:(i+1)*req.History], p)
-	}
+	// The rows lie end to end in buf.vals (decodeBody), each History long.
 	sum, err := s.nrtMgr.Fit(r.Context(), nrt.FitRequest{
-		Options: opt, Pixels: m, History: flat, Capacity: req.Capacity,
+		Options: opt, Pixels: m, History: buf.vals[:m*req.History], Capacity: req.Capacity,
 	})
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
@@ -148,7 +146,9 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	if s.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, CodeUnavailable, "draining for shutdown")
 	}
-	req, apiErr := decodeBody[ObserveHTTPRequest](s, r)
+	buf := s.getDecodeBuf()
+	defer s.putDecodeBuf(buf)
+	req, apiErr := decodeBody[ObserveHTTPRequest](s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -170,12 +170,8 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 				"date %d has %d values, session %s has %d pixels", d, len(row), req.Session, m)
 		}
 	}
-	flat := s.getPackBuf(len(req.Dates) * m)
-	defer s.putPackBuf(flat)
-	for d, row := range req.Dates {
-		copy(flat[d*m:(d+1)*m], row)
-	}
-	res, err := s.nrtMgr.Observe(r.Context(), req.Session, flat, len(req.Dates))
+	// The date rows lie end to end in buf.vals (decodeBody), each m long.
+	res, err := s.nrtMgr.Observe(r.Context(), req.Session, buf.vals[:len(req.Dates)*m], len(req.Dates))
 	if err != nil {
 		return nil, nrtError(r.Context(), err)
 	}

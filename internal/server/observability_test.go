@@ -105,7 +105,7 @@ func TestRequestIDAndSpanTree(t *testing.T) {
 		t.Fatalf("trace root: %+v", tr.Spans)
 	}
 	for _, name := range []string{
-		"decode", "pack", "detect", "encode",
+		"decode", "detect", "encode",
 		"core.detect_batch", "kernel.mask", "kernel.tiles", "sched.foreach",
 	} {
 		if findSpan(tr.Spans, -1, name) == nil {

@@ -20,7 +20,15 @@ import (
 // and the unmarshaler's own scan — which under small-request traffic
 // makes body decode rival kernel time, and on the large date-major
 // bodies of /v1/fit and /v1/observe dominates the request. parseObject
-// does one pass, sizing each row once from its comma count.
+// does one pass.
+//
+// A request's rows (DetectRequest.Pixels, FitHTTPRequest.Pixels,
+// ObserveHTTPRequest.Dates) decode straight into the pooled buffer the
+// kernels read: rows sizes it once from the array's comma count and
+// parses every row into it, so each row is a view of the next stretch
+// of one contiguous []float64. A handler that has checked every row's
+// length hands the first rows×length values to core.NewBatch or the
+// NRT manager as they lie; nothing is copied again.
 //
 // It is deliberately strict: it accepts a body only when it is certain
 // encoding/json would decode it into the identical struct — plain
@@ -29,24 +37,64 @@ import (
 // Anything else (escapes, case-folded keys, unknown fields, type
 // mismatches, syntax errors) declines, and decodeBody re-parses a fresh
 // struct with the stock decoder, so every accept/reject decision and
-// every error message stays encoding/json's. The stock decoder is also
-// the oracle the differential tests and fuzzers hold this parser to.
+// every error message stays encoding/json's; it then lays that struct's
+// rows into the same buffer, so a handler sees one layout either way.
+// The stock decoder is also the oracle the differential tests and
+// fuzzers hold this parser to.
 
 // requestBody is a request struct the single-scan parser can fill: field
 // decodes the value of one key at the parser's cursor, or declines.
 type requestBody[T any] interface {
 	*T
 	field(p *reqParser, key []byte) bool
+	// rowField is the body's array of rows, the field that decodes into
+	// the pooled buffer.
+	rowField() *[]Series
 }
 
-// decodeBody reads and bounds the body of r and decodes it into a fresh
-// T. The decode span lands on the request's trace so oversized-JSON
-// cost is visible next to kernel cost.
-func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request) (*T, *apiError) {
+func (req *DetectRequest) rowField() *[]Series      { return &req.Pixels }
+func (req *FitHTTPRequest) rowField() *[]Series     { return &req.Pixels }
+func (req *ObserveHTTPRequest) rowField() *[]Series { return &req.Dates }
+
+// decodeBuf is one request's decode memory, pooled as a unit: body holds
+// the bytes as read, vals the values of the body's rows, laid end to
+// end. A handler takes one from getDecodeBuf before decodeBody and gives
+// it back with putDecodeBuf once nothing reads vals any more. Detection
+// and the NRT manager keep nothing of vals past their return.
+type decodeBuf struct {
+	body []byte
+	vals []float64
+}
+
+// maxPooledBody bounds the body buffer a decodeBuf keeps — one outsized
+// request must not pin its bytes in the pool, nor hold them while its
+// handler runs.
+const maxPooledBody = 1 << 20
+
+func (s *Server) getDecodeBuf() *decodeBuf {
+	if v := s.decodePool.Get(); v != nil {
+		return v.(*decodeBuf)
+	}
+	return new(decodeBuf)
+}
+
+// putDecodeBuf recycles b, buffers and all: a vals that was too small
+// for some request was grown in place, so mixed fit and observe traffic
+// keeps the larger one.
+func (s *Server) putDecodeBuf(b *decodeBuf) { s.decodePool.Put(b) }
+
+// decodeBody reads and bounds the body of r into buf and decodes it into
+// a fresh T whose rows are consecutive views of buf.vals. The decode
+// span lands on the request's trace so oversized-JSON cost is visible
+// next to kernel cost.
+func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request, buf *decodeBuf) (*T, *apiError) {
 	_, sp := obs.StartSpan(r.Context(), "decode")
 	defer sp.End()
-	raw, err := s.readBody(r)
-	defer s.putBodyBuf(raw)
+	raw, err := s.readBody(r, buf.body)
+	buf.body = raw[:0]
+	if cap(raw) > maxPooledBody {
+		buf.body = nil // nothing decoded aliases the bytes
+	}
 	sp.SetAttr("bytes", int64(len(raw)))
 	if err != nil {
 		var tooBig *http.MaxBytesError
@@ -57,7 +105,8 @@ func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request) (*T, *apiEr
 		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
 	}
 	req := new(T)
-	if parseObject(raw, P(req).field) {
+	var ok bool
+	if buf.vals, ok = parseObject(raw, buf.vals, P(req).field); ok {
 		return req, nil
 	}
 	req = new(T) // the fast path may have filled part of the first one
@@ -66,14 +115,44 @@ func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request) (*T, *apiEr
 	if err := dec.Decode(req); err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidJSON, "bad request body: %v", err)
 	}
+	buf.vals = packRows(buf.vals, *P(req).rowField())
 	return req, nil
 }
 
+// packRows lays the stock decoder's rows end to end in vals, grown when
+// too small, and points each non-empty row at its stretch there: the
+// layout rows gives the rows of a body parseObject accepts.
+func packRows(vals []float64, rows []Series) []float64 {
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	if cap(vals) < total {
+		vals = make([]float64, total)
+	}
+	vals = vals[:cap(vals)]
+	off := 0
+	for i, row := range rows {
+		if len(row) > 0 {
+			end := off + copy(vals[off:], row)
+			rows[i] = vals[off:end:end]
+			off = end
+		}
+	}
+	return vals
+}
+
 // parseObject runs the single scan over one JSON object, handing each
-// key's value to field. It reports false — decline, let the stock
-// decoder decide — on anything it is not certain about.
-func parseObject(data []byte, field func(p *reqParser, key []byte) bool) bool {
-	p := reqParser{in: data}
+// key's value to field; the body's rows decode into vals, grown when too
+// small, which it returns either way. It reports false — decline, let
+// the stock decoder decide — on anything it is not certain about.
+func parseObject(data []byte, vals []float64, field func(p *reqParser, key []byte) bool) ([]float64, bool) {
+	p := reqParser{in: data, vals: vals}
+	ok := p.object(field)
+	return p.vals, ok
+}
+
+func (p *reqParser) object(field func(p *reqParser, key []byte) bool) bool {
 	p.space()
 	if !p.eat('{') {
 		return false
@@ -96,7 +175,7 @@ func parseObject(data []byte, field func(p *reqParser, key []byte) bool) bool {
 			return false
 		}
 		p.space()
-		if !field(&p, key) {
+		if !field(p, key) {
 			return false
 		}
 	}
@@ -180,6 +259,8 @@ func (o *requestOptions) field(p *reqParser, key []byte) bool {
 type reqParser struct {
 	in  []byte
 	pos int
+	// vals holds the values of the body's rows; only rows writes it.
+	vals []float64
 }
 
 func (p *reqParser) space() {
@@ -241,7 +322,10 @@ func (p *reqParser) stringField(dst *string) bool {
 	return ok
 }
 
-// rows reads an array of series, or a whole-value null.
+// rows reads an array of series, or a whole-value null. The rows decode
+// into p.vals, sized once by arrayShape: each row is a view
+// of the stretch after the row before it, its capacity clipped to its
+// length. A repeated key decodes over the same buffer from its start.
 func (p *reqParser) rows(dst *[]Series) bool {
 	if p.literal("null") {
 		*dst = nil
@@ -250,16 +334,32 @@ func (p *reqParser) rows(dst *[]Series) bool {
 	if !p.eat('[') {
 		return false
 	}
-	out := make([]Series, 0, 8) // non-nil even when empty, like the stock decoder
+	n, nrows := p.arrayShape()
+	// Non-nil even at length 0, so that an empty row stays an empty row,
+	// not a null one.
+	if cap(p.vals) < n || p.vals == nil {
+		p.vals = make([]float64, n)
+	}
+	buf := p.vals[:cap(p.vals)]
+	used := 0
+	out := make([]Series, 0, nrows) // non-nil even when empty, like the stock decoder
 	p.space()
 	if !p.eat(']') {
 		for {
 			p.space()
-			s, ok := p.series()
-			if !ok {
+			switch {
+			case p.literal("null"):
+				out = append(out, nil)
+			case p.eat('['):
+				n, ok := p.row(buf[used:])
+				if !ok {
+					return false
+				}
+				out = append(out, buf[used:used+n:used+n])
+				used += n
+			default:
 				return false
 			}
-			out = append(out, s)
 			p.space()
 			if p.eat(']') {
 				break
@@ -273,7 +373,43 @@ func (p *reqParser) rows(dst *[]Series) bool {
 	return true
 }
 
-// series parses one array of numbers/nulls, or a whole-value null.
+// arrayShape walks the array of rows whose '[' was just consumed, each
+// row a null or a '[' up to its ']', and returns how many rows it has
+// and a bound on their values: one more than the commas up to the
+// array's ']', capped, as rowLen caps a row, at what a valid array of
+// that many bytes can hold — a row's brackets, one byte per value and
+// the commas between, and the array's own ']' — so a body of bare commas
+// cannot size the buffer past four times its own length. The walk stops
+// where the array breaks that pattern, which the parse then declines, so
+// it never reads past the array it sizes: a body of repeated row keys
+// costs one scan of each array.
+func (p *reqParser) arrayShape() (vals, rows int) {
+	q := reqParser{in: p.in, pos: p.pos}
+	for {
+		q.space()
+		if q.eat('[') {
+			end := bytes.IndexByte(q.in[q.pos:], ']')
+			if end < 0 {
+				q.pos = len(q.in)
+				break
+			}
+			q.pos += end + 1
+			rows++
+		} else if q.literal("null") {
+			rows++
+		}
+		q.space()
+		if !q.eat(',') {
+			q.eat(']')
+			break
+		}
+	}
+	span := p.in[p.pos:q.pos]
+	return min(bytes.Count(span, []byte{','})+1, max(len(span)-2, 0)/2), rows
+}
+
+// series parses one array of numbers/nulls, or a whole-value null, into
+// storage of its own.
 func (p *reqParser) series() (Series, bool) {
 	if p.literal("null") {
 		return nil, true
@@ -281,30 +417,46 @@ func (p *reqParser) series() (Series, bool) {
 	if !p.eat('[') {
 		return nil, false
 	}
-	out := make(Series, 0, p.rowLen())
+	out := make(Series, p.rowLen())
+	n, ok := p.row(out)
+	if !ok {
+		return nil, false
+	}
+	return out[:n], true
+}
+
+// row parses the numbers and nulls of the array whose '[' was just
+// consumed into dst, through its ']', and returns how many it wrote. It
+// declines an array dst cannot hold.
+func (p *reqParser) row(dst []float64) (int, bool) {
+	n := 0
 	for {
 		p.space()
 		if p.eat(']') {
-			return out, true
+			return n, true
 		}
-		if len(out) > 0 {
+		if n > 0 {
 			if !p.eat(',') {
-				return nil, false
+				return 0, false
 			}
 			p.space()
 		}
+		if n == len(dst) {
+			return 0, false
+		}
 		if p.pos < len(p.in) && p.in[p.pos] == 'n' {
 			if !p.literal("null") {
-				return nil, false
+				return 0, false
 			}
-			out = append(out, math.NaN())
-			continue
+			dst[n] = math.NaN()
+		} else {
+			v, ok := p.float()
+			if !ok {
+				return 0, false
+			}
+			dst[n] = v
 		}
-		v, ok := p.float()
-		if !ok {
-			return nil, false
-		}
-		out = append(out, v)
+		n++
 	}
 }
 

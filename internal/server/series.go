@@ -13,13 +13,17 @@ import (
 // for "nullable float" ([]*float64) costs one heap pointer per present
 // value plus a reflect-driven decode. Request bodies do not reach
 // UnmarshalJSON on the hot path: parseObject (reqjson.go) decodes their
-// rows in its single scan, and only a body it declines comes here via
-// the stock decoder. Both run the same reqParser.series, so there is one
-// number grammar — JSON's, validated exactly as encoding/json does — and
-// one conversion, reqParser.float, which gives strconv.ParseFloat's bits;
-// accepted and rejected arrays, and the decoded values, are those of the
-// []*float64 encoding. MarshalJSON writes each value with
-// appendJSONFloat, byte for byte as encoding/json writes a float64.
+// rows in its single scan straight into the request's pooled buffer, so
+// each row of a decoded request is a Series viewing its own stretch of
+// that one []float64, which the handlers pass to the kernels as the
+// packed matrix. Only a body the scan declines comes here via the stock
+// decoder, and decodeBody then lays its rows into the same buffer. Both
+// parse with the same reqParser.row, so there is one number grammar —
+// JSON's, validated exactly as encoding/json does — and one conversion,
+// reqParser.float, which gives strconv.ParseFloat's bits; accepted and
+// rejected arrays, and the decoded values, are those of the []*float64
+// encoding. MarshalJSON writes each value with appendJSONFloat, byte for
+// byte as encoding/json writes a float64.
 type Series []float64
 
 // MarshalJSON renders NaN as null. Infinities are rejected the same way
@@ -51,8 +55,8 @@ func isJSONSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c =
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
 // UnmarshalJSON parses an array of numbers/nulls, or null, with
-// reqParser.series; every byte of data but surrounding space must be
-// part of that one value.
+// reqParser.series into storage of its own; every byte of data but
+// surrounding space must be part of that one value.
 func (s *Series) UnmarshalJSON(data []byte) error {
 	p := reqParser{in: data}
 	p.space()

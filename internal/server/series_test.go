@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
@@ -116,25 +117,79 @@ func TestSeriesMarshalRejectsInf(t *testing.T) {
 	}
 }
 
-// divergence runs raw through parseObject into a T and, when the fast
-// path accepts, through the stock decoder that decodeBody falls back to.
-// It describes how the two differ, or returns "" when they agree or the
-// fast path declines.
+// decodeServer is the Server divergence decodes through; decodeBody
+// reads only its body limit.
+var decodeServer = &Server{cfg: Config{MaxBodyBytes: 1 << 20}}
+
+// divergence decodes raw as a T through the stock decoder and through
+// decodeBody, the path a handler takes: the single scan, or the stock
+// decoder and packRows where the scan declines. It describes how they
+// differ, or returns "" when they agree. When the scan accepts, the
+// stock decoder must accept too and give the identical struct. Either
+// way decodeBody must accept exactly what the stock decoder accepts, and
+// the rows it returns must be consecutive views of its buffer holding
+// the stock rows laid end to end.
 func divergence[T any, P requestBody[T]](raw []byte) string {
-	var fast T
-	if !parseObject(raw, P(&fast).field) {
-		return "" // the fallback covers it; nothing to compare
-	}
 	var stock T
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&stock); err != nil {
-		return fmt.Sprintf("%T: fast path accepted what the stock decoder rejects (%v)", fast, err)
+	stockErr := stockDecode(raw, &stock)
+
+	buf := new(decodeBuf)
+	req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(raw))
+	got, apiErr := decodeBody[T, P](decodeServer, req, buf)
+	switch {
+	case stockErr != nil && apiErr == nil:
+		return fmt.Sprintf("%T: decodeBody accepted what the stock decoder rejects (%v)", stock, stockErr)
+	case stockErr != nil:
+		if want := "bad request body: " + stockErr.Error(); apiErr.Message != want {
+			return fmt.Sprintf("%T: decodeBody says %q, the stock decoder %q", stock, apiErr.Message, want)
+		}
+		return ""
+	case apiErr != nil:
+		return fmt.Sprintf("%T: decodeBody rejected what the stock decoder accepts: %s", stock, apiErr.Message)
+	}
+	if msg := packingDiverges(*P(got).rowField(), buf.vals, *P(&stock).rowField()); msg != "" {
+		return fmt.Sprintf("%T: %s", stock, msg)
+	}
+
+	var fast T
+	if _, ok := parseObject(raw, nil, P(&fast).field); !ok {
+		return "" // decodeBody took the stock decoder's struct
 	}
 	unNaN(reflect.ValueOf(&fast))
 	unNaN(reflect.ValueOf(&stock))
 	if !reflect.DeepEqual(fast, stock) {
 		return fmt.Sprintf("%T:\nfast  %+v\nstock %+v", fast, fast, stock)
+	}
+	return ""
+}
+
+// packingDiverges describes how rows fail to be consecutive views of
+// vals, each clipped to its length, that hold want's rows bit for bit
+// (NaN and -0 included), null rows staying null; "" when they do.
+func packingDiverges(rows []Series, vals []float64, want []Series) string {
+	if len(rows) != len(want) {
+		return fmt.Sprintf("%d rows, the stock decoder %d", len(rows), len(want))
+	}
+	off := 0
+	for i, row := range rows {
+		if len(row) != len(want[i]) || (row == nil) != (want[i] == nil) {
+			return fmt.Sprintf("row %d is %v, the stock decoder's %v", i, row, want[i])
+		}
+		if len(row) == 0 {
+			continue
+		}
+		if off+len(row) > len(vals) || &row[0] != &vals[off] {
+			return fmt.Sprintf("row %d is not the view of the buffer at %d", i, off)
+		}
+		if cap(row) != len(row) {
+			return fmt.Sprintf("row %d has capacity %d past its length %d", i, cap(row), len(row))
+		}
+		for j, v := range row {
+			if math.Float64bits(v) != math.Float64bits(want[i][j]) {
+				return fmt.Sprintf("row %d value %d is %x, the stock decoder's %x", i, j, v, want[i][j])
+			}
+		}
+		off += len(row)
 	}
 	return ""
 }
@@ -216,6 +271,11 @@ func TestFastParserNeverDiverges(t *testing.T) {
 		`{"session":"s-1","dates":[[1]]}{}`, `{"session":"s-1","dates":[[1]]} x`,
 		`{"session":5}`, `{"session":["s"]}`, `{"dates":[1,2]}`, `{"dates":"x"}`,
 		`{"session":"s-1","dates":[[1]],"history":3}`, `{"Session":"s-1"}`,
+		// repeated row keys: the last array wins, decoded over the first
+		`{"pixels":[[1,2],[3,4]],"pixels":[[5]],"history":1}`,
+		`{"pixels":[[1]],"pixels":[[-0,null],[],null,[2e-308]],"history":1}`,
+		`{"dates":[[1,2,3,4,5,6]],"dates":[[7],[8]]}`, `{"dates":[[1]],"dates":null,"dates":[[2]]}`,
+		`{"pixels":[[1,2]],"pix\u0065ls":[[3,-0]],"history":1}`,
 		// bodies the fast path must hand to the fallback, which then
 		// reproduces today's accept/reject decision exactly
 		`{"unknown":1}`, `{"History":5}`, `{"SERIES":[1]}`,
@@ -312,12 +372,12 @@ func writeRandomArray(rng *rand.Rand, b *bytes.Buffer) {
 	b.WriteByte(']')
 }
 
-// TestObserveDecodeAllocatesRowOnce: the fast path decodes a one-date
+// TestObserveDecodeAllocatesNoFloats: the fast path decodes a one-date
 // observe body of 8 192 values — the date-major body of near-real-time
-// monitoring — sizing its row from the comma count, so the row is
-// allocated once (no growth from a guess) and the whole decode stays far
-// below the stock decoder's bytes for the same body.
-func TestObserveDecodeAllocatesRowOnce(t *testing.T) {
+// monitoring — into the buffer it is handed, so with a warm buffer an
+// observe decode allocates no float storage: only the parser, the
+// session string and the dates slice.
+func TestObserveDecodeAllocatesNoFloats(t *testing.T) {
 	const px = 8192
 	rng := rand.New(rand.NewSource(5))
 	row := make(Series, px)
@@ -334,34 +394,33 @@ func TestObserveDecodeAllocatesRowOnce(t *testing.T) {
 	}
 	body := append(append([]byte(`{"session":"s-0123456789abcdef","dates":[`), wire...), "]}"...)
 	var req ObserveHTTPRequest
-	if !parseObject(body, req.field) || len(req.Dates) != 1 || len(req.Dates[0]) != px {
+	vals, ok := parseObject(body, nil, req.field)
+	if !ok || len(req.Dates) != 1 || len(req.Dates[0]) != px || &req.Dates[0][0] != &vals[0] {
 		t.Fatalf("fast path declined or misread the body: %d dates", len(req.Dates))
 	}
-	// The parser (field sees it through a func value), the session
-	// string, the dates slice and the row.
-	if n := testing.AllocsPerRun(20, func() { parseObject(body, req.field) }); n > 4 {
-		t.Fatalf("decode: %v allocations, want at most 4", n)
+	if n := testing.AllocsPerRun(20, func() { parseObject(body, vals, req.field) }); n > 3 {
+		t.Fatalf("decode: %v allocations, want at most 3", n)
 	}
-	if got, row := decodeBytes(body), int64(8*px); got >= 2*row {
-		t.Fatalf("decode: %d bytes per body, want under %d (the row once, not regrown)", got, 2*row)
+	if got := decodeBytes(body, vals); got >= 256 {
+		t.Fatalf("decode: %d bytes per body into a warm buffer, want under 256", got)
 	}
 	// A row of bare commas is invalid, but is sized before the scan finds
 	// out: the cap keeps that at four times the body, not eight.
 	commas := append(append([]byte(`{"dates":[[`), bytes.Repeat([]byte{','}, 1<<16)...), "]]}"...)
-	if got := decodeBytes(commas); got > 4*int64(len(commas))+1024 {
+	if got := decodeBytes(commas, nil); got > 4*int64(len(commas))+1024 {
 		t.Fatalf("comma body: %d bytes for a %d-byte body", got, len(commas))
 	}
 }
 
 // decodeBytes is the heap bytes parseObject allocates per decode of body
-// as an observe request.
-func decodeBytes(body []byte) int64 {
+// as an observe request into vals.
+func decodeBytes(body []byte, vals []float64) int64 {
 	const runs = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		var req ObserveHTTPRequest
-		parseObject(body, req.field)
+		parseObject(body, vals, req.field)
 	}
 	runtime.ReadMemStats(&after)
 	return int64(after.TotalAlloc-before.TotalAlloc) / runs
@@ -477,5 +536,33 @@ func checkReply(t *testing.T, reply jsonAppender, oracle any) {
 	}
 	if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
 		t.Fatalf("%T bytes differ:\n got %s\nwant %s", reply, rec.Body.Bytes(), want.Bytes())
+	}
+}
+
+// TestArrayShapeStopsAtItsClose: the walk that sizes the row buffer and
+// the row slice counts the array it sizes and nothing after it. Stopping
+// at the array's own ']' is what keeps a body of many repeated row keys
+// linear to scan, and a null row or a space may not carry the walk past
+// it.
+func TestArrayShapeStopsAtItsClose(t *testing.T) {
+	for _, tc := range []struct {
+		rest       string // the body after the array's '['
+		vals, rows int
+	}{
+		{`[1,2],[3]]}`, 3, 2},
+		{` [ 1 , 2 ] , null ]}`, 3, 2}, // a null row's comma overcounts by one
+		{`null,[1]]}`, 2, 2},
+		{`]}`, 0, 0},
+		{`[]]}`, 0, 1},
+		{`null],"pixels":[[1,1,1,1,1,1,1,1]]}`, 1, 1},
+		{`[1,2]],"series":[1,1,1,1,1,1,1,1]}`, 2, 1},
+		{`[,,,,]]}`, 2, 1},
+		{`[1],x,[2]]}`, 1, 1},
+		{`[1,2`, 1, 0}, // truncated: the parse declines it
+	} {
+		p := reqParser{in: []byte("[" + tc.rest), pos: 1}
+		if vals, rows := p.arrayShape(); vals != tc.vals || rows != tc.rows {
+			t.Errorf("%q: %d values in %d rows, want %d in %d", tc.rest, vals, rows, tc.vals, tc.rows)
+		}
 	}
 }

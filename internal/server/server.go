@@ -194,14 +194,10 @@ type Server struct {
 	prof     *obs.ProfCapture
 	stopSLO  func()
 	stopProf func()
-	// bodyPool recycles request-body read buffers; nothing decoded out of
-	// a body aliases its bytes (both parsers copy values out), so the
-	// buffer is reusable the moment decoding returns.
-	bodyPool sync.Pool
-	// packPool recycles /v1/batch pack buffers (the flat NaN-encoded
-	// pixel matrix) across requests; a buffer is reusable the moment
-	// detection returns.
-	packPool sync.Pool
+	// decodePool recycles each request's decodeBuf (reqjson.go): its
+	// body bytes and the values its rows decode into, which the
+	// handlers pass to the kernels as the packed matrix.
+	decodePool sync.Pool
 
 	stopSampler func()
 }
