@@ -56,11 +56,14 @@ var (
 	ErrPersist = errors.New("nrt: persisting session failed")
 )
 
-// Config configures a Manager. The zero value works: in-memory store,
-// default registry, snapshot after every observe. The per-pixel
+// Config configures a Manager. The zero value works: sessions in
+// memory only, default registry, snapshot after every observe. The per-pixel
 // fan-outs run on sched.Shared().
 type Config struct {
-	// Store persists session snapshots; nil = in-memory only.
+	// Store persists session snapshots. nil keeps sessions in memory
+	// only: nothing is persisted (nrt.snapshots.saved stays 0 and a
+	// session's snapshot age counts from its fit), and SnapshotNow,
+	// Close and Restore do nothing.
 	Store state.Store
 	// Metrics receives nrt.* metrics; nil = obs.Default().
 	Metrics *obs.Registry
@@ -142,9 +145,6 @@ type Manager struct {
 // NewManager builds a Manager from cfg, filling zero fields with the
 // defaults documented on Config.
 func NewManager(cfg Config) *Manager {
-	if cfg.Store == nil {
-		cfg.Store = state.NewMemStore()
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.Default()
 	}
@@ -651,15 +651,18 @@ func (mg *Manager) Delete(ctx context.Context, id string) error {
 	if err := s.goneLocked(); err != nil {
 		return err
 	}
-	if err := mg.store.Delete(ctx, id); err != nil {
-		return fmt.Errorf("%w: %w", ErrPersist, err)
+	if mg.store != nil {
+		if err := mg.store.Delete(ctx, id); err != nil {
+			return fmt.Errorf("%w: %w", ErrPersist, err)
+		}
 	}
 	mg.dropLocked(s)
 	return nil
 }
 
 // SnapshotNow writes a session's full base immediately, regardless of
-// cadence; its journal restarts empty.
+// cadence; its journal restarts empty. Without a store it only checks
+// that the session is live.
 func (mg *Manager) SnapshotNow(ctx context.Context, id string) error {
 	s, err := mg.get(id)
 	if err != nil {
@@ -677,6 +680,9 @@ func (mg *Manager) SnapshotNow(ctx context.Context, id string) error {
 // skipping any dropped while it ran. The sessions stay usable; Close is
 // idempotent.
 func (mg *Manager) Close(ctx context.Context) error {
+	if mg.store == nil {
+		return nil
+	}
 	mg.mu.Lock()
 	ss := make([]*session, 0, len(mg.sessions))
 	for _, s := range mg.sessions {
@@ -706,8 +712,14 @@ func (mg *Manager) Close(ctx context.Context) error {
 // writes a base once the journal holds as many bytes as the base (a
 // restore then reads at most twice the base), or when the frame alone
 // would be at least half the base — its append plus the base it brings
-// forward would cost more than writing the base now.
+// forward would cost more than writing the base now. Without a store
+// it only forgets the pushed dates.
 func (mg *Manager) persistLocked(ctx context.Context, s *session, base bool) error {
+	if mg.store == nil {
+		s.pending = s.pending[:0]
+		s.sinceSnap = 0
+		return nil
+	}
 	_, span := obs.StartSpan(ctx, "nrt.snapshot")
 	defer span.End()
 	m := len(s.Pixels)
@@ -748,6 +760,9 @@ func (mg *Manager) persistLocked(ctx context.Context, s *session, base bool) err
 // nrt.snapshots.failed) so one corrupt file cannot block boot. Returns
 // the number of sessions restored.
 func (mg *Manager) Restore(ctx context.Context) (int, error) {
+	if mg.store == nil {
+		return 0, nil
+	}
 	ctx, span := obs.StartSpan(ctx, "nrt.restore")
 	defer span.End()
 	ids, err := mg.store.List(ctx)

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -211,5 +212,54 @@ func TestTraceRingFind(t *testing.T) {
 	}
 	if _, ok := r.Find("z"); ok {
 		t.Fatal("Find(z) should miss")
+	}
+}
+
+// TestTraceRingCopiesOut: the ring overwrites its slots in place, so
+// the traces Recent and Find hand out must be copies — they stay as
+// they were after the ring has wrapped twice over traces with other
+// spans — and a trace's own lists are not kept by Record.
+func TestTraceRingCopiesOut(t *testing.T) {
+	const depth = 4
+	r := NewTraceRing(depth)
+	record := func(id string, n int) {
+		spans := make([]SpanRecord, n)
+		attrs := make([]SpanAttr, n)
+		for i := range spans {
+			spans[i] = SpanRecord{ID: int32(i + 1), Name: id}
+			attrs[i] = SpanAttr{Span: int32(i + 1), Key: id, Value: int64(n)}
+		}
+		r.Record(Trace{RequestID: id, Spans: spans, Attrs: attrs})
+		for i := range spans { // the caller reuses its lists
+			spans[i], attrs[i] = SpanRecord{}, SpanAttr{}
+		}
+	}
+	for i := 0; i < depth; i++ {
+		record(fmt.Sprint("a", i), 3)
+	}
+	recent := r.Recent()
+	found, ok := r.Find("a2")
+	if !ok || found.Spans[0].Name != "a2" || recent[0].Attrs[2].Key != "a0" {
+		t.Fatalf("Record kept the caller's lists: %+v %+v", found, recent[0])
+	}
+	before, _ := json.Marshal([]any{recent, found})
+	for i := 0; i < 2*depth; i++ {
+		record(fmt.Sprint("b", i), 1+i%3)
+	}
+	if after, _ := json.Marshal([]any{recent, found}); !bytes.Equal(before, after) {
+		t.Fatalf("traces read from the ring changed as it wrapped:\n%s\n%s", before, after)
+	}
+}
+
+// TestTraceRingRecordAllocs: once its slots have held traces as long,
+// Record copies a trace in without allocating.
+func TestTraceRingRecordAllocs(t *testing.T) {
+	r := NewTraceRing(4)
+	tr := Trace{RequestID: "x", Spans: make([]SpanRecord, 10), Attrs: make([]SpanAttr, 18)}
+	for i := 0; i < 4; i++ {
+		r.Record(tr)
+	}
+	if n := testing.AllocsPerRun(100, func() { r.Record(tr) }); n != 0 {
+		t.Fatalf("a warm Record allocates %v times", n)
 	}
 }

@@ -17,8 +17,9 @@ import (
 // allocation) and every Span method is safe on a nil receiver, so the
 // hot paths carry the instrumentation unconditionally and pay one
 // context lookup when tracing is off. The server traces every request
-// while its trace ring is on; TestTracedRequestAllocs in
-// internal/server bounds what that costs a small request.
+// while its trace ring is on, each into a pooled recorder
+// (RequestTrace); TestTracedRequestAllocs in internal/server bounds
+// what that costs a small request.
 
 // SpanRecord is one span of a trace.
 type SpanRecord struct {
@@ -41,11 +42,15 @@ type SpanAttr struct {
 }
 
 // recorder holds one trace. Its first spans and attributes live in the
-// fixed arrays, so a small request's whole trace is one allocation.
+// fixed arrays, so a small trace allocates nothing beyond the recorder
+// and its handles, and a pooled recorder (RequestTrace) is reused
+// whole. gen numbers the
+// recorder's uses: every handle carries the gen it was started under,
+// and a handle from an earlier use writes and reads nothing.
 type recorder struct {
-	root     Span
-	start    time.Time
 	mu       sync.Mutex
+	gen      uint64
+	start    time.Time
 	sealed   bool
 	spans    []SpanRecord
 	attrs    []SpanAttr
@@ -55,9 +60,12 @@ type recorder struct {
 
 const openEnd = -1 // EndNs of a span that has not Ended yet
 
-// Span is a handle to one record of a trace.
+// Span is a handle to one record of a trace. Handles are heap objects
+// of their own, never part of a pooled recorder, so a handle kept past
+// its recorder's release still carries the old gen.
 type Span struct {
 	rec *recorder
+	gen uint64
 	id  int32
 }
 
@@ -68,12 +76,29 @@ type spanCtxKey struct{}
 // spans still open are closed at the root's end, and a later StartSpan,
 // End or SetAttr anywhere in the trace is dropped. Records then returns
 // the finished trace.
-func NewSpan(name string) *Span {
-	r := &recorder{start: time.Now()}
+func NewSpan(name string) *Span { return new(recorder).open(name) }
+
+// open starts r's trace with its root span and returns the root's
+// handle.
+func (r *recorder) open(name string) *Span {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.start = time.Now()
+	r.sealed = false
 	r.spans = append(r.spanBuf[:0], SpanRecord{ID: 1, Name: name, EndNs: openEnd})
 	r.attrs = r.attrsBuf[:0]
-	r.root = Span{rec: r, id: 1}
-	return &r.root
+	return &Span{rec: r, gen: r.gen, id: 1}
+}
+
+// recycle ends r's current use: every handle of it goes stale, and the
+// lists fall back to the fixed arrays, so a recorder in the pool pins no
+// overflow from a large trace.
+func (r *recorder) recycle() {
+	r.mu.Lock()
+	r.gen++
+	r.spans = r.spanBuf[:0]
+	r.attrs = r.attrsBuf[:0]
+	r.mu.Unlock()
 }
 
 // ContextWithSpan returns ctx carrying sp as the active span. A nil sp
@@ -93,24 +118,24 @@ func SpanFromContext(ctx context.Context) *Span {
 
 // StartSpan begins a child of ctx's active span and returns a context
 // carrying the child. When ctx has no active span, or its trace is
-// already sealed, it returns ctx unchanged and a nil span — the
-// disabled fast path.
+// already sealed or recycled, it returns ctx unchanged and a nil span —
+// the disabled fast path.
 func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent := SpanFromContext(ctx)
 	if parent == nil {
 		return ctx, nil
 	}
+	now := time.Now()
 	r := parent.rec
-	now := int64(time.Since(r.start))
 	r.mu.Lock()
-	if r.sealed {
+	if r.sealed || parent.gen != r.gen {
 		r.mu.Unlock()
 		return ctx, nil
 	}
 	id := int32(len(r.spans) + 1)
-	r.spans = append(r.spans, SpanRecord{ID: id, Parent: parent.id, Name: name, StartNs: now, EndNs: openEnd})
+	r.spans = append(r.spans, SpanRecord{ID: id, Parent: parent.id, Name: name, StartNs: int64(now.Sub(r.start)), EndNs: openEnd})
 	r.mu.Unlock()
-	sp := &Span{rec: r, id: id}
+	sp := &Span{rec: r, gen: parent.gen, id: id}
 	return context.WithValue(ctx, spanCtxKey{}, sp), sp
 }
 
@@ -120,34 +145,35 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
+	now := time.Now()
 	r := s.rec
-	now := int64(time.Since(r.start))
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.sealed {
+	if r.sealed || s.gen != r.gen {
 		return
 	}
+	end := int64(now.Sub(r.start))
 	if s.id == 1 {
 		for i := range r.spans {
 			if r.spans[i].EndNs == openEnd {
-				r.spans[i].EndNs = now
+				r.spans[i].EndNs = end
 			}
 		}
 		r.sealed = true
 	} else if rec := &r.spans[s.id-1]; rec.EndNs == openEnd {
-		rec.EndNs = now
+		rec.EndNs = end
 	}
 }
 
 // SetAttr attaches an integer attribute to the span. Safe on a nil
-// receiver; dropped once the trace is sealed.
+// receiver; dropped once the trace is sealed or recycled.
 func (s *Span) SetAttr(key string, v int64) {
 	if s == nil {
 		return
 	}
 	r := s.rec
 	r.mu.Lock()
-	if !r.sealed {
+	if !r.sealed && s.gen == r.gen {
 		r.attrs = append(r.attrs, SpanAttr{Span: s.id, Key: key, Value: v})
 	}
 	r.mu.Unlock()
@@ -155,8 +181,10 @@ func (s *Span) SetAttr(key string, v int64) {
 
 // Records returns the sealed trace s belongs to: its spans in start
 // order and its attributes in the order they were set, shared rather
-// than copied (callers must not modify them). Before the root has Ended
-// it returns nil lists; so does a nil receiver.
+// than copied (callers must not modify them; a pooled trace's lists are
+// valid until its RequestTrace is released). Before the root has Ended
+// it returns nil lists; so do a nil receiver and a handle whose
+// recorder has been recycled.
 func (s *Span) Records() ([]SpanRecord, []SpanAttr) {
 	if s == nil {
 		return nil, nil
@@ -164,7 +192,7 @@ func (s *Span) Records() ([]SpanRecord, []SpanAttr) {
 	r := s.rec
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.sealed {
+	if !r.sealed || s.gen != r.gen {
 		return nil, nil
 	}
 	return r.spans[:len(r.spans):len(r.spans)], r.attrs[:len(r.attrs):len(r.attrs)]

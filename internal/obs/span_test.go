@@ -183,3 +183,75 @@ func TestSpanEndIdempotent(t *testing.T) {
 		t.Fatalf("second End moved the span: %+v within %+v", x, spans[0])
 	}
 }
+
+// TestRecycledRecorderIgnoresStaleHandles: once a recorder is recycled,
+// the handles of its earlier use write and read nothing, even while its
+// next use records into the same arrays. That trace must equal one
+// recorded on a fresh recorder without the stale calls, clocks aside.
+func TestRecycledRecorderIgnoresStaleHandles(t *testing.T) {
+	trace := func(r *recorder, stale *Span, staleCtx context.Context) string {
+		root := r.open("request")
+		ctx := ContextWithSpan(context.Background(), root)
+		cctx, child := StartSpan(ctx, "decode")
+		child.SetAttr("bytes", 10)
+		if stale != nil {
+			stale.SetAttr("stale", 1)
+			stale.End()
+			if c, sp := StartSpan(staleCtx, "orphan"); sp != nil || c != staleCtx {
+				t.Error("StartSpan under a stale handle returned a span")
+			}
+			if spans, attrs := stale.Records(); spans != nil || attrs != nil {
+				t.Error("a stale handle read the next trace")
+			}
+		}
+		_, inner := StartSpan(cctx, "inner")
+		inner.End()
+		child.End()
+		root.End()
+		spans, attrs := root.Records()
+		for i := range spans {
+			spans[i].StartNs, spans[i].EndNs = 0, 0
+		}
+		return fmt.Sprint(spans, attrs)
+	}
+	var r recorder
+	root := r.open("request")
+	ctx := ContextWithSpan(context.Background(), root)
+	staleCtx, stale := StartSpan(ctx, "kept")
+	root.End()
+	r.recycle()
+	want := trace(new(recorder), nil, nil)
+	got := trace(&r, stale, staleCtx)
+	if got != want {
+		t.Fatalf("stale calls changed the next trace:\n got %s\nwant %s", got, want)
+	}
+	// The second trace is sealed; reopen the recorder and check that the
+	// first use's root cannot seal the third.
+	r.recycle()
+	r.open("third")
+	root.End()
+	if r.sealed {
+		t.Fatal("a stale root's End sealed the next trace")
+	}
+}
+
+// TestRecycleDropsOverflow: a trace that outgrew the fixed arrays goes
+// back to them on recycle, so a pooled recorder pins no large trace.
+func TestRecycleDropsOverflow(t *testing.T) {
+	var r recorder
+	ctx := ContextWithSpan(context.Background(), r.open("request"))
+	for i := 0; i < 3*len(r.spanBuf); i++ {
+		_, sp := StartSpan(ctx, "x")
+		for k := 0; k < 3; k++ {
+			sp.SetAttr("k", int64(k))
+		}
+		sp.End()
+	}
+	if cap(r.spans) == len(r.spanBuf) || cap(r.attrs) == len(r.attrsBuf) {
+		t.Fatal("the trace did not outgrow the fixed arrays")
+	}
+	r.recycle()
+	if &r.spans[:1][0] != &r.spanBuf[0] || &r.attrs[:1][0] != &r.attrsBuf[0] {
+		t.Fatal("recycle kept the overflow")
+	}
+}

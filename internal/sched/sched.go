@@ -158,10 +158,14 @@ func (p *Pool) ForEachCtx(ctx context.Context, m, workers, grain int, body func(
 		w = blocks
 	}
 	_, sp := obs.StartSpan(ctx, "sched.foreach")
+	defer sp.End()
 	sp.SetAttr("items", int64(m))
 	sp.SetAttr("blocks", int64(blocks))
 	sp.SetAttr("workers", int64(w))
 	sp.SetAttr("grain", int64(g))
+	if w <= 1 {
+		return runInline(ctx, sp, m, g, blocks, body)
+	}
 	counts := make([]int64, w)
 	var next atomic.Int64
 	run := func(id int) {
@@ -182,41 +186,51 @@ func (p *Pool) ForEachCtx(ctx context.Context, m, workers, grain int, body func(
 		}
 		counts[id] = n
 	}
-	if w <= 1 {
-		run(0)
-	} else {
-		var wg sync.WaitGroup
-		for id := 1; id < w; id++ {
-			select {
-			case p.sem <- struct{}{}:
-				wg.Add(1)
-				StatHelpersSpawned.Inc()
-				go func(id int) {
-					defer wg.Done()
-					defer func() { <-p.sem }()
-					run(id)
-				}(id)
-			default:
-				// Pool saturated: proceed with the helpers we got; the
-				// caller below still drains every block.
-			}
+	var wg sync.WaitGroup
+	for id := 1; id < w; id++ {
+		select {
+		case p.sem <- struct{}{}:
+			wg.Add(1)
+			StatHelpersSpawned.Inc()
+			go func(id int) {
+				defer wg.Done()
+				defer func() { <-p.sem }()
+				run(id)
+			}(id)
+		default:
+			// Pool saturated: proceed with the helpers we got; the
+			// caller below still drains every block.
 		}
-		run(0)
-		wg.Wait() // also the happens-before edge for the helpers' counts[id] writes
 	}
+	run(0)
+	wg.Wait() // also the happens-before edge for the helpers' counts[id] writes
 	recordLoopSkew(sp, counts)
+	return endLoop(ctx, sp, blocks, min(int(next.Load()), blocks))
+}
+
+// runInline is a one-worker loop run in the caller: the blocks in
+// order, ctx re-checked before each, with no closure, counter or
+// per-worker slice to allocate.
+func runInline(ctx context.Context, sp *obs.Span, m, g, blocks int, body func(worker, lo, hi int)) error {
+	b := 0
+	for ; b < blocks && ctx.Err() == nil; b++ {
+		StatBlocksRun.Inc()
+		body(0, b*g, min(b*g+g, m))
+	}
+	StatWorkerBlocks.Observe(float64(b))
+	return endLoop(ctx, sp, blocks, b)
+}
+
+// endLoop settles a finished loop: when ctx was cancelled it counts the
+// blocks never claimed as abandoned, on the metric and on sp, and
+// returns ctx's error.
+func endLoop(ctx context.Context, sp *obs.Span, blocks, claimed int) error {
 	if err := ctx.Err(); err != nil {
-		claimed := int(next.Load())
-		if claimed > blocks {
-			claimed = blocks
-		}
 		abandoned := int64(blocks - claimed)
 		StatBlocksAbandoned.Add(abandoned)
 		sp.SetAttr("abandoned", abandoned)
-		sp.End()
 		return err
 	}
-	sp.End()
 	return nil
 }
 

@@ -300,3 +300,26 @@ func TestRecordLoopSkew(t *testing.T) {
 		t.Fatal("single-worker or empty loop recorded an imbalance sample")
 	}
 }
+
+// TestForEachCtxOneWorkerAllocs: a one-worker loop runs inline in the
+// caller and, on a context without a span, allocates nothing — no
+// worker closure, steal counter or per-worker counts. Both one-worker
+// cases are covered: one requested worker, and a loop of one block.
+func TestForEachCtxOneWorkerAllocs(t *testing.T) {
+	p := New(4)
+	ctx := context.Background()
+	sum := 0
+	body := func(_, lo, hi int) { sum += hi - lo }
+	for _, c := range []struct{ m, workers int }{{100, 1}, {DefaultGrain, 0}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := p.ForEachCtx(ctx, c.m, c.workers, 0, body); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("m=%d workers=%d: a one-worker loop allocates %v times", c.m, c.workers, n)
+		}
+	}
+	if sum != 101*(100+DefaultGrain) {
+		t.Fatalf("visited %d items, want %d", sum, 101*(100+DefaultGrain))
+	}
+}

@@ -19,8 +19,8 @@ import (
 // and what detection or the fit allocates. Bodies of 1 and 8 MiB, and
 // 32 MiB unless -short. The server has a state directory, as a durable
 // NRT deployment does: the fit encodes its session's base snapshot
-// (about 1.1× the body here) and writes it out. Without one the
-// in-memory store also keeps a copy of that snapshot, another 1.1×.
+// (about 1.1× the body here) and writes it out. A /v1/fit on a server
+// without one persists nothing, so it allocates no more than that.
 func TestDenseBodyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory and pool drops distort TotalAlloc")
@@ -37,24 +37,39 @@ func TestDenseBodyAllocs(t *testing.T) {
 				rowLen = history
 			}
 			body := denseBody(size, rowLen, path == "/v1/fit", history, n)
-			s := mustServer(t, Config{TraceDepth: -1, NRT: NRTConfig{StateDir: t.TempDir()}})
-			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-			w := &statusWriter{discardWriter: discardWriter{h: http.Header{}}}
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			s.ServeHTTP(w, req)
-			runtime.ReadMemStats(&after)
-			if w.code != http.StatusOK {
-				t.Fatalf("%s, %d-byte body: status %d", path, len(body), w.code)
-			}
-			factor := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(body))
+			factor := denseBodyFactor(t, Config{TraceDepth: -1, NRT: NRTConfig{StateDir: t.TempDir()}}, path, body)
 			if factor > 10 {
 				t.Fatalf("%s, %d-byte body: allocated %.1f× the body, want at most 10×", path, len(body), factor)
 			}
 			t.Logf("%s, %d MiB body: %.2f× the body", path, size>>20, factor)
+			if path != "/v1/fit" {
+				continue
+			}
+			inMemory := denseBodyFactor(t, Config{TraceDepth: -1}, path, body)
+			if inMemory > factor {
+				t.Fatalf("%s, %d-byte body: allocated %.2f× the body without a state dir, %.2f× with one", path, len(body), inMemory, factor)
+			}
+			t.Logf("%s, %d MiB body, no state dir: %.2f× the body", path, size>>20, inMemory)
 		}
 	}
+}
+
+// denseBodyFactor serves body to a cold server built from cfg and
+// returns what the call allocated, as a multiple of the body's size.
+func denseBodyFactor(t *testing.T, cfg Config, path string, body []byte) float64 {
+	t.Helper()
+	s := mustServer(t, cfg)
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	w := &statusWriter{discardWriter: discardWriter{h: http.Header{}}}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.ServeHTTP(w, req)
+	runtime.ReadMemStats(&after)
+	if w.code != http.StatusOK {
+		t.Fatalf("%s, %d-byte body: status %d", path, len(body), w.code)
+	}
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(body))
 }
 
 // denseBody is a /v1/batch body (or, with fit, a /v1/fit body) of about

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"strconv"
@@ -238,10 +239,10 @@ func appendResultJSON(dst []byte, res core.Result) []byte {
 	return append(dst, '}')
 }
 
-func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
+func (s *Server) handleDetect(ctx context.Context, r *http.Request, tr *obs.Trace) (any, *apiError) {
 	buf := s.getDecodeBuf()
 	defer s.putDecodeBuf(buf)
-	req, apiErr := decodeBody[DetectRequest](s, r, buf)
+	req, apiErr := decodeBody[DetectRequest](ctx, s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -258,22 +259,22 @@ func (s *Server) handleDetect(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
-	if err := r.Context().Err(); err != nil {
-		return nil, ctxError(r.Context(), err)
+	if err := ctx.Err(); err != nil {
+		return nil, ctxError(ctx, err)
 	}
-	_, sp := obs.StartSpan(r.Context(), "detect")
+	_, sp := obs.StartSpan(ctx, "detect")
 	res, err := core.Detect(y, x, opt)
 	sp.End()
 	if err != nil {
-		return nil, ctxError(r.Context(), err)
+		return nil, ctxError(ctx, err)
 	}
 	return resultReply(res), nil
 }
 
-func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
+func (s *Server) handleTrace(ctx context.Context, r *http.Request, tr *obs.Trace) (any, *apiError) {
 	buf := s.getDecodeBuf()
 	defer s.putDecodeBuf(buf)
-	req, apiErr := decodeBody[DetectRequest](s, r, buf)
+	req, apiErr := decodeBody[DetectRequest](ctx, s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -290,14 +291,14 @@ func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "%v", err)
 	}
-	if err := r.Context().Err(); err != nil {
-		return nil, ctxError(r.Context(), err)
+	if err := ctx.Err(); err != nil {
+		return nil, ctxError(ctx, err)
 	}
-	_, sp := obs.StartSpan(r.Context(), "trace")
+	_, sp := obs.StartSpan(ctx, "trace")
 	res, err := core.Trace(y, x, opt)
 	sp.End()
 	if err != nil {
-		return nil, ctxError(r.Context(), err)
+		return nil, ctxError(ctx, err)
 	}
 	return TraceResponse{
 		Status:   res.Status.String(),
@@ -308,10 +309,10 @@ func (s *Server) handleTrace(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}, nil
 }
 
-func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
+func (s *Server) handleBatch(ctx context.Context, r *http.Request, tr *obs.Trace) (any, *apiError) {
 	buf := s.getDecodeBuf()
 	defer s.putDecodeBuf(buf)
-	req, apiErr := decodeBody[DetectRequest](s, r, buf)
+	req, apiErr := decodeBody[DetectRequest](ctx, s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -349,7 +350,7 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	// this request's trace under detect. Every row is n long and the
 	// rows lie end to end in buf.vals (decodeBody), so its first m·n
 	// values are the pixel-major matrix.
-	dctx, sp := obs.StartSpan(r.Context(), "detect")
+	dctx, sp := obs.StartSpan(ctx, "detect")
 	b, err := core.NewBatch(m, n, buf.vals[:m*n])
 	if err != nil {
 		sp.End()
@@ -358,7 +359,7 @@ func (s *Server) handleBatch(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	results, err := core.DetectBatch(dctx, b, opt, core.BatchConfig{Workers: s.cfg.Workers})
 	sp.End()
 	if err != nil {
-		return nil, ctxError(r.Context(), err)
+		return nil, ctxError(ctx, err)
 	}
 	return batchReply(results), nil
 }

@@ -77,13 +77,13 @@ func nrtError(ctx context.Context, err error) *apiError {
 	}
 }
 
-func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
+func (s *Server) handleFit(ctx context.Context, r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if s.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, CodeUnavailable, "draining for shutdown")
 	}
 	buf := s.getDecodeBuf()
 	defer s.putDecodeBuf(buf)
-	req, apiErr := decodeBody[FitHTTPRequest](s, r, buf)
+	req, apiErr := decodeBody[FitHTTPRequest](ctx, s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -129,11 +129,11 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	}
 	tr.Pixels = m
 	// The rows lie end to end in buf.vals (decodeBody), each History long.
-	sum, err := s.nrtMgr.Fit(r.Context(), nrt.FitRequest{
+	sum, err := s.nrtMgr.Fit(ctx, nrt.FitRequest{
 		Options: opt, Pixels: m, History: buf.vals[:m*req.History], Capacity: req.Capacity,
 	})
 	if err != nil {
-		return nil, nrtError(r.Context(), err)
+		return nil, nrtError(ctx, err)
 	}
 	// Stitch the session onto the request's trace: the /v1/observe
 	// requests that follow carry the same ID, so logs and traces of one
@@ -142,13 +142,13 @@ func (s *Server) handleFit(r *http.Request, tr *obs.Trace) (any, *apiError) {
 	return sum, nil
 }
 
-func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) {
+func (s *Server) handleObserve(ctx context.Context, r *http.Request, tr *obs.Trace) (any, *apiError) {
 	if s.draining.Load() {
 		return nil, errf(http.StatusServiceUnavailable, CodeUnavailable, "draining for shutdown")
 	}
 	buf := s.getDecodeBuf()
 	defer s.putDecodeBuf(buf)
-	req, apiErr := decodeBody[ObserveHTTPRequest](s, r, buf)
+	req, apiErr := decodeBody[ObserveHTTPRequest](ctx, s, r, buf)
 	if apiErr != nil {
 		return nil, apiErr
 	}
@@ -161,7 +161,7 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 	}
 	m, err := s.nrtMgr.Pixels(req.Session)
 	if err != nil {
-		return nil, nrtError(r.Context(), err)
+		return nil, nrtError(ctx, err)
 	}
 	tr.Pixels = m
 	for d, row := range req.Dates {
@@ -171,9 +171,9 @@ func (s *Server) handleObserve(r *http.Request, tr *obs.Trace) (any, *apiError) 
 		}
 	}
 	// The date rows lie end to end in buf.vals (decodeBody), each m long.
-	res, err := s.nrtMgr.Observe(r.Context(), req.Session, buf.vals[:len(req.Dates)*m], len(req.Dates))
+	res, err := s.nrtMgr.Observe(ctx, req.Session, buf.vals[:len(req.Dates)*m], len(req.Dates))
 	if err != nil {
-		return nil, nrtError(r.Context(), err)
+		return nil, nrtError(ctx, err)
 	}
 	return observeReply{res}, nil
 }
@@ -260,7 +260,7 @@ func appendJSONString(b []byte, s string) []byte {
 // handleSessions serves GET /v1/sessions (list, or one session via
 // ?session=) and DELETE /v1/sessions?session= (remove the session and
 // its snapshot).
-func (s *Server) handleSessions(r *http.Request, _ *obs.Trace) (any, *apiError) {
+func (s *Server) handleSessions(ctx context.Context, r *http.Request, _ *obs.Trace) (any, *apiError) {
 	id := r.URL.Query().Get("session")
 	switch r.Method {
 	case http.MethodGet:
@@ -269,15 +269,15 @@ func (s *Server) handleSessions(r *http.Request, _ *obs.Trace) (any, *apiError) 
 		}
 		info, err := s.nrtMgr.Get(id)
 		if err != nil {
-			return nil, nrtError(r.Context(), err)
+			return nil, nrtError(ctx, err)
 		}
 		return info, nil
 	default: // DELETE, per the endpoint's method allow list
 		if id == "" {
 			return nil, errf(http.StatusBadRequest, CodeInvalidArgument, "session query parameter is required")
 		}
-		if err := s.nrtMgr.Delete(r.Context(), id); err != nil {
-			return nil, nrtError(r.Context(), err)
+		if err := s.nrtMgr.Delete(ctx, id); err != nil {
+			return nil, nrtError(ctx, err)
 		}
 		return map[string]string{"deleted": id}, nil
 	}

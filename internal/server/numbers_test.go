@@ -359,7 +359,7 @@ func BenchmarkDecodeFitBody(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rd.Reset(raw)
 		buf := s.getDecodeBuf()
-		req, apiErr := decodeBody[FitHTTPRequest](s, r, buf)
+		req, apiErr := decodeBody[FitHTTPRequest](r.Context(), s, r, buf)
 		if apiErr != nil || len(req.Pixels) != px {
 			b.Fatal("the fit body did not decode")
 		}

@@ -243,7 +243,7 @@ func TestReplyReleasedAfterWrite(t *testing.T) {
 		rec := httptest.NewRecorder()
 		at := -1
 		probe := releaseProbe{observeReply{repeatVerdicts(replyCases(), rows)}, rec, &at}
-		h := s.endpoint("probe", http.MethodPost, false, func(*http.Request, *obs.Trace) (any, *apiError) {
+		h := s.endpoint("probe", http.MethodPost, false, func(context.Context, *http.Request, *obs.Trace) (any, *apiError) {
 			return probe, nil
 		})
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", nil))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
@@ -85,10 +86,10 @@ func (s *Server) putDecodeBuf(b *decodeBuf) { s.decodePool.Put(b) }
 
 // decodeBody reads and bounds the body of r into buf and decodes it into
 // a fresh T whose rows are consecutive views of buf.vals. The decode
-// span lands on the request's trace so oversized-JSON cost is visible
-// next to kernel cost.
-func decodeBody[T any, P requestBody[T]](s *Server, r *http.Request, buf *decodeBuf) (*T, *apiError) {
-	_, sp := obs.StartSpan(r.Context(), "decode")
+// span lands on ctx's trace so oversized-JSON cost is visible next to
+// kernel cost.
+func decodeBody[T any, P requestBody[T]](ctx context.Context, s *Server, r *http.Request, buf *decodeBuf) (*T, *apiError) {
+	_, sp := obs.StartSpan(ctx, "decode")
 	defer sp.End()
 	raw, err := s.readBody(r, buf.body)
 	buf.body = raw[:0]

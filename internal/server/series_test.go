@@ -135,7 +135,7 @@ func divergence[T any, P requestBody[T]](raw []byte) string {
 
 	buf := new(decodeBuf)
 	req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(raw))
-	got, apiErr := decodeBody[T, P](decodeServer, req, buf)
+	got, apiErr := decodeBody[T, P](req.Context(), decodeServer, req, buf)
 	switch {
 	case stockErr != nil && apiErr == nil:
 		return fmt.Sprintf("%T: decodeBody accepted what the stock decoder rejects (%v)", stock, stockErr)

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -359,10 +360,11 @@ func (s *Server) handleDebug(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// endpointFunc computes one request. It returns the response value to
-// encode (ignored when it returns an error); phase timings are emitted
-// as spans on the request context.
-type endpointFunc func(r *http.Request, tr *obs.Trace) (any, *apiError)
+// endpointFunc computes one request under ctx, the request's context
+// carrying its root span. It returns the response value to encode
+// (ignored when it returns an error); phase timings are emitted as
+// spans on ctx.
+type endpointFunc func(ctx context.Context, r *http.Request, tr *obs.Trace) (any, *apiError)
 
 // endpoint wraps a handler with the serving spine: request-ID
 // correlation, method check (methods is a comma-separated allow list),
@@ -376,19 +378,26 @@ func (s *Server) endpoint(name, methods string, heavy bool, fn endpointFunc) htt
 	clientErrs := m.Counter("server." + name + ".client_error")
 	canceled := m.Counter("server." + name + ".canceled")
 	latency := m.Histogram("server."+name+".latency_ms", nil)
+	allowed := strings.Split(methods, ",")
+	// Span tracing rides the trace ring's switch: with tracing off the
+	// request has no root span and every StartSpan below it is a no-op.
+	root := ""
+	if s.ring != nil {
+		root = "server." + name
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		requests.Inc()
 		id := requestID(r)
 		w.Header().Set(HeaderRequestID, id)
-		tr := obs.Trace{RequestID: id, Start: start, Endpoint: name, Bytes: r.ContentLength}
-		// Span tracing rides the trace ring's switch: with tracing off the
-		// context carries no span and every StartSpan below it is a no-op.
-		var root *obs.Span
-		if s.ring != nil {
-			root = obs.NewSpan("server." + name)
-			r = r.WithContext(obs.ContextWithSpan(r.Context(), root))
-		}
+		// The request's trace state is pooled; it goes back only after
+		// finish has recorded, offered and logged it (deferred first, so
+		// it runs last).
+		rt := obs.StartRequest(root)
+		defer rt.Release()
+		tr := &rt.Trace
+		tr.RequestID, tr.Start, tr.Endpoint, tr.Bytes = id, start, name, r.ContentLength
+		ctx := obs.ContextWithSpan(r.Context(), rt.Root())
 		if r.ContentLength > 0 {
 			s.reqBytes.Observe(float64(r.ContentLength))
 		}
@@ -401,16 +410,15 @@ func (s *Server) endpoint(name, methods string, heavy bool, fn endpointFunc) htt
 			// The exemplar puts this request's ID on the latency bucket it
 			// landed in, so a burning SLO points at a concrete trace.
 			latency.ObserveExemplar(float64(tr.Total)/1e6, id)
-			root.End()
-			tr.Spans, tr.Attrs = root.Records()
-			s.ring.Record(tr)
+			rt.Seal()
+			s.ring.Record(*tr)
 			// Tail sampling sees the completed trace — outcome and latency
 			// known — and persists it when it is an error, slow, or a
 			// head-sample baseline.
-			s.tail.Offer(tr)
-			logRequest(r.Context(), s.cfg.Logger, name, &tr)
+			s.tail.Offer(*tr)
+			logRequest(ctx, s.cfg.Logger, name, tr)
 		}
-		if !methodAllowed(methods, r.Method) {
+		if !slices.Contains(allowed, r.Method) {
 			e := errf(http.StatusMethodNotAllowed, CodeMethodNotAllowed, "%s required", methods)
 			clientErrs.Inc()
 			writeError(w, e)
@@ -437,10 +445,10 @@ func (s *Server) endpoint(name, methods string, heavy bool, fn endpointFunc) htt
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
 
-		resp, apiErr := fn(r, &tr)
+		resp, apiErr := fn(ctx, r, tr)
 		if apiErr == nil {
-			if err := writeJSON(r.Context(), w, resp); err != nil {
-				apiErr = ctxError(r.Context(), err)
+			if err := writeJSON(ctx, w, resp); err != nil {
+				apiErr = ctxError(ctx, err)
 			}
 			if rel, ok := resp.(releaser); ok {
 				rel.release()
@@ -486,17 +494,6 @@ func logRequest(ctx context.Context, lg *slog.Logger, endpoint string, tr *obs.T
 		attrs = append(attrs, slog.String("session", tr.Session))
 	}
 	lg.LogAttrs(ctx, level, "request served", attrs...)
-}
-
-// methodAllowed reports whether method appears in the comma-separated
-// allow list.
-func methodAllowed(methods, method string) bool {
-	for _, m := range strings.Split(methods, ",") {
-		if m == method {
-			return true
-		}
-	}
-	return false
 }
 
 // ctxError classifies a kernel error: context cancellation becomes the
